@@ -16,9 +16,9 @@ making the aggregate independent of how shards are grouped over workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .signal_model import (
     OpticalPulse,
     PhaseSymbol,
 )
+
+T = TypeVar("T")
 
 ALL_PHASES = (
     PhaseSymbol.ZERO,
@@ -179,8 +181,17 @@ def enumerate_cases() -> list[AttackCaseRow]:
     return rows
 
 
+class _Counters:
+    """Field-wise ``+`` for counter dataclasses, so that shards merge."""
+
+    def __add__(self: T, other: T) -> T:
+        return type(self)(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
+
+
 @dataclass
-class GateTally:
+class GateTally(_Counters):
     """Aggregate counters of one run (or one shard); merge with ``+``."""
 
     gates: int = 0
@@ -203,12 +214,6 @@ class GateTally:
     casec_blind: int = 0
     sifted: int = 0
     errors: int = 0
-
-    def __add__(self, other: "GateTally") -> "GateTally":
-        merged = GateTally()
-        for f in fields(GateTally):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return merged
 
     @property
     def qber(self) -> float:
@@ -236,8 +241,8 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
             raise ConfigError("n_pulses must be positive")
-        if self.resend_mu < 0.0:
-            raise ConfigError("resend_mu must be non-negative")
+        if not 0.0 <= self.resend_mu < math.inf:
+            raise ConfigError("resend_mu must be finite and non-negative")
         if self.detector is DetectorKind.SELF_DIFFERENCING:
             raise ConfigError(
                 "the self-differencing receiver is not wired into the gate "
@@ -282,20 +287,124 @@ def sift_counts(
     return int(kept.sum()), int(errors.sum())
 
 
+#: Gates per shard of :func:`run_attack` and :func:`run_fixed`.  Results
+#: depend on it (each shard owns a generator), so sweeps record it.
+SHARD_GATES = 1_000_000
+
+#: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+
+#: Share w of the pulse that reaches APD 1 (row 0) and APD 2 (row 1), by
+#: phase difference between the pulse and the receiver's modulator in
+#: quarter turns: 0 routes all of it to APD 1, pi to APD 2, and the two
+#: conjugate-basis differences split it evenly.
+ARM_WEIGHTS = np.array([[1.0, 0.5, 0.0, 0.5], [0.0, 0.5, 1.0, 0.5]])
+
+
+def arm_means(mu: float, qe: float, delta_q):
+    """Mean detected signal carriers per gate on APD 1 and APD 2, mu*qe*w.
+
+    ``delta_q`` is one phase difference or an array of them, one per gate.
+    """
+    scaled = mu * qe * ARM_WEIGHTS
+    return np.take(scaled[0], delta_q), np.take(scaled[1], delta_q)
+
+
+class Arm(NamedTuple):
+    """One APD's draws over a block of gates."""
+
+    k: np.ndarray  # avalanche carriers per gate: detected photons plus dark ignition
+    pe: int  # detected signal photoelectrons, summed over the block
+    dark: int  # gates with a dark ignition
+
+
+def detect_arm(lam, n: int, dcp: float, rng: np.random.Generator) -> Arm:
+    """The gate kernel: draw one APD's avalanche carriers over ``n`` gates.
+
+    ``lam`` is the arm's mean detected signal carriers per gate (see
+    :func:`arm_means`), one value or one per gate.  Drawing the detected
+    count directly as Poisson(lam) is exact, not an approximation: a
+    Poisson(mu) pulse whose photons are routed independently to an arm
+    with probability w and then detected with probability qe gives each
+    arm an independent Poisson(mu*qe*w) count.  One draw per arm thus
+    replaces the photon number, the interference split and the two
+    quantum-efficiency thinnings.  A dark ignition adds one carrier with
+    probability ``dcp``.
+    """
+    k = rng.poisson(lam, n) if np.any(lam) else np.zeros(n, dtype=np.int64)
+    pe = int(k.sum())
+    dark = rng.random(n) < dcp
+    k += dark
+    return Arm(k, pe, int(dark.sum()))
+
+
+def avalanche_amplitudes(
+    k: np.ndarray, params: DetectorParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Ideal (pre-rail) avalanche amplitude per gate: gain_mean * Gamma(k)."""
+    return params.gain_mean * rng.standard_gamma(k)
+
+
+class PairReadout(NamedTuple):
+    """Both arms of a two-APD receiver over a block, through its readout."""
+
+    arm1: Arm
+    arm2: Arm
+    fired1: np.ndarray
+    fired2: np.ndarray
+    click1: np.ndarray  # the readout's click on APD 1 (bit 0)
+    click2: np.ndarray
+    raw1: Optional[np.ndarray]  # monitor comparators A/B, balanced receiver only
+    raw2: Optional[np.ndarray]
+
+
+def detect_pair(
+    lam1,
+    lam2,
+    n: int,
+    detector: DetectorKind,
+    params: DetectorParams,
+    rng: np.random.Generator,
+) -> PairReadout:
+    """Draw both arms and read them out.
+
+    The two-APD readout clicks on an arm that fired alone.  The balanced
+    readout clicks on the difference comparators C/D and adds the raw
+    comparators A/B; every comparator word is checked for reachability.
+    """
+    arm1 = detect_arm(lam1, n, params.dcp_apd1, rng)
+    arm2 = detect_arm(lam2, n, params.dcp_apd2, rng)
+    fired1 = arm1.k > 0
+    fired2 = arm2.k > 0
+    if detector is DetectorKind.BASELINE_TWO_APD:
+        return PairReadout(
+            arm1, arm2, fired1, fired2, fired1 & ~fired2, fired2 & ~fired1, None, None
+        )
+    amp1 = avalanche_amplitudes(arm1.k, params, rng)
+    amp2 = avalanche_amplitudes(arm2.k, params, rng)
+    a, b, c, d = comparator_arrays(amp1, amp2, params)
+    event_codes(a, b, c, d)  # raises on any unreachable word
+    return PairReadout(arm1, arm2, fired1, fired2, c, d, a, b)
+
+
 def simulate_block(
     config: AttackConfig, params: DetectorParams, rng: np.random.Generator
 ) -> GateTally:
-    """Simulate ``config.n_pulses`` gates in one vectorized block."""
+    """Simulate ``config.n_pulses`` gates in one vectorized block.
+
+    The protocol draws (bases, bits, the resender's guesses) fix each
+    gate's phase difference at the receiver, and with it the share w of
+    the pulse on each arm.  The gate kernel then draws each arm's
+    detected carriers as an independent Poisson(mu*qe*w) count
+    (:func:`detect_arm`), which is exact for a Poisson pulse split by
+    interference and thinned by the quantum efficiency.
+    """
     n = config.n_pulses
-    mu = config.resend_mu
     scenario = config.scenario
 
     if scenario is Scenario.BLINDING_ONLY:
         # pure blinding characterization: conjugate-basis flux every gate
-        alice_bit = np.zeros(n, dtype=np.int64)
-        alice_basis = np.zeros(n, dtype=np.int64)
-        bob_basis = np.zeros(n, dtype=np.int64)
-        send_q = np.ones(n, dtype=np.int64)
+        delta_q = 1
         eve_mismatch = np.ones(n, dtype=bool)
     else:
         mismatch = _forced_mismatch(config.case_filter)
@@ -319,44 +428,26 @@ def simulate_block(
             same = alice_basis == eve_basis
             send_q = np.where(same, alice_q, eve_basis + 2 * coin)
             eve_mismatch = eve_basis != bob_basis
+        delta_q = (send_q - bob_basis) & 3  # mod 4, also for negative differences
 
-    delta_q = (send_q - bob_basis) % 4
-
-    photons = rng.poisson(mu, n) if mu > 0.0 else np.zeros(n, dtype=np.int64)
-    split = rng.binomial(photons, 0.5)
-    n1 = np.where(delta_q == 0, photons, np.where(delta_q == 2, 0, split))
-    n2 = photons - n1
-    det1 = rng.binomial(n1, params.qe)
-    det2 = rng.binomial(n2, params.qe)
-    dark1 = rng.random(n) < params.dcp_apd1
-    dark2 = rng.random(n) < params.dcp_apd2
-    k1 = det1 + dark1
-    k2 = det2 + dark2
-    fired1 = k1 > 0
-    fired2 = k2 > 0
-
+    lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
+    gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
+    fired1, fired2 = gates.fired1, gates.fired2
     tally = GateTally(
         gates=n,
-        pe1=int(det1.sum()),
-        pe2=int(det2.sum()),
+        pe1=gates.arm1.pe,
+        pe2=gates.arm2.pe,
         fired1=int(fired1.sum()),
         fired2=int(fired2.sum()),
-        dark1=int(dark1.sum()),
-        dark2=int(dark2.sum()),
+        dark1=gates.arm1.dark,
+        dark2=gates.arm2.dark,
         casec_gates=int(eve_mismatch.sum()),
     )
 
-    if config.detector is DetectorKind.BASELINE_TWO_APD:
-        click1 = fired1 & ~fired2
-        click2 = fired2 & ~fired1
+    if gates.raw1 is None:
         tally.doubles_discarded = int((fired1 & fired2).sum())
     else:
-        amp1 = params.gain_mean * rng.standard_gamma(k1)
-        amp2 = params.gain_mean * rng.standard_gamma(k2)
-        a, b, c, d = comparator_arrays(amp1, amp2, params)
-        event_codes(a, b, c, d)  # raises on any unreachable word
-        click1 = c
-        click2 = d
+        a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
         blind = (a | b) & ~c & ~d
         no_event = ~a & ~b & ~c & ~d
         tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
@@ -372,49 +463,57 @@ def simulate_block(
 
     if scenario is not Scenario.BLINDING_ONLY:
         tally.sifted, tally.errors = sift_counts(
-            alice_basis, alice_bit, bob_basis, click1, click2
+            alice_basis, alice_bit, bob_basis, gates.click1, gates.click2
         )
 
     return tally
+
+
+def _run_sharded(
+    n_gates: int,
+    seed_seq: np.random.SeedSequence,
+    shard_gates: int,
+    block: Callable[[int, np.random.Generator], T],
+) -> T:
+    """Run ``block(gates, rng)`` over shards and merge the counters with ``+``.
+
+    Shard ``i`` draws from the child ``seed_seq.spawn`` would give first
+    (spawn key extended by ``i``), derived without spawning so that
+    ``seed_seq`` is left unchanged.  The result thus depends only on the
+    seed and the shard size: not on earlier uses of ``seed_seq``, nor on
+    how shards are distributed over workers.  Memory is bounded by one
+    shard.
+    """
+    if shard_gates <= 0:
+        raise ConfigError("shard_gates must be positive")
+    total = None
+    for i in range(-(-n_gates // shard_gates)):
+        size = min(shard_gates, n_gates - i * shard_gates)
+        child = np.random.SeedSequence(
+            seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i), pool_size=seed_seq.pool_size
+        )
+        part = block(size, np.random.Generator(np.random.PCG64(child)))
+        total = part if total is None else total + part
+    return total
 
 
 def run_attack(
     config: AttackConfig,
     params: DetectorParams,
     seed_seq: np.random.SeedSequence,
-    shard_gates: int = 1_000_000,
+    shard_gates: int = SHARD_GATES,
 ) -> GateTally:
-    """Run the gate pipeline in shards and merge the counters.
-
-    Shard generators are spawned from ``seed_seq`` up front, so the result
-    depends only on the seed and the shard size, not on how shards are
-    distributed over workers.
-    """
-    if shard_gates <= 0:
-        raise ConfigError("shard_gates must be positive")
-    n_shards = -(-config.n_pulses // shard_gates)
-    children = seed_seq.spawn(n_shards)
-    tally = GateTally()
-    remaining = config.n_pulses
-    for child in children:
-        block = min(shard_gates, remaining)
-        remaining -= block
-        shard_config = AttackConfig(
-            n_pulses=block,
-            resend_mu=config.resend_mu,
-            scenario=config.scenario,
-            detector=config.detector,
-            cm_enabled=config.cm_enabled,
-            case_filter=config.case_filter,
-        )
-        tally = tally + simulate_block(
-            shard_config, params, np.random.Generator(np.random.PCG64(child))
-        )
-    return tally
+    """Run the gate pipeline in shards of :func:`simulate_block`."""
+    return _run_sharded(
+        config.n_pulses,
+        seed_seq,
+        shard_gates,
+        lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng),
+    )
 
 
 @dataclass
-class FixedStats:
+class FixedStats(_Counters):
     """Counters of a fixed-phase run (both modulators pinned)."""
 
     gates: int = 0
@@ -429,6 +528,36 @@ class FixedStats:
     blind: int = 0
 
 
+def fixed_block(
+    send_phase: PhaseSymbol,
+    bob_phase: PhaseSymbol,
+    mu: float,
+    n_gates: int,
+    params: DetectorParams,
+    rng: np.random.Generator,
+    detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
+) -> FixedStats:
+    """One shard of :func:`run_fixed`: the gate kernel at scalar arm means."""
+    lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
+    gates = detect_pair(lam1, lam2, n_gates, detector, params, rng)
+    stats = FixedStats(
+        gates=n_gates,
+        pe1=gates.arm1.pe,
+        pe2=gates.arm2.pe,
+        fired1=int(gates.fired1.sum()),
+        fired2=int(gates.fired2.sum()),
+        click1=int(gates.click1.sum()),
+        click2=int(gates.click2.sum()),
+        doubles=int((gates.fired1 & gates.fired2).sum()),
+    )
+    # both readouts click on at most one arm per gate
+    stats.no_click = n_gates - stats.click1 - stats.click2
+    if gates.raw1 is not None:
+        silent = ~gates.click1 & ~gates.click2
+        stats.blind = int(((gates.raw1 | gates.raw2) & silent).sum())
+    return stats
+
+
 def run_fixed(
     send_phase: PhaseSymbol,
     bob_phase: PhaseSymbol,
@@ -437,55 +566,26 @@ def run_fixed(
     params: DetectorParams,
     seed_seq: np.random.SeedSequence,
     detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
+    shard_gates: int = SHARD_GATES,
 ) -> FixedStats:
     """Run gates with both modulators pinned to fixed phases.
 
     This is the calibration-style measurement: one configuration, one
-    flux, count what each readout reports.
+    flux, count what each readout reports.  The pinned phase difference
+    gives each arm a fixed share w of the pulse, so every gate draws its
+    arms as Poisson(mu*qe*w) through the same kernel and shard loop as
+    :func:`run_attack`.
     """
     if n_gates <= 0:
         raise ConfigError("n_gates must be positive")
     if detector is DetectorKind.SELF_DIFFERENCING:
         raise ConfigError("fixed-phase runner supports the two-arm receivers only")
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    delta = send_phase.minus(bob_phase)
-    delta_q = np.full(n_gates, delta.value, dtype=np.int64)
-    photons = rng.poisson(mu, n_gates) if mu > 0.0 else np.zeros(n_gates, dtype=np.int64)
-    split = rng.binomial(photons, 0.5)
-    n1 = np.where(delta_q == 0, photons, np.where(delta_q == 2, 0, split))
-    n2 = photons - n1
-    det1 = rng.binomial(n1, params.qe)
-    det2 = rng.binomial(n2, params.qe)
-    dark1 = rng.random(n_gates) < params.dcp_apd1
-    dark2 = rng.random(n_gates) < params.dcp_apd2
-    k1 = det1 + dark1
-    k2 = det2 + dark2
-    fired1 = k1 > 0
-    fired2 = k2 > 0
-
-    stats = FixedStats(
-        gates=n_gates,
-        pe1=int(det1.sum()),
-        pe2=int(det2.sum()),
-        fired1=int(fired1.sum()),
-        fired2=int(fired2.sum()),
+    return _run_sharded(
+        n_gates,
+        seed_seq,
+        shard_gates,
+        lambda n, rng: fixed_block(send_phase, bob_phase, mu, n, params, rng, detector),
     )
-    if detector is DetectorKind.BASELINE_TWO_APD:
-        click1 = fired1 & ~fired2
-        click2 = fired2 & ~fired1
-        stats.doubles = int((fired1 & fired2).sum())
-    else:
-        amp1 = params.gain_mean * rng.standard_gamma(k1)
-        amp2 = params.gain_mean * rng.standard_gamma(k2)
-        a, b, c, d = comparator_arrays(amp1, amp2, params)
-        event_codes(a, b, c, d)
-        click1, click2 = c, d
-        stats.doubles = int((fired1 & fired2).sum())
-        stats.blind = int(((a | b) & ~c & ~d).sum())
-    stats.click1 = int(click1.sum())
-    stats.click2 = int(click2.sum())
-    stats.no_click = int((~click1 & ~click2).sum())
-    return stats
 
 
 @dataclass(frozen=True)

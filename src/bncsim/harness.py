@@ -29,7 +29,17 @@ from .analytics import (
     ideal_click_rate_same_phase,
     oracle_cm_success,
 )
-from .attack import AttackConfig, DetectorKind, GateTally, Scenario, run_attack
+from .attack import (
+    POISSON_LAM_MAX,
+    SHARD_GATES,
+    AttackConfig,
+    DetectorKind,
+    GateTally,
+    Scenario,
+    avalanche_amplitudes,
+    detect_arm,
+    run_attack,
+)
 from .errors import ConfigError, MissingFluxPoint
 from .selfdiff import sd_event_codes
 from .signal_model import DetectorParams
@@ -39,8 +49,6 @@ DEFAULT_FLUX_GRID: tuple[float, ...] = tuple(
 )
 #: Flux points the landmark checks need.
 LANDMARK_FLUX_GRID: tuple[float, ...] = (0.1, 1.0, 10.0, 30.0, 100.0, 500.0)
-
-SHARD_GATES = 1_000_000
 
 REPORT_COLUMNS = (
     "flux",
@@ -80,8 +88,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.flux_grid:
             object.__setattr__(self, "flux_grid", ())
-        grid = tuple(float(x) for x in self.flux_grid)
+        # + 0.0 turns -0.0 into 0.0, so equal fluxes share one seed
+        grid = tuple(float(x) + 0.0 for x in self.flux_grid)
         object.__setattr__(self, "flux_grid", grid)
+        if not all(math.isfinite(x) for x in grid):
+            raise ConfigError(f"flux values must be finite, got {grid}")
         if any(x < 0.0 for x in grid):
             raise ConfigError("flux values must be non-negative")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -207,16 +218,18 @@ def _row_from_tally(
 def _run_sd_point(
     mu: float, spec: SweepSpec, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> ReportRow:
-    """Signal-level sweep point for the self-differencing receiver."""
+    """Signal-level sweep point for the self-differencing receiver.
+
+    One APD sees the whole pulse, so the gate kernel draws it at mean
+    mu*qe.  The point runs as one block: the delay register compares each
+    gate with the one before, and shards would start it cold again.
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     n = spec.n_gates_per_point
-    photons = rng.poisson(mu, n) if mu > 0.0 else np.zeros(n, dtype=np.int64)
-    det = rng.binomial(photons, params.qe)
-    dark = rng.random(n) < params.dcp_apd1
-    k = det + dark
-    amps = params.gain_mean * rng.standard_gamma(k)
+    arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
+    amps = avalanche_amplitudes(arm.k, params, rng)
     codes = sd_event_codes(amps, params)
-    fired = k > 0
+    fired = arm.k > 0
     weak = int((fired & (amps < params.t_strong)).sum())
     strong = int((amps >= params.t_strong).sum())
     f = params.f_gate
@@ -249,11 +262,25 @@ def _run_sd_point(
     )
 
 
+def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
+    """Seed of the sweep point at flux ``mu``.
+
+    The spawn key holds the IEEE-754 bits of ``mu``, so a point's result
+    depends on (seed, flux, configuration) and not on the rest of the grid.
+    """
+    return np.random.SeedSequence(seed, spawn_key=(0, int(np.float64(mu).view(np.uint64))))
+
+
 def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     """Run the sweep; deterministic for a given (spec, params)."""
+    if spec.flux_grid and spec.flux_grid[-1] * params.qe > POISSON_LAM_MAX:
+        raise ConfigError(
+            f"flux {spec.flux_grid[-1]:g} at qe {params.qe:g} exceeds the largest "
+            f"Poisson mean numpy can draw ({POISSON_LAM_MAX:.6g} detected photons/pulse)"
+        )
     report = RunReport(spec=spec, params=params)
-    for i, mu in enumerate(spec.flux_grid):
-        seed_seq = np.random.SeedSequence(spec.seed, spawn_key=(0, i))
+    for mu in spec.flux_grid:
+        seed_seq = point_seed(spec.seed, mu)
         if spec.detector is DetectorKind.SELF_DIFFERENCING:
             report.rows.append(_run_sd_point(mu, spec, params, seed_seq))
             continue
@@ -265,7 +292,7 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
             cm_enabled=spec.cm_enabled,
             case_filter=spec.case_filter,
         )
-        tally = run_attack(config, params, seed_seq, shard_gates=SHARD_GATES)
+        tally = run_attack(config, params, seed_seq)
         report.rows.append(_row_from_tally(mu, tally, spec, params))
     return report
 
@@ -316,6 +343,7 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
         f"scenario={report.spec.scenario.value}",
         f"detector={report.spec.detector.value}",
         f"gates={report.spec.n_gates_per_point}",
+        f"shard_gates={SHARD_GATES}",
         "flux=" + ",".join(_fmt(x) for x in report.spec.flux_grid),
     ]
     Path(str(path) + ".manifest").write_text("\n".join(manifest) + "\n")

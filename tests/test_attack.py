@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -8,16 +9,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncsim.attack import (
+    CASE_C_GATES,
+    CASE_C_MU,
+    SHARD_GATES,
     AttackConfig,
     CaseLabel,
     DetectorKind,
     EveState,
     ExpectedOutcome,
     Scenario,
+    arm_means,
+    detect_arm,
     enumerate_cases,
     evaluate_case_row,
     eve_intercept,
     eve_resend,
+    fixed_block,
     run_attack,
     run_fixed,
     sift_counts,
@@ -141,9 +148,12 @@ class TestRunAttack:
         assert tally.casec_blind / tally.casec_gates >= 0.999
 
     def test_qber_monotone_in_flux(self, params):
+        # The closest pair is mu=1 vs 3: qber 0.2475 vs 0.2418 (20M gates
+        # each).  With 0.047 and 0.125 sifted gates per gate the sd of the
+        # difference is sqrt(5.46 / n), so 3M gates put the gap at 4.2 sigma.
         qbers = []
         for mu in (1.0, 3.0, 10.0, 30.0, 100.0, 500.0):
-            cfg = AttackConfig(n_pulses=100_000, resend_mu=mu)
+            cfg = AttackConfig(n_pulses=3_000_000, resend_mu=mu)
             qbers.append(run_attack(cfg, params, seed_seq(3)).qber)
         assert all(a >= b for a, b in zip(qbers, qbers[1:]))
 
@@ -183,6 +193,15 @@ class TestRunAttack:
             merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
             assert merged == whole
 
+    def test_seed_sequence_reuse_repeats_the_run(self, params):
+        cfg = AttackConfig(n_pulses=20_000, resend_mu=1.0)
+        seq = seed_seq(15)
+        assert run_attack(cfg, params, seq, shard_gates=5_000) == run_attack(
+            cfg, params, seq, shard_gates=5_000
+        )
+        pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
+        assert run_fixed(*pinned, 20_000, params, seq) == run_fixed(*pinned, 20_000, params, seq)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=0, resend_mu=1.0)
@@ -197,6 +216,63 @@ class TestRunAttack:
             )
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset("X"))
+
+
+def within(observed, expected, sigma, k=4.0):
+    return abs(observed - expected) <= k * sigma
+
+
+class TestGateKernel:
+    def test_arm_means_route_by_phase_difference(self):
+        lam = 2.0 * 0.1
+        assert arm_means(2.0, 0.1, 0) == (lam, 0.0)
+        assert arm_means(2.0, 0.1, 1) == (lam / 2, lam / 2)
+        assert arm_means(2.0, 0.1, 2) == (0.0, lam)
+        assert arm_means(2.0, 0.1, 3) == (lam / 2, lam / 2)
+        lam1, lam2 = arm_means(2.0, 0.1, np.array([0, 1, 2, 3]))
+        assert list(lam1) == [lam, lam / 2, 0.0, lam / 2]
+        assert list(lam2) == [0.0, lam / 2, lam, lam / 2]
+
+    @pytest.mark.parametrize("w", [1.0, 0.5, 0.0])
+    def test_routing_class_closed_forms(self, w):
+        """pe ~ n*lam, fired ~ 1-(1-dcp)exp(-lam), dark ~ dcp, each within 4 sigma."""
+        n, mu, qe, dcp = 1_000_000, 3.0, 0.1, 1e-3
+        lam = mu * qe * w
+        arm = detect_arm(lam, n, dcp, np.random.default_rng(int(4 * w)))
+        fired = int((arm.k > 0).sum())
+        p_fired = 1.0 - (1.0 - dcp) * math.exp(-lam)
+        assert within(arm.pe, n * lam, math.sqrt(n * lam))
+        assert within(fired, n * p_fired, math.sqrt(n * p_fired * (1 - p_fired)))
+        assert within(arm.dark, n * dcp, math.sqrt(n * dcp * (1 - dcp)))
+        assert int(arm.k.sum()) == arm.pe + arm.dark
+        if w == 0.0:
+            assert arm.pe == 0 and fired == arm.dark
+
+    def test_split_arms_match_binomial_chain(self):
+        """Per-arm Poisson draws against the photon -> split -> QE chain.
+
+        The reference draws the photon number, splits it 50/50 and thins
+        each arm by the quantum efficiency.  Both give independent arms,
+        so every joint (no photon, photon) frequency agrees within 4 sigma
+        of the difference of two binomial frequencies.
+        """
+        n, mu, qe = 1_000_000, 20.0, 0.1
+        rng = np.random.default_rng(17)
+        photons = rng.poisson(mu, n)
+        split = rng.binomial(photons, 0.5)
+        ref = (rng.binomial(split, qe) > 0, rng.binomial(photons - split, qe) > 0)
+        lam1, lam2 = arm_means(mu, qe, 1)
+        got = tuple(detect_arm(lam, n, 0.0, rng).k > 0 for lam in (lam1, lam2))
+        for hit1 in (False, True):
+            for hit2 in (False, True):
+                p_ref = float(((ref[0] == hit1) & (ref[1] == hit2)).mean())
+                p_got = float(((got[0] == hit1) & (got[1] == hit2)).mean())
+                sigma = math.sqrt(2 * p_ref * (1 - p_ref) / n)
+                assert within(p_got, p_ref, sigma), (hit1, hit2, p_got, p_ref)
+
+    def test_zero_mean_draws_no_photons(self):
+        arm = detect_arm(0.0, 1000, 0.0, np.random.default_rng(0))
+        assert arm.pe == 0 and arm.dark == 0 and not arm.k.any()
 
 
 class TestRunFixed:
@@ -222,6 +298,41 @@ class TestRunFixed:
         )
         singles = stats.click1 + stats.click2
         assert abs(stats.click1 / singles - 0.5) < 0.01
+
+
+    def test_sharding_is_grouping_invariant(self, params):
+        pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
+        whole = run_fixed(*pinned, 80_000, params, seed_seq(12), shard_gates=10_000)
+        children = seed_seq(12).spawn(8)
+        partial = [
+            fixed_block(*pinned, 10_000, params, np.random.Generator(np.random.PCG64(c)))
+            for c in children
+        ]
+        for k in (1, 2, 4, 8):
+            groups = [partial[i::k] for i in range(k)]
+            merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
+            assert merged == whole
+
+    def test_last_shard_takes_the_remainder(self, params):
+        pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1.0)
+        stats = run_fixed(*pinned, 25_000, params, seed_seq(13), shard_gates=10_000)
+        assert stats.gates == 25_000
+        assert stats.click1 + stats.click2 + stats.no_click == 25_000
+
+    def test_allocation_bounded_by_one_shard(self, params):
+        """A case-C block of CASE_C_GATES allocates about one shard's arrays."""
+
+        def peak(n_gates):
+            tracemalloc.start()
+            try:
+                split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, CASE_C_MU)
+                run_fixed(*split, n_gates, params, seed_seq(14))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert CASE_C_GATES >= 4 * SHARD_GATES
+        assert peak(CASE_C_GATES) < 1.25 * peak(SHARD_GATES)
 
 
 class TestCaseRowOracle:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bncsim.attack import DetectorKind, Scenario
+from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
 from bncsim.cli import main
 from bncsim.errors import ConfigError, MissingFluxPoint
 from bncsim.harness import (
@@ -50,6 +50,22 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(n_gates_per_point=9_999)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_flux_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            small_spec(flux_grid=(0.1, bad))
+
+    def test_flux_beyond_poisson_limit_rejected_before_any_gate(self, params, monkeypatch):
+        import bncsim.harness as harness
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(harness, "run_attack", no_gates)
+        # qe = 0.1: 1e20 photons/pulse is a mean of 1e19 detected photons
+        with pytest.raises(ConfigError, match="Poisson"):
+            run_sweep(small_spec(flux_grid=(1.0, 1e20)), params)
+
     def test_sd_attack_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(detector=DetectorKind.SELF_DIFFERENCING)
@@ -67,6 +83,21 @@ class TestDeterminism:
         m1 = (tmp_path / "a.csv.manifest").read_text()
         m2 = (tmp_path / "b.csv.manifest").read_text()
         assert m1 == m2
+
+    def test_point_independent_of_grid(self, params):
+        def mu1_line(grid):
+            report = run_sweep(small_spec(flux_grid=grid), params)
+            lines = report_to_csv(report).splitlines()
+            return lines[1 + grid.index(1.0)]
+
+        line = mu1_line((1.0, 10.0))
+        assert line.startswith("1,")
+        assert line == mu1_line((0.5, 1.0, 10.0))
+
+    def test_manifest_records_shard_size(self, params, tmp_path):
+        emit_report(run_sweep(small_spec(), params), tmp_path / "r.csv")
+        manifest = (tmp_path / "r.csv.manifest").read_text().splitlines()
+        assert f"shard_gates={SHARD_GATES}" in manifest
 
     def test_seed_changes_data(self, params):
         r1 = run_sweep(small_spec(seed=1), params)
@@ -338,6 +369,14 @@ class TestCli:
         main(["table1", "--gates", "20000"])
         out = capsys.readouterr().out
         assert "rows: 16, case C rows: 8" in out
+
+    @pytest.mark.parametrize("flux", ["0.1,nan", "0.1,inf", "0.1,1e20"])
+    def test_bad_flux_exits_2_without_report(self, flux, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        argv = ["sweep", "--flux", flux, "--gates", "10000", "--out", str(out)]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
