@@ -566,7 +566,6 @@ def run_fixed(
     params: DetectorParams,
     seed_seq: np.random.SeedSequence,
     detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
-    shard_gates: int = SHARD_GATES,
 ) -> FixedStats:
     """Run gates with both modulators pinned to fixed phases.
 
@@ -583,7 +582,7 @@ def run_fixed(
     return _run_sharded(
         n_gates,
         seed_seq,
-        shard_gates,
+        SHARD_GATES,
         lambda n, rng: fixed_block(send_phase, bob_phase, mu, n, params, rng, detector),
     )
 

@@ -18,6 +18,7 @@ from bncsim.attack import (
     EveState,
     ExpectedOutcome,
     Scenario,
+    _run_sharded,
     arm_means,
     detect_arm,
     enumerate_cases,
@@ -180,18 +181,27 @@ class TestRunAttack:
 
     def test_sharding_is_grouping_invariant(self, params):
         cfg = AttackConfig(n_pulses=80_000, resend_mu=1.0)
-        whole = run_attack(cfg, params, seed_seq(7), shard_gates=10_000)
-        # same shards, different grouping: pairwise merge of partial sums
-        children = seed_seq(7).spawn(8)
-        shard_cfg = replace(cfg, n_pulses=10_000)
-        partial = [
-            simulate_block(shard_cfg, params, np.random.Generator(np.random.PCG64(c)))
-            for c in children
-        ]
-        for k in (1, 2, 4, 8):
-            groups = [partial[i::k] for i in range(k)]
-            merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
-            assert merged == whole
+        pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
+        # the sweep engine and the fixed-phase runner share one shard loop
+        blocks = (
+            lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng),
+            lambda n, rng: fixed_block(*pinned, n, params, rng),
+        )
+        for block in blocks:
+            whole = _run_sharded(80_000, seed_seq(7), 10_000, block)
+            # same shards, different grouping: pairwise merge of partial sums
+            children = seed_seq(7).spawn(8)
+            partial = [block(10_000, np.random.Generator(np.random.PCG64(c))) for c in children]
+            for k in (1, 2, 4, 8):
+                groups = [partial[i::k] for i in range(k)]
+                merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
+                assert merged == whole
+        assert run_attack(cfg, params, seed_seq(7), shard_gates=10_000) == _run_sharded(
+            80_000, seed_seq(7), 10_000, blocks[0]
+        )
+        assert run_fixed(*pinned, 80_000, params, seed_seq(7)) == _run_sharded(
+            80_000, seed_seq(7), SHARD_GATES, blocks[1]
+        )
 
     def test_seed_sequence_reuse_repeats_the_run(self, params):
         cfg = AttackConfig(n_pulses=20_000, resend_mu=1.0)
@@ -299,23 +309,11 @@ class TestRunFixed:
         singles = stats.click1 + stats.click2
         assert abs(stats.click1 / singles - 0.5) < 0.01
 
-
-    def test_sharding_is_grouping_invariant(self, params):
-        pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
-        whole = run_fixed(*pinned, 80_000, params, seed_seq(12), shard_gates=10_000)
-        children = seed_seq(12).spawn(8)
-        partial = [
-            fixed_block(*pinned, 10_000, params, np.random.Generator(np.random.PCG64(c)))
-            for c in children
-        ]
-        for k in (1, 2, 4, 8):
-            groups = [partial[i::k] for i in range(k)]
-            merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
-            assert merged == whole
-
     def test_last_shard_takes_the_remainder(self, params):
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1.0)
-        stats = run_fixed(*pinned, 25_000, params, seed_seq(13), shard_gates=10_000)
+        stats = _run_sharded(
+            25_000, seed_seq(13), 10_000, lambda n, rng: fixed_block(*pinned, n, params, rng)
+        )
         assert stats.gates == 25_000
         assert stats.click1 + stats.click2 + stats.no_click == 25_000
 
