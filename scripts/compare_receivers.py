@@ -39,7 +39,6 @@ def main() -> None:
                 resend_mu=mu,
                 scenario=Scenario.ATTACK_NO_CM,
                 detector=DetectorKind.BASELINE_TWO_APD,
-                cm_enabled=False,
             ),
             params,
             np.random.SeedSequence(args.seed, spawn_key=(i, 0)),
@@ -50,7 +49,7 @@ def main() -> None:
             np.random.SeedSequence(args.seed, spawn_key=(i, 1)),
         )
         flagged = bal.casec_blind / bal.casec_gates if bal.casec_gates else float("nan")
-        doubles = two.doubles_discarded / two.gates
+        doubles = two.doubles / two.gates
         print(
             f"{mu:>8g} {two.qber:>13.4f} {doubles:>13.4f} "
             f"{bal.qber:>14.4f} {flagged:>26.4f}"

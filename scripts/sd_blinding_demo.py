@@ -12,29 +12,34 @@ from dataclasses import replace
 
 import numpy as np
 
-from bncsim.selfdiff import simulate_stream_sd
-from bncsim.signal_model import DetectorParams, OpticalPulse, PhaseSymbol
+from bncsim.attack import avalanche_amplitudes, detect_arm
+from bncsim.selfdiff import SdGateEvent, sd_event_codes
+from bncsim.signal_model import DetectorParams
+
+BRIGHT_MU = 500.0
 
 
-def timeline(title, pulses, params, rng):
-    events = simulate_stream_sd(pulses, params, rng)
+def timeline(title, bright, params, rng):
+    """Run one gate stream; ``bright`` marks the gates that carry a pulse."""
+    lam = np.where(bright, BRIGHT_MU * params.qe, 0.0)
+    arm = detect_arm(lam, lam.size, params.dcp_apd1, rng)
+    codes = sd_event_codes(avalanche_amplitudes(arm.k, params, rng), params)
     print(f"\n{title}")
-    print(f"{'gate':>5} {'photons':>8}  event")
-    for pulse, event in zip(pulses, events):
-        print(f"{pulse.gate_index:>5} {pulse.sampled_photons:>8}  {event.value}")
+    print(f"{'gate':>5} {'carriers':>8}  event")
+    for gate, (k, code) in enumerate(zip(arm.k, codes)):
+        print(f"{gate:>5} {k:>8}  {SdGateEvent(code).name.lower()}")
 
 
 def main() -> None:
     params = replace(DetectorParams.default(), dcp_apd1=0.0, dcp_apd2=0.0)
     rng = np.random.default_rng(42)
 
-    vacuum = lambda i: OpticalPulse(i, 0.0, PhaseSymbol.ZERO, 0)  # noqa: E731
-    bright = lambda i: OpticalPulse.sample(i, 500.0, PhaseSymbol.ZERO, rng)  # noqa: E731
-
-    isolated = [vacuum(0), vacuum(1), bright(2), vacuum(3), vacuum(4), vacuum(5)]
+    isolated = np.zeros(6, dtype=bool)
+    isolated[2] = True
     timeline("isolated avalanche", isolated, params, rng)
 
-    train = [vacuum(0)] + [bright(i) for i in range(1, 11)] + [vacuum(11), vacuum(12)]
+    train = np.zeros(13, dtype=bool)
+    train[1:11] = True
     timeline("blinding train (10 bright gates)", train, params, rng)
 
 

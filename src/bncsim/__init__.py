@@ -24,32 +24,19 @@ from .attack import (
     AttackConfig,
     CaseLabel,
     DetectorKind,
-    EveState,
     ExpectedOutcome,
     GateTally,
     Scenario,
     enumerate_cases,
-    eve_intercept,
-    eve_resend,
     run_attack,
     run_fixed,
 )
-from .balanced import (
-    BaselineClick,
-    ComparatorWord4,
-    GateEvent,
-    baseline_click,
-    classify,
-    comparator_bank,
-    simulate_gate_balanced,
-)
+from .balanced import GateEvent
 from .errors import (
     ConfigError,
-    EmptySiftedKey,
     InconsistentWord,
     MissingFluxPoint,
     NonPhysical,
-    NotSiftable,
     UndefinedQuantity,
 )
 from .harness import (
@@ -63,29 +50,5 @@ from .harness import (
     run_sweep,
     verify_landmarks,
 )
-from .protocol import (
-    QberSummary,
-    SiftingRecord,
-    build_record,
-    choose_alice_phase,
-    choose_bob_phase,
-    click_to_bit,
-    sift_and_score,
-)
-from .selfdiff import (
-    ComparatorWord3,
-    SdGateEvent,
-    sd_classify,
-    sd_comparators,
-    simulate_stream_sd,
-)
-from .signal_model import (
-    ArmCounts,
-    DetectorParams,
-    OpticalPulse,
-    PhaseSymbol,
-    avalanche_amplitude,
-    dark_fire,
-    detect,
-    route_photons,
-)
+from .selfdiff import SdGateEvent
+from .signal_model import DetectorParams, PhaseSymbol

@@ -18,27 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .balanced import comparator_arrays, event_codes
 from .errors import ConfigError
-from .signal_model import (
-    RECEIVER_PHASES,
-    DetectorParams,
-    OpticalPulse,
-    PhaseSymbol,
-)
-
-T = TypeVar("T")
-
-ALL_PHASES = (
-    PhaseSymbol.ZERO,
-    PhaseSymbol.HALF_PI,
-    PhaseSymbol.PI,
-    PhaseSymbol.THREE_HALF_PI,
-)
+from .signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol
 
 
 class Scenario(str, Enum):
@@ -67,60 +53,6 @@ class ExpectedOutcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class EveState:
-    """Outcome of one intercept: which of Eve's APDs fired and her guess."""
-
-    evebob_basis: int
-    evebob_click: int  # 1 or 2
-    guessed_phase: PhaseSymbol
-    resend_mu: float
-
-    def __post_init__(self) -> None:
-        if self.evebob_basis not in (0, 1):
-            raise ValueError("evebob_basis must be 0 or 1")
-        if self.evebob_click not in (1, 2):
-            raise ValueError("evebob_click must be 1 or 2")
-        if self.guessed_phase.basis != self.evebob_basis:
-            raise ValueError("guessed phase must lie in the measurement basis")
-        if self.resend_mu < 0.0:
-            raise ValueError("resend_mu must be non-negative")
-
-
-def eve_intercept(
-    alice_phase: PhaseSymbol,
-    evebob_basis: int,
-    resend_mu: float,
-    rng: np.random.Generator,
-) -> EveState:
-    """Measure the sender's phase with the resender's own receiver.
-
-    Her hardware is taken as ideal (bright pulses, unit efficiency, no
-    dark counts): a matched basis reads the phase exactly, a mismatched
-    basis clicks 50/50 and she guesses the phase consistent with the
-    click.
-    """
-    if evebob_basis not in (0, 1):
-        raise ValueError("evebob_basis must be 0 or 1")
-    if alice_phase.basis == evebob_basis:
-        guess = alice_phase
-        click = 1 + alice_phase.bit
-    else:
-        coin = int(rng.integers(0, 2))
-        guess = PhaseSymbol(evebob_basis + 2 * coin)
-        click = 1 + coin
-    return EveState(evebob_basis, click, guess, resend_mu)
-
-
-def eve_resend(
-    state: EveState, rng: np.random.Generator, gate_index: int = 0
-) -> OpticalPulse:
-    """Fire the bright resend pulse carrying the guessed phase."""
-    if state.resend_mu <= 0.0:
-        raise ValueError("resend_mu must be positive to resend")
-    return OpticalPulse.sample(gate_index, state.resend_mu, state.guessed_phase, rng)
-
-
-@dataclass(frozen=True)
 class AttackCaseRow:
     """One row of the sifting-case enumeration."""
 
@@ -144,7 +76,7 @@ def enumerate_cases() -> list[AttackCaseRow]:
     eight case-C rows.
     """
     rows: list[AttackCaseRow] = []
-    for alice in ALL_PHASES:
+    for alice in PhaseSymbol:
         bob = RECEIVER_PHASES[alice.basis]
         for eve_basis in (0, 1):
             if alice.basis == eve_basis:
@@ -181,17 +113,8 @@ def enumerate_cases() -> list[AttackCaseRow]:
     return rows
 
 
-class _Counters:
-    """Field-wise ``+`` for counter dataclasses, so that shards merge."""
-
-    def __add__(self: T, other: T) -> T:
-        return type(self)(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
-
-
 @dataclass
-class GateTally(_Counters):
+class GateTally:
     """Aggregate counters of one run (or one shard); merge with ``+``."""
 
     gates: int = 0
@@ -201,19 +124,29 @@ class GateTally(_Counters):
     fired2: int = 0
     dark1: int = 0
     dark2: int = 0
-    weak: int = 0  # avalanche amplitude census, both arms pooled
+    click1: int = 0  # readout clicks: arm fired alone (two-APD), comparator C/D (balanced)
+    click2: int = 0
+    doubles: int = 0  # both arms fired; the two-APD readout discards these
+    blind: int = 0  # monitor blinding flags (balanced only)
+    weak: int = 0  # avalanche amplitude census, both arms pooled (balanced only)
     strong: int = 0
-    diff1: int = 0  # difference-comparator clicks (baseline readout)
-    diff2: int = 0
-    blind: int = 0  # monitor blinding flags
     weak_coinc: int = 0  # both arms fired yet no event: cancelled weak pair
-    doubles_discarded: int = 0
     casec_gates: int = 0  # gates with guess basis != receiver basis
-    casec_diff1: int = 0
-    casec_diff2: int = 0
+    casec_click1: int = 0
+    casec_click2: int = 0
     casec_blind: int = 0
     sifted: int = 0
     errors: int = 0
+
+    def __add__(self, other: "GateTally") -> "GateTally":
+        return GateTally(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
+
+    @property
+    def no_click(self) -> int:
+        """Gates without a readout click; each readout clicks at most one arm."""
+        return self.gates - self.click1 - self.click2
 
     @property
     def qber(self) -> float:
@@ -227,15 +160,12 @@ class AttackConfig:
     ``case_filter`` conditions the guess-basis draw: ``{"C"}`` forces a
     basis mismatch every gate, ``{"A"}``/``{"B"}``/``{"A","B"}`` force a
     match (A and B share configurations; B is the detection-loss branch).
-    ``cm_enabled`` controls whether the monitor counters accumulate; the
-    physics is identical either way.
     """
 
     n_pulses: int
     resend_mu: float
     scenario: Scenario = Scenario.ATTACK_CM
     detector: DetectorKind = DetectorKind.BALANCED_BNC
-    cm_enabled: bool = True
     case_filter: Optional[frozenset[str]] = None
 
     def __post_init__(self) -> None:
@@ -248,8 +178,6 @@ class AttackConfig:
                 "the self-differencing receiver is not wired into the gate "
                 "pipeline; use the harness stream runner"
             )
-        if self.cm_enabled and self.detector is not DetectorKind.BALANCED_BNC:
-            raise ConfigError("the blinding monitor exists only on the balanced receiver")
         if self.case_filter is not None:
             bad = set(self.case_filter) - {"A", "B", "C"}
             if bad:
@@ -387,6 +315,47 @@ def detect_pair(
     return PairReadout(arm1, arm2, fired1, fired2, c, d, a, b)
 
 
+def _count_readout(gates: PairReadout, casec: Optional[np.ndarray] = None) -> GateTally:
+    """Count one block's readout: detections, clicks and doubles on both
+    receivers; blinding flags and the amplitude census on the balanced one.
+
+    ``casec`` marks the gates whose guess basis differs from the
+    receiver's; the balanced receiver's clicks and flags on them are also
+    counted apart.
+    """
+    fired1, fired2 = gates.fired1, gates.fired2
+    both = fired1 & fired2
+    tally = GateTally(
+        gates=fired1.size,
+        pe1=gates.arm1.pe,
+        pe2=gates.arm2.pe,
+        fired1=int(fired1.sum()),
+        fired2=int(fired2.sum()),
+        dark1=gates.arm1.dark,
+        dark2=gates.arm2.dark,
+        click1=int(gates.click1.sum()),
+        click2=int(gates.click2.sum()),
+        doubles=int(both.sum()),
+    )
+    if casec is not None:
+        tally.casec_gates = int(casec.sum())
+    if gates.raw1 is None:
+        return tally
+    a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
+    raw = a | b
+    silent = ~(c | d)
+    blind = raw & silent
+    tally.blind = int(blind.sum())
+    tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
+    tally.strong = int(a.sum() + b.sum())
+    tally.weak_coinc = int((both & silent & ~raw).sum())
+    if casec is not None:
+        tally.casec_click1 = int((c & casec).sum())
+        tally.casec_click2 = int((d & casec).sum())
+        tally.casec_blind = int((blind & casec).sum())
+    return tally
+
+
 def simulate_block(
     config: AttackConfig, params: DetectorParams, rng: np.random.Generator
 ) -> GateTally:
@@ -432,40 +401,11 @@ def simulate_block(
 
     lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
     gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
-    fired1, fired2 = gates.fired1, gates.fired2
-    tally = GateTally(
-        gates=n,
-        pe1=gates.arm1.pe,
-        pe2=gates.arm2.pe,
-        fired1=int(fired1.sum()),
-        fired2=int(fired2.sum()),
-        dark1=gates.arm1.dark,
-        dark2=gates.arm2.dark,
-        casec_gates=int(eve_mismatch.sum()),
-    )
-
-    if gates.raw1 is None:
-        tally.doubles_discarded = int((fired1 & fired2).sum())
-    else:
-        a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
-        blind = (a | b) & ~c & ~d
-        no_event = ~a & ~b & ~c & ~d
-        tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
-        tally.strong = int(a.sum() + b.sum())
-        tally.diff1 = int(c.sum())
-        tally.diff2 = int(d.sum())
-        tally.weak_coinc = int((fired1 & fired2 & no_event).sum())
-        tally.casec_diff1 = int((c & eve_mismatch).sum())
-        tally.casec_diff2 = int((d & eve_mismatch).sum())
-        if config.cm_enabled:
-            tally.blind = int(blind.sum())
-            tally.casec_blind = int((blind & eve_mismatch).sum())
-
+    tally = _count_readout(gates, eve_mismatch)
     if scenario is not Scenario.BLINDING_ONLY:
         tally.sifted, tally.errors = sift_counts(
             alice_basis, alice_bit, bob_basis, gates.click1, gates.click2
         )
-
     return tally
 
 
@@ -473,8 +413,8 @@ def _run_sharded(
     n_gates: int,
     seed_seq: np.random.SeedSequence,
     shard_gates: int,
-    block: Callable[[int, np.random.Generator], T],
-) -> T:
+    block: Callable[[int, np.random.Generator], GateTally],
+) -> GateTally:
     """Run ``block(gates, rng)`` over shards and merge the counters with ``+``.
 
     Shard ``i`` draws from the child ``seed_seq.spawn`` would give first
@@ -498,34 +438,15 @@ def _run_sharded(
 
 
 def run_attack(
-    config: AttackConfig,
-    params: DetectorParams,
-    seed_seq: np.random.SeedSequence,
-    shard_gates: int = SHARD_GATES,
+    config: AttackConfig, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
     """Run the gate pipeline in shards of :func:`simulate_block`."""
     return _run_sharded(
         config.n_pulses,
         seed_seq,
-        shard_gates,
+        SHARD_GATES,
         lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng),
     )
-
-
-@dataclass
-class FixedStats(_Counters):
-    """Counters of a fixed-phase run (both modulators pinned)."""
-
-    gates: int = 0
-    pe1: int = 0
-    pe2: int = 0
-    fired1: int = 0
-    fired2: int = 0
-    click1: int = 0
-    click2: int = 0
-    doubles: int = 0
-    no_click: int = 0
-    blind: int = 0
 
 
 def fixed_block(
@@ -536,26 +457,10 @@ def fixed_block(
     params: DetectorParams,
     rng: np.random.Generator,
     detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
-) -> FixedStats:
+) -> GateTally:
     """One shard of :func:`run_fixed`: the gate kernel at scalar arm means."""
     lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
-    gates = detect_pair(lam1, lam2, n_gates, detector, params, rng)
-    stats = FixedStats(
-        gates=n_gates,
-        pe1=gates.arm1.pe,
-        pe2=gates.arm2.pe,
-        fired1=int(gates.fired1.sum()),
-        fired2=int(gates.fired2.sum()),
-        click1=int(gates.click1.sum()),
-        click2=int(gates.click2.sum()),
-        doubles=int((gates.fired1 & gates.fired2).sum()),
-    )
-    # both readouts click on at most one arm per gate
-    stats.no_click = n_gates - stats.click1 - stats.click2
-    if gates.raw1 is not None:
-        silent = ~gates.click1 & ~gates.click2
-        stats.blind = int(((gates.raw1 | gates.raw2) & silent).sum())
-    return stats
+    return _count_readout(detect_pair(lam1, lam2, n_gates, detector, params, rng))
 
 
 def run_fixed(
@@ -566,7 +471,7 @@ def run_fixed(
     params: DetectorParams,
     seed_seq: np.random.SeedSequence,
     detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
-) -> FixedStats:
+) -> GateTally:
     """Run gates with both modulators pinned to fixed phases.
 
     This is the calibration-style measurement: one configuration, one

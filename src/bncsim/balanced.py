@@ -21,62 +21,24 @@ transient adds equally to both inputs and drops out of the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InconsistentWord
-from .signal_model import (
-    ArmCounts,
-    DetectorParams,
-    OpticalPulse,
-    PhaseSymbol,
-    avalanche_amplitude,
-    dark_fire,
-    detect,
-    route_photons,
-)
+from .signal_model import DetectorParams
 
 
-@dataclass(frozen=True)
-class ComparatorWord4:
-    """One gate's comparator outputs: raw APD1/APD2 and the two difference polarities."""
+class GateEvent(int, Enum):
+    """Monitor event of one gate; the value is its code in :func:`event_codes`."""
 
-    a: bool  # raw APD 1 >= t_strong
-    b: bool  # raw APD 2 >= t_strong
-    c: bool  # difference output, APD1-dominant, >= t_diff
-    d: bool  # difference output, APD2-dominant, >= t_diff
+    NO_EVENT = 0
+    STRONG_1 = 1
+    STRONG_2 = 2
+    WEAK_1 = 3
+    WEAK_2 = 4
+    BLINDING_DETECTED = 5
 
-    def index(self) -> int:
-        return (int(self.a) << 3) | (int(self.b) << 2) | (int(self.c) << 1) | int(self.d)
-
-
-class GateEvent(Enum):
-    NO_EVENT = "no_event"
-    STRONG_1 = "strong_apd1"
-    STRONG_2 = "strong_apd2"
-    WEAK_1 = "weak_apd1"
-    WEAK_2 = "weak_apd2"
-    BLINDING_DETECTED = "blinding_detected"
-
-
-class BaselineClick(Enum):
-    NO_CLICK = "no_click"
-    CLICK_1 = "click_apd1"
-    CLICK_2 = "click_apd2"
-
-
-# Event codes shared by the scalar classifier and the vectorized gate engine.
-_NO, _S1, _S2, _W1, _W2, _BL = range(6)
-_CODE_TO_EVENT = (
-    GateEvent.NO_EVENT,
-    GateEvent.STRONG_1,
-    GateEvent.STRONG_2,
-    GateEvent.WEAK_1,
-    GateEvent.WEAK_2,
-    GateEvent.BLINDING_DETECTED,
-)
 
 # Truth table over the word index (a<<3 | b<<2 | c<<1 | d).  -1 marks words
 # that cannot arise from rail-saturated amplitudes: the c/d pair is
@@ -86,75 +48,25 @@ _CODE_TO_EVENT = (
 # cancelled by the opposite arm, which is exactly a blinding signature;
 # that covers both-strong pairs and the strong-versus-nearly-strong edge.
 _WORD_TABLE = np.full(16, -1, dtype=np.int8)
-_WORD_TABLE[0b0000] = _NO
-_WORD_TABLE[0b1010] = _S1
-_WORD_TABLE[0b0101] = _S2
-_WORD_TABLE[0b0010] = _W1
-_WORD_TABLE[0b0001] = _W2
-_WORD_TABLE[0b1100] = _BL
-_WORD_TABLE[0b1000] = _BL
-_WORD_TABLE[0b0100] = _BL
-
-
-def comparator_bank(
-    amp1: float,
-    amp2: float,
-    params: DetectorParams,
-    common_mode: float = 0.0,
-) -> ComparatorWord4:
-    """Evaluate the four monitor comparators for one gate.
-
-    ``common_mode`` models the gate transient: it is added to both inputs
-    of the differencing node (after the rail) and cancels in the
-    subtraction, leaving the difference bits unchanged for any offset.
-    """
-    if amp1 < 0.0 or amp2 < 0.0:
-        raise ValueError("amplitudes must be non-negative")
-    v1 = min(amp1, params.t_strong) + common_mode
-    v2 = min(amp2, params.t_strong) + common_mode
-    return ComparatorWord4(
-        a=amp1 >= params.t_strong,
-        b=amp2 >= params.t_strong,
-        c=(v1 - v2) >= params.t_diff,
-        d=(v2 - v1) >= params.t_diff,
-    )
-
-
-def classify(word: ComparatorWord4) -> GateEvent:
-    """Map a comparator word to its gate event.
-
-    Words outside the reachable set raise :class:`InconsistentWord`; they
-    cannot be produced by :func:`comparator_bank` and always indicate a
-    modeling bug rather than a physical outcome.
-    """
-    code = int(_WORD_TABLE[word.index()])
-    if code < 0:
-        raise InconsistentWord(f"comparator word {word} is unreachable")
-    return _CODE_TO_EVENT[code]
-
-
-def baseline_click(
-    amp1: float,
-    amp2: float,
-    params: DetectorParams,
-    common_mode: float = 0.0,
-) -> BaselineClick:
-    """Plain noise-cancelling readout: click on the dominant arm, if any."""
-    if amp1 < 0.0 or amp2 < 0.0:
-        raise ValueError("amplitudes must be non-negative")
-    v1 = min(amp1, params.t_strong) + common_mode
-    v2 = min(amp2, params.t_strong) + common_mode
-    if (v1 - v2) >= params.t_diff:
-        return BaselineClick.CLICK_1
-    if (v2 - v1) >= params.t_diff:
-        return BaselineClick.CLICK_2
-    return BaselineClick.NO_CLICK
+_WORD_TABLE[0b0000] = GateEvent.NO_EVENT
+_WORD_TABLE[0b1010] = GateEvent.STRONG_1
+_WORD_TABLE[0b0101] = GateEvent.STRONG_2
+_WORD_TABLE[0b0010] = GateEvent.WEAK_1
+_WORD_TABLE[0b0001] = GateEvent.WEAK_2
+_WORD_TABLE[0b1100] = GateEvent.BLINDING_DETECTED
+_WORD_TABLE[0b1000] = GateEvent.BLINDING_DETECTED
+_WORD_TABLE[0b0100] = GateEvent.BLINDING_DETECTED
 
 
 def comparator_arrays(
     amp1: np.ndarray, amp2: np.ndarray, params: DetectorParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized comparator bank over gate arrays; returns (a, b, c, d)."""
+    """Monitor comparator bank over gate arrays; returns (a, b, c, d).
+
+    A/B compare each arm's raw amplitude with ``t_strong``; C/D compare
+    the difference of the railed levels with ``t_diff`` in each polarity.
+    C and D are also the baseline readout's clicks on APD 1 and APD 2.
+    """
     v1 = np.minimum(amp1, params.t_strong)
     v2 = np.minimum(amp2, params.t_strong)
     a = amp1 >= params.t_strong
@@ -167,7 +79,12 @@ def comparator_arrays(
 def event_codes(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
-    """Vectorized classifier; same truth table as :func:`classify`."""
+    """Classify each gate's comparator word into a :class:`GateEvent` code.
+
+    Words outside the reachable set raise :class:`InconsistentWord`; they
+    cannot be produced by :func:`comparator_arrays` and always indicate a
+    modeling bug rather than a physical outcome.
+    """
     idx = (
         (a.astype(np.int8) << 3)
         | (b.astype(np.int8) << 2)
@@ -179,23 +96,3 @@ def event_codes(
         bad = int(idx[codes < 0][0])
         raise InconsistentWord(f"unreachable comparator word index {bad:#06b}")
     return codes
-
-
-def simulate_gate_balanced(
-    pulse_at_bob: OpticalPulse,
-    bob_phase: PhaseSymbol,
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> tuple[GateEvent, BaselineClick, ArmCounts]:
-    """Run one full gate: routing, detection, dark counts, both readouts."""
-    delta = pulse_at_bob.phase.minus(bob_phase)
-    arms = route_photons(pulse_at_bob.sampled_photons, delta, rng)
-    det1 = detect(arms.n_apd1, params, rng)
-    det2 = detect(arms.n_apd2, params, rng)
-    dark1 = dark_fire(params, 1, rng)
-    dark2 = dark_fire(params, 2, rng)
-    amp1 = avalanche_amplitude(det1, dark1, params, rng)
-    amp2 = avalanche_amplitude(det2, dark2, params, rng)
-    event = classify(comparator_bank(amp1, amp2, params))
-    click = baseline_click(amp1, amp2, params)
-    return event, click, arms

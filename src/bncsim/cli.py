@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .harness import (
     run_sweep,
     verify_landmarks,
 )
+from .signal_model import DetectorParams
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -144,19 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .signal_model import DetectorParams
-
-    defaults = DetectorParams.default()
-    params = DetectorParams(
-        qe=args.qe,
-        dcp_apd1=defaults.dcp_apd1,
-        dcp_apd2=defaults.dcp_apd2,
-        f_gate=args.f_gate,
-        gain_mean=defaults.gain_mean,
-        t_strong=defaults.t_strong,
-        t_diff=defaults.t_diff,
-        background_amplitude=defaults.background_amplitude,
-    )
+    params = replace(DetectorParams.default(), qe=args.qe, f_gate=args.f_gate)
     mu = args.mu
     print(f"mu={mu:g}")
     print(f"ideal_rate_same_phase={ideal_click_rate_same_phase(mu, args.qe, args.f_gate):.10g}")

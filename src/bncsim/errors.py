@@ -10,14 +10,6 @@ class InconsistentWord(Exception):
     """
 
 
-class NotSiftable(Exception):
-    """Click-to-bit mapping requested for a gate with mismatched bases."""
-
-
-class EmptySiftedKey(Exception):
-    """Sifting kept no gates, so the error rate is undefined."""
-
-
 class NonPhysical(ValueError):
     """A link-budget quantity that would require optical gain."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import platform
 import warnings
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .attack import (
     run_attack,
 )
 from .errors import ConfigError, MissingFluxPoint
-from .selfdiff import sd_event_codes
+from .selfdiff import SdGateEvent, sd_event_codes
 from .signal_model import DetectorParams
 
 DEFAULT_FLUX_GRID: tuple[float, ...] = tuple(
@@ -194,8 +195,8 @@ def _row_from_tally(
         gates=tally.gates,
         apd1_rate=per_gate(tally.fired1),
         apd2_rate=per_gate(tally.fired2),
-        diff1_rate=per_gate(tally.diff1) if has_monitor else math.nan,
-        diff2_rate=per_gate(tally.diff2) if has_monitor else math.nan,
+        diff1_rate=per_gate(tally.click1) if has_monitor else math.nan,
+        diff2_rate=per_gate(tally.click2) if has_monitor else math.nan,
         weak_ratio=_ratio(tally.weak, avalanches) if has_monitor else math.nan,
         strong_ratio=_ratio(tally.strong, avalanches) if has_monitor else math.nan,
         cm_rate=per_gate(tally.blind) if cm_on else math.nan,
@@ -203,8 +204,8 @@ def _row_from_tally(
         cm_success=(
             100.0 * _ratio(tally.strong, avalanches) if cm_on else math.nan
         ),
-        casec_diff1_rate=per_gate(tally.casec_diff1) if has_monitor else math.nan,
-        casec_diff2_rate=per_gate(tally.casec_diff2) if has_monitor else math.nan,
+        casec_diff1_rate=per_gate(tally.casec_click1) if has_monitor else math.nan,
+        casec_diff2_rate=per_gate(tally.casec_click2) if has_monitor else math.nan,
         casec_cm_frac=_ratio(tally.casec_blind, tally.casec_gates) if cm_on else math.nan,
         weak_coinc_rate=per_gate(tally.weak_coinc) if has_monitor else math.nan,
         oracle_rate_same_phase=same,
@@ -233,9 +234,9 @@ def _run_sd_point(
     weak = int((fired & (amps < params.t_strong)).sum())
     strong = int((amps >= params.t_strong).sum())
     f = params.f_gate
-    rise = int(((codes == 1) | (codes == 3)).sum())  # strong or weak rise
-    fall = int((codes == 2).sum())
-    blind = int((codes == 4).sum())
+    rise = int(((codes == SdGateEvent.STRONG_RISE) | (codes == SdGateEvent.WEAK_RISE)).sum())
+    fall = int((codes == SdGateEvent.DELAYED_FALL).sum())
+    blind = int((codes == SdGateEvent.BLINDING_DETECTED).sum())
     same, diff, oq, ocm, regime = _oracle_columns(mu, params, split_only=False)
     avalanches = weak + strong
     return ReportRow(
@@ -289,7 +290,6 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
             resend_mu=mu,
             scenario=spec.scenario,
             detector=spec.detector,
-            cm_enabled=spec.cm_enabled,
             case_filter=spec.case_filter,
         )
         tally = run_attack(config, params, seed_seq)
@@ -314,7 +314,6 @@ def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
         "gain_mean": params.gain_mean,
         "t_strong": params.t_strong,
         "t_diff": params.t_diff,
-        "background_amplitude": params.background_amplitude,
         "scenario": spec.scenario.value,
         "detector": spec.detector.value,
         "gates": spec.n_gates_per_point,
@@ -327,10 +326,24 @@ def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
     return [f"{k}={_fmt(v)}" for k, v in sorted(values.items())]
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``: the file is either the old one or the new one, whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_report(report: RunReport, path: str | Path) -> Path:
-    """Write the data table and its manifest; returns the data path."""
+    """Write the data table and its manifest; returns the data path.
+
+    Each file replaces any earlier one atomically.
+    """
     path = Path(path)
-    path.write_text(report_to_csv(report))
+    _replace_file(path, report_to_csv(report))
     digest = hashlib.sha256(
         "\n".join(config_lines(report.spec, report.params)).encode()
     ).hexdigest()
@@ -346,7 +359,7 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
         f"shard_gates={SHARD_GATES}",
         "flux=" + ",".join(_fmt(x) for x in report.spec.flux_grid),
     ]
-    Path(str(path) + ".manifest").write_text("\n".join(manifest) + "\n")
+    _replace_file(Path(str(path) + ".manifest"), "\n".join(manifest) + "\n")
     return path
 
 
@@ -467,7 +480,6 @@ _PARAM_KEYS = {
     "gain_mean": float,
     "t_strong": float,
     "t_diff": float,
-    "background_amplitude": float,
 }
 _SWEEP_KEYS = {
     "seed": int,
@@ -510,7 +522,6 @@ def resolve_config(
         "gain_mean": defaults.gain_mean,
         "t_strong": defaults.t_strong,
         "t_diff": defaults.t_diff,
-        "background_amplitude": defaults.background_amplitude,
         "seed": 0,
         "gates": 100_000,
         "scenario": Scenario.ATTACK_CM.value,
@@ -538,7 +549,6 @@ def resolve_config(
             gain_mean=float(merged["gain_mean"]),
             t_strong=float(merged["t_strong"]),
             t_diff=float(merged["t_diff"]),
-            background_amplitude=float(merged["background_amplitude"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

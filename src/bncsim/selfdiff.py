@@ -15,97 +15,40 @@ blinded detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InconsistentWord
-from .signal_model import (
-    DetectorParams,
-    OpticalPulse,
-    avalanche_amplitude,
-    dark_fire,
-    detect,
-)
+from .signal_model import DetectorParams
 
 
-@dataclass(frozen=True)
-class ComparatorWord3:
-    """One gate's comparator outputs for the self-differencing monitor."""
+class SdGateEvent(int, Enum):
+    """Monitor event of one gate; the value is its code in :func:`sd_word_codes`."""
 
-    a: bool  # raw signal >= t_strong
-    b: bool  # delayed minus current >= t_diff
-    c: bool  # current minus delayed >= t_diff
+    NO_EVENT = 0
+    STRONG_RISE = 1
+    DELAYED_FALL = 2
+    WEAK_RISE = 3
+    BLINDING_DETECTED = 4
 
-    def index(self) -> int:
-        return (int(self.a) << 2) | (int(self.b) << 1) | int(self.c)
-
-
-class SdGateEvent(Enum):
-    NO_EVENT = "no_event"
-    STRONG_RISE = "strong_rise"
-    DELAYED_FALL = "delayed_fall"
-    WEAK_RISE = "weak_rise"
-    BLINDING_DETECTED = "blinding_detected"
-
-
-_NO, _SR, _DF, _WR, _BL = range(5)
-_CODE_TO_EVENT = (
-    SdGateEvent.NO_EVENT,
-    SdGateEvent.STRONG_RISE,
-    SdGateEvent.DELAYED_FALL,
-    SdGateEvent.WEAK_RISE,
-    SdGateEvent.BLINDING_DETECTED,
-)
 
 # Truth table over (a<<2 | b<<1 | c).  b and c are exclusive, and a raw
 # click rails the current signal so the delayed copy can never dominate
 # it: words with both a and b are unreachable.
 _WORD_TABLE = np.full(8, -1, dtype=np.int8)
-_WORD_TABLE[0b000] = _NO
-_WORD_TABLE[0b101] = _SR
-_WORD_TABLE[0b010] = _DF
-_WORD_TABLE[0b001] = _WR
-_WORD_TABLE[0b100] = _BL
+_WORD_TABLE[0b000] = SdGateEvent.NO_EVENT
+_WORD_TABLE[0b101] = SdGateEvent.STRONG_RISE
+_WORD_TABLE[0b010] = SdGateEvent.DELAYED_FALL
+_WORD_TABLE[0b001] = SdGateEvent.WEAK_RISE
+_WORD_TABLE[0b100] = SdGateEvent.BLINDING_DETECTED
 
 
-def sd_comparators(
-    current_amp: float, delayed_amp: float, params: DetectorParams
-) -> ComparatorWord3:
-    """Evaluate the three monitor comparators against the delay register."""
-    if current_amp < 0.0 or delayed_amp < 0.0:
-        raise ValueError("amplitudes must be non-negative")
-    v_cur = min(current_amp, params.t_strong)
-    v_del = min(delayed_amp, params.t_strong)
-    return ComparatorWord3(
-        a=current_amp >= params.t_strong,
-        b=(v_del - v_cur) >= params.t_diff,
-        c=(v_cur - v_del) >= params.t_diff,
-    )
+def sd_word_codes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Classify each gate's comparator word into a :class:`SdGateEvent` code.
 
-
-def sd_classify(word: ComparatorWord3) -> SdGateEvent:
-    """Map a comparator word to its gate event; unreachable words raise."""
-    code = int(_WORD_TABLE[word.index()])
-    if code < 0:
-        raise InconsistentWord(f"comparator word {word} is unreachable")
-    return _CODE_TO_EVENT[code]
-
-
-def sd_event_codes(amplitudes: np.ndarray, params: DetectorParams) -> np.ndarray:
-    """Vectorized event stream for a gate-amplitude sequence.
-
-    The delay register starts cold (zero); entry ``t`` compares amplitude
-    ``t`` against amplitude ``t - 1``.
+    Unreachable words raise :class:`InconsistentWord`.
     """
-    amps = np.asarray(amplitudes, dtype=float)
-    v = np.minimum(amps, params.t_strong)
-    v_del = np.concatenate(([0.0], v[:-1])) if amps.size else v
-    a = amps >= params.t_strong
-    b = (v_del - v) >= params.t_diff
-    c = (v - v_del) >= params.t_diff
     idx = (a.astype(np.int8) << 2) | (b.astype(np.int8) << 1) | c.astype(np.int8)
     codes = _WORD_TABLE[idx]
     if (codes < 0).any():
@@ -114,26 +57,18 @@ def sd_event_codes(amplitudes: np.ndarray, params: DetectorParams) -> np.ndarray
     return codes
 
 
-def simulate_stream_sd(
-    pulses: Iterable[OpticalPulse],
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> list[SdGateEvent]:
-    """Drive the delay-line detector over a contiguous pulse stream.
+def sd_event_codes(amplitudes: np.ndarray, params: DetectorParams) -> np.ndarray:
+    """Event stream for a gate-amplitude sequence.
 
-    Gate indices must increase by exactly one; the delay register is the
-    previous gate's (railed) amplitude and starts at zero.
+    The three monitor comparators read the live amplitude and the delay
+    register, which holds the previous gate's railed level.  The register
+    starts cold (zero); entry ``t`` compares amplitude ``t`` against
+    amplitude ``t - 1``.
     """
-    amps = []
-    prev_index = None
-    for pulse in pulses:
-        if prev_index is not None and pulse.gate_index != prev_index + 1:
-            raise ValueError(
-                f"gate indices must increase by 1, got {prev_index} -> {pulse.gate_index}"
-            )
-        prev_index = pulse.gate_index
-        det = detect(pulse.sampled_photons, params, rng)
-        dark = dark_fire(params, 1, rng)
-        amps.append(avalanche_amplitude(det, dark, params, rng))
-    codes = sd_event_codes(np.array(amps, dtype=float), params)
-    return [_CODE_TO_EVENT[int(code)] for code in codes]
+    amps = np.asarray(amplitudes, dtype=float)
+    v = np.minimum(amps, params.t_strong)
+    v_del = np.concatenate(([0.0], v[:-1])) if amps.size else v
+    a = amps >= params.t_strong
+    b = (v_del - v) >= params.t_diff
+    c = (v - v_del) >= params.t_diff
+    return sd_word_codes(a, b, c)

@@ -1,18 +1,12 @@
-"""Optical pulses, interferometric routing, and the APD avalanche response.
-
-The model below is the single source of physical randomness for the whole
-simulator.  All operations take an explicit ``numpy.random.Generator``;
-nothing keeps hidden state, so identical seeds give identical runs and
-independent simulations can run in parallel as long as each owns its
-generator.
+"""Modulator phases and the operating point of the gated APD pair.
 
 Avalanche amplitudes follow a one-parameter law: every detected photon
 (and every dark ignition) contributes an independent exponential draw with
-mean ``gain_mean``, so a k-carrier avalanche is Gamma(k) distributed.  A
-gated APD front end rails once the avalanche exceeds ``t_strong``; the
-value returned by :func:`avalanche_amplitude` is the ideal (pre-rail)
-charge, and the comparator stages in :mod:`bncsim.balanced` /
-:mod:`bncsim.selfdiff` apply the rail where the circuit does.
+mean ``gain_mean``, so a k-carrier avalanche is Gamma(k) distributed (see
+:func:`bncsim.attack.avalanche_amplitudes`).  A gated APD front end rails
+once the avalanche exceeds ``t_strong``; the comparator stages in
+:mod:`bncsim.balanced` / :mod:`bncsim.selfdiff` apply the rail where the
+circuit does.
 """
 
 from __future__ import annotations
@@ -20,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
-
-import numpy as np
 
 
 class PhaseSymbol(IntEnum):
@@ -78,10 +69,9 @@ class DetectorParams:
             the front end rails, so every amplitude at or above it looks
             identical to the differencing stage.
         t_diff: difference-path comparator threshold.
-        background_amplitude: common-mode gate transient amplitude.  It
-            enters both inputs of the differencing stage identically and
-            cancels there; it must sit below ``t_strong`` or the raw
-            comparators would fire on every gate.
+
+    The common-mode gate transient is not a parameter: it enters both
+    inputs of the differencing stage identically and cancels there.
     """
 
     qe: float
@@ -91,7 +81,6 @@ class DetectorParams:
     gain_mean: float
     t_strong: float
     t_diff: float
-    background_amplitude: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.qe <= 1.0:
@@ -106,15 +95,6 @@ class DetectorParams:
             raise ValueError("gain_mean must be positive")
         if not 0.0 < self.t_diff < self.t_strong:
             raise ValueError("thresholds must satisfy 0 < t_diff < t_strong")
-        if not 0.0 <= self.background_amplitude < self.t_strong:
-            raise ValueError("background_amplitude must be below t_strong")
-
-    def dcp(self, apd_index: int) -> float:
-        if apd_index == 1:
-            return self.dcp_apd1
-        if apd_index == 2:
-            return self.dcp_apd2
-        raise ValueError(f"apd_index must be 1 or 2, got {apd_index}")
 
     @classmethod
     def default(cls) -> "DetectorParams":
@@ -132,106 +112,4 @@ class DetectorParams:
             gain_mean=1.0,
             t_strong=math.log(10.0 / 9.0),
             t_diff=0.01,
-            background_amplitude=0.05,
         )
-
-
-@dataclass(frozen=True)
-class OpticalPulse:
-    """One gated optical pulse arriving at the receiver.
-
-    ``sampled_photons`` is drawn exactly once, at creation; averaged over
-    many pulses it converges to ``mean_photons``.
-    """
-
-    gate_index: int
-    mean_photons: float
-    phase: PhaseSymbol
-    sampled_photons: int
-
-    def __post_init__(self) -> None:
-        if self.gate_index < 0:
-            raise ValueError("gate_index must be non-negative")
-        if self.mean_photons < 0.0:
-            raise ValueError("mean_photons must be non-negative")
-        if self.sampled_photons < 0:
-            raise ValueError("sampled_photons must be non-negative")
-
-    @classmethod
-    def sample(
-        cls,
-        gate_index: int,
-        mean_photons: float,
-        phase: PhaseSymbol,
-        rng: np.random.Generator,
-    ) -> "OpticalPulse":
-        """Draw the Poisson photon number for one pulse."""
-        n = int(rng.poisson(mean_photons)) if mean_photons > 0.0 else 0
-        return cls(gate_index, mean_photons, phase, n)
-
-
-class ArmCounts(NamedTuple):
-    """Photon counts arriving at each interferometer output arm."""
-
-    n_apd1: int
-    n_apd2: int
-
-
-def route_photons(
-    n: int, delta_phase: PhaseSymbol, rng: np.random.Generator
-) -> ArmCounts:
-    """Split ``n`` photons between the two arms by interference.
-
-    A phase difference of 0 sends every photon to APD 1, pi sends every
-    photon to APD 2, and the two conjugate-basis differences (pi/2,
-    3pi/2) route each photon independently with probability 1/2 per arm.
-    """
-    if n < 0:
-        raise ValueError("photon count must be non-negative")
-    if delta_phase == PhaseSymbol.ZERO:
-        return ArmCounts(n, 0)
-    if delta_phase == PhaseSymbol.PI:
-        return ArmCounts(0, n)
-    n1 = int(rng.binomial(n, 0.5)) if n else 0
-    return ArmCounts(n1, n - n1)
-
-
-def detect(arm_count: int, params: DetectorParams, rng: np.random.Generator) -> int:
-    """Thin the photons at one APD by its quantum efficiency."""
-    if arm_count < 0:
-        raise ValueError("arm_count must be non-negative")
-    if arm_count == 0:
-        return 0
-    return int(rng.binomial(arm_count, params.qe))
-
-
-def dark_fire(
-    params: DetectorParams, apd_index: int, rng: np.random.Generator
-) -> bool:
-    """One Bernoulli dark ignition per gate, independent across gates."""
-    p = params.dcp(apd_index)
-    if p <= 0.0:
-        return False
-    if p >= 1.0:
-        return True
-    return bool(rng.random() < p)
-
-
-def avalanche_amplitude(
-    detected: int,
-    dark_fired: bool,
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> float:
-    """Ideal avalanche amplitude for one gate on one APD.
-
-    Each detected photon contributes an independent exponential draw with
-    mean ``gain_mean``; a dark ignition contributes one draw of the same
-    law.  No carriers means no avalanche and zero amplitude.
-    """
-    if detected < 0:
-        raise ValueError("detected must be non-negative")
-    k = detected + (1 if dark_fired else 0)
-    if k == 0:
-        return 0.0
-    return float(rng.exponential(params.gain_mean, size=k).sum())

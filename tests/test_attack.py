@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,85 +15,77 @@ from bncsim.attack import (
     AttackConfig,
     CaseLabel,
     DetectorKind,
-    EveState,
     ExpectedOutcome,
+    GateTally,
     Scenario,
     _run_sharded,
     arm_means,
     detect_arm,
     enumerate_cases,
     evaluate_case_row,
-    eve_intercept,
-    eve_resend,
     fixed_block,
     run_attack,
     run_fixed,
     sift_counts,
     simulate_block,
 )
-from bncsim.balanced import BaselineClick
 from bncsim.errors import ConfigError
-from bncsim.protocol import build_record, sift_and_score
-from bncsim.signal_model import PhaseSymbol
+from bncsim.signal_model import DetectorParams, PhaseSymbol
+from reference import sift_ledger
 
 
 def seed_seq(n=0):
     return np.random.SeedSequence(991, spawn_key=(n,))
 
 
+def rows_for(alice, eve_basis):
+    return [r for r in enumerate_cases() if r.alice_phase is alice and r.evebob_basis == eve_basis]
+
+
 class TestEveIntercept:
-    def test_matched_basis_reads_exactly(self, rng):
-        state = eve_intercept(PhaseSymbol.ZERO, 0, 500.0, rng)
-        assert state.guessed_phase is PhaseSymbol.ZERO
-        assert state.evebob_click == 1
+    """The resender's measurement, as the case enumeration and the engine apply it."""
 
-    def test_matched_basis_pi(self, rng):
-        state = eve_intercept(PhaseSymbol.PI, 0, 500.0, rng)
-        assert state.guessed_phase is PhaseSymbol.PI
-        assert state.evebob_click == 2
+    def test_matched_basis_reads_exactly(self, params):
+        for row in rows_for(PhaseSymbol.ZERO, 0):
+            assert row.evealice_phase is PhaseSymbol.ZERO
+            assert row.eve_apd == 1
+        # a matched guess basis copies the sender's bit: no sifted error
+        quiet = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
+        cfg = AttackConfig(n_pulses=50_000, resend_mu=500.0, case_filter=frozenset("A"))
+        tally = run_attack(cfg, quiet, seed_seq(16))
+        assert tally.sifted > 0 and tally.errors == 0
 
-    def test_mismatched_basis_splits(self, rng):
-        n = 100_000
-        guesses = Counter(
-            eve_intercept(PhaseSymbol.HALF_PI, 0, 1.0, rng).guessed_phase
-            for _ in range(n)
-        )
-        assert set(guesses) == {PhaseSymbol.ZERO, PhaseSymbol.PI}
-        assert abs(guesses[PhaseSymbol.ZERO] / n - 0.5) < 0.01
+    def test_matched_basis_pi(self):
+        for row in rows_for(PhaseSymbol.PI, 0):
+            assert row.evealice_phase is PhaseSymbol.PI
+            assert row.eve_apd == 2
 
-    @given(
-        alice=st.sampled_from(list(PhaseSymbol)),
-        basis=st.integers(0, 1),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_guess_lies_in_measurement_basis(self, alice, basis, seed):
-        state = eve_intercept(alice, basis, 10.0, np.random.default_rng(seed))
-        assert state.guessed_phase.basis == basis
-        assert state.evebob_click == 1 + state.guessed_phase.bit
+    def test_mismatched_basis_splits(self):
+        rows = rows_for(PhaseSymbol.HALF_PI, 0)
+        assert Counter(r.evealice_phase for r in rows) == {PhaseSymbol.ZERO: 1, PhaseSymbol.PI: 1}
+        assert Counter(r.eve_apd for r in rows) == {1: 1, 2: 1}
 
-    def test_state_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            EveState(0, 1, PhaseSymbol.HALF_PI, 1.0)
+    @given(alice=st.sampled_from(list(PhaseSymbol)), basis=st.integers(0, 1))
+    def test_guess_lies_in_measurement_basis(self, alice, basis):
+        for row in rows_for(alice, basis):
+            assert row.evealice_phase.basis == basis
+            assert row.eve_apd == 1 + row.evealice_phase.bit
 
 
 class TestEveResend:
-    def test_field_copy(self, rng):
-        state = EveState(1, 2, PhaseSymbol.THREE_HALF_PI, 1.0)
-        pulse = eve_resend(state, rng, gate_index=5)
-        assert pulse.phase is PhaseSymbol.THREE_HALF_PI
-        assert pulse.mean_photons == 1.0
-        assert pulse.gate_index == 5
+    """The bright resend pulse: the guessed phase sets its routing at the receiver."""
 
-    def test_poisson_mean(self, rng):
-        state = EveState(0, 1, PhaseSymbol.ZERO, 500.0)
+    def test_field_copy(self, params):
+        stats = run_fixed(
+            PhaseSymbol.THREE_HALF_PI, PhaseSymbol.HALF_PI, 1.0, 20_000, params, seed_seq(17)
+        )
+        assert stats.pe1 == 0 and stats.pe2 > 0
+
+    def test_poisson_mean(self, params):
         n = 20_000
-        total = sum(eve_resend(state, rng).sampled_photons for _ in range(n))
-        sigma = math.sqrt(500.0 * n)
-        assert abs(total - 500.0 * n) < 4 * sigma
-
-    def test_zero_flux_rejected(self, rng):
-        with pytest.raises(ValueError):
-            eve_resend(EveState(0, 1, PhaseSymbol.ZERO, 0.0), rng)
+        stats = run_fixed(PhaseSymbol.ZERO, PhaseSymbol.ZERO, 500.0, n, params, seed_seq(18))
+        expect = 500.0 * params.qe * n
+        assert abs(stats.pe1 - expect) < 4 * math.sqrt(expect)
 
 
 class TestCaseEnumeration:
@@ -165,14 +157,13 @@ class TestRunAttack:
         assert tally.blind <= 1
 
     def test_cm_disabled_keeps_physics(self, params):
-        on = AttackConfig(n_pulses=50_000, resend_mu=10.0, cm_enabled=True)
-        off = replace(on, cm_enabled=False, scenario=Scenario.ATTACK_NO_CM)
+        # the monitor only reads the gates: with and without it the engine
+        # draws and counts the same, and the report masks its columns
+        on = AttackConfig(n_pulses=50_000, resend_mu=10.0)
+        off = replace(on, scenario=Scenario.ATTACK_NO_CM)
         t_on = run_attack(on, params, seed_seq(5))
-        t_off = run_attack(off, params, seed_seq(5))
-        assert t_off.blind == 0
         assert t_on.blind > 0
-        # same seed, same gates: the sifted channel is untouched by the monitor
-        assert (t_on.sifted, t_on.errors) == (t_off.sifted, t_off.errors)
+        assert run_attack(off, params, seed_seq(5)) == t_on
 
     def test_case_filter_c_only(self, params):
         cfg = AttackConfig(n_pulses=50_000, resend_mu=10.0, case_filter=frozenset("C"))
@@ -196,8 +187,8 @@ class TestRunAttack:
                 groups = [partial[i::k] for i in range(k)]
                 merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
                 assert merged == whole
-        assert run_attack(cfg, params, seed_seq(7), shard_gates=10_000) == _run_sharded(
-            80_000, seed_seq(7), 10_000, blocks[0]
+        assert run_attack(cfg, params, seed_seq(7)) == _run_sharded(
+            80_000, seed_seq(7), SHARD_GATES, blocks[0]
         )
         assert run_fixed(*pinned, 80_000, params, seed_seq(7)) == _run_sharded(
             80_000, seed_seq(7), SHARD_GATES, blocks[1]
@@ -206,9 +197,9 @@ class TestRunAttack:
     def test_seed_sequence_reuse_repeats_the_run(self, params):
         cfg = AttackConfig(n_pulses=20_000, resend_mu=1.0)
         seq = seed_seq(15)
-        assert run_attack(cfg, params, seq, shard_gates=5_000) == run_attack(
-            cfg, params, seq, shard_gates=5_000
-        )
+        block = lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng)  # noqa: E731
+        assert _run_sharded(20_000, seq, 5_000, block) == _run_sharded(20_000, seq, 5_000, block)
+        assert run_attack(cfg, params, seq) == run_attack(cfg, params, seq)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
         assert run_fixed(*pinned, 20_000, params, seq) == run_fixed(*pinned, 20_000, params, seq)
 
@@ -217,13 +208,6 @@ class TestRunAttack:
             AttackConfig(n_pulses=0, resend_mu=1.0)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
-        with pytest.raises(ConfigError):
-            AttackConfig(
-                n_pulses=10,
-                resend_mu=1.0,
-                detector=DetectorKind.BASELINE_TWO_APD,
-                cm_enabled=True,
-            )
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset("X"))
 
@@ -348,7 +332,7 @@ class TestCaseRowOracle:
 
 @given(data=st.data())
 def test_sift_counts_matches_record_path(data):
-    """The array reduction and the record ledger agree exactly."""
+    """The array reduction and the per-gate reference ledger agree exactly."""
     n = data.draw(st.integers(min_value=1, max_value=60))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     alice_basis = rng.integers(0, 2, n)
@@ -359,20 +343,36 @@ def test_sift_counts_matches_record_path(data):
     click2 = click_state == 2
     sifted, errors = sift_counts(alice_basis, alice_bit, bob_basis, click1, click2)
 
-    clicks = (BaselineClick.NO_CLICK, BaselineClick.CLICK_1, BaselineClick.CLICK_2)
-    records = [
-        build_record(
-            i,
-            PhaseSymbol(int(alice_basis[i] + 2 * alice_bit[i])),
-            PhaseSymbol(int(bob_basis[i])),
-            clicks[click_state[i]],
-        )
-        for i in range(n)
-    ]
-    kept = sum(r.kept for r in records)
-    assert kept == sifted
-    if kept:
-        summary = sift_and_score(records)
-        assert (summary.sifted, summary.errors) == (sifted, errors)
+    gates = zip(alice_basis + 2 * alice_bit, bob_basis, click_state)
+    assert (sifted, errors) == sift_ledger(gates)
+
+
+TALLY_CONFIGS = st.builds(
+    AttackConfig,
+    n_pulses=st.integers(1, 2000),
+    resend_mu=st.sampled_from([0.0, 0.1, 1.0, 30.0, 500.0]),
+    scenario=st.sampled_from(list(Scenario)),
+    detector=st.sampled_from([DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC]),
+)
+
+
+@given(config=TALLY_CONFIGS, seed=st.integers(0, 2**32 - 1))
+def test_tally_invariants(config, seed):
+    t = simulate_block(config, DetectorParams.default(), np.random.default_rng(seed))
+    assert t.errors <= t.sifted <= t.click1 + t.click2 <= t.gates
+    assert max(t.casec_click1, t.casec_click2, t.casec_blind) <= t.casec_gates <= t.gates
+    assert t.doubles <= min(t.fired1, t.fired2)
+    if config.detector is DetectorKind.BALANCED_BNC:
+        assert t.weak + t.strong == t.fired1 + t.fired2
+        assert t.blind + t.weak_coinc <= t.doubles
     else:
-        assert errors == 0
+        assert t.click1 + t.doubles == t.fired1 and t.click2 + t.doubles == t.fired2
+        assert t.blind == t.weak == t.strong == 0
+
+
+@given(config=TALLY_CONFIGS, seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
+def test_shard_merge_is_associative(config, seeds):
+    a, b, c = (simulate_block(config, DetectorParams.default(), np.random.default_rng(s)) for s in seeds)
+    assert asdict(a + b) == {k: v + getattr(b, k) for k, v in asdict(a).items()}
+    assert (a + b) + c == a + (b + c)
+    assert a + GateTally() == a

@@ -6,54 +6,51 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bncsim.balanced import (
-    BaselineClick,
-    ComparatorWord4,
-    GateEvent,
-    baseline_click,
-    classify,
-    comparator_arrays,
-    comparator_bank,
-    event_codes,
-    simulate_gate_balanced,
-)
+from bncsim.attack import DetectorKind, arm_means, detect_pair
+from bncsim.balanced import GateEvent, comparator_arrays, event_codes
 from bncsim.errors import InconsistentWord
-from bncsim.signal_model import DetectorParams, OpticalPulse, PhaseSymbol
+from bncsim.signal_model import DetectorParams, PhaseSymbol
+from reference import comparators, gate_event
 
 amplitudes = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 offsets = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
 
+def word(amp1, amp2, params):
+    """Comparator bits (a, b, c, d) of one gate."""
+    return tuple(bool(x[0]) for x in comparator_arrays(np.array([amp1]), np.array([amp2]), params))
+
+
+def event(bits):
+    """GateEvent of one comparator word."""
+    return GateEvent(event_codes(*(np.array([bool(x)]) for x in bits))[0])
+
+
 class TestComparatorBank:
     def test_strong_apd1_alone(self, params):
-        word = comparator_bank(2 * params.t_strong, 0.0, params)
-        assert word == ComparatorWord4(a=True, b=False, c=True, d=False)
+        assert word(2 * params.t_strong, 0.0, params) == (True, False, True, False)
 
     def test_silent_gate(self, params):
-        assert comparator_bank(0.0, 0.0, params) == ComparatorWord4(False, False, False, False)
+        assert word(0.0, 0.0, params) == (False, False, False, False)
 
     def test_equal_strong_blinding_word(self, params):
-        word = comparator_bank(2 * params.t_strong, 2 * params.t_strong, params)
-        assert word == ComparatorWord4(a=True, b=True, c=False, d=False)
+        assert word(2 * params.t_strong, 2 * params.t_strong, params) == (True, True, False, False)
 
     def test_unequal_strong_still_cancels(self, params):
         # the rail makes all strong avalanches identical to the diff node
-        word = comparator_bank(1.1 * params.t_strong, 50 * params.t_strong, params)
-        assert word == ComparatorWord4(a=True, b=True, c=False, d=False)
-
-    def test_negative_amplitude_rejected(self, params):
-        with pytest.raises(ValueError):
-            comparator_bank(-1.0, 0.0, params)
+        assert word(1.1 * params.t_strong, 50 * params.t_strong, params) == (
+            True,
+            True,
+            False,
+            False,
+        )
 
     @given(amp1=amplitudes, amp2=amplitudes, offset=offsets)
     def test_common_mode_cancels(self, amp1, amp2, offset):
+        """A gate transient on both differencing inputs leaves every bit as is."""
         params = DetectorParams.default()
-        base = comparator_bank(amp1, amp2, params)
-        shifted = comparator_bank(amp1, amp2, params, common_mode=offset)
-        assert (base.c, base.d) == (shifted.c, shifted.d)
-        assert baseline_click(amp1, amp2, params) == baseline_click(
-            amp1, amp2, params, common_mode=offset
-        )
+        shifted = comparators(amp1, amp2, params.t_strong, params.t_diff, common_mode=offset)
+        assert word(amp1, amp2, params) == shifted
 
 
 class TestClassify:
@@ -72,7 +69,8 @@ class TestClassify:
         ],
     )
     def test_truth_table(self, bits, expected):
-        assert classify(ComparatorWord4(*map(bool, bits))) is expected
+        assert event(bits) is expected
+        assert gate_event(*bits) == expected.name
 
     @pytest.mark.parametrize(
         "bits",
@@ -88,19 +86,22 @@ class TestClassify:
         ],
     )
     def test_unreachable_words_raise(self, bits):
+        assert gate_event(*bits) is None
         with pytest.raises(InconsistentWord):
-            classify(ComparatorWord4(*map(bool, bits)))
+            event(bits)
 
 
 class TestBaselineClick:
+    """The baseline readout clicks on difference comparator C (APD 1) or D."""
+
     def test_strong_apd1(self, params):
-        assert baseline_click(5.0, 0.0, params) is BaselineClick.CLICK_1
+        assert word(5.0, 0.0, params)[2:] == (True, False)
 
     def test_equal_strong_cancel(self, params):
-        assert baseline_click(5.0, 5.0, params) is BaselineClick.NO_CLICK
+        assert word(5.0, 5.0, params)[2:] == (False, False)
 
     def test_silent(self, params):
-        assert baseline_click(0.0, 0.0, params) is BaselineClick.NO_CLICK
+        assert word(0.0, 0.0, params)[2:] == (False, False)
 
 
 GRID = np.linspace(0.0, 3.0, 61)  # includes sub- and super-threshold values
@@ -108,81 +109,72 @@ GRID = np.linspace(0.0, 3.0, 61)  # includes sub- and super-threshold values
 
 def test_blinding_completeness_exhaustive(params):
     """Every both-arms-strong pair cancels in the baseline and is flagged."""
-    strong = [x for x in GRID if x >= params.t_strong]
-    for amp1, amp2 in itertools.product(strong, strong):
-        assert baseline_click(amp1, amp2, params) is BaselineClick.NO_CLICK
-        assert classify(comparator_bank(amp1, amp2, params)) is GateEvent.BLINDING_DETECTED
+    strong = GRID[GRID >= params.t_strong]
+    amp1, amp2 = (x.ravel() for x in np.meshgrid(strong, strong))
+    a, b, c, d = comparator_arrays(amp1, amp2, params)
+    assert not (c | d).any()
+    assert (event_codes(a, b, c, d) == GateEvent.BLINDING_DETECTED).all()
 
 
 def test_weak_coincidence_blind_spot(params):
     """Equal sub-threshold avalanches vanish without any event: the designed
     limitation that makes low-flux blinding invisible to the monitor."""
-    for amp in GRID:
-        if 0.0 < amp < params.t_strong:
-            word = comparator_bank(amp, amp, params)
-            assert classify(word) is GateEvent.NO_EVENT
-            assert baseline_click(amp, amp, params) is BaselineClick.NO_CLICK
+    weak = GRID[(GRID > 0.0) & (GRID < params.t_strong)]
+    a, b, c, d = comparator_arrays(weak, weak, params)
+    assert not (c | d).any()
+    assert (event_codes(a, b, c, d) == GateEvent.NO_EVENT).all()
 
 
 @given(amp1=amplitudes, amp2=amplitudes)
 def test_classify_total_on_physical_pairs(amp1, amp2):
     params = DetectorParams.default()
-    event = classify(comparator_bank(amp1, amp2, params))  # must never raise
-    assert isinstance(event, GateEvent)
+    assert isinstance(event(word(amp1, amp2, params)), GateEvent)  # must never raise
 
 
 @given(
     amps=st.lists(st.tuples(amplitudes, amplitudes), min_size=1, max_size=50),
 )
 def test_vectorized_matches_scalar(amps):
+    """The array bank and classifier agree with the per-gate reference."""
     params = DetectorParams.default()
-    amp1 = np.array([a for a, _ in amps])
-    amp2 = np.array([b for _, b in amps])
+    amp1 = np.array([x for x, _ in amps])
+    amp2 = np.array([y for _, y in amps])
     a, b, c, d = comparator_arrays(amp1, amp2, params)
     codes = event_codes(a, b, c, d)
     for i, (x, y) in enumerate(amps):
-        word = comparator_bank(x, y, params)
-        assert (word.a, word.b, word.c, word.d) == (a[i], b[i], c[i], d[i])
-        scalar_event = classify(word)
-        vector_event = (
-            GateEvent.NO_EVENT,
-            GateEvent.STRONG_1,
-            GateEvent.STRONG_2,
-            GateEvent.WEAK_1,
-            GateEvent.WEAK_2,
-            GateEvent.BLINDING_DETECTED,
-        )[codes[i]]
-        assert scalar_event is vector_event
+        bits = comparators(x, y, params.t_strong, params.t_diff)
+        assert bits == (a[i], b[i], c[i], d[i])
+        assert GateEvent(codes[i]).name == gate_event(*bits)
+
+
+def balanced_gates(send, mu, params, n, seed):
+    """Balanced readout and event codes of ``n`` gates, receiver at phase 0."""
+    lam1, lam2 = arm_means(mu, params.qe, send.value)
+    gates = detect_pair(
+        lam1, lam2, n, DetectorKind.BALANCED_BNC, params, np.random.default_rng(seed)
+    )
+    codes = event_codes(gates.raw1, gates.raw2, gates.click1, gates.click2)
+    return gates, codes
 
 
 class TestSimulateGate:
-    def test_vacuum_dark_free_gate(self, params, rng):
+    def test_vacuum_dark_free_gate(self, params):
         quiet = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
-        pulse = OpticalPulse(0, 0.0, PhaseSymbol.ZERO, 0)
-        event, click, arms = simulate_gate_balanced(pulse, PhaseSymbol.ZERO, quiet, rng)
-        assert event is GateEvent.NO_EVENT
-        assert click is BaselineClick.NO_CLICK
-        assert arms == (0, 0)
+        gates, codes = balanced_gates(PhaseSymbol.ZERO, 0.0, quiet, 1000, 1)
+        assert (codes == GateEvent.NO_EVENT).all()
+        assert not (gates.click1 | gates.click2).any()
+        assert not gates.arm1.k.any() and not gates.arm2.k.any()
 
-    def test_bright_conjugate_basis_blinds(self, params, rng):
+    def test_bright_conjugate_basis_blinds(self, params):
         n = 10_000
-        flagged = 0
-        for i in range(n):
-            pulse = OpticalPulse.sample(i, 500.0, PhaseSymbol.HALF_PI, rng)
-            event, click, _ = simulate_gate_balanced(pulse, PhaseSymbol.ZERO, params, rng)
-            if event is GateEvent.BLINDING_DETECTED:
-                flagged += 1
-                assert click is BaselineClick.NO_CLICK
-        assert flagged / n >= 0.999
+        gates, codes = balanced_gates(PhaseSymbol.HALF_PI, 500.0, params, n, 2)
+        flagged = codes == GateEvent.BLINDING_DETECTED
+        assert flagged.mean() >= 0.999
+        assert not (gates.click1 | gates.click2)[flagged].any()
 
-    def test_bright_matched_basis_controls(self, params, rng):
+    def test_bright_matched_basis_controls(self, params):
         n = 10_000
-        strong1 = blind = 0
-        for i in range(n):
-            pulse = OpticalPulse.sample(i, 500.0, PhaseSymbol.ZERO, rng)
-            event, _, _ = simulate_gate_balanced(pulse, PhaseSymbol.ZERO, params, rng)
-            strong1 += event is GateEvent.STRONG_1
-            blind += event is GateEvent.BLINDING_DETECTED
-        assert strong1 / n >= 0.999
+        _, codes = balanced_gates(PhaseSymbol.ZERO, 500.0, params, n, 3)
+        assert (codes == GateEvent.STRONG_1).mean() >= 0.999
         # blinding needs a dark fire in APD 2 on top of the strong pulse
-        assert blind <= 3
+        assert (codes == GateEvent.BLINDING_DETECTED).sum() <= 3

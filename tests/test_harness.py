@@ -137,6 +137,27 @@ class TestReportFiles:
         assert rows[0]["gates"] == 10_000
         assert rows[0]["oracle_regime"] == "ok"
 
+    def test_existing_report_replaced_whole(self, params, tmp_path, monkeypatch):
+        import bncsim.harness as harness
+
+        path = tmp_path / "r.csv"
+        emit_report(run_sweep(small_spec(flux_grid=(0.1, 1.0, 10.0)), params), path)
+        short = run_sweep(small_spec(flux_grid=(1.0,), seed=6), params)
+        emit_report(short, path)
+        assert path.read_text() == report_to_csv(short)
+        assert "flux=1\n" in (tmp_path / "r.csv.manifest").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.manifest"]
+
+        # a write that fails part-way leaves the old file and no temp file
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", broken)
+        with pytest.raises(OSError):
+            emit_report(run_sweep(small_spec(seed=7), params), path)
+        assert path.read_text() == report_to_csv(short)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.manifest"]
+
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("flux,qber\n1,0.25\n")
@@ -194,6 +215,15 @@ class TestReportRowInvariants:
         row = run_sweep(spec, params).rows[0]
         assert math.isnan(row.cm_rate) and math.isnan(row.weak_ratio)
         assert row.apd1_rate > 0.0
+
+    def test_attack_no_cm_masks_monitor_columns(self, params):
+        spec = small_spec(flux_grid=(500.0,), scenario=Scenario.ATTACK_NO_CM)
+        row = run_sweep(spec, params).rows[0]
+        assert math.isnan(row.cm_rate)
+        assert math.isnan(row.cm_success)
+        assert math.isnan(row.casec_cm_frac)
+        # the difference path is the receiver itself, so it stays reported
+        assert not math.isnan(row.casec_diff1_rate)
 
     def test_self_differencing_sweep(self, params):
         spec = small_spec(

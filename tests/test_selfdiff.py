@@ -5,46 +5,60 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bncsim.attack import avalanche_amplitudes, detect_arm
 from bncsim.errors import InconsistentWord
-from bncsim.selfdiff import (
-    ComparatorWord3,
-    SdGateEvent,
-    sd_classify,
-    sd_comparators,
-    sd_event_codes,
-    simulate_stream_sd,
-)
-from bncsim.signal_model import DetectorParams, OpticalPulse, PhaseSymbol
+from bncsim.selfdiff import SdGateEvent, sd_event_codes, sd_word_codes
+from bncsim.signal_model import DetectorParams
+from reference import sd_event, sd_stream, sd_word
 
 
 def quiet_params():
     return replace(DetectorParams.default(), dcp_apd1=0.0, dcp_apd2=0.0)
 
 
-def vacuum(i):
-    return OpticalPulse(i, 0.0, PhaseSymbol.ZERO, 0)
+def stream(bright, rng, mu=500.0):
+    """Events of a gate stream whose ``bright`` gates carry a pulse of ``mu``."""
+    p = quiet_params()
+    lam = np.where(bright, mu * p.qe, 0.0)
+    arm = detect_arm(lam, lam.size, p.dcp_apd1, rng)
+    codes = sd_event_codes(avalanche_amplitudes(arm.k, p, rng), p)
+    return [SdGateEvent(code) for code in codes]
 
 
-def bright(i, rng, mu=500.0):
-    return OpticalPulse.sample(i, mu, PhaseSymbol.ZERO, rng)
+def second_gate(delayed, current, params):
+    """Event of a gate whose delay register holds ``delayed``."""
+    return SdGateEvent(sd_event_codes(np.array([delayed, current]), params)[1])
 
 
 class TestComparators:
     def test_strong_arrival(self, params):
-        word = sd_comparators(2 * params.t_strong, 0.0, params)
-        assert word == ComparatorWord3(a=True, b=False, c=True)
+        assert sd_word(2 * params.t_strong, 0.0, params.t_strong, params.t_diff) == (
+            True,
+            False,
+            True,
+        )
+        assert second_gate(0.0, 2 * params.t_strong, params) is SdGateEvent.STRONG_RISE
 
     def test_delayed_echo(self, params):
-        word = sd_comparators(0.0, 2 * params.t_strong, params)
-        assert word == ComparatorWord3(a=False, b=True, c=False)
+        assert sd_word(0.0, 2 * params.t_strong, params.t_strong, params.t_diff) == (
+            False,
+            True,
+            False,
+        )
+        assert second_gate(2 * params.t_strong, 0.0, params) is SdGateEvent.DELAYED_FALL
 
     def test_silent(self, params):
-        assert sd_comparators(0.0, 0.0, params) == ComparatorWord3(False, False, False)
+        assert second_gate(0.0, 0.0, params) is SdGateEvent.NO_EVENT
 
     def test_consecutive_strong_cancel(self, params):
         # different ideal charges, same railed level: the subtraction nulls
-        word = sd_comparators(1.2 * params.t_strong, 9 * params.t_strong, params)
-        assert word == ComparatorWord3(a=True, b=False, c=False)
+        assert second_gate(9 * params.t_strong, 1.2 * params.t_strong, params) is (
+            SdGateEvent.BLINDING_DETECTED
+        )
+
+
+def word_event(bits):
+    return SdGateEvent(sd_word_codes(*(np.array([bool(x)]) for x in bits))[0])
 
 
 class TestClassify:
@@ -59,31 +73,30 @@ class TestClassify:
         ],
     )
     def test_truth_table(self, bits, expected):
-        assert sd_classify(ComparatorWord3(*map(bool, bits))) is expected
+        assert word_event(bits) is expected
+        assert sd_event(*bits) == expected.name
 
     @pytest.mark.parametrize("bits", [(1, 1, 0), (0, 1, 1), (1, 1, 1)])
     def test_unreachable_words_raise(self, bits):
+        assert sd_event(*bits) is None
         with pytest.raises(InconsistentWord):
-            sd_classify(ComparatorWord3(*map(bool, bits)))
+            word_event(bits)
 
 
 def test_isolated_avalanche_grid(params):
     """Any lone avalanche above t_diff yields one rise then one fall."""
     for amp in np.linspace(params.t_diff, 10.0, 200):
-        rise = sd_classify(sd_comparators(amp, 0.0, params))
-        fall = sd_classify(sd_comparators(0.0, amp, params))
-        assert rise in (SdGateEvent.STRONG_RISE, SdGateEvent.WEAK_RISE)
-        assert fall is SdGateEvent.DELAYED_FALL
+        codes = sd_event_codes(np.array([0.0, amp, 0.0]), params)
+        assert codes[1] in (SdGateEvent.STRONG_RISE, SdGateEvent.WEAK_RISE)
+        assert codes[2] == SdGateEvent.DELAYED_FALL
 
 
 class TestStream:
-    def test_empty_stream(self, rng):
-        assert simulate_stream_sd([], quiet_params(), rng) == []
+    def test_empty_stream(self, params):
+        assert sd_event_codes(np.array([]), params).size == 0
 
     def test_isolated_avalanche_events(self, rng):
-        p = quiet_params()
-        pulses = [vacuum(0), vacuum(1), bright(2, rng), vacuum(3), vacuum(4)]
-        events = simulate_stream_sd(pulses, p, rng)
+        events = stream(np.array([0, 0, 1, 0, 0], dtype=bool), rng)
         assert events == [
             SdGateEvent.NO_EVENT,
             SdGateEvent.NO_EVENT,
@@ -93,15 +106,9 @@ class TestStream:
         ]
 
     def test_blinding_train(self, rng):
-        p = quiet_params()
-        pulses = [bright(i, rng) for i in range(200)]
-        events = simulate_stream_sd(pulses, p, rng)
+        events = stream(np.ones(200, dtype=bool), rng)
         assert events[0] is SdGateEvent.STRONG_RISE
         assert all(e is SdGateEvent.BLINDING_DETECTED for e in events[1:])
-
-    def test_gate_index_gap_rejected(self, rng):
-        with pytest.raises(ValueError):
-            simulate_stream_sd([vacuum(0), vacuum(2)], quiet_params(), rng)
 
     @given(shift=st.integers(min_value=1, max_value=20), seed=st.integers(0, 2**32 - 1))
     def test_shift_equivariance(self, shift, seed):
@@ -116,18 +123,9 @@ class TestStream:
 
 
 def test_stream_matches_vectorized_classifier(params):
-    """The pulse-stream API and the array classifier share one truth table."""
+    """The array classifier agrees with the per-gate delay-register reference."""
     rng = np.random.default_rng(9)
     amps = np.abs(rng.normal(0.0, 0.5, 500))
     codes = sd_event_codes(amps, params)
-    register = 0.0
-    for i, amp in enumerate(amps):
-        event = sd_classify(sd_comparators(amp, register, params))
-        assert event.value == (
-            "no_event",
-            "strong_rise",
-            "delayed_fall",
-            "weak_rise",
-            "blinding_detected",
-        )[codes[i]]
-        register = min(amp, params.t_strong)
+    expected = sd_stream(amps, params.t_strong, params.t_diff)
+    assert [SdGateEvent(code).name for code in codes] == expected

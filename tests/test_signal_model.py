@@ -7,16 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bncsim.signal_model import (
-    ArmCounts,
-    DetectorParams,
-    OpticalPulse,
-    PhaseSymbol,
-    avalanche_amplitude,
-    dark_fire,
-    detect,
-    route_photons,
-)
+from bncsim.attack import AttackConfig, arm_means, avalanche_amplitudes, detect_arm
+from bncsim.errors import ConfigError
+from bncsim.signal_model import DetectorParams, PhaseSymbol
 
 ALL = list(PhaseSymbol)
 
@@ -51,76 +44,84 @@ def test_params_validation():
         replace(good, dcp_apd1=-0.1)
     with pytest.raises(ValueError):
         replace(good, t_diff=good.t_strong)  # must be strictly below
-    with pytest.raises(ValueError):
-        replace(good, background_amplitude=good.t_strong)
-    with pytest.raises(ValueError):
-        good.dcp(3)
+
+
+def arms(mu, delta, n, params, seed, dcp=0.0):
+    """Both arms of the gate kernel at flux ``mu`` and phase difference ``delta``."""
+    rng = np.random.default_rng(seed)
+    return tuple(detect_arm(lam, n, dcp, rng) for lam in arm_means(mu, params.qe, delta))
 
 
 class TestRoutePhotons:
-    def test_matched_phase_all_to_apd1(self, rng):
-        assert route_photons(5, PhaseSymbol.ZERO, rng) == ArmCounts(5, 0)
+    """Interference routing: the share of the pulse each arm receives."""
 
-    def test_pi_all_to_apd2(self, rng):
-        assert route_photons(7, PhaseSymbol.PI, rng) == ArmCounts(0, 7)
+    def test_matched_phase_all_to_apd1(self, params):
+        one, two = arms(5.0, PhaseSymbol.ZERO, 10_000, params, 1)
+        assert one.pe > 0 and two.pe == 0
 
-    def test_empty_pulse(self, rng):
-        assert route_photons(0, PhaseSymbol.HALF_PI, rng) == ArmCounts(0, 0)
+    def test_pi_all_to_apd2(self, params):
+        one, two = arms(7.0, PhaseSymbol.PI, 10_000, params, 2)
+        assert one.pe == 0 and two.pe > 0
 
-    def test_split_converges_to_half(self, rng):
-        arms = route_photons(1_000_000, PhaseSymbol.HALF_PI, rng)
-        # binomial LLN: 0.5 within 0.002 is a 4 sigma band at n = 1e6
-        assert abs(arms.n_apd1 / 1_000_000 - 0.5) < 0.002
+    def test_empty_pulse(self, params):
+        one, two = arms(0.0, PhaseSymbol.HALF_PI, 10_000, params, 3)
+        assert one.pe == two.pe == 0
+
+    def test_split_converges_to_half(self, params):
+        one, two = arms(10.0, PhaseSymbol.HALF_PI, 1_000_000, params, 4)
+        # about 1e6 detected photons: 0.5 within 0.002 is a 4 sigma band
+        assert abs(one.pe / (one.pe + two.pe) - 0.5) < 0.002
 
     @given(
-        n=st.integers(min_value=0, max_value=1000),
+        mu=st.floats(min_value=0.0, max_value=1000.0),
         delta=st.sampled_from(ALL),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_photon_conservation(self, n, delta, seed):
-        arms = route_photons(n, delta, np.random.default_rng(seed))
-        assert arms.n_apd1 + arms.n_apd2 == n
-        assert arms.n_apd1 >= 0 and arms.n_apd2 >= 0
-
-    def test_negative_rejected(self, rng):
-        with pytest.raises(ValueError):
-            route_photons(-1, PhaseSymbol.ZERO, rng)
+    def test_photon_conservation(self, mu, delta, seed):
+        params = DetectorParams.default()
+        lam1, lam2 = arm_means(mu, params.qe, delta)
+        assert lam1 >= 0.0 and lam2 >= 0.0
+        assert lam1 + lam2 == pytest.approx(mu * params.qe)
+        for arm in arms(mu, delta, 50, params, seed, dcp=0.5):
+            assert int(arm.k.sum()) == arm.pe + arm.dark
 
 
 class TestDetect:
-    def test_no_photons(self, params, rng):
-        assert detect(0, params, rng) == 0
+    """Quantum-efficiency thinning, folded into the kernel's Poisson mean."""
 
-    def test_single_photon_rate(self, params, rng):
+    def test_no_photons(self, params):
+        one, two = arms(0.0, PhaseSymbol.ZERO, 1000, params, 5)
+        assert not one.k.any() and not two.k.any()
+
+    def test_single_photon_rate(self, params):
         n = 100_000
-        hits = sum(detect(1, params, rng) for _ in range(n))
-        assert abs(hits / n - 0.10) < 0.01
+        one, _ = arms(1.0, PhaseSymbol.ZERO, n, params, 6)
+        assert abs(one.pe / n - 0.10) < 0.01
 
-    def test_binomial_mean(self, params, rng):
-        trials = 10_000
-        mean = np.mean([detect(100, params, rng) for _ in range(trials)])
-        assert abs(mean - 10.0) < 0.3
+    def test_binomial_mean(self, params):
+        one, _ = arms(100.0, PhaseSymbol.ZERO, 10_000, params, 7)
+        assert abs(one.pe / 10_000 - 10.0) < 0.3
 
     def test_mean_monotone_in_photons(self, params):
-        means = []
-        for n_photons in (10, 50, 100, 400):
-            rng = np.random.default_rng(11)
-            means.append(np.mean([detect(n_photons, params, rng) for _ in range(4000)]))
+        means = [arms(mu, PhaseSymbol.ZERO, 4000, params, 11)[0].pe for mu in (10, 50, 100, 400)]
         assert means == sorted(means)
 
 
 class TestAvalancheAmplitude:
+    """The Gamma(k) amplitude law of :func:`avalanche_amplitudes`."""
+
     def test_silent_gate(self, params, rng):
-        assert avalanche_amplitude(0, False, params, rng) == 0.0
+        assert avalanche_amplitudes(np.zeros(10, dtype=np.int64), params, rng).max() == 0.0
 
     def test_dark_only_gate_fires(self, params, rng):
-        assert avalanche_amplitude(0, True, params, rng) > 0.0
+        arm = detect_arm(0.0, 1000, 1.0, rng)
+        assert (arm.k == 1).all()
+        assert (avalanche_amplitudes(arm.k, params, rng) > 0.0).all()
 
     def test_single_carrier_weak_fraction(self, params, rng):
         # t_strong = gain_mean * ln(10/9) puts exactly 10% of single-carrier
         # avalanches below threshold
-        n = 100_000
-        amps = np.array([avalanche_amplitude(1, False, params, rng) for _ in range(n)])
+        amps = avalanche_amplitudes(np.ones(100_000, dtype=np.int64), params, rng)
         weak = (amps < params.t_strong).mean()
         assert abs(weak - 0.10) < 0.02
 
@@ -128,55 +129,46 @@ class TestAvalancheAmplitude:
         # independent oracle: Gamma(10) CDF at the threshold
         oracle = stats.gamma(a=10, scale=params.gain_mean).cdf(params.t_strong)
         assert oracle < 1e-6
-        amps = np.array([avalanche_amplitude(10, False, params, rng) for _ in range(100_000)])
+        amps = avalanche_amplitudes(np.full(100_000, 10), params, rng)
         assert (amps < params.t_strong).sum() == 0
 
     def test_additivity_of_carriers(self, params):
         # amplitude(k) must be distributed as the k-fold sum of amplitude(1)
         rng = np.random.default_rng(77)
-        k = 3
-        direct = np.array([avalanche_amplitude(k, False, params, rng) for _ in range(20_000)])
-        summed = np.array(
-            [
-                sum(avalanche_amplitude(1, False, params, rng) for _ in range(k))
-                for _ in range(20_000)
-            ]
-        )
+        k, n = 3, 20_000
+        direct = avalanche_amplitudes(np.full(n, k), params, rng)
+        summed = avalanche_amplitudes(np.ones((k, n), dtype=np.int64), params, rng).sum(axis=0)
         assert stats.ks_2samp(direct, summed).pvalue > 1e-3
 
 
 class TestDarkFire:
-    def test_zero_probability(self, params, rng):
-        p = replace(params, dcp_apd1=0.0)
-        assert not any(dark_fire(p, 1, rng) for _ in range(10_000))
+    """Dark ignitions: one Bernoulli(dcp) carrier per gate."""
 
-    def test_certain_fire(self, params, rng):
-        p = replace(params, dcp_apd2=1.0)
-        assert all(dark_fire(p, 2, rng) for _ in range(100))
+    def test_zero_probability(self, rng):
+        assert detect_arm(0.0, 10_000, 0.0, rng).dark == 0
+
+    def test_certain_fire(self, rng):
+        assert detect_arm(0.0, 100, 1.0, rng).dark == 100
 
     def test_rate_at_operating_point(self, params):
         # dcp 4e-5 over 1e7 gates: 400 expected, 3 sigma Poisson band is 60
-        rng = np.random.default_rng(123)
-        fires = (rng.random(10_000_000) < params.dcp_apd1).sum()
+        fires = detect_arm(0.0, 10_000_000, params.dcp_apd1, np.random.default_rng(123)).dark
         assert abs(fires - 400) < 60
 
 
 class TestOpticalPulse:
-    def test_sampled_mean_matches(self, rng):
-        mu = 3.0
-        n = 50_000
-        total = sum(OpticalPulse.sample(i, mu, PhaseSymbol.ZERO, rng).sampled_photons for i in range(n))
-        sigma = math.sqrt(mu * n)
-        assert abs(total - mu * n) < 4 * sigma
+    """The pulse's Poisson photon number: at unit QE every photon is detected."""
 
-    def test_zero_flux(self, rng):
-        pulse = OpticalPulse.sample(0, 0.0, PhaseSymbol.PI, rng)
-        assert pulse.sampled_photons == 0
+    def test_sampled_mean_matches(self, params):
+        mu, n = 3.0, 50_000
+        one, _ = arms(mu, PhaseSymbol.ZERO, n, replace(params, qe=1.0), 8)
+        assert abs(one.pe - mu * n) < 4 * math.sqrt(mu * n)
+
+    def test_zero_flux(self, params):
+        one, two = arms(0.0, PhaseSymbol.PI, 1000, replace(params, qe=1.0), 9)
+        assert one.pe == two.pe == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OpticalPulse(-1, 1.0, PhaseSymbol.ZERO, 0)
-        with pytest.raises(ValueError):
-            OpticalPulse(0, -1.0, PhaseSymbol.ZERO, 0)
-        with pytest.raises(ValueError):
-            OpticalPulse(0, 1.0, PhaseSymbol.ZERO, -2)
+        for mu in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                AttackConfig(n_pulses=10, resend_mu=mu)
