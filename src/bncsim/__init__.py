@@ -15,7 +15,6 @@ from .analytics import (
     LinkBudget,
     attack_qber,
     click_probabilities,
-    cm_success_percent,
     ideal_click_rate_diff_phase,
     ideal_click_rate_same_phase,
 )

@@ -182,16 +182,6 @@ def attack_qber(p1: float, p_s: float) -> float:
     return (p1 / 2.0) / denom
 
 
-def cm_success_percent(strong_counts: float, weak_counts: float) -> float:
-    """Monitor yield: strong avalanches as a percentage of all avalanches."""
-    if strong_counts < 0.0 or weak_counts < 0.0:
-        raise ValueError("counts must be non-negative")
-    total = strong_counts + weak_counts
-    if total == 0.0:
-        raise UndefinedQuantity("no avalanches: monitor yield undefined")
-    return 100.0 * strong_counts / total
-
-
 def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     """P(avalanche stays below t_strong | an avalanche fired) at mean
     detected carriers ``nu`` per gate.

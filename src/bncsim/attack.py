@@ -246,6 +246,13 @@ class Arm(NamedTuple):
     dark: int  # gates with a dark ignition
 
 
+#: Largest mean at which :func:`detect_arm` draws carriers sparsely.  Near
+#: 1 the sparse draw with per-gate thinning costs as much as one Poisson
+#: variate per gate (scalar means break even near 4).  Results depend on
+#: it, since the two paths consume the generator differently.
+SPARSE_LAM_MAX = 1.0
+
+
 def detect_arm(lam, n: int, dcp: float, rng: np.random.Generator) -> Arm:
     """The gate kernel: draw one APD's avalanche carriers over ``n`` gates.
 
@@ -256,14 +263,35 @@ def detect_arm(lam, n: int, dcp: float, rng: np.random.Generator) -> Arm:
     with probability w and then detected with probability qe gives each
     arm an independent Poisson(mu*qe*w) count.  One draw per arm thus
     replaces the photon number, the interference split and the two
-    quantum-efficiency thinnings.  A dark ignition adds one carrier with
-    probability ``dcp``.
+    quantum-efficiency thinnings.
+
+    At low means the draw costs O(carriers), not O(gates).  When
+    lam_max = max(lam) is at most :data:`SPARSE_LAM_MAX`, the block's
+    carrier total is drawn as Poisson(n*lam_max) and scattered over
+    uniform gate positions, which gives every gate an independent
+    Poisson(lam_max) count.  With per-gate means each carrier is then kept
+    with probability lam/lam_max at its gate; independent thinning leaves
+    independent Poisson(lam) counts.  Above the threshold every gate draws
+    its own Poisson variate.
+
+    A dark ignition adds one carrier with probability ``dcp`` per gate.
+    The dark gates are drawn as a Binomial(n, dcp) count of distinct,
+    uniformly chosen positions, which has the law of ``n`` independent
+    Bernoulli(dcp) gates.
     """
-    k = rng.poisson(lam, n) if np.any(lam) else np.zeros(n, dtype=np.int64)
-    pe = int(k.sum())
-    dark = rng.random(n) < dcp
-    k += dark
-    return Arm(k, pe, int(dark.sum()))
+    lam_max = float(np.max(lam))
+    if lam_max <= SPARSE_LAM_MAX:
+        pos = rng.integers(0, n, rng.poisson(n * lam_max))
+        if np.ndim(lam):
+            pos = pos[rng.random(pos.size) < np.take(lam, pos) / lam_max]
+        k = np.bincount(pos, minlength=n)
+        pe = pos.size
+    else:
+        k = rng.poisson(lam, n)
+        pe = int(k.sum())
+    dark = rng.choice(n, rng.binomial(n, dcp), replace=False, shuffle=False)
+    k[dark] += 1
+    return Arm(k, pe, dark.size)
 
 
 def avalanche_amplitudes(

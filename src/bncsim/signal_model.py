@@ -12,8 +12,10 @@ circuit does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+
+from .errors import ConfigError
 
 
 class PhaseSymbol(IntEnum):
@@ -37,10 +39,6 @@ class PhaseSymbol(IntEnum):
     def bit(self) -> int:
         """Key bit encoded by this phase within its basis (0 or 1)."""
         return self.value // 2
-
-    @property
-    def radians(self) -> float:
-        return self.value * math.pi / 2.0
 
     @property
     def label(self) -> str:
@@ -83,18 +81,23 @@ class DetectorParams:
     t_diff: float
 
     def __post_init__(self) -> None:
+        # `nan <= 0` is false, so the range checks alone would let nan pass
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if not 0.0 <= self.qe <= 1.0:
-            raise ValueError(f"qe must be in [0, 1], got {self.qe}")
+            raise ConfigError(f"qe must be in [0, 1], got {self.qe}")
         for name in ("dcp_apd1", "dcp_apd2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.f_gate <= 0.0:
-            raise ValueError("f_gate must be positive")
+            raise ConfigError("f_gate must be positive")
         if self.gain_mean <= 0.0:
-            raise ValueError("gain_mean must be positive")
+            raise ConfigError("gain_mean must be positive")
         if not 0.0 < self.t_diff < self.t_strong:
-            raise ValueError("thresholds must satisfy 0 < t_diff < t_strong")
+            raise ConfigError("thresholds must satisfy 0 < t_diff < t_strong")
 
     @classmethod
     def default(cls) -> "DetectorParams":

@@ -13,7 +13,6 @@ from bncsim.analytics import (
     attack_qber,
     attenuation_db_for_target_flux,
     click_probabilities,
-    cm_success_percent,
     flux_after_attenuation,
     ideal_click_rate_diff_phase,
     ideal_click_rate_same_phase,
@@ -136,31 +135,6 @@ class TestAttackQber:
     def test_undefined_when_silent(self):
         with pytest.raises(UndefinedQuantity):
             attack_qber(0.0, 0.0)
-
-
-class TestCmSuccess:
-    def test_direct_ratio(self):
-        assert cm_success_percent(900, 100) == pytest.approx(90.0)
-        assert cm_success_percent(1, 0) == pytest.approx(100.0)
-
-    @given(
-        s=st.floats(0.0, 1e6, allow_nan=False),
-        w=st.floats(0.0, 1e6, allow_nan=False),
-        k=st.floats(1e-3, 1e3, allow_nan=False),
-    )
-    def test_scale_invariance(self, s, w, k):
-        # subnormal counts lose precision under scaling and mean nothing here
-        if any(0.0 < v < 1e-300 for v in (s, w, k * s, k * w)):
-            return
-        if s + w == 0.0 or k * s + k * w == 0.0:
-            return
-        assert cm_success_percent(k * s, k * w) == pytest.approx(
-            cm_success_percent(s, w), rel=1e-9
-        )
-
-    def test_undefined_on_zero_total(self):
-        with pytest.raises(UndefinedQuantity):
-            cm_success_percent(0, 0)
 
 
 class TestWeakFraction:

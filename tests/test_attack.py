@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncsim.attack import (
+    ARM_WEIGHTS,
     CASE_C_GATES,
     CASE_C_MU,
     SHARD_GATES,
+    SPARSE_LAM_MAX,
     AttackConfig,
     CaseLabel,
     DetectorKind,
@@ -265,8 +267,40 @@ class TestGateKernel:
                 assert within(p_got, p_ref, sigma), (hit1, hit2, p_got, p_ref)
 
     def test_zero_mean_draws_no_photons(self):
-        arm = detect_arm(0.0, 1000, 0.0, np.random.default_rng(0))
-        assert arm.pe == 0 and arm.dark == 0 and not arm.k.any()
+        for lam in (0.0, np.zeros(1000)):
+            arm = detect_arm(lam, 1000, 0.0, np.random.default_rng(0))
+            assert arm.pe == 0 and arm.dark == 0 and not arm.k.any()
+
+    @pytest.mark.parametrize("per_gate", [False, True], ids=["scalar", "per_gate"])
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 2.5])
+    def test_carrier_law_on_both_paths(self, scale, per_gate):
+        """P(k=0), P(k=1) and P(k>=2) against the closed forms within 4 sigma.
+
+        ``scale`` puts max(lam) well below, at, and above SPARSE_LAM_MAX,
+        so both the sparse scatter (with thinning for per-gate means) and
+        the dense draw are checked.  Gate i carries Poisson(lam_i) plus a
+        Bernoulli(dcp) dark ignition, so the count of gates in each class
+        is a sum of independent Bernoulli variables.
+        """
+        n, dcp = 200_000, 0.01
+        lam_max = scale * SPARSE_LAM_MAX
+        lam = np.take(lam_max * ARM_WEIGHTS[0], np.arange(n) % 4) if per_gate else lam_max
+        arm = detect_arm(lam, n, dcp, np.random.default_rng(int(40 * scale) + per_gate))
+        lam_i = np.broadcast_to(lam, (n,))
+        silent = np.exp(-lam_i)
+        p0 = (1 - dcp) * silent
+        p1 = (1 - dcp) * lam_i * silent + dcp * silent
+        for got, p in ((arm.k == 0, p0), (arm.k == 1, p1), (arm.k >= 2, 1 - p0 - p1)):
+            assert within(int(got.sum()), p.sum(), math.sqrt((p * (1 - p)).sum()))
+        assert arm.pe == int(arm.k.sum()) - arm.dark
+        assert within(arm.pe, lam_i.sum(), math.sqrt(lam_i.sum()))
+
+    def test_dark_positions_are_distinct(self):
+        n, dcp = 100_000, 0.5
+        arm = detect_arm(0.0, n, dcp, np.random.default_rng(3))
+        assert arm.k.max() <= 1
+        assert int(arm.k.sum()) == arm.dark
+        assert within(arm.dark, n * dcp, math.sqrt(n * dcp * (1 - dcp)))
 
 
 class TestRunFixed:

@@ -408,6 +408,17 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_detector_params_exit_2_without_report(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("gain_mean = nan\nf_gate = nan\n")
+        out = tmp_path / "nan.csv"
+        argv = ["sweep", "--config", str(cfg), "--flux", "0.1,500", "--gates", "10000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be finite" in err
+        assert not out.exists()
+        assert main(["oracle", "--mu", "1", "--f-gate", "nan"]) == 2
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 1\n")

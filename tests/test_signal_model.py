@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,9 +31,9 @@ def test_phase_minus_exhaustive():
         for b in ALL:
             diff = a.minus(b)
             assert isinstance(diff, PhaseSymbol)
-            assert math.isclose(
-                (a.radians - b.radians) % (2 * math.pi), diff.radians, abs_tol=1e-12
-            )
+            # quarter turns: adding the difference back to b lands on a
+            assert 0 <= diff.value < 4
+            assert (b.value + diff.value) % 4 == a.value
 
 
 def test_params_validation():
@@ -44,6 +44,10 @@ def test_params_validation():
         replace(good, dcp_apd1=-0.1)
     with pytest.raises(ValueError):
         replace(good, t_diff=good.t_strong)  # must be strictly below
+    for field in fields(DetectorParams):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="must be finite"):
+                replace(good, **{field.name: bad})
 
 
 def arms(mu, delta, n, params, seed, dcp=0.0):
