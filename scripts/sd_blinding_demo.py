@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bncsim.attack import avalanche_amplitudes, detect_arm
+from bncsim.attack import detect_arm, railed_amplitudes
 from bncsim.selfdiff import SdGateEvent, sd_event_codes
 from bncsim.signal_model import DetectorParams
 
@@ -23,7 +23,7 @@ def timeline(title, bright, params, rng):
     """Run one gate stream; ``bright`` marks the gates that carry a pulse."""
     lam = np.where(bright, BRIGHT_MU * params.qe, 0.0)
     arm = detect_arm(lam, lam.size, params.dcp_apd1, rng)
-    codes = sd_event_codes(avalanche_amplitudes(arm.k, params, rng), params)
+    codes = sd_event_codes(railed_amplitudes(arm.k, params, rng), params)
     print(f"\n{title}")
     print(f"{'gate':>5} {'carriers':>8}  event")
     for gate, (k, code) in enumerate(zip(arm.k, codes)):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NonPhysical, UndefinedQuantity
-from .signal_model import DetectorParams
+from .signal_model import DetectorParams, weak_probabilities
 
 #: Energy of a single 1550 nm photon (0.7999 eV), in joules.
 E_PHOTON_1550_NM = 0.7999 * 1.602176634e-19
@@ -187,14 +187,14 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     detected carriers ``nu`` per gate.
 
     Conditioning Poisson(nu) on at least one carrier and summing the
-    Gamma(k) amplitude CDF at the threshold.  The nu -> 0 limit is the
-    single-carrier value.
+    Gamma(k) amplitude CDF at the threshold, read from the same P(k)
+    table the sampler uses (:func:`~bncsim.signal_model.weak_probabilities`).
+    The nu -> 0 limit is the single-carrier value.
     """
     if nu < 0.0:
         raise ValueError("nu must be non-negative")
-    x = params.t_strong / params.gain_mean
     if nu == 0.0:
-        return float(special.gammainc(1, x))
+        return float(weak_probabilities(1, params)[1])
     if nu > 1e4:
         # P(k=1 | fired) alone is already below exp(-9000); avoid building
         # an O(nu) term array for a value that underflows to zero anyway
@@ -203,7 +203,7 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     ks = np.arange(1, k_max + 1)
     log_pmf = ks * math.log(nu) - nu - special.gammaln(ks + 1)
     pmf = np.exp(log_pmf)
-    cdf = special.gammainc(ks, x)
+    cdf = weak_probabilities(k_max, params)[1:]
     fired = -math.expm1(-nu)
     return float((pmf * cdf).sum() / fired)
 

@@ -21,10 +21,11 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import special
 
 from .balanced import comparator_arrays, event_codes
 from .errors import ConfigError
-from .signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol
+from .signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol, weak_probabilities
 
 
 class Scenario(str, Enum):
@@ -294,18 +295,47 @@ def detect_arm(lam, n: int, dcp: float, rng: np.random.Generator) -> Arm:
     return Arm(k, pe, dark.size)
 
 
-def avalanche_amplitudes(
+def railed_amplitudes(
     k: np.ndarray, params: DetectorParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Ideal (pre-rail) avalanche amplitude per gate: gain_mean * Gamma(k)."""
-    return params.gain_mean * rng.standard_gamma(k)
+    """Railed avalanche amplitude per entry: min(gain_mean * Gamma(k), t_strong).
+
+    The front end rails at ``t_strong``, so this is all any comparator
+    reads.  Each entry with ``k > 0`` draws one uniform u and inverts the
+    Gamma(k) CDF: the avalanche stays below the rail iff u < P[k] (see
+    :func:`~bncsim.signal_model.weak_probabilities`), and then has
+    amplitude gain_mean * gammaincinv(k, u), or -gain_mean * log1p(-u) at
+    k = 1.  This is the exact inverse CDF, and the amplitude itself is
+    computed only for the weak entries.  A weak draw that rounds up to
+    the rail reads as railed.  Entries with ``k = 0`` are 0 and draw
+    nothing.
+    """
+    amp = np.zeros(np.shape(k))
+    fired = np.flatnonzero(k)
+    if not fired.size:
+        return amp
+    kf = k[fired]
+    u = rng.random(fired.size)
+    weak = u < weak_probabilities(int(kf.max()), params)[kf]
+    amp[fired] = params.t_strong
+    kw, uw = kf[weak], u[weak]
+    x = -np.log1p(-uw)
+    many = kw > 1
+    x[many] = special.gammaincinv(kw[many], uw[many])
+    amp[fired[weak]] = np.minimum(params.gain_mean * x, params.t_strong)
+    return amp
 
 
 class PairReadout(NamedTuple):
-    """Both arms of a two-APD receiver over a block, through its readout."""
+    """Both arms of a two-APD receiver over a block, through its readout.
+
+    Every array is gathered at ``idx``, the gates where either arm fired;
+    every other gate is ``NO_EVENT`` on both readouts.
+    """
 
     arm1: Arm
     arm2: Arm
+    idx: np.ndarray
     fired1: np.ndarray
     fired2: np.ndarray
     click1: np.ndarray  # the readout's click on APD 1 (bit 0)
@@ -322,39 +352,47 @@ def detect_pair(
     params: DetectorParams,
     rng: np.random.Generator,
 ) -> PairReadout:
-    """Draw both arms and read them out.
+    """Draw both arms and read out the gates where either fired.
 
-    The two-APD readout clicks on an arm that fired alone.  The balanced
-    readout clicks on the difference comparators C/D and adds the raw
-    comparators A/B; every comparator word is checked for reachability.
+    A gate where neither arm fired has no avalanche, hence no click and
+    no comparator bit, on either readout; it adds to the gate count only.
+    The readout therefore runs on the fired gates alone.  The two-APD
+    readout clicks on an arm that fired alone.  The balanced readout
+    clicks on the difference comparators C/D and adds the raw comparators
+    A/B; every comparator word is checked for reachability.
     """
     arm1 = detect_arm(lam1, n, params.dcp_apd1, rng)
     arm2 = detect_arm(lam2, n, params.dcp_apd2, rng)
-    fired1 = arm1.k > 0
-    fired2 = arm2.k > 0
+    idx = np.flatnonzero((arm1.k > 0) | (arm2.k > 0))
+    k1, k2 = arm1.k[idx], arm2.k[idx]
+    fired1 = k1 > 0
+    fired2 = k2 > 0
     if detector is DetectorKind.BASELINE_TWO_APD:
         return PairReadout(
-            arm1, arm2, fired1, fired2, fired1 & ~fired2, fired2 & ~fired1, None, None
+            arm1, arm2, idx, fired1, fired2, fired1 & ~fired2, fired2 & ~fired1, None, None
         )
-    amp1 = avalanche_amplitudes(arm1.k, params, rng)
-    amp2 = avalanche_amplitudes(arm2.k, params, rng)
+    amp1 = railed_amplitudes(k1, params, rng)
+    amp2 = railed_amplitudes(k2, params, rng)
     a, b, c, d = comparator_arrays(amp1, amp2, params)
     event_codes(a, b, c, d)  # raises on any unreachable word
-    return PairReadout(arm1, arm2, fired1, fired2, c, d, a, b)
+    return PairReadout(arm1, arm2, idx, fired1, fired2, c, d, a, b)
 
 
-def _count_readout(gates: PairReadout, casec: Optional[np.ndarray] = None) -> GateTally:
-    """Count one block's readout: detections, clicks and doubles on both
-    receivers; blinding flags and the amplitude census on the balanced one.
+def _count_readout(
+    gates: PairReadout, n: int, casec: Optional[np.ndarray] = None
+) -> GateTally:
+    """Count one block of ``n`` gates from its fired-gate readout:
+    detections, clicks and doubles on both receivers; blinding flags and
+    the amplitude census on the balanced one.
 
-    ``casec`` marks the gates whose guess basis differs from the
-    receiver's; the balanced receiver's clicks and flags on them are also
-    counted apart.
+    ``casec`` marks, over all ``n`` gates, those whose guess basis
+    differs from the receiver's; the balanced receiver's clicks and flags
+    on them are also counted apart.
     """
     fired1, fired2 = gates.fired1, gates.fired2
     both = fired1 & fired2
     tally = GateTally(
-        gates=fired1.size,
+        gates=n,
         pe1=gates.arm1.pe,
         pe2=gates.arm2.pe,
         fired1=int(fired1.sum()),
@@ -367,6 +405,7 @@ def _count_readout(gates: PairReadout, casec: Optional[np.ndarray] = None) -> Ga
     )
     if casec is not None:
         tally.casec_gates = int(casec.sum())
+        casec = casec[gates.idx]
     if gates.raw1 is None:
         return tally
     a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
@@ -405,23 +444,23 @@ def simulate_block(
         eve_mismatch = np.ones(n, dtype=bool)
     else:
         mismatch = _forced_mismatch(config.case_filter)
-        bob_basis = rng.integers(0, 2, n)
-        alice_bit = rng.integers(0, 2, n)
+        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
+        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
         if scenario is Scenario.HONEST:
             if mismatch is None:
-                alice_basis = rng.integers(0, 2, n)
+                alice_basis = rng.integers(0, 2, n, dtype=np.int8)
             else:
                 alice_basis = bob_basis ^ 1 if mismatch else bob_basis.copy()
             send_q = alice_basis + 2 * alice_bit
             eve_mismatch = alice_basis != bob_basis
         else:
-            alice_basis = rng.integers(0, 2, n)
+            alice_basis = rng.integers(0, 2, n, dtype=np.int8)
             if mismatch is None:
-                eve_basis = rng.integers(0, 2, n)
+                eve_basis = rng.integers(0, 2, n, dtype=np.int8)
             else:
                 eve_basis = bob_basis ^ 1 if mismatch else bob_basis.copy()
             alice_q = alice_basis + 2 * alice_bit
-            coin = rng.integers(0, 2, n)
+            coin = rng.integers(0, 2, n, dtype=np.int8)
             same = alice_basis == eve_basis
             send_q = np.where(same, alice_q, eve_basis + 2 * coin)
             eve_mismatch = eve_basis != bob_basis
@@ -429,10 +468,12 @@ def simulate_block(
 
     lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
     gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
-    tally = _count_readout(gates, eve_mismatch)
+    tally = _count_readout(gates, n, eve_mismatch)
     if scenario is not Scenario.BLINDING_ONLY:
+        # only a fired gate can click, so only fired gates can sift
+        idx = gates.idx
         tally.sifted, tally.errors = sift_counts(
-            alice_basis, alice_bit, bob_basis, gates.click1, gates.click2
+            alice_basis[idx], alice_bit[idx], bob_basis[idx], gates.click1, gates.click2
         )
     return tally
 
@@ -488,7 +529,7 @@ def fixed_block(
 ) -> GateTally:
     """One shard of :func:`run_fixed`: the gate kernel at scalar arm means."""
     lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
-    return _count_readout(detect_pair(lam1, lam2, n_gates, detector, params, rng))
+    return _count_readout(detect_pair(lam1, lam2, n_gates, detector, params, rng), n_gates)
 
 
 def run_fixed(

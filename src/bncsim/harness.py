@@ -2,9 +2,9 @@
 
 A sweep runs one scenario over a flux grid and emits a delimited table
 with one row per flux point, Monte Carlo columns next to the analytic
-oracle columns, plus a manifest recording the seed and a digest of the
-resolved configuration.  Identical seed and configuration give
-byte-identical files.
+oracle columns, plus a manifest recording the seed, a digest of the
+resolved configuration and a digest of the table.  Identical seed and
+configuration give byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .attack import (
     DetectorKind,
     GateTally,
     Scenario,
-    avalanche_amplitudes,
     detect_arm,
+    railed_amplitudes,
     run_attack,
 )
 from .errors import ConfigError, MissingFluxPoint
@@ -228,7 +228,7 @@ def _run_sd_point(
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     n = spec.n_gates_per_point
     arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
-    amps = avalanche_amplitudes(arm.k, params, rng)
+    amps = railed_amplitudes(arm.k, params, rng)
     codes = sd_event_codes(amps, params)
     fired = arm.k > 0
     weak = int((fired & (amps < params.t_strong)).sum())
@@ -337,19 +337,27 @@ def _replace_file(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _manifest_path(path: Path) -> Path:
+    return Path(str(path) + ".manifest")
+
+
 def emit_report(report: RunReport, path: str | Path) -> Path:
     """Write the data table and its manifest; returns the data path.
 
-    Each file replaces any earlier one atomically.
+    The manifest records the table's SHA-256, so the two are checked as
+    one unit when the table is read back.  Each file replaces any earlier
+    one atomically.
     """
     path = Path(path)
-    _replace_file(path, report_to_csv(report))
+    table = report_to_csv(report)
+    _replace_file(path, table)
     digest = hashlib.sha256(
         "\n".join(config_lines(report.spec, report.params)).encode()
     ).hexdigest()
     manifest = [
         f"seed={report.spec.seed}",
         f"config_sha256={digest}",
+        f"table_sha256={hashlib.sha256(table.encode()).hexdigest()}",
         f"package=bncsim-{__version__}",
         f"python={platform.python_version()}",
         f"numpy={np.__version__}",
@@ -359,13 +367,29 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
         f"shard_gates={SHARD_GATES}",
         "flux=" + ",".join(_fmt(x) for x in report.spec.flux_grid),
     ]
-    _replace_file(Path(str(path) + ".manifest"), "\n".join(manifest) + "\n")
+    _replace_file(_manifest_path(path), "\n".join(manifest) + "\n")
     return path
 
 
 def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
-    """Parse a report file back into per-row column dictionaries."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Parse a report file back into per-row column dictionaries.
+
+    When the report's manifest sits beside it, the table must have the
+    SHA-256 the manifest records; a mismatch is a :class:`ConfigError`.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    manifest = _manifest_path(path)
+    if manifest.exists():
+        entries = dict(
+            line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
+        )
+        recorded = entries.get("table_sha256")
+        if recorded != hashlib.sha256(data).hexdigest():
+            raise ConfigError(
+                f"{path} does not match the table_sha256 of {manifest.name} ({recorded})"
+            )
+    lines = data.decode().strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != REPORT_COLUMNS:
         raise ConfigError(f"{path} is not a sweep report (bad header)")
     rows: list[dict[str, float | str]] = []

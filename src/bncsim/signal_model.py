@@ -2,11 +2,12 @@
 
 Avalanche amplitudes follow a one-parameter law: every detected photon
 (and every dark ignition) contributes an independent exponential draw with
-mean ``gain_mean``, so a k-carrier avalanche is Gamma(k) distributed (see
-:func:`bncsim.attack.avalanche_amplitudes`).  A gated APD front end rails
-once the avalanche exceeds ``t_strong``; the comparator stages in
-:mod:`bncsim.balanced` / :mod:`bncsim.selfdiff` apply the rail where the
-circuit does.
+mean ``gain_mean``, so a k-carrier avalanche is Gamma(k) distributed.  A
+gated APD front end rails once the avalanche exceeds ``t_strong``, so the
+comparator stages in :mod:`bncsim.balanced` / :mod:`bncsim.selfdiff` only
+ever see ``min(amplitude, t_strong)``; :func:`bncsim.attack.railed_amplitudes`
+draws that railed level directly, and :func:`weak_probabilities` gives the
+chance that a k-carrier avalanche stays below the rail.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
+
+import numpy as np
+from scipy import special
 
 from .errors import ConfigError
 
@@ -116,3 +120,13 @@ class DetectorParams:
             t_strong=math.log(10.0 / 9.0),
             t_diff=0.01,
         )
+
+
+def weak_probabilities(k_max: int, params: DetectorParams) -> np.ndarray:
+    """P[k] = P(gain_mean * Gamma(k) < t_strong) for k = 0 .. k_max.
+
+    The regularized lower incomplete gamma function at the rail,
+    ``gammainc(k, t_strong / gain_mean)``; the empty avalanche (k = 0)
+    stays below it with certainty.
+    """
+    return special.gammainc(np.arange(k_max + 1), params.t_strong / params.gain_mean)

@@ -42,6 +42,16 @@ def gate_event(a, b, c, d):
     return "NO_EVENT"
 
 
+def two_apd_click(fired1, fired2):
+    """Click of one gate on the plain two-APD readout: the APD (1 or 2)
+    that fired alone, else 0; a double click is discarded."""
+    if fired1 and not fired2:
+        return 1
+    if fired2 and not fired1:
+        return 2
+    return 0
+
+
 def sd_word(current, delayed, t_strong, t_diff):
     """Self-differencing bits (a, b, c) against the delay register."""
     v_cur = min(current, t_strong)

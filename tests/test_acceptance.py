@@ -20,10 +20,10 @@ from bncsim.attack import (
     CaseLabel,
     DetectorKind,
     Scenario,
-    avalanche_amplitudes,
     detect_arm,
     enumerate_cases,
     evaluate_case_row,
+    railed_amplitudes,
     run_attack,
     run_fixed,
 )
@@ -214,7 +214,7 @@ def test_c10_self_differencing_cm():
     def stream(lam):
         """Event codes of one APD over gates with mean detected photons ``lam``."""
         arm = detect_arm(lam, lam.size, quiet.dcp_apd1, rng)
-        return sd_event_codes(avalanche_amplitudes(arm.k, quiet, rng), quiet)
+        return sd_event_codes(railed_amplitudes(arm.k, quiet, rng), quiet)
 
     bright = 500.0 * quiet.qe
     events = stream(np.full(1000, bright))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bncsim.attack as attack
 from bncsim.attack import (
     ARM_WEIGHTS,
     CASE_C_GATES,
@@ -33,7 +34,7 @@ from bncsim.attack import (
 )
 from bncsim.errors import ConfigError
 from bncsim.signal_model import DetectorParams, PhaseSymbol
-from reference import sift_ledger
+from reference import comparators, gate_event, sift_ledger, two_apd_click
 
 
 def seed_seq(n=0):
@@ -410,3 +411,97 @@ def test_shard_merge_is_associative(config, seeds):
     assert asdict(a + b) == {k: v + getattr(b, k) for k, v in asdict(a).items()}
     assert (a + b) + c == a + (b + c)
     assert a + GateTally() == a
+
+
+class RecordingRng:
+    """Generator stand-in that keeps every draw, in order, as (method, array)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, out))
+            return out
+
+        return draw
+
+
+def full_array_tally(arms, amps, protocol, params, balanced):
+    """GateTally of a block counted gate by gate over every gate, fired or
+    not, with the per-gate rules of :mod:`reference`."""
+    arm1, arm2 = arms
+    amp1, amp2 = amps
+    bob_basis, alice_bit, alice_basis, eve_basis = protocol
+    t = GateTally(gates=arm1.k.size, pe1=arm1.pe, pe2=arm2.pe, dark1=arm1.dark, dark2=arm2.dark)
+    ledger = []
+    for i in range(arm1.k.size):
+        fired1, fired2 = bool(arm1.k[i]), bool(arm2.k[i])
+        casec = bool(eve_basis[i] != bob_basis[i])
+        t.fired1 += fired1
+        t.fired2 += fired2
+        t.doubles += fired1 and fired2
+        t.casec_gates += casec
+        if balanced:
+            a, b, c, d = comparators(float(amp1[i]), float(amp2[i]), params.t_strong, params.t_diff)
+            event = gate_event(a, b, c, d)
+            click = 1 if c else 2 if d else 0
+            blind = event == "BLINDING_DETECTED"
+            t.blind += blind
+            t.weak += (fired1 and not a) + (fired2 and not b)
+            t.strong += a + b
+            t.weak_coinc += fired1 and fired2 and event == "NO_EVENT"
+            t.casec_click1 += casec and click == 1
+            t.casec_click2 += casec and click == 2
+            t.casec_blind += casec and blind
+        else:
+            click = two_apd_click(fired1, fired2)
+        t.click1 += click == 1
+        t.click2 += click == 2
+        ledger.append((int(alice_basis[i] + 2 * alice_bit[i]), int(bob_basis[i]), click))
+    t.sifted, t.errors = sift_ledger(ledger)
+    return t
+
+
+@pytest.mark.parametrize(
+    "scenario,detector",
+    [
+        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC),
+        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD),
+    ],
+)
+@pytest.mark.parametrize("mu", [0.1, 1.0, 30.0, 500.0])
+def test_fired_gate_readout_equals_full_array_count(scenario, detector, mu, params, monkeypatch):
+    """Reading out only the fired gates loses nothing: with the same
+    carriers and railed amplitudes, every counter, sifting and the case-C
+    counters included, equals a per-gate count over the whole block."""
+    n = 20_000
+    arms, gathered = [], []
+    for name, keep in (("detect_arm", arms), ("railed_amplitudes", gathered)):
+        original = getattr(attack, name)
+
+        def recorded(*args, _original=original, _keep=keep, **kwargs):
+            _keep.append(_original(*args, **kwargs))
+            return _keep[-1]
+
+        monkeypatch.setattr(attack, name, recorded)
+    rng = RecordingRng(np.random.default_rng(int(mu * 10) + 7))
+    config = AttackConfig(n_pulses=n, resend_mu=mu, scenario=scenario, detector=detector)
+    tally = simulate_block(config, params, rng)
+
+    # the receiver's basis, the sender's bit and basis, the resender's
+    # basis and coin: the only int8 draws of the block, in that order
+    protocol = [out for name, out in rng.draws if name == "integers" and out.dtype == np.int8]
+    assert len(protocol) == 5
+    fired = np.flatnonzero((arms[0].k > 0) | (arms[1].k > 0))
+    amps = [np.zeros(n), np.zeros(n)]
+    for full, part in zip(amps, gathered):
+        full[fired] = part
+    balanced = detector is DetectorKind.BALANCED_BNC
+    assert len(gathered) == (2 if balanced else 0)
+    assert tally == full_array_tally(arms, amps, protocol[:4], params, balanced)
+    assert tally.sifted > 0

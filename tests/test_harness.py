@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -136,6 +137,15 @@ class TestReportFiles:
         assert rows[0]["flux"] == pytest.approx(0.1)
         assert rows[0]["gates"] == 10_000
         assert rows[0]["oracle_regime"] == "ok"
+
+    def test_table_checked_against_manifest(self, params, tmp_path):
+        path = emit_report(run_sweep(small_spec(), params), tmp_path / "r.csv")
+        assert len(load_report_rows(path)) == 2
+        path.write_text(path.read_text().replace("\n0.1,", "\n0.2,"))
+        with pytest.raises(ConfigError, match="table_sha256"):
+            load_report_rows(path)
+        (tmp_path / "r.csv.manifest").unlink()
+        assert load_report_rows(path)[0]["flux"] == 0.2
 
     def test_existing_report_replaced_whole(self, params, tmp_path, monkeypatch):
         import bncsim.harness as harness
@@ -334,7 +344,8 @@ class TestCli:
             )
             == 0
         )
-        assert out.exists() and (tmp_path / "report.csv.manifest").exists()
+        manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
+        assert f"table_sha256={hashlib.sha256(out.read_bytes()).hexdigest()}" in manifest
         assert main(["verify", str(out)]) == 0
         captured = capsys.readouterr()
         assert "9/9 landmarks passed" in captured.out
@@ -418,6 +429,17 @@ class TestCli:
         assert "error:" in err and "must be finite" in err
         assert not out.exists()
         assert main(["oracle", "--mu", "1", "--f-gate", "nan"]) == 2
+
+    def test_verify_rejects_table_changed_after_manifest(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        main(["sweep", "--flux", "0.1,1", "--gates", "10000", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        lines[2] = lines[2].replace(",", ",9", 1)  # flux 1: gates 10000 -> 910000
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "table_sha256" in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

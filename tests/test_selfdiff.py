@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bncsim.attack import avalanche_amplitudes, detect_arm
+from bncsim.attack import detect_arm, railed_amplitudes
 from bncsim.errors import InconsistentWord
 from bncsim.selfdiff import SdGateEvent, sd_event_codes, sd_word_codes
 from bncsim.signal_model import DetectorParams
@@ -21,7 +21,7 @@ def stream(bright, rng, mu=500.0):
     p = quiet_params()
     lam = np.where(bright, mu * p.qe, 0.0)
     arm = detect_arm(lam, lam.size, p.dcp_apd1, rng)
-    codes = sd_event_codes(avalanche_amplitudes(arm.k, p, rng), p)
+    codes = sd_event_codes(railed_amplitudes(arm.k, p, rng), p)
     return [SdGateEvent(code) for code in codes]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bncsim.attack import AttackConfig, arm_means, avalanche_amplitudes, detect_arm
+from bncsim.attack import AttackConfig, arm_means, detect_arm, railed_amplitudes
 from bncsim.errors import ConfigError
 from bncsim.signal_model import DetectorParams, PhaseSymbol
 
@@ -112,20 +112,28 @@ class TestDetect:
 
 
 class TestAvalancheAmplitude:
-    """The Gamma(k) amplitude law of :func:`avalanche_amplitudes`."""
+    """The railed law min(gain_mean * Gamma(k), t_strong) of :func:`railed_amplitudes`.
+
+    The oracles are ``scipy.stats.gamma`` distributions, independent of
+    the sampler's inverse-CDF table.
+    """
 
     def test_silent_gate(self, params, rng):
-        assert avalanche_amplitudes(np.zeros(10, dtype=np.int64), params, rng).max() == 0.0
+        assert railed_amplitudes(np.zeros(10, dtype=np.int64), params, rng).max() == 0.0
 
     def test_dark_only_gate_fires(self, params, rng):
         arm = detect_arm(0.0, 1000, 1.0, rng)
         assert (arm.k == 1).all()
-        assert (avalanche_amplitudes(arm.k, params, rng) > 0.0).all()
+        assert (railed_amplitudes(arm.k, params, rng) > 0.0).all()
+
+    def test_never_above_rail(self, params, rng):
+        amps = railed_amplitudes(rng.poisson(2.0, 100_000), params, rng)
+        assert amps.max() == params.t_strong
 
     def test_single_carrier_weak_fraction(self, params, rng):
         # t_strong = gain_mean * ln(10/9) puts exactly 10% of single-carrier
         # avalanches below threshold
-        amps = avalanche_amplitudes(np.ones(100_000, dtype=np.int64), params, rng)
+        amps = railed_amplitudes(np.ones(100_000, dtype=np.int64), params, rng)
         weak = (amps < params.t_strong).mean()
         assert abs(weak - 0.10) < 0.02
 
@@ -133,15 +141,39 @@ class TestAvalancheAmplitude:
         # independent oracle: Gamma(10) CDF at the threshold
         oracle = stats.gamma(a=10, scale=params.gain_mean).cdf(params.t_strong)
         assert oracle < 1e-6
-        amps = avalanche_amplitudes(np.full(100_000, 10), params, rng)
+        amps = railed_amplitudes(np.full(100_000, 10), params, rng)
         assert (amps < params.t_strong).sum() == 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_strong_share(self, params, k):
+        n = 200_000
+        amps = railed_amplitudes(np.full(n, k), params, np.random.default_rng(100 + k))
+        p = 1.0 - stats.gamma(a=k, scale=params.gain_mean).cdf(params.t_strong)
+        share = (amps == params.t_strong).mean()
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("t_strong,n", [(math.log(10.0 / 9.0), 3_000_000), (3.0, 20_000)])
+    def test_below_rail_law(self, params, t_strong, n):
+        # the weak amplitudes follow Gamma(3) truncated at the rail; at the
+        # default rail only 1.8e-4 of them are weak, in the far lower tail
+        railed = replace(params, t_strong=t_strong)
+        gamma3 = stats.gamma(a=3, scale=params.gain_mean)
+        amps = railed_amplitudes(np.full(n, 3), railed, np.random.default_rng(78))
+        weak = amps[amps < t_strong]
+        assert weak.size > 300
+        truncated = lambda x: gamma3.cdf(x) / gamma3.cdf(t_strong)  # noqa: E731
+        assert stats.kstest(weak, truncated).pvalue > 1e-3
+
     def test_additivity_of_carriers(self, params):
-        # amplitude(k) must be distributed as the k-fold sum of amplitude(1)
+        # min(a + b + c, t) = min(min(a, t) + min(b, t) + min(c, t), t), so
+        # railed(3) has the law of the railed sum of three railed(1); the
+        # rail at 3 gain means keeps most of both samples below it
+        railed = replace(params, t_strong=3.0)
         rng = np.random.default_rng(77)
         k, n = 3, 20_000
-        direct = avalanche_amplitudes(np.full(n, k), params, rng)
-        summed = avalanche_amplitudes(np.ones((k, n), dtype=np.int64), params, rng).sum(axis=0)
+        direct = railed_amplitudes(np.full(n, k), railed, rng)
+        singles = railed_amplitudes(np.ones(k * n, dtype=np.int64), railed, rng)
+        summed = np.minimum(singles.reshape(k, n).sum(axis=0), railed.t_strong)
         assert stats.ks_2samp(direct, summed).pvalue > 1e-3
 
 
