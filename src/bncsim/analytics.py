@@ -203,9 +203,10 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     ks = np.arange(1, k_max + 1)
     log_pmf = ks * math.log(nu) - nu - special.gammaln(ks + 1)
     pmf = np.exp(log_pmf)
+    # the table may stop early where P underflows; the terms after it are 0
     cdf = weak_probabilities(k_max, params)[1:]
     fired = -math.expm1(-nu)
-    return float((pmf * cdf).sum() / fired)
+    return float((pmf[: cdf.size] * cdf).sum() / fired)
 
 
 def oracle_cm_success(mu: float, params: DetectorParams, split_only: bool) -> float:

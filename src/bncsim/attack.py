@@ -304,11 +304,10 @@ def railed_amplitudes(
     reads.  Each entry with ``k > 0`` draws one uniform u and inverts the
     Gamma(k) CDF: the avalanche stays below the rail iff u < P[k] (see
     :func:`~bncsim.signal_model.weak_probabilities`), and then has
-    amplitude gain_mean * gammaincinv(k, u), or -gain_mean * log1p(-u) at
-    k = 1.  This is the exact inverse CDF, and the amplitude itself is
-    computed only for the weak entries.  A weak draw that rounds up to
-    the rail reads as railed.  Entries with ``k = 0`` are 0 and draw
-    nothing.
+    amplitude gain_mean * gammaincinv(k, u).  This is the exact inverse
+    CDF, and the amplitude itself is computed only for the weak entries.
+    A weak draw that rounds up to the rail reads as railed.  Entries with
+    ``k = 0`` are 0 and draw nothing.
     """
     amp = np.zeros(np.shape(k))
     fired = np.flatnonzero(k)
@@ -316,12 +315,10 @@ def railed_amplitudes(
         return amp
     kf = k[fired]
     u = rng.random(fired.size)
-    weak = u < weak_probabilities(int(kf.max()), params)[kf]
+    # the table may stop before kf.max(); its last entry, 0, covers the rest
+    weak = u < weak_probabilities(int(kf.max()), params).take(kf, mode="clip")
     amp[fired] = params.t_strong
-    kw, uw = kf[weak], u[weak]
-    x = -np.log1p(-uw)
-    many = kw > 1
-    x[many] = special.gammaincinv(kw[many], uw[many])
+    x = special.gammaincinv(kf[weak], u[weak])
     amp[fired[weak]] = np.minimum(params.gain_mean * x, params.t_strong)
     return amp
 

@@ -376,6 +376,8 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
 
     When the report's manifest sits beside it, the table must have the
     SHA-256 the manifest records; a mismatch is a :class:`ConfigError`.
+    A manifest that records no digest (one written before the digest was
+    added) is not checked.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -384,8 +386,9 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
         entries = dict(
             line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
         )
+        # a manifest written before the digest was recorded has no entry
         recorded = entries.get("table_sha256")
-        if recorded != hashlib.sha256(data).hexdigest():
+        if recorded is not None and recorded != hashlib.sha256(data).hexdigest():
             raise ConfigError(
                 f"{path} does not match the table_sha256 of {manifest.name} ({recorded})"
             )

@@ -127,6 +127,14 @@ def weak_probabilities(k_max: int, params: DetectorParams) -> np.ndarray:
 
     The regularized lower incomplete gamma function at the rail,
     ``gammainc(k, t_strong / gain_mean)``; the empty avalanche (k = 0)
-    stays below it with certainty.
+    stays below it with certainty.  P falls with k, so the table stops
+    early at the first power of two ``k_rail`` where P underflows to 0:
+    every avalanche of ``k >= k_rail`` carriers is railed, and the table's
+    size is set by the parameters, not by ``k_max``.  Read it at
+    ``min(k, len - 1)``.
     """
-    return special.gammainc(np.arange(k_max + 1), params.t_strong / params.gain_mean)
+    x = params.t_strong / params.gain_mean
+    k_rail = 1
+    while k_rail < k_max and special.gammainc(k_rail, x) > 0.0:
+        k_rail *= 2
+    return special.gammainc(np.arange(min(k_max, k_rail) + 1), x)

@@ -67,6 +67,22 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="Poisson"):
             run_sweep(small_spec(flux_grid=(1.0, 1e20)), params)
 
+    def test_flux_far_above_the_rail_runs(self, params):
+        # 1e12 photons/pulse: 5e10 detected photons per arm and gate on the
+        # split balanced pair, 1e11 on the self-differencing APD, so every
+        # gate fires and every avalanche is railed; the sampler's P(k) table
+        # is sized by the detector parameters, not by the largest carrier count
+        for detector in (DetectorKind.BALANCED_BNC, DetectorKind.SELF_DIFFERENCING):
+            spec = small_spec(
+                flux_grid=(1e12,),
+                n_gates_per_point=SHARD_GATES,
+                detector=detector,
+                scenario=Scenario.BLINDING_ONLY,
+            )
+            row = run_sweep(spec, params).rows[0]
+            assert row.apd1_rate == params.f_gate
+            assert row.strong_ratio == 1.0 and row.weak_ratio == 0.0
+
     def test_sd_attack_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(detector=DetectorKind.SELF_DIFFERENCING)
@@ -145,6 +161,15 @@ class TestReportFiles:
         with pytest.raises(ConfigError, match="table_sha256"):
             load_report_rows(path)
         (tmp_path / "r.csv.manifest").unlink()
+        assert load_report_rows(path)[0]["flux"] == 0.2
+
+    def test_manifest_without_digest_not_checked(self, params, tmp_path):
+        # a manifest written before table_sha256 was recorded
+        path = emit_report(run_sweep(small_spec(), params), tmp_path / "r.csv")
+        manifest = tmp_path / "r.csv.manifest"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(x for x in lines if not x.startswith("table_sha256=")))
+        path.write_text(path.read_text().replace("\n0.1,", "\n0.2,"))
         assert load_report_rows(path)[0]["flux"] == 0.2
 
     def test_existing_report_replaced_whole(self, params, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from scipy import stats
 
 from bncsim.attack import AttackConfig, arm_means, detect_arm, railed_amplitudes
 from bncsim.errors import ConfigError
-from bncsim.signal_model import DetectorParams, PhaseSymbol
+from bncsim.signal_model import DetectorParams, PhaseSymbol, weak_probabilities
 
 ALL = list(PhaseSymbol)
 
@@ -143,6 +143,18 @@ class TestAvalancheAmplitude:
         assert oracle < 1e-6
         amps = railed_amplitudes(np.full(100_000, 10), params, rng)
         assert (amps < params.t_strong).sum() == 0
+
+    def test_probability_table_sized_by_parameters(self, params, rng):
+        # P(k) falls with k and underflows to 0 a little past the rail, so
+        # the table stops there however many carriers an avalanche holds
+        table = weak_probabilities(10**11, params)
+        assert table.size <= 1025 and table[-1] == 0.0
+        ks = np.arange(1, 11)
+        oracle = stats.gamma(a=ks, scale=params.gain_mean).cdf(params.t_strong)
+        np.testing.assert_allclose(table[1:11], oracle, rtol=1e-10)
+        assert weak_probabilities(5, params).size == 6
+        amps = railed_amplitudes(np.full(1000, 10**11), params, rng)
+        assert (amps == params.t_strong).all()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_strong_share(self, params, k):
