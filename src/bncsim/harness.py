@@ -386,7 +386,6 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
         entries = dict(
             line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
         )
-        # a manifest written before the digest was recorded has no entry
         recorded = entries.get("table_sha256")
         if recorded is not None and recorded != hashlib.sha256(data).hexdigest():
             raise ConfigError(
