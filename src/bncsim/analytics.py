@@ -209,26 +209,28 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     return float((pmf[: cdf.size] * cdf).sum() / fired)
 
 
-def oracle_cm_success(mu: float, params: DetectorParams, split_only: bool) -> float:
+def oracle_cm_success(mu: float, params: DetectorParams, split_share: float) -> float:
     """Analytic monitor yield (percent) for a run at flux ``mu``.
 
-    ``split_only`` models a run whose gates all split the flux between the
-    arms; otherwise half the gates are basis-matched (full flux on one
-    arm) and half split, matching the protocol's basis statistics.
+    ``split_share`` is the share of gates whose flux splits evenly between
+    two arms (mu*qe/2 detected carriers each); every other gate puts the
+    whole flux on one arm.  The protocol's basis statistics give 1/2, a
+    blinding-only or case-C run 1, and a case-A/B run or the
+    self-differencing APD 0.  The yield is the strong share of all
+    avalanches, pooled over both kinds of gate.
     """
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    nu_split = mu * params.qe / 2.0
-    fired_split = -math.expm1(-nu_split)
-    if split_only:
-        weak = weak_avalanche_fraction(nu_split, params)
-        return 100.0 * (1.0 - weak)
-    nu_full = mu * params.qe
-    fired_full = -math.expm1(-nu_full)
-    # avalanches per gate: one arm at full flux vs two arms at half flux
-    w_full = fired_full * weak_avalanche_fraction(nu_full, params)
-    w_split = 2.0 * fired_split * weak_avalanche_fraction(nu_split, params)
-    total = fired_full + 2.0 * fired_split
-    if total == 0.0:
+    if not 0.0 <= split_share <= 1.0:
+        raise ValueError(f"split_share must be in [0, 1], got {split_share}")
+    nu = mu * params.qe
+    weak = avalanches = 0.0
+    # (avalanching arms per gate, detected carriers per arm)
+    for arms, nu_arm in ((1.0 - split_share, nu), (2.0 * split_share, nu / 2.0)):
+        if arms:
+            fired = arms * -math.expm1(-nu_arm)
+            avalanches += fired
+            weak += fired * weak_avalanche_fraction(nu_arm, params)
+    if avalanches == 0.0:
         raise UndefinedQuantity("no avalanches expected at mu = 0")
-    return 100.0 * (1.0 - (0.5 * w_full + 0.5 * w_split) / (0.5 * total))
+    return 100.0 * (1.0 - weak / avalanches)

@@ -125,11 +125,13 @@ class GateTally:
     fired2: int = 0
     dark1: int = 0
     dark2: int = 0
-    click1: int = 0  # readout clicks: arm fired alone (two-APD), comparator C/D (balanced)
+    # readout clicks: arm fired alone (two-APD), comparator C/D (balanced),
+    # rise/fall of the difference signal (self-differencing, one arm)
+    click1: int = 0
     click2: int = 0
     doubles: int = 0  # both arms fired; the two-APD readout discards these
-    blind: int = 0  # monitor blinding flags (balanced only)
-    weak: int = 0  # avalanche amplitude census, both arms pooled (balanced only)
+    blind: int = 0  # monitor blinding flags (noise-cancelling receivers only)
+    weak: int = 0  # avalanche amplitude census, arms pooled (noise-cancelling only)
     strong: int = 0
     weak_coinc: int = 0  # both arms fired yet no event: cancelled weak pair
     casec_gates: int = 0  # gates with guess basis != receiver basis
@@ -481,14 +483,17 @@ def _run_sharded(
     shard_gates: int,
     block: Callable[[int, np.random.Generator], GateTally],
 ) -> GateTally:
-    """Run ``block(gates, rng)`` over shards and merge the counters with ``+``.
+    """Run ``block(gates, rng)`` over shards, in order, and merge the
+    counters with ``+``.
 
     Shard ``i`` draws from the child ``seed_seq.spawn`` would give first
     (spawn key extended by ``i``), derived without spawning so that
     ``seed_seq`` is left unchanged.  The result thus depends only on the
-    seed and the shard size: not on earlier uses of ``seed_seq``, nor on
-    how shards are distributed over workers.  Memory is bounded by one
-    shard.
+    seed and the shard size, not on earlier uses of ``seed_seq``.  The
+    gate-pipeline shards are independent and could run on any worker; a
+    self-differencing shard starts its delay register from the previous
+    shard's last amplitude, so those shards must run in order.  Memory is
+    bounded by one shard.
     """
     if shard_gates <= 0:
         raise ConfigError("shard_gates must be positive")

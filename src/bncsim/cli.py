@@ -158,8 +158,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if probs.p1 + probs.p_s > 0:
         print(f"attack_qber={attack_qber(probs.p1, probs.p_s):.10g}")
     if mu > 0:
-        print(f"cm_success_mixed={oracle_cm_success(mu, params, split_only=False):.10g}")
-        print(f"cm_success_split={oracle_cm_success(mu, params, split_only=True):.10g}")
+        print(f"cm_success_mixed={oracle_cm_success(mu, params, 0.5):.10g}")
+        print(f"cm_success_split={oracle_cm_success(mu, params, 1.0):.10g}")
     if args.p_ave is not None and args.rep_rate is not None and args.mu_eve_alice is not None:
         budget = LinkBudget(
             p_ave_w=args.p_ave,

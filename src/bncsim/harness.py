@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,6 +37,7 @@ from .attack import (
     DetectorKind,
     GateTally,
     Scenario,
+    _run_sharded,
     detect_arm,
     railed_amplitudes,
     run_attack,
@@ -50,29 +51,6 @@ DEFAULT_FLUX_GRID: tuple[float, ...] = tuple(
 )
 #: Flux points the landmark checks need.
 LANDMARK_FLUX_GRID: tuple[float, ...] = (0.1, 1.0, 10.0, 30.0, 100.0, 500.0)
-
-REPORT_COLUMNS = (
-    "flux",
-    "gates",
-    "apd1_rate",
-    "apd2_rate",
-    "diff1_rate",
-    "diff2_rate",
-    "weak_ratio",
-    "strong_ratio",
-    "cm_rate",
-    "qber",
-    "cm_success",
-    "casec_diff1_rate",
-    "casec_diff2_rate",
-    "casec_cm_frac",
-    "weak_coinc_rate",
-    "oracle_rate_same_phase",
-    "oracle_rate_diff_phase",
-    "oracle_qber",
-    "oracle_cm_success",
-    "oracle_regime",
-)
 
 
 @dataclass(frozen=True)
@@ -113,8 +91,10 @@ class SweepSpec:
 
     @property
     def cm_enabled(self) -> bool:
+        """The blinding monitor runs: a noise-cancelling receiver, not
+        under ``attack_no_cm``."""
         return (
-            self.detector is DetectorKind.BALANCED_BNC
+            self.detector is not DetectorKind.BASELINE_TWO_APD
             and self.scenario is not Scenario.ATTACK_NO_CM
         )
 
@@ -143,6 +123,10 @@ class ReportRow:
     oracle_regime: str
 
 
+#: Report header: the fields of :class:`ReportRow`, in order.
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass
 class RunReport:
     spec: SweepSpec
@@ -165,7 +149,7 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _oracle_columns(
-    mu: float, params: DetectorParams, split_only: bool
+    mu: float, params: DetectorParams, split_share: float
 ) -> tuple[float, float, float, float, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
@@ -173,9 +157,26 @@ def _oracle_columns(
         diff = ideal_click_rate_diff_phase(mu, params.qe, params.f_gate)
     probs = click_probabilities(mu, params.qe)
     qber = attack_qber(probs.p1, probs.p_s) if (probs.p1 + probs.p_s) > 0 else math.nan
-    cm = oracle_cm_success(mu, params, split_only) if mu > 0 else math.nan
+    cm = oracle_cm_success(mu, params, split_share) if mu > 0 else math.nan
     regime = "ok" if mu * params.qe <= LINEAR_REGIME_MAX else "extrapolated"
     return same, diff, qber, cm, regime
+
+
+def _split_share(spec: SweepSpec) -> float:
+    """Share of a sweep's gates whose flux splits evenly between two arms.
+
+    The self-differencing APD sees every pulse whole.  On the pair, a
+    blinding-only gate always splits; otherwise a gate splits when the
+    pulse's basis differs from the receiver's (case C), which is half
+    the gates unless a case filter keeps only C or only A/B.
+    """
+    if spec.detector is DetectorKind.SELF_DIFFERENCING:
+        return 0.0
+    if spec.scenario is Scenario.BLINDING_ONLY:
+        return 1.0
+    labels = spec.case_filter or {"A", "B", "C"}
+    split, matched = "C" in labels, bool(labels & {"A", "B"})
+    return 0.5 if split and matched else float(split)
 
 
 def _row_from_tally(
@@ -183,18 +184,19 @@ def _row_from_tally(
 ) -> ReportRow:
     f = params.f_gate
     per_gate = lambda count: count / tally.gates * f  # noqa: E731
-    has_monitor = spec.detector is DetectorKind.BALANCED_BNC
+    has_monitor = spec.detector is not DetectorKind.BASELINE_TWO_APD
+    # the self-differencing receiver has one APD and no guess basis to
+    # split its gates by
+    two_arms = spec.detector is not DetectorKind.SELF_DIFFERENCING
+    pair_monitor = has_monitor and two_arms
     cm_on = spec.cm_enabled
     avalanches = tally.weak + tally.strong
-    split_only = spec.scenario is Scenario.BLINDING_ONLY or (
-        spec.case_filter is not None and set(spec.case_filter) == {"C"}
-    )
-    same, diff, oq, ocm, regime = _oracle_columns(mu, params, split_only)
+    same, diff, oq, ocm, regime = _oracle_columns(mu, params, _split_share(spec))
     return ReportRow(
         flux=mu,
         gates=tally.gates,
         apd1_rate=per_gate(tally.fired1),
-        apd2_rate=per_gate(tally.fired2),
+        apd2_rate=per_gate(tally.fired2) if two_arms else math.nan,
         diff1_rate=per_gate(tally.click1) if has_monitor else math.nan,
         diff2_rate=per_gate(tally.click2) if has_monitor else math.nan,
         weak_ratio=_ratio(tally.weak, avalanches) if has_monitor else math.nan,
@@ -204,10 +206,12 @@ def _row_from_tally(
         cm_success=(
             100.0 * _ratio(tally.strong, avalanches) if cm_on else math.nan
         ),
-        casec_diff1_rate=per_gate(tally.casec_click1) if has_monitor else math.nan,
-        casec_diff2_rate=per_gate(tally.casec_click2) if has_monitor else math.nan,
-        casec_cm_frac=_ratio(tally.casec_blind, tally.casec_gates) if cm_on else math.nan,
-        weak_coinc_rate=per_gate(tally.weak_coinc) if has_monitor else math.nan,
+        casec_diff1_rate=per_gate(tally.casec_click1) if pair_monitor else math.nan,
+        casec_diff2_rate=per_gate(tally.casec_click2) if pair_monitor else math.nan,
+        casec_cm_frac=(
+            _ratio(tally.casec_blind, tally.casec_gates) if cm_on and two_arms else math.nan
+        ),
+        weak_coinc_rate=per_gate(tally.weak_coinc) if pair_monitor else math.nan,
         oracle_rate_same_phase=same,
         oracle_rate_diff_phase=diff,
         oracle_qber=oq,
@@ -217,50 +221,35 @@ def _row_from_tally(
 
 
 def _run_sd_point(
-    mu: float, spec: SweepSpec, params: DetectorParams, seed_seq: np.random.SeedSequence
-) -> ReportRow:
+    mu: float, n_gates: int, params: DetectorParams, seed_seq: np.random.SeedSequence
+) -> GateTally:
     """Signal-level sweep point for the self-differencing receiver.
 
     One APD sees the whole pulse, so the gate kernel draws it at mean
-    mu*qe.  The point runs as one block: the delay register compares each
-    gate with the one before, and shards would start it cold again.
+    mu*qe.  The point runs in shards like the gate pipeline; each shard
+    starts the delay register from the previous shard's last amplitude,
+    so the event stream is the one a single block would give.  Rises
+    count as ``click1``, delayed falls as ``click2``.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n = spec.n_gates_per_point
-    arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
-    amps = railed_amplitudes(arm.k, params, rng)
-    codes = sd_event_codes(amps, params)
-    fired = arm.k > 0
-    weak = int((fired & (amps < params.t_strong)).sum())
-    strong = int((amps >= params.t_strong).sum())
-    f = params.f_gate
-    rise = int(((codes == SdGateEvent.STRONG_RISE) | (codes == SdGateEvent.WEAK_RISE)).sum())
-    fall = int((codes == SdGateEvent.DELAYED_FALL).sum())
-    blind = int((codes == SdGateEvent.BLINDING_DETECTED).sum())
-    same, diff, oq, ocm, regime = _oracle_columns(mu, params, split_only=False)
-    avalanches = weak + strong
-    return ReportRow(
-        flux=mu,
-        gates=n,
-        apd1_rate=fired.sum() / n * f,
-        apd2_rate=math.nan,
-        diff1_rate=rise / n * f,
-        diff2_rate=fall / n * f,
-        weak_ratio=_ratio(weak, avalanches),
-        strong_ratio=_ratio(strong, avalanches),
-        cm_rate=blind / n * f,
-        qber=math.nan,
-        cm_success=100.0 * _ratio(strong, avalanches),
-        casec_diff1_rate=math.nan,
-        casec_diff2_rate=math.nan,
-        casec_cm_frac=math.nan,
-        weak_coinc_rate=math.nan,
-        oracle_rate_same_phase=same,
-        oracle_rate_diff_phase=diff,
-        oracle_qber=oq,
-        oracle_cm_success=ocm,
-        oracle_regime=regime,
-    )
+    register = 0.0
+
+    def block(n: int, rng: np.random.Generator) -> GateTally:
+        nonlocal register
+        arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
+        amps = railed_amplitudes(arm.k, params, rng)
+        counts = np.bincount(sd_event_codes(amps, params, register), minlength=len(SdGateEvent))
+        register = float(amps[-1])
+        # counts in SdGateEvent order; a railed amplitude sets comparator A,
+        # which reads as a strong rise or a blinding flag
+        _, strong_rise, fall, weak_rise, blind = counts.tolist()
+        fired = int(np.count_nonzero(arm.k))
+        strong = strong_rise + blind
+        return GateTally(
+            gates=n, pe1=arm.pe, fired1=fired, dark1=arm.dark, click1=strong_rise + weak_rise,
+            click2=fall, blind=blind, weak=fired - strong, strong=strong,
+        )
+
+    return _run_sharded(n_gates, seed_seq, SHARD_GATES, block)
 
 
 def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
@@ -283,16 +272,16 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     for mu in spec.flux_grid:
         seed_seq = point_seed(spec.seed, mu)
         if spec.detector is DetectorKind.SELF_DIFFERENCING:
-            report.rows.append(_run_sd_point(mu, spec, params, seed_seq))
-            continue
-        config = AttackConfig(
-            n_pulses=spec.n_gates_per_point,
-            resend_mu=mu,
-            scenario=spec.scenario,
-            detector=spec.detector,
-            case_filter=spec.case_filter,
-        )
-        tally = run_attack(config, params, seed_seq)
+            tally = _run_sd_point(mu, spec.n_gates_per_point, params, seed_seq)
+        else:
+            config = AttackConfig(
+                n_pulses=spec.n_gates_per_point,
+                resend_mu=mu,
+                scenario=spec.scenario,
+                detector=spec.detector,
+                case_filter=spec.case_filter,
+            )
+            tally = run_attack(config, params, seed_seq)
         report.rows.append(_row_from_tally(mu, tally, spec, params))
     return report
 
@@ -307,13 +296,7 @@ def report_to_csv(report: RunReport) -> str:
 def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
     """Canonical key=value rendering of the resolved configuration."""
     values = {
-        "qe": params.qe,
-        "dcp_apd1": params.dcp_apd1,
-        "dcp_apd2": params.dcp_apd2,
-        "f_gate": params.f_gate,
-        "gain_mean": params.gain_mean,
-        "t_strong": params.t_strong,
-        "t_diff": params.t_diff,
+        **asdict(params),
         "scenario": spec.scenario.value,
         "detector": spec.detector.value,
         "gates": spec.n_gates_per_point,
@@ -498,15 +481,7 @@ def verify_landmarks(
 
 # --- configuration files ---------------------------------------------------
 
-_PARAM_KEYS = {
-    "qe": float,
-    "dcp_apd1": float,
-    "dcp_apd2": float,
-    "f_gate": float,
-    "gain_mean": float,
-    "t_strong": float,
-    "t_diff": float,
-}
+_PARAM_KEYS = {f.name: float for f in fields(DetectorParams)}
 _SWEEP_KEYS = {
     "seed": int,
     "gates": int,
@@ -539,15 +514,8 @@ def resolve_config(
     overrides: Optional[dict[str, object]] = None,
 ) -> tuple[SweepSpec, DetectorParams, dict[str, object]]:
     """Merge defaults, config-file values, and CLI overrides (highest wins)."""
-    defaults = DetectorParams.default()
     merged: dict[str, object] = {
-        "qe": defaults.qe,
-        "dcp_apd1": defaults.dcp_apd1,
-        "dcp_apd2": defaults.dcp_apd2,
-        "f_gate": defaults.f_gate,
-        "gain_mean": defaults.gain_mean,
-        "t_strong": defaults.t_strong,
-        "t_diff": defaults.t_diff,
+        **asdict(DetectorParams.default()),
         "seed": 0,
         "gates": 100_000,
         "scenario": Scenario.ATTACK_CM.value,
@@ -567,15 +535,7 @@ def resolve_config(
             merged[key] = value
 
     try:
-        params = DetectorParams(
-            qe=float(merged["qe"]),
-            dcp_apd1=float(merged["dcp_apd1"]),
-            dcp_apd2=float(merged["dcp_apd2"]),
-            f_gate=float(merged["f_gate"]),
-            gain_mean=float(merged["gain_mean"]),
-            t_strong=float(merged["t_strong"]),
-            t_diff=float(merged["t_diff"]),
-        )
+        params = DetectorParams(**{key: float(merged[key]) for key in _PARAM_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

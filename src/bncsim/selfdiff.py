@@ -57,17 +57,22 @@ def sd_word_codes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return codes
 
 
-def sd_event_codes(amplitudes: np.ndarray, params: DetectorParams) -> np.ndarray:
+def sd_event_codes(
+    amplitudes: np.ndarray, params: DetectorParams, register: float = 0.0
+) -> np.ndarray:
     """Event stream for a gate-amplitude sequence.
 
     The three monitor comparators read the live amplitude and the delay
     register, which holds the previous gate's railed level.  The register
-    starts cold (zero); entry ``t`` compares amplitude ``t`` against
-    amplitude ``t - 1``.
+    starts at ``register``, the amplitude of the gate before the sequence
+    (0.0, the default, is a cold start); entry ``t`` compares amplitude
+    ``t`` against amplitude ``t - 1``.  A stream cut anywhere thus gives
+    the same codes as one call when each part starts from the last
+    amplitude of the part before.
     """
     amps = np.asarray(amplitudes, dtype=float)
     v = np.minimum(amps, params.t_strong)
-    v_del = np.concatenate(([0.0], v[:-1])) if amps.size else v
+    v_del = np.concatenate(([min(register, params.t_strong)], v[:-1])) if amps.size else v
     a = amps >= params.t_strong
     b = (v_del - v) >= params.t_diff
     c = (v - v_del) >= params.t_diff

@@ -56,6 +56,11 @@ class PhaseSymbol(IntEnum):
 #: Phases available to the measuring side (basis selectors).
 RECEIVER_PHASES = (PhaseSymbol.ZERO, PhaseSymbol.HALF_PI)
 
+#: Most entries the P(k) table of :func:`weak_probabilities` may hold, 16 MB
+#: of float64.  The table grows as t_strong / gain_mean, so
+#: :class:`DetectorParams` rejects a ratio that would need a larger one.
+WEAK_TABLE_MAX = 2**21 + 1
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -102,6 +107,14 @@ class DetectorParams:
             raise ConfigError("gain_mean must be positive")
         if not 0.0 < self.t_diff < self.t_strong:
             raise ConfigError("thresholds must satisfy 0 < t_diff < t_strong")
+        # the table stops at the first power of two k where P(k) underflows
+        # to 0, so it stays within WEAK_TABLE_MAX entries iff P(2**21) is 0
+        ratio = self.t_strong / self.gain_mean
+        if special.gammainc(WEAK_TABLE_MAX - 1, ratio) > 0.0:
+            raise ConfigError(
+                f"t_strong / gain_mean = {ratio:.6g} is too large: its weak-avalanche "
+                f"table would exceed {WEAK_TABLE_MAX} entries"
+            )
 
     @classmethod
     def default(cls) -> "DetectorParams":

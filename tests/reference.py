@@ -74,9 +74,10 @@ def sd_event(a, b, c):
     return "NO_EVENT"
 
 
-def sd_stream(amplitudes, t_strong, t_diff):
-    """Event names of a gate stream; the delay register starts at zero."""
-    register = 0.0
+def sd_stream(amplitudes, t_strong, t_diff, register=0.0):
+    """Event names of a gate stream; the delay register starts at
+    ``register``, the amplitude of the gate before the stream (zero for a
+    cold start)."""
     events = []
     for amp in amplitudes:
         events.append(sd_event(*sd_word(amp, register, t_strong, t_diff)))

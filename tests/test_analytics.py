@@ -160,5 +160,21 @@ class TestWeakFraction:
 
     def test_oracle_cm_success_at_single_photon(self, params):
         # mixed-basis traffic at mu=1 keeps roughly 10% weak avalanches
-        value = oracle_cm_success(1.0, params, split_only=False)
+        value = oracle_cm_success(1.0, params, 0.5)
         assert 88.0 < value < 92.0
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 30.0])
+    def test_oracle_cm_success_pure_gate_mixes(self, params, mu):
+        # no split gates: one arm at the full flux; all split: two arms at half
+        nu = mu * params.qe
+        one_arm = 100.0 * (1.0 - weak_avalanche_fraction(nu, params))
+        split = 100.0 * (1.0 - weak_avalanche_fraction(nu / 2.0, params))
+        assert oracle_cm_success(mu, params, 0.0) == pytest.approx(one_arm, rel=1e-12)
+        assert oracle_cm_success(mu, params, 1.0) == pytest.approx(split, rel=1e-12)
+        mixed = oracle_cm_success(mu, params, 0.5)
+        assert min(one_arm, split) <= mixed <= max(one_arm, split)
+
+    def test_oracle_cm_success_validation(self, params):
+        for share in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                oracle_cm_success(1.0, params, share)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from bncsim.harness import (
     run_sweep,
     verify_landmarks,
 )
+from bncsim.selfdiff import SdGateEvent
 from bncsim.signal_model import DetectorParams
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_spec(**kwargs):
@@ -275,6 +280,88 @@ class TestReportRowInvariants:
         # a continuous bright train cancels gate against gate
         assert high.cm_rate > 0.99 * params.f_gate
         assert high.weak_ratio < 1e-3
+        # one APD and no guess basis: the second-arm and case-C columns stay nan
+        for col in (
+            "apd2_rate", "casec_diff1_rate", "casec_diff2_rate", "casec_cm_frac", "weak_coinc_rate"
+        ):
+            assert math.isnan(getattr(low, col)), col
+        assert low.diff1_rate > 0.0 and low.diff2_rate > 0.0 and low.cm_success > 0.0
+
+
+def sd_spec(mu, gates):
+    return small_spec(
+        flux_grid=(mu,),
+        n_gates_per_point=gates,
+        scenario=Scenario.BLINDING_ONLY,
+        detector=DetectorKind.SELF_DIFFERENCING,
+    )
+
+
+class TestSelfDifferencingShards:
+    def test_register_carried_across_shards(self, params, monkeypatch):
+        import bncsim.harness as harness
+
+        calls = []
+        original = harness.sd_event_codes
+
+        def spy(amps, p, register=0.0):
+            calls.append((amps, register))
+            return original(amps, p, register)
+
+        monkeypatch.setattr(harness, "sd_event_codes", spy)
+        row = run_sweep(sd_spec(500.0, SHARD_GATES * 5 // 2), params).rows[0]
+        assert len(calls) == 3
+        assert [r for _, r in calls] == [0.0] + [a[-1] for a, _ in calls[:-1]]
+        # the shards count what one pass over the joined stream counts
+        counts = np.bincount(
+            original(np.concatenate([a for a, _ in calls]), params), minlength=len(SdGateEvent)
+        )
+        per_gate = lambda count: count / row.gates * params.f_gate  # noqa: E731
+        rise = counts[SdGateEvent.STRONG_RISE] + counts[SdGateEvent.WEAK_RISE]
+        assert row.diff1_rate == per_gate(rise)
+        assert row.diff2_rate == per_gate(counts[SdGateEvent.DELAYED_FALL])
+        assert row.cm_rate == per_gate(counts[SdGateEvent.BLINDING_DETECTED])
+        # a bright train cancels gate against gate: the only rise is the
+        # first gate's, none at a shard boundary
+        assert rise == 1
+
+    def test_memory_bounded_by_one_shard(self, params):
+        def peak(gates):
+            tracemalloc.start()
+            try:
+                run_sweep(sd_spec(0.1, gates), params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
+
+
+@pytest.mark.parametrize(
+    "detector,scenario,case_filter",
+    [
+        (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, None),
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("A")),
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("C")),
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, None),
+    ],
+)
+def test_cm_success_within_5_sigma_of_oracle(params, detector, scenario, case_filter):
+    # mu = 30: one arm at full flux keeps 1.7% weak avalanches, a split
+    # pair 3.4%, so a column modelling the wrong gate mix is tens of sigma off
+    spec = small_spec(
+        flux_grid=(30.0,),
+        n_gates_per_point=200_000,
+        scenario=scenario,
+        detector=detector,
+        case_filter=case_filter,
+        seed=30,
+    )
+    row = run_sweep(spec, params).rows[0]
+    avalanches = np.nansum([row.apd1_rate, row.apd2_rate]) / params.f_gate * row.gates
+    p = row.oracle_cm_success / 100.0
+    sigma = 100.0 * math.sqrt(p * (1.0 - p) / avalanches)
+    assert abs(row.cm_success - row.oracle_cm_success) <= 5.0 * sigma
 
 
 class TestVerifyLandmarks:
@@ -341,6 +428,16 @@ class TestConfigFiles:
         cfg.write_text("qe = fast\n")
         with pytest.raises(ConfigError):
             resolve_config(parse_config_file(cfg))
+
+    def test_landmark_config_resolves(self):
+        spec, params, merged = resolve_config(parse_config_file(CONFIGS / "landmarks.cfg"))
+        assert spec.flux_grid == LANDMARK_FLUX_GRID
+        assert spec.scenario is Scenario.ATTACK_CM
+        assert spec.detector is DetectorKind.BALANCED_BNC
+        assert spec.n_gates_per_point == 1_000_000 and spec.seed == 20260809
+        assert spec.case_filter is None
+        assert params == DetectorParams.default()
+        assert merged["out"] == "landmarks.csv"
 
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
@@ -454,6 +551,21 @@ class TestCli:
         assert "error:" in err and "must be finite" in err
         assert not out.exists()
         assert main(["oracle", "--mu", "1", "--f-gate", "nan"]) == 2
+
+    def test_oversized_weak_table_exits_2_before_any_gate(self, tmp_path, capsys, monkeypatch):
+        import bncsim.cli as cli
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(cli, "run_sweep", no_gates)
+        cfg = tmp_path / "tiny_gain.cfg"
+        cfg.write_text("gain_mean = 1e-9\n")
+        out = tmp_path / "tiny_gain.csv"
+        argv = ["sweep", "--config", str(cfg), "--flux", "0.1,500", "--gates", "10000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "t_strong / gain_mean" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_rejects_table_changed_after_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

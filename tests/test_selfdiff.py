@@ -129,3 +129,25 @@ def test_stream_matches_vectorized_classifier(params):
     codes = sd_event_codes(amps, params)
     expected = sd_stream(amps, params.t_strong, params.t_diff)
     assert [SdGateEvent(code).name for code in codes] == expected
+
+
+@given(
+    amps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.3)), max_size=40),
+    cut=st.integers(0, 40),
+    register=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+)
+def test_cut_stream_carries_register(amps, cut, register):
+    """A stream cut at any gate, the second part starting from the last
+    amplitude of the first, gives the codes of one call, and both match
+    the per-gate delay-register reference."""
+    p = quiet_params()
+    amps = np.array(amps)
+    cut = min(cut, amps.size)
+    whole = sd_event_codes(amps, p, register)
+    carried = amps[cut - 1] if cut else register
+    parts = np.concatenate(
+        [sd_event_codes(amps[:cut], p, register), sd_event_codes(amps[cut:], p, carried)]
+    )
+    assert (parts == whole).all()
+    expected = sd_stream(amps, p.t_strong, p.t_diff, register)
+    assert [SdGateEvent(code).name for code in whole] == expected

@@ -9,7 +9,12 @@ from scipy import stats
 
 from bncsim.attack import AttackConfig, arm_means, detect_arm, railed_amplitudes
 from bncsim.errors import ConfigError
-from bncsim.signal_model import DetectorParams, PhaseSymbol, weak_probabilities
+from bncsim.signal_model import (
+    WEAK_TABLE_MAX,
+    DetectorParams,
+    PhaseSymbol,
+    weak_probabilities,
+)
 
 ALL = list(PhaseSymbol)
 
@@ -155,6 +160,26 @@ class TestAvalancheAmplitude:
         assert weak_probabilities(5, params).size == 6
         amps = railed_amplitudes(np.full(1000, 10**11), params, rng)
         assert (amps == params.t_strong).all()
+
+    def test_largest_accepted_ratio_bounds_the_table(self, params):
+        # bisect t_strong / gain_mean down to adjacent floats: the largest
+        # ratio DetectorParams accepts builds a table of WEAK_TABLE_MAX entries
+        # at any carrier count, and the next float up is rejected
+        def accepted(ratio):
+            try:
+                return replace(params, gain_mean=1.0, t_strong=ratio)
+            except ConfigError:
+                return None
+
+        lo, hi = 1.0, 1e8
+        assert accepted(lo) and not accepted(hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        table = weak_probabilities(10**11, accepted(lo))
+        assert table.size == WEAK_TABLE_MAX and table[-1] == 0.0
+        with pytest.raises(ConfigError, match="t_strong / gain_mean"):
+            replace(params, gain_mean=1.0, t_strong=hi)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_strong_share(self, params, k):
