@@ -8,14 +8,18 @@ noise-cancelling detector, the simultaneous avalanches cancel and the
 gate goes silent instead of producing the 50/50 error clicks that would
 raise the sifted error rate.
 
-The per-gate pipeline is embarrassingly parallel, so the engine runs on
-numpy arrays in shards; shard results merge by plain field-wise addition,
-making the aggregate independent of how shards are grouped over workers.
+A gate's fate depends only on its protocol class, so the engine draws a
+shard's class counts and runs the numpy gate kernel per phase difference;
+shard results merge by plain field-wise addition, making the aggregate
+independent of how shards are grouped over workers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -135,7 +139,7 @@ class GateTally:
     strong: int = 0
     weak_coinc: int = 0  # both arms fired yet no event: cancelled weak pair
     casec_gates: int = 0  # gates with guess basis != receiver basis
-    casec_click1: int = 0
+    casec_click1: int = 0  # readout clicks and monitor flags on those gates
     casec_click2: int = 0
     casec_blind: int = 0
     sifted: int = 0
@@ -160,9 +164,8 @@ class GateTally:
 class AttackConfig:
     """One run of the gate pipeline.
 
-    ``case_filter`` conditions the guess-basis draw: ``{"C"}`` forces a
-    basis mismatch every gate, ``{"A"}``/``{"B"}``/``{"A","B"}`` force a
-    match (A and B share configurations; B is the detection-loss branch).
+    ``case_filter`` keeps the protocol classes of the case labels it
+    names (see :func:`protocol_classes`).
     """
 
     n_pulses: int
@@ -181,41 +184,83 @@ class AttackConfig:
                 "the self-differencing receiver is not wired into the gate "
                 "pipeline; use the harness stream runner"
             )
-        if self.case_filter is not None:
-            bad = set(self.case_filter) - {"A", "B", "C"}
-            if bad:
-                raise ConfigError(f"unknown case labels in filter: {sorted(bad)}")
-            if self.scenario is Scenario.BLINDING_ONLY:
-                raise ConfigError("blinding_only ignores case filters")
+        protocol_classes(self.scenario, self.case_filter)  # rejects a filter it cannot apply
 
 
-def _forced_mismatch(case_filter: Optional[frozenset[str]]) -> Optional[bool]:
-    """None: unconstrained; True: force basis mismatch; False: force match."""
-    if not case_filter:
-        return None
-    has_c = "C" in case_filter
-    has_ab = bool(set(case_filter) & {"A", "B"})
-    if has_c and has_ab:
-        return None
-    return has_c
+class GateClasses(NamedTuple):
+    """Protocol classes of a gate, sorted by phase difference (which fixes
+    both arm means).  Gates are i.i.d. given their class."""
+
+    weight: np.ndarray  # probability of the class; the weights sum to 1
+    delta: np.ndarray  # phase difference at the receiver, in quarter turns
+    casec: np.ndarray  # guess basis != receiver basis
+    sift: np.ndarray  # sender basis == receiver basis
+    bit: np.ndarray  # the sender's bit
 
 
-def sift_counts(
-    alice_basis: np.ndarray,
-    alice_bit: np.ndarray,
-    bob_basis: np.ndarray,
-    click1: np.ndarray,
-    click2: np.ndarray,
-) -> tuple[int, int]:
-    """Array-level sifting reduction: (kept gates, error gates).
+def _class_table(rows: list[tuple[int, bool, bool, int]]) -> GateClasses:
+    """Collapse equally likely (delta, casec, sift, bit) rows into classes;
+    the arrays are read-only, since tables are cached and shared."""
+    counts = Counter(rows)
+    keys = sorted(counts)
+    delta, casec, sift, bit = (np.array(column) for column in zip(*keys))
+    weight = np.array([counts[key] for key in keys]) / len(rows)
+    table = GateClasses(weight, delta, casec, sift, bit)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
-    Same contract as building per-gate records and scoring them: a gate is
-    kept when the bases agree and it clicked, and errs when the decoded
-    bit (APD 1 -> 0, APD 2 -> 1) disagrees with the sender's bit.
+
+def pinned_class(delta: int) -> GateClasses:
+    """One class: every gate at phase difference ``delta``, nothing sifted."""
+    return _class_table([(delta, False, False, 0)])
+
+
+@functools.lru_cache(maxsize=None)
+def protocol_classes(
+    scenario: Scenario, case_filter: Optional[frozenset[str]] = None
+) -> GateClasses:
+    """The class table of a scenario, from its 32 equally likely protocol
+    tuples (sender basis and bit, receiver basis, resender basis, coin).
+
+    The resender resends the sender's phase when her guess basis matches
+    the sender's, and a coin-flip phase in her own basis when it does
+    not; case C is a guess basis that differs from the receiver's.
+    ``honest`` sends the sender's phase, and its case C is a sender basis
+    that differs from the receiver's.  ``case_filter`` keeps the tuples
+    of the labels it names: C, or A and B, which share the matched-basis
+    tuples (B is their detection-loss branch).  ``blinding_only`` is one
+    class, conjugate-basis flux every gate, all case C, no key channel;
+    it takes no filter.  A filter it cannot apply is a ConfigError.
     """
-    kept = (alice_basis == bob_basis) & (click1 | click2)
-    errors = kept & (click2.astype(np.int64) != alice_bit)
-    return int(kept.sum()), int(errors.sum())
+    if case_filter is not None and not case_filter <= set("ABC"):
+        raise ConfigError(f"unknown case labels in filter: {sorted(case_filter - set('ABC'))}")
+    if scenario is Scenario.BLINDING_ONLY:
+        if case_filter is not None:
+            raise ConfigError("blinding_only ignores case filters")
+        return _class_table([(1, True, False, 0)])
+    rows = []
+    for alice_basis, bit, bob_basis, eve_basis, coin in itertools.product((0, 1), repeat=5):
+        alice_q = alice_basis + 2 * bit
+        if scenario is Scenario.HONEST:
+            send_q, casec = alice_q, alice_basis != bob_basis
+        else:
+            send_q = alice_q if alice_basis == eve_basis else eve_basis + 2 * coin
+            casec = eve_basis != bob_basis
+        if not case_filter or case_filter & set("C" if casec else "AB"):
+            rows.append(((send_q - bob_basis) % 4, casec, alice_basis == bob_basis, bit))
+    return _class_table(rows)
+
+
+def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
+    """Sifting reduction over classes (or single gates) and their clicks
+    on APD 1 and 2: (kept gates, error gates).  A click is kept when the
+    class sifts, and errs when the decoded bit (APD 1 -> 0, APD 2 -> 1)
+    disagrees with the class's bit.
+    """
+    kept1 = np.where(sift, click1, 0)
+    kept2 = np.where(sift, click2, 0)
+    return int(kept1.sum() + kept2.sum()), int(np.where(bit, kept1, kept2).sum())
 
 
 #: Gates per shard of :func:`run_attack` and :func:`run_fixed`.  Results
@@ -377,103 +422,80 @@ def detect_pair(
     return PairReadout(arm1, arm2, idx, fired1, fired2, c, d, a, b)
 
 
-def _count_readout(
-    gates: PairReadout, n: int, casec: Optional[np.ndarray] = None
-) -> GateTally:
-    """Count one block of ``n`` gates from its fired-gate readout:
-    detections, clicks and doubles on both receivers; blinding flags and
-    the amplitude census on the balanced one.
+def _count_readout(gates: PairReadout, counts: np.ndarray) -> tuple[GateTally, np.ndarray]:
+    """Count one block from its fired-gate readout: detections, clicks and
+    doubles on both receivers; blinding flags and the amplitude census on
+    the balanced one.
 
-    ``casec`` marks, over all ``n`` gates, those whose guess basis
-    differs from the receiver's; the balanced receiver's clicks and flags
-    on them are also counted apart.
+    The block's gates are ``counts[j]`` gates of class j after one
+    another, so the fired gates of each class are one slice of the
+    readout.  Also returns the per-class counts of click1, click2 and
+    blinding flags, shape (3, classes).
     """
+    ends = np.searchsorted(gates.idx, np.cumsum(counts)).tolist()
+    slices = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
     fired1, fired2 = gates.fired1, gates.fired2
     both = fired1 & fired2
     tally = GateTally(
-        gates=n,
+        gates=int(counts.sum()),
         pe1=gates.arm1.pe,
         pe2=gates.arm2.pe,
         fired1=int(fired1.sum()),
         fired2=int(fired2.sum()),
         dark1=gates.arm1.dark,
         dark2=gates.arm2.dark,
-        click1=int(gates.click1.sum()),
-        click2=int(gates.click2.sum()),
         doubles=int(both.sum()),
     )
-    if casec is not None:
-        tally.casec_gates = int(casec.sum())
-        casec = casec[gates.idx]
-    if gates.raw1 is None:
-        return tally
-    a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
-    raw = a | b
-    silent = ~(c | d)
-    blind = raw & silent
-    tally.blind = int(blind.sum())
-    tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
-    tally.strong = int(a.sum() + b.sum())
-    tally.weak_coinc = int((both & silent & ~raw).sum())
-    if casec is not None:
-        tally.casec_click1 = int((c & casec).sum())
-        tally.casec_click2 = int((d & casec).sum())
-        tally.casec_blind = int((blind & casec).sum())
-    return tally
+    masks = [gates.click1, gates.click2]
+    if gates.raw1 is not None:
+        a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
+        raw = a | b
+        silent = ~(c | d)
+        masks.append(raw & silent)
+        tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
+        tally.strong = int(a.sum() + b.sum())
+        tally.weak_coinc = int((both & silent & ~raw).sum())
+    by_class = np.zeros((3, counts.size), dtype=np.int64)
+    by_class[: len(masks)] = [[np.count_nonzero(m[sl]) for sl in slices] for m in masks]
+    tally.click1, tally.click2, tally.blind = by_class.sum(axis=1).tolist()
+    return tally, by_class
 
 
 def simulate_block(
-    config: AttackConfig, params: DetectorParams, rng: np.random.Generator
+    config: AttackConfig,
+    params: DetectorParams,
+    rng: np.random.Generator,
+    classes: Optional[GateClasses] = None,
 ) -> GateTally:
     """Simulate ``config.n_pulses`` gates in one vectorized block.
 
-    The protocol draws (bases, bits, the resender's guesses) fix each
-    gate's phase difference at the receiver, and with it the share w of
-    the pulse on each arm.  The gate kernel then draws each arm's
-    detected carriers as an independent Poisson(mu*qe*w) count
-    (:func:`detect_arm`), which is exact for a Poisson pulse split by
-    interference and thinned by the quantum efficiency.
+    ``classes`` defaults to the config's :func:`protocol_classes`;
+    :func:`run_fixed` passes a :func:`pinned_class`.  One multinomial
+    draw of class counts has the law of a class drawn per gate (a
+    one-class table draws no variate).  The gate kernel then runs once
+    per phase difference present, at its scalar arm means, over its
+    classes one after another: each arm's carriers are an independent
+    Poisson(mu*qe*w) count (:func:`detect_arm`), exact for a Poisson
+    pulse split by interference and thinned by the quantum efficiency.
     """
-    n = config.n_pulses
-    scenario = config.scenario
-
-    if scenario is Scenario.BLINDING_ONLY:
-        # pure blinding characterization: conjugate-basis flux every gate
-        delta_q = 1
-        eve_mismatch = np.ones(n, dtype=bool)
-    else:
-        mismatch = _forced_mismatch(config.case_filter)
-        bob_basis = rng.integers(0, 2, n, dtype=np.int8)
-        alice_bit = rng.integers(0, 2, n, dtype=np.int8)
-        if scenario is Scenario.HONEST:
-            if mismatch is None:
-                alice_basis = rng.integers(0, 2, n, dtype=np.int8)
-            else:
-                alice_basis = bob_basis ^ 1 if mismatch else bob_basis.copy()
-            send_q = alice_basis + 2 * alice_bit
-            eve_mismatch = alice_basis != bob_basis
-        else:
-            alice_basis = rng.integers(0, 2, n, dtype=np.int8)
-            if mismatch is None:
-                eve_basis = rng.integers(0, 2, n, dtype=np.int8)
-            else:
-                eve_basis = bob_basis ^ 1 if mismatch else bob_basis.copy()
-            alice_q = alice_basis + 2 * alice_bit
-            coin = rng.integers(0, 2, n, dtype=np.int8)
-            same = alice_basis == eve_basis
-            send_q = np.where(same, alice_q, eve_basis + 2 * coin)
-            eve_mismatch = eve_basis != bob_basis
-        delta_q = (send_q - bob_basis) & 3  # mod 4, also for negative differences
-
-    lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
-    gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
-    tally = _count_readout(gates, n, eve_mismatch)
-    if scenario is not Scenario.BLINDING_ONLY:
-        # only a fired gate can click, so only fired gates can sift
-        idx = gates.idx
-        tally.sifted, tally.errors = sift_counts(
-            alice_basis[idx], alice_bit[idx], bob_basis[idx], gates.click1, gates.click2
-        )
+    if classes is None:
+        classes = protocol_classes(config.scenario, config.case_filter)
+    counts = rng.multinomial(config.n_pulses, classes.weight)
+    tally = GateTally()
+    by_class = np.zeros((3, counts.size), dtype=np.int64)
+    bounds = np.searchsorted(classes.delta, np.arange(5))
+    for delta_q, lo, hi in zip(range(4), bounds[:-1], bounds[1:]):
+        n = int(counts[lo:hi].sum())
+        if not n:
+            continue
+        lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
+        gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
+        part, by_class[:, lo:hi] = _count_readout(gates, counts[lo:hi])
+        tally += part
+    tally.casec_gates = int(counts[classes.casec].sum())
+    casec = by_class[:, classes.casec].sum(axis=1).tolist()
+    tally.casec_click1, tally.casec_click2, tally.casec_blind = casec
+    tally.sifted, tally.errors = sift_counts(classes.sift, classes.bit, by_class[0], by_class[1])
     return tally
 
 
@@ -509,29 +531,18 @@ def _run_sharded(
 
 
 def run_attack(
-    config: AttackConfig, params: DetectorParams, seed_seq: np.random.SeedSequence
+    config: AttackConfig,
+    params: DetectorParams,
+    seed_seq: np.random.SeedSequence,
+    classes: Optional[GateClasses] = None,
 ) -> GateTally:
     """Run the gate pipeline in shards of :func:`simulate_block`."""
     return _run_sharded(
         config.n_pulses,
         seed_seq,
         SHARD_GATES,
-        lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng),
+        lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng, classes),
     )
-
-
-def fixed_block(
-    send_phase: PhaseSymbol,
-    bob_phase: PhaseSymbol,
-    mu: float,
-    n_gates: int,
-    params: DetectorParams,
-    rng: np.random.Generator,
-    detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
-) -> GateTally:
-    """One shard of :func:`run_fixed`: the gate kernel at scalar arm means."""
-    lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
-    return _count_readout(detect_pair(lam1, lam2, n_gates, detector, params, rng), n_gates)
 
 
 def run_fixed(
@@ -548,19 +559,10 @@ def run_fixed(
     This is the calibration-style measurement: one configuration, one
     flux, count what each readout reports.  The pinned phase difference
     gives each arm a fixed share w of the pulse, so every gate draws its
-    arms as Poisson(mu*qe*w) through the same kernel and shard loop as
-    :func:`run_attack`.
+    arms as Poisson(mu*qe*w): :func:`run_attack` with one pinned class.
     """
-    if n_gates <= 0:
-        raise ConfigError("n_gates must be positive")
-    if detector is DetectorKind.SELF_DIFFERENCING:
-        raise ConfigError("fixed-phase runner supports the two-arm receivers only")
-    return _run_sharded(
-        n_gates,
-        seed_seq,
-        SHARD_GATES,
-        lambda n, rng: fixed_block(send_phase, bob_phase, mu, n, params, rng, detector),
-    )
+    config = AttackConfig(n_pulses=n_gates, resend_mu=mu, detector=detector)
+    return run_attack(config, params, seed_seq, pinned_class(send_phase.minus(bob_phase).value))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .attack import (
     Scenario,
     _run_sharded,
     detect_arm,
+    protocol_classes,
     railed_amplitudes,
     run_attack,
 )
@@ -80,14 +81,15 @@ class SweepSpec:
             raise ConfigError("n_gates_per_point must be at least 10000")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.detector is DetectorKind.SELF_DIFFERENCING and self.scenario in (
-            Scenario.ATTACK_NO_CM,
-            Scenario.ATTACK_CM,
-        ):
+        if self.detector is not DetectorKind.SELF_DIFFERENCING:
+            protocol_classes(self.scenario, self.case_filter)  # rejects a filter it cannot apply
+        elif self.scenario in (Scenario.ATTACK_NO_CM, Scenario.ATTACK_CM):
             raise ConfigError(
                 "the self-differencing receiver runs at the signal level only "
                 "(scenarios: honest, blinding_only)"
             )
+        elif self.case_filter is not None:
+            raise ConfigError("the self-differencing receiver has no guess basis to filter on")
 
     @property
     def cm_enabled(self) -> bool:
@@ -163,20 +165,13 @@ def _oracle_columns(
 
 
 def _split_share(spec: SweepSpec) -> float:
-    """Share of a sweep's gates whose flux splits evenly between two arms.
-
-    The self-differencing APD sees every pulse whole.  On the pair, a
-    blinding-only gate always splits; otherwise a gate splits when the
-    pulse's basis differs from the receiver's (case C), which is half
-    the gates unless a case filter keeps only C or only A/B.
-    """
+    """Share of a sweep's gates whose flux splits evenly between two arms:
+    the protocol classes at a conjugate-basis phase difference.  The
+    self-differencing APD sees every pulse whole."""
     if spec.detector is DetectorKind.SELF_DIFFERENCING:
         return 0.0
-    if spec.scenario is Scenario.BLINDING_ONLY:
-        return 1.0
-    labels = spec.case_filter or {"A", "B", "C"}
-    split, matched = "C" in labels, bool(labels & {"A", "B"})
-    return 0.5 if split and matched else float(split)
+    classes = protocol_classes(spec.scenario, spec.case_filter)
+    return float(classes.weight[classes.delta % 2 == 1].sum())
 
 
 def _row_from_tally(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -26,19 +27,27 @@ from bncsim.attack import (
     detect_arm,
     enumerate_cases,
     evaluate_case_row,
-    fixed_block,
+    pinned_class,
+    protocol_classes,
     run_attack,
     run_fixed,
     sift_counts,
     simulate_block,
 )
 from bncsim.errors import ConfigError
-from bncsim.signal_model import DetectorParams, PhaseSymbol
+from bncsim.signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol
 from reference import comparators, gate_event, sift_ledger, two_apd_click
 
 
 def seed_seq(n=0):
     return np.random.SeedSequence(991, spawn_key=(n,))
+
+
+def fixed_shard(send, bob, mu, params):
+    """One :func:`run_fixed` shard: a one-class block at the pinned phases."""
+    config = AttackConfig(n_pulses=1, resend_mu=mu, detector=DetectorKind.BASELINE_TWO_APD)
+    pinned = pinned_class(send.minus(bob).value)
+    return lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng, pinned)
 
 
 def rows_for(alice, eve_basis):
@@ -176,10 +185,11 @@ class TestRunAttack:
     def test_sharding_is_grouping_invariant(self, params):
         cfg = AttackConfig(n_pulses=80_000, resend_mu=1.0)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
-        # the sweep engine and the fixed-phase runner share one shard loop
+        # the sweep engine and the fixed-phase runner share one block
+        # function and one shard loop
         blocks = (
             lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng),
-            lambda n, rng: fixed_block(*pinned, n, params, rng),
+            fixed_shard(*pinned, params),
         )
         for block in blocks:
             whole = _run_sharded(80_000, seed_seq(7), 10_000, block)
@@ -213,6 +223,13 @@ class TestRunAttack:
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset("X"))
+        with pytest.raises(ConfigError):
+            AttackConfig(
+                n_pulses=10,
+                resend_mu=1.0,
+                scenario=Scenario.BLINDING_ONLY,
+                case_filter=frozenset("C"),
+            )
 
 
 def within(observed, expected, sigma, k=4.0):
@@ -330,9 +347,7 @@ class TestRunFixed:
 
     def test_last_shard_takes_the_remainder(self, params):
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1.0)
-        stats = _run_sharded(
-            25_000, seed_seq(13), 10_000, lambda n, rng: fixed_block(*pinned, n, params, rng)
-        )
+        stats = _run_sharded(25_000, seed_seq(13), 10_000, fixed_shard(*pinned, params))
         assert stats.gates == 25_000
         assert stats.click1 + stats.click2 + stats.no_click == 25_000
 
@@ -367,7 +382,8 @@ class TestCaseRowOracle:
 
 @given(data=st.data())
 def test_sift_counts_matches_record_path(data):
-    """The array reduction and the per-gate reference ledger agree exactly."""
+    """The reduction and the per-gate reference ledger agree exactly, with
+    each gate its own class of unit size."""
     n = data.draw(st.integers(min_value=1, max_value=60))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     alice_basis = rng.integers(0, 2, n)
@@ -376,10 +392,96 @@ def test_sift_counts_matches_record_path(data):
     click_state = rng.integers(0, 3, n)  # 0 none, 1 apd1, 2 apd2
     click1 = click_state == 1
     click2 = click_state == 2
-    sifted, errors = sift_counts(alice_basis, alice_bit, bob_basis, click1, click2)
+    sifted, errors = sift_counts(alice_basis == bob_basis, alice_bit, click1, click2)
 
     gates = zip(alice_basis + 2 * alice_bit, bob_basis, click_state)
     assert (sifted, errors) == sift_ledger(gates)
+
+
+def protocol_tuples(scenario):
+    """(delta, casec, sift, bit) of each of the 32 equally likely (sender
+    basis, bit, receiver basis, resender basis, coin) tuples.
+
+    The routing rule restated with phase symbols: the resender resends the
+    sender's phase when her guess basis matches the sender's, else a
+    coin-flip phase in her guess basis; case C is a guess basis (the
+    sender's own, without a resender) that differs from the receiver's.
+    """
+    out = []
+    for a, x, b, e, c in itertools.product((0, 1), repeat=5):
+        alice, bob = PhaseSymbol(a + 2 * x), RECEIVER_PHASES[b]
+        if scenario is Scenario.HONEST:
+            send, guess_basis = alice, alice.basis
+        else:
+            send = alice if e == alice.basis else PhaseSymbol(e + 2 * c)
+            guess_basis = e
+        out.append((send.minus(bob).value, guess_basis != bob.basis, alice.basis == bob.basis, alice.bit))
+    return out
+
+
+def class_weights(classes):
+    """{(delta, casec, sift, bit): weight} of a class table."""
+    keys = zip(*(col.tolist() for col in classes[1:]))
+    return dict(zip(keys, classes.weight.tolist()))
+
+
+class TestProtocolClasses:
+    @pytest.mark.parametrize("scenario", [Scenario.HONEST, Scenario.ATTACK_NO_CM, Scenario.ATTACK_CM])
+    def test_table_equals_tuple_enumeration(self, scenario):
+        classes = protocol_classes(scenario)
+        expected = {key: count / 32 for key, count in Counter(protocol_tuples(scenario)).items()}
+        assert class_weights(classes) == expected
+        assert list(classes.delta) == sorted(classes.delta)
+
+    def test_blinding_and_pinned_are_one_class(self):
+        assert class_weights(protocol_classes(Scenario.BLINDING_ONLY)) == {(1, True, False, 0): 1.0}
+        assert class_weights(pinned_class(2)) == {(2, False, False, 0): 1.0}
+
+    @pytest.mark.parametrize("scenario", [Scenario.HONEST, Scenario.ATTACK_CM])
+    @pytest.mark.parametrize("labels", ["A", "B", "C", "AB", "AC", "ABC"])
+    def test_case_filter_zeroes_excluded_classes(self, scenario, labels):
+        full = class_weights(protocol_classes(scenario))
+        filtered = class_weights(protocol_classes(scenario, frozenset(labels)))
+        kept = {key for key in full if ("C" in labels if key[1] else bool(set(labels) & set("AB")))}
+        share = sum(full[key] for key in kept)
+        assert sum(filtered.values()) == 1.0
+        assert filtered == {key: full[key] / share for key in kept}
+
+
+@pytest.mark.parametrize(
+    "scenario,detector,case_filter",
+    [
+        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, None),
+        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, None),
+        (Scenario.HONEST, DetectorKind.BASELINE_TWO_APD, None),
+        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, frozenset("C")),
+    ],
+)
+@pytest.mark.parametrize("mu", [0.1, 1.0, 30.0])
+def test_counters_match_closed_forms(scenario, detector, case_filter, mu, params):
+    """Per-arm fired, casec_gates and (two-APD) sifted gates within 4 sigma
+    of their closed forms over the tuple enumeration.  Gates are i.i.d., so
+    each count is binomial in the gates."""
+    n = 400_000
+    cfg = AttackConfig(n, mu, scenario=scenario, detector=detector, case_filter=case_filter)
+    tally = run_attack(cfg, params, seed_seq(int(10 * mu) + 20))
+    # the only filter here keeps the case-C tuples
+    rows = [r for r in protocol_tuples(scenario) if case_filter is None or r[1]]
+    dcp = (params.dcp_apd1, params.dcp_apd2)
+    p = Counter()
+    for delta, casec, sift, _ in rows:
+        fired = [
+            1.0 - (1.0 - dcp[arm]) * math.exp(-lam)
+            for arm, lam in enumerate(arm_means(mu, params.qe, delta))
+        ]
+        p["fired1"] += fired[0] / len(rows)
+        p["fired2"] += fired[1] / len(rows)
+        p["casec_gates"] += casec / len(rows)
+        if sift and detector is DetectorKind.BASELINE_TWO_APD:
+            p["sifted"] += (fired[0] + fired[1] - 2 * fired[0] * fired[1]) / len(rows)
+    for name, prob in p.items():
+        sigma = math.sqrt(n * prob * (1 - prob)) or 1.0
+        assert within(getattr(tally, name), n * prob, sigma), (name, getattr(tally, name), n * prob)
 
 
 TALLY_CONFIGS = st.builds(
@@ -431,17 +533,22 @@ class RecordingRng:
         return draw
 
 
-def full_array_tally(arms, amps, protocol, params, balanced):
+def full_array_tally(arms, amps, labels, classes, params, balanced):
     """GateTally of a block counted gate by gate over every gate, fired or
-    not, with the per-gate rules of :mod:`reference`."""
+    not, with the per-gate rules of :mod:`reference`.
+
+    ``labels`` is each gate's class.  A class fixes the sifting ledger's
+    inputs up to a relabelling: on receiver basis 0, a sender phase with
+    the class's bit, in basis 0 when the class sifts and 1 when not.
+    """
     arm1, arm2 = arms
     amp1, amp2 = amps
-    bob_basis, alice_bit, alice_basis, eve_basis = protocol
     t = GateTally(gates=arm1.k.size, pe1=arm1.pe, pe2=arm2.pe, dark1=arm1.dark, dark2=arm2.dark)
     ledger = []
     for i in range(arm1.k.size):
+        cls = labels[i]
         fired1, fired2 = bool(arm1.k[i]), bool(arm2.k[i])
-        casec = bool(eve_basis[i] != bob_basis[i])
+        casec = bool(classes.casec[cls])
         t.fired1 += fired1
         t.fired2 += fired2
         t.doubles += fired1 and fired2
@@ -455,14 +562,15 @@ def full_array_tally(arms, amps, protocol, params, balanced):
             t.weak += (fired1 and not a) + (fired2 and not b)
             t.strong += a + b
             t.weak_coinc += fired1 and fired2 and event == "NO_EVENT"
-            t.casec_click1 += casec and click == 1
-            t.casec_click2 += casec and click == 2
             t.casec_blind += casec and blind
         else:
             click = two_apd_click(fired1, fired2)
         t.click1 += click == 1
         t.click2 += click == 2
-        ledger.append((int(alice_basis[i] + 2 * alice_bit[i]), int(bob_basis[i]), click))
+        t.casec_click1 += casec and click == 1
+        t.casec_click2 += casec and click == 2
+        alice_phase = 2 * int(classes.bit[cls]) + (0 if classes.sift[cls] else 1)
+        ledger.append((alice_phase, 0, click))
     t.sifted, t.errors = sift_ledger(ledger)
     return t
 
@@ -476,16 +584,19 @@ def full_array_tally(arms, amps, protocol, params, balanced):
 )
 @pytest.mark.parametrize("mu", [0.1, 1.0, 30.0, 500.0])
 def test_fired_gate_readout_equals_full_array_count(scenario, detector, mu, params, monkeypatch):
-    """Reading out only the fired gates loses nothing: with the same
-    carriers and railed amplitudes, every counter, sifting and the case-C
-    counters included, equals a per-gate count over the whole block."""
+    """Reading out only the fired gates, and counting case C and sifting
+    per class, loses nothing: with the same class counts, carriers and
+    railed amplitudes, every counter equals a per-gate count over the
+    whole block, each gate labelled with its class."""
     n = 20_000
-    arms, gathered = [], []
-    for name, keep in (("detect_arm", arms), ("railed_amplitudes", gathered)):
+    arms, arm_args, gathered = [], [], []
+    for name, keep, args in (("detect_arm", arms, arm_args), ("railed_amplitudes", gathered, None)):
         original = getattr(attack, name)
 
-        def recorded(*args, _original=original, _keep=keep, **kwargs):
-            _keep.append(_original(*args, **kwargs))
+        def recorded(*a, _original=original, _keep=keep, _args=args, **kwargs):
+            if _args is not None:
+                _args.append(a)
+            _keep.append(_original(*a, **kwargs))
             return _keep[-1]
 
         monkeypatch.setattr(attack, name, recorded)
@@ -493,15 +604,33 @@ def test_fired_gate_readout_equals_full_array_count(scenario, detector, mu, para
     config = AttackConfig(n_pulses=n, resend_mu=mu, scenario=scenario, detector=detector)
     tally = simulate_block(config, params, rng)
 
-    # the receiver's basis, the sender's bit and basis, the resender's
-    # basis and coin: the only int8 draws of the block, in that order
-    protocol = [out for name, out in rng.draws if name == "integers" and out.dtype == np.int8]
-    assert len(protocol) == 5
-    fired = np.flatnonzero((arms[0].k > 0) | (arms[1].k > 0))
-    amps = [np.zeros(n), np.zeros(n)]
-    for full, part in zip(amps, gathered):
-        full[fired] = part
+    # one class draw, no per-gate protocol draw
+    classes = protocol_classes(scenario)
+    (counts,) = [out for name, out in rng.draws if name == "multinomial"]
+    assert not [out for name, out in rng.draws if name == "integers" and out.dtype == np.int8]
+    # one arm pair per phase difference present, at that difference's
+    # scalar means, with its classes one after another
+    deltas = sorted({int(d) for d, c in zip(classes.delta, counts) if c})
+    assert len(arms) == 2 * len(deltas)
+    for g, delta in enumerate(deltas):
+        lam1, lam2 = arm_means(mu, params.qe, delta)
+        assert arm_args[2 * g][:2] == (lam1, int(counts[classes.delta == delta].sum()))
+        assert arm_args[2 * g + 1][:2] == (lam2, int(counts[classes.delta == delta].sum()))
+    labels = np.repeat(np.arange(counts.size), counts)
     balanced = detector is DetectorKind.BALANCED_BNC
-    assert len(gathered) == (2 if balanced else 0)
-    assert tally == full_array_tally(arms, amps, protocol[:4], params, balanced)
+    assert len(gathered) == (2 * len(deltas) if balanced else 0)
+    full_arms, amps = [], [[], []]
+    for arm in (0, 1):
+        group = arms[arm::2]
+        k = np.concatenate([a.k for a in group])
+        full_arms.append(attack.Arm(k, sum(a.pe for a in group), sum(a.dark for a in group)))
+    for g in range(len(deltas)):
+        fired = np.flatnonzero((arms[2 * g].k > 0) | (arms[2 * g + 1].k > 0))
+        for arm in (0, 1):
+            full = np.zeros(arms[2 * g].k.size)
+            if balanced:
+                full[fired] = gathered[2 * g + arm]
+            amps[arm].append(full)
+    amps = [np.concatenate(a) for a in amps]
+    assert tally == full_array_tally(full_arms, amps, labels, classes, params, balanced)
     assert tally.sifted > 0

@@ -9,6 +9,8 @@ refactor that would break ``bench/run.py --trace 1`` fails here first.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 from bncsim import attack, cli, harness
 from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
 from bncsim.harness import SweepSpec, run_sweep
@@ -72,3 +74,19 @@ def test_sd_event_codes_called_once_per_shard(params, monkeypatch):
     )
     run_sweep(spec, params)
     assert calls == [SHARD_GATES, SHARD_GATES, SHARD_GATES // 2]
+
+
+def test_sift_counts_called_once_per_block(params, monkeypatch):
+    # the landmark probe spans sifting through this module attribute
+    calls = []
+    original = attack.sift_counts
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(attack, "sift_counts", spy)
+    config = attack.AttackConfig(n_pulses=20_000, resend_mu=1.0)
+    tally = attack.simulate_block(config, params, np.random.default_rng(1))
+    assert len(calls) == 1
+    assert original(*calls[0]) == (tally.sifted, tally.errors)

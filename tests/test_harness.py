@@ -205,11 +205,18 @@ class TestReportFiles:
             load_report_rows(bad)
 
 
+#: Gates per point of the landmark fixtures: the landmark sweep's own
+#: count.  weak_ratio(0.1) rests on about 10,000 avalanches here, sd about
+#: 0.003, which puts its band [0.08, 0.12] at +/- 6.7 sigma; at 100k gates
+#: it was +/- 2.2 sigma.
+LANDMARK_GATES = 1_000_000
+
+
 @pytest.fixture(scope="module")
 def landmark_rows():
     spec = SweepSpec(
         flux_grid=LANDMARK_FLUX_GRID,
-        n_gates_per_point=100_000,
+        n_gates_per_point=LANDMARK_GATES,
         scenario=Scenario.ATTACK_CM,
         detector=DetectorKind.BALANCED_BNC,
         seed=12,
@@ -455,7 +462,7 @@ class TestCli:
                     "--flux",
                     flux,
                     "--gates",
-                    "100000",
+                    str(LANDMARK_GATES),
                     "--seed",
                     "12",
                     "--scenario",
@@ -577,6 +584,32 @@ class TestCli:
         assert main(["verify", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "table_sha256" in err
+
+    @pytest.mark.parametrize(
+        "detector,scenario,labels",
+        [
+            ("self_differencing", "blinding_only", "Z"),
+            ("self_differencing", "blinding_only", "C"),
+            ("self_differencing", "honest", "A"),
+            ("balanced_bnc", "blinding_only", "C"),
+            ("balanced_bnc", "attack_cm", "Z"),
+            ("baseline_two_apd", "honest", "A,X"),
+        ],
+    )
+    def test_bad_case_filter_exits_2_before_any_gate(
+        self, detector, scenario, labels, tmp_path, capsys, monkeypatch
+    ):
+        import bncsim.cli as cli
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(cli, "run_sweep", no_gates)
+        out = tmp_path / "filtered.csv"
+        argv = ["sweep", "--detector", detector, "--scenario", scenario, "--case-filter", labels]
+        assert main([*argv, "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -19,9 +19,11 @@ from reference import sift_ledger
 
 
 def sift_gates(gates):
-    """sift_counts over (alice_phase, bob_basis, click) gates."""
+    """sift_counts over (alice_phase, bob_basis, click) gates, each gate
+    its own class: it sifts when the bases agree, and carries the
+    sender's bit."""
     phase, bob_basis, click = (np.array(col) for col in zip(*gates))
-    return sift_counts(phase % 2, phase // 2, bob_basis, click == 1, click == 2)
+    return sift_counts(phase % 2 == bob_basis, phase // 2, click == 1, click == 2)
 
 
 def quiet(params):
