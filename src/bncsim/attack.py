@@ -9,7 +9,7 @@ gate goes silent instead of producing the 50/50 error clicks that would
 raise the sifted error rate.
 
 A gate's fate depends only on its protocol class, so the engine draws a
-shard's class counts and runs the numpy gate kernel per phase difference;
+shard's class counts and runs the numpy gate kernel once per class;
 shard results merge by plain field-wise addition, making the aggregate
 independent of how shards are grouped over workers.
 """
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy import special
 
-from .balanced import comparator_arrays, event_codes
+from .balanced import GateEvent, comparator_arrays, event_codes
 from .errors import ConfigError
 from .signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol, weak_probabilities
 
@@ -188,8 +188,7 @@ class AttackConfig:
 
 
 class GateClasses(NamedTuple):
-    """Protocol classes of a gate, sorted by phase difference (which fixes
-    both arm means).  Gates are i.i.d. given their class."""
+    """Protocol classes of a gate.  Gates are i.i.d. given their class."""
 
     weight: np.ndarray  # probability of the class; the weights sum to 1
     delta: np.ndarray  # phase difference at the receiver, in quarter turns
@@ -199,8 +198,9 @@ class GateClasses(NamedTuple):
 
 
 def _class_table(rows: list[tuple[int, bool, bool, int]]) -> GateClasses:
-    """Collapse equally likely (delta, casec, sift, bit) rows into classes;
-    the arrays are read-only, since tables are cached and shared."""
+    """Collapse equally likely (delta, casec, sift, bit) rows into classes,
+    in sorted order (the order the engine draws them in); the arrays are
+    read-only, since tables are cached and shared."""
     counts = Counter(rows)
     keys = sorted(counts)
     delta, casec, sift, bit = (np.array(column) for column in zip(*keys))
@@ -277,13 +277,11 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.in
 ARM_WEIGHTS = np.array([[1.0, 0.5, 0.0, 0.5], [0.0, 0.5, 1.0, 0.5]])
 
 
-def arm_means(mu: float, qe: float, delta_q):
-    """Mean detected signal carriers per gate on APD 1 and APD 2, mu*qe*w.
-
-    ``delta_q`` is one phase difference or an array of them, one per gate.
-    """
-    scaled = mu * qe * ARM_WEIGHTS
-    return np.take(scaled[0], delta_q), np.take(scaled[1], delta_q)
+def arm_means(mu: float, qe: float, delta_q: int) -> tuple[float, float]:
+    """Mean detected signal carriers per gate on APD 1 and APD 2, mu*qe*w,
+    at phase difference ``delta_q``."""
+    w1, w2 = ARM_WEIGHTS[:, delta_q].tolist()
+    return mu * qe * w1, mu * qe * w2
 
 
 class Arm(NamedTuple):
@@ -294,44 +292,37 @@ class Arm(NamedTuple):
     dark: int  # gates with a dark ignition
 
 
-#: Largest mean at which :func:`detect_arm` draws carriers sparsely.  Near
-#: 1 the sparse draw with per-gate thinning costs as much as one Poisson
-#: variate per gate (scalar means break even near 4).  Results depend on
-#: it, since the two paths consume the generator differently.
+#: Largest mean at which :func:`detect_arm` draws carriers sparsely (the
+#: two paths break even near 4).  Results depend on it, since the two
+#: paths consume the generator differently.
 SPARSE_LAM_MAX = 1.0
 
 
-def detect_arm(lam, n: int, dcp: float, rng: np.random.Generator) -> Arm:
+def detect_arm(lam: float, n: int, dcp: float, rng: np.random.Generator) -> Arm:
     """The gate kernel: draw one APD's avalanche carriers over ``n`` gates.
 
     ``lam`` is the arm's mean detected signal carriers per gate (see
-    :func:`arm_means`), one value or one per gate.  Drawing the detected
-    count directly as Poisson(lam) is exact, not an approximation: a
-    Poisson(mu) pulse whose photons are routed independently to an arm
-    with probability w and then detected with probability qe gives each
-    arm an independent Poisson(mu*qe*w) count.  One draw per arm thus
+    :func:`arm_means`).  Drawing the detected count directly as
+    Poisson(lam) is exact, not an approximation: a Poisson(mu) pulse whose
+    photons are routed independently to an arm with probability w and
+    then detected with probability qe gives each arm an independent
+    Poisson(mu*qe*w) count.  One draw per arm thus
     replaces the photon number, the interference split and the two
     quantum-efficiency thinnings.
 
-    At low means the draw costs O(carriers), not O(gates).  When
-    lam_max = max(lam) is at most :data:`SPARSE_LAM_MAX`, the block's
-    carrier total is drawn as Poisson(n*lam_max) and scattered over
-    uniform gate positions, which gives every gate an independent
-    Poisson(lam_max) count.  With per-gate means each carrier is then kept
-    with probability lam/lam_max at its gate; independent thinning leaves
-    independent Poisson(lam) counts.  Above the threshold every gate draws
-    its own Poisson variate.
+    At low means the draw costs O(carriers), not O(gates).  When ``lam``
+    is at most :data:`SPARSE_LAM_MAX`, the block's carrier total is drawn
+    as Poisson(n*lam) and scattered over uniform gate positions, which
+    gives every gate an independent Poisson(lam) count.  Above the
+    threshold every gate draws its own Poisson variate.
 
     A dark ignition adds one carrier with probability ``dcp`` per gate.
     The dark gates are drawn as a Binomial(n, dcp) count of distinct,
     uniformly chosen positions, which has the law of ``n`` independent
     Bernoulli(dcp) gates.
     """
-    lam_max = float(np.max(lam))
-    if lam_max <= SPARSE_LAM_MAX:
-        pos = rng.integers(0, n, rng.poisson(n * lam_max))
-        if np.ndim(lam):
-            pos = pos[rng.random(pos.size) < np.take(lam, pos) / lam_max]
+    if lam <= SPARSE_LAM_MAX:
+        pos = rng.integers(0, n, rng.poisson(n * lam))
         k = np.bincount(pos, minlength=n)
         pe = pos.size
     else:
@@ -370,95 +361,53 @@ def railed_amplitudes(
     return amp
 
 
-class PairReadout(NamedTuple):
-    """Both arms of a two-APD receiver over a block, through its readout.
-
-    Every array is gathered at ``idx``, the gates where either arm fired;
-    every other gate is ``NO_EVENT`` on both readouts.
-    """
-
-    arm1: Arm
-    arm2: Arm
-    idx: np.ndarray
-    fired1: np.ndarray
-    fired2: np.ndarray
-    click1: np.ndarray  # the readout's click on APD 1 (bit 0)
-    click2: np.ndarray
-    raw1: Optional[np.ndarray]  # monitor comparators A/B, balanced receiver only
-    raw2: Optional[np.ndarray]
-
-
 def detect_pair(
-    lam1,
-    lam2,
+    lam1: float,
+    lam2: float,
     n: int,
     detector: DetectorKind,
     params: DetectorParams,
     rng: np.random.Generator,
-) -> PairReadout:
-    """Draw both arms and read out the gates where either fired.
+) -> GateTally:
+    """Draw both arms over ``n`` gates and count their readout.
 
-    A gate where neither arm fired has no avalanche, hence no click and
-    no comparator bit, on either readout; it adds to the gate count only.
-    The readout therefore runs on the fired gates alone.  The two-APD
-    readout clicks on an arm that fired alone.  The balanced readout
-    clicks on the difference comparators C/D and adds the raw comparators
-    A/B; every comparator word is checked for reachability.
+    A gate where neither arm fired has no avalanche, hence no click, no
+    comparator bit and no event; it adds to the gate count only.  The
+    two-APD readout clicks on an arm that fired alone, so its clicks
+    follow from the fired counts.  The balanced readout runs on the fired
+    gates alone and counts their :func:`~bncsim.balanced.event_codes`,
+    which also check every comparator word for reachability.  The case-C
+    and sifting counters are left to the caller.
     """
     arm1 = detect_arm(lam1, n, params.dcp_apd1, rng)
     arm2 = detect_arm(lam2, n, params.dcp_apd2, rng)
-    idx = np.flatnonzero((arm1.k > 0) | (arm2.k > 0))
-    k1, k2 = arm1.k[idx], arm2.k[idx]
-    fired1 = k1 > 0
-    fired2 = k2 > 0
-    if detector is DetectorKind.BASELINE_TWO_APD:
-        return PairReadout(
-            arm1, arm2, idx, fired1, fired2, fired1 & ~fired2, fired2 & ~fired1, None, None
-        )
-    amp1 = railed_amplitudes(k1, params, rng)
-    amp2 = railed_amplitudes(k2, params, rng)
-    a, b, c, d = comparator_arrays(amp1, amp2, params)
-    event_codes(a, b, c, d)  # raises on any unreachable word
-    return PairReadout(arm1, arm2, idx, fired1, fired2, c, d, a, b)
-
-
-def _count_readout(gates: PairReadout, counts: np.ndarray) -> tuple[GateTally, np.ndarray]:
-    """Count one block from its fired-gate readout: detections, clicks and
-    doubles on both receivers; blinding flags and the amplitude census on
-    the balanced one.
-
-    The block's gates are ``counts[j]`` gates of class j after one
-    another, so the fired gates of each class are one slice of the
-    readout.  Also returns the per-class counts of click1, click2 and
-    blinding flags, shape (3, classes).
-    """
-    ends = np.searchsorted(gates.idx, np.cumsum(counts)).tolist()
-    slices = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
-    fired1, fired2 = gates.fired1, gates.fired2
-    both = fired1 & fired2
+    k1, k2 = arm1.k, arm2.k
+    if detector is DetectorKind.BALANCED_BNC:
+        idx = np.flatnonzero((k1 > 0) | (k2 > 0))
+        k1, k2 = k1[idx], k2[idx]
+    fired1, fired2 = k1 > 0, k2 > 0
     tally = GateTally(
-        gates=int(counts.sum()),
-        pe1=gates.arm1.pe,
-        pe2=gates.arm2.pe,
-        fired1=int(fired1.sum()),
-        fired2=int(fired2.sum()),
-        dark1=gates.arm1.dark,
-        dark2=gates.arm2.dark,
-        doubles=int(both.sum()),
+        gates=n, pe1=arm1.pe, pe2=arm2.pe, dark1=arm1.dark, dark2=arm2.dark,
+        fired1=int(np.count_nonzero(fired1)), fired2=int(np.count_nonzero(fired2)),
+        doubles=int(np.count_nonzero(fired1 & fired2)),
     )
-    masks = [gates.click1, gates.click2]
-    if gates.raw1 is not None:
-        a, b, c, d = gates.raw1, gates.raw2, gates.click1, gates.click2
-        raw = a | b
-        silent = ~(c | d)
-        masks.append(raw & silent)
-        tally.weak = int((fired1 & ~a).sum() + (fired2 & ~b).sum())
-        tally.strong = int(a.sum() + b.sum())
-        tally.weak_coinc = int((both & silent & ~raw).sum())
-    by_class = np.zeros((3, counts.size), dtype=np.int64)
-    by_class[: len(masks)] = [[np.count_nonzero(m[sl]) for sl in slices] for m in masks]
-    tally.click1, tally.click2, tally.blind = by_class.sum(axis=1).tolist()
-    return tally, by_class
+    if detector is DetectorKind.BASELINE_TWO_APD:
+        tally.click1 = tally.fired1 - tally.doubles
+        tally.click2 = tally.fired2 - tally.doubles
+        return tally
+    a, b, c, d = comparator_arrays(
+        railed_amplitudes(k1, params, rng), railed_amplitudes(k2, params, rng), params
+    )
+    codes = event_codes(a, b, c, d)
+    events = np.bincount(codes, minlength=len(GateEvent)).tolist()
+    tally.click1 = events[GateEvent.STRONG_1] + events[GateEvent.WEAK_1]
+    tally.click2 = events[GateEvent.STRONG_2] + events[GateEvent.WEAK_2]
+    tally.blind = events[GateEvent.BLINDING_DETECTED]
+    # a raw comparator fires only on a railed avalanche, so only on a fired arm
+    tally.strong = int(np.count_nonzero(a) + np.count_nonzero(b))
+    tally.weak = tally.fired1 + tally.fired2 - tally.strong
+    tally.weak_coinc = int(np.count_nonzero(fired1 & fired2 & (codes == GateEvent.NO_EVENT)))
+    return tally
 
 
 def simulate_block(
@@ -472,30 +421,26 @@ def simulate_block(
     ``classes`` defaults to the config's :func:`protocol_classes`;
     :func:`run_fixed` passes a :func:`pinned_class`.  One multinomial
     draw of class counts has the law of a class drawn per gate (a
-    one-class table draws no variate).  The gate kernel then runs once
-    per phase difference present, at its scalar arm means, over its
-    classes one after another: each arm's carriers are an independent
-    Poisson(mu*qe*w) count (:func:`detect_arm`), exact for a Poisson
-    pulse split by interference and thinned by the quantum efficiency.
+    one-class table draws no variate).  The gate kernel
+    (:func:`detect_pair`) then runs once per class drawn, in class order,
+    at the class's scalar arm means.  Case-C classes add their counts to
+    the case-C counters, and one :func:`sift_counts` call sifts the
+    per-class clicks.
     """
     if classes is None:
         classes = protocol_classes(config.scenario, config.case_filter)
     counts = rng.multinomial(config.n_pulses, classes.weight)
     tally = GateTally()
-    by_class = np.zeros((3, counts.size), dtype=np.int64)
-    bounds = np.searchsorted(classes.delta, np.arange(5))
-    for delta_q, lo, hi in zip(range(4), bounds[:-1], bounds[1:]):
-        n = int(counts[lo:hi].sum())
-        if not n:
-            continue
-        lam1, lam2 = arm_means(config.resend_mu, params.qe, delta_q)
-        gates = detect_pair(lam1, lam2, n, config.detector, params, rng)
-        part, by_class[:, lo:hi] = _count_readout(gates, counts[lo:hi])
+    clicks = np.zeros((2, counts.size), dtype=np.int64)
+    for j in np.flatnonzero(counts).tolist():
+        lam1, lam2 = arm_means(config.resend_mu, params.qe, int(classes.delta[j]))
+        part = detect_pair(lam1, lam2, int(counts[j]), config.detector, params, rng)
+        clicks[:, j] = part.click1, part.click2
+        if classes.casec[j]:
+            part.casec_gates, part.casec_click1 = part.gates, part.click1
+            part.casec_click2, part.casec_blind = part.click2, part.blind
         tally += part
-    tally.casec_gates = int(counts[classes.casec].sum())
-    casec = by_class[:, classes.casec].sum(axis=1).tolist()
-    tally.casec_click1, tally.casec_click2, tally.casec_blind = casec
-    tally.sifted, tally.errors = sift_counts(classes.sift, classes.bit, by_class[0], by_class[1])
+    tally.sifted, tally.errors = sift_counts(classes.sift, classes.bit, clicks[0], clicks[1])
     return tally
 
 
@@ -599,11 +544,11 @@ def evaluate_case_row(
     takes 0.50 +/- 0.01 of the single clicks.
     """
     if row.case_label is CaseLabel.A:
-        mu, n = CASE_A_MU, gates or CASE_A_GATES
+        mu, n = CASE_A_MU, CASE_A_GATES if gates is None else gates
     elif row.case_label is CaseLabel.B:
-        mu, n = CASE_B_MU, gates or CASE_B_GATES
+        mu, n = CASE_B_MU, CASE_B_GATES if gates is None else gates
     else:
-        mu, n = CASE_C_MU, gates or CASE_C_GATES
+        mu, n = CASE_C_MU, CASE_C_GATES if gates is None else gates
     stats = run_fixed(row.evealice_phase, row.bob_phase, mu, n, params, seed_seq)
 
     if row.case_label is CaseLabel.A:

@@ -104,6 +104,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    if args.gates is not None and args.gates < 1:
+        raise ConfigError(f"--gates must be at least 1, got {args.gates}")
     file_values = parse_config_file(args.config) if args.config else None
     _, params, merged = resolve_config(file_values, {"seed": args.seed})
     seed = int(merged["seed"])
@@ -185,7 +187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, MissingFluxPoint, FileNotFoundError) as exc:
+    except (ConfigError, MissingFluxPoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -355,21 +355,21 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
     When the report's manifest sits beside it, the table must have the
     SHA-256 the manifest records; a mismatch is a :class:`ConfigError`.
     A manifest that records no digest (one written before the digest was
-    added) is not checked.
+    added) is not checked.  A file that is not UTF-8 text, or a numeric
+    cell that does not parse, is a :class:`ConfigError` too.
     """
     path = Path(path)
     data = path.read_bytes()
     manifest = _manifest_path(path)
     if manifest.exists():
-        entries = dict(
-            line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
-        )
+        text = _decode(manifest.read_bytes(), manifest)
+        entries = dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
         recorded = entries.get("table_sha256")
         if recorded is not None and recorded != hashlib.sha256(data).hexdigest():
             raise ConfigError(
                 f"{path} does not match the table_sha256 of {manifest.name} ({recorded})"
             )
-    lines = data.decode().strip().splitlines()
+    lines = _decode(data, path).strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != REPORT_COLUMNS:
         raise ConfigError(f"{path} is not a sweep report (bad header)")
     rows: list[dict[str, float | str]] = []
@@ -379,9 +379,21 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
             raise ConfigError(f"malformed report line: {line!r}")
         row: dict[str, float | str] = {}
         for col, part in zip(REPORT_COLUMNS, parts):
-            row[col] = part if col == "oracle_regime" else float(part)
+            try:
+                row[col] = part if col == "oracle_regime" else float(part)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: column {col} is not a number: {part!r}") from exc
         rows.append(row)
     return rows
+
+
+def _decode(data: bytes, path: str | Path) -> str:
+    """``data``, read from ``path``, as UTF-8 text; any other bytes are a
+    :class:`ConfigError`."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -491,7 +503,7 @@ _SWEEP_KEYS = {
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_decode(Path(path).read_bytes(), path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -211,16 +211,17 @@ def test_c10_self_differencing_cm():
     quiet = replace(PARAMS, dcp_apd1=0.0, dcp_apd2=0.0)
     rng = np.random.default_rng(SEED)
 
-    def stream(lam):
-        """Event codes of one APD over gates with mean detected photons ``lam``."""
-        arm = detect_arm(lam, lam.size, quiet.dcp_apd1, rng)
-        return sd_event_codes(railed_amplitudes(arm.k, quiet, rng), quiet)
+    def stream(bright):
+        """Event codes of one APD over gates whose ``bright`` gates carry a
+        500-photon pulse; without dark counts the other gates stay empty."""
+        k = np.zeros(bright.size, dtype=np.int64)
+        k[bright] = detect_arm(500.0 * quiet.qe, int(bright.sum()), quiet.dcp_apd1, rng).k
+        return sd_event_codes(railed_amplitudes(k, quiet, rng), quiet)
 
-    bright = 500.0 * quiet.qe
-    events = stream(np.full(1000, bright))
+    events = stream(np.ones(1000, dtype=bool))
     n_blind = int((events == SdGateEvent.BLINDING_DETECTED).sum())
 
-    isolated = stream(np.array([0.0, 0.0, 0.0, bright, 0.0, 0.0, 0.0, 0.0]))
+    isolated = stream(np.arange(8) == 3)
     rises = [
         i
         for i, e in enumerate(isolated)

@@ -615,3 +615,41 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 1\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("gates", ["0", "-5"])
+    def test_table1_bad_gates_exits_2_without_rows(self, gates, capsys, monkeypatch):
+        import bncsim.cli as cli
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a row was simulated")
+
+        monkeypatch.setattr(cli, "evaluate_case_row", no_gates)
+        assert main(["table1", "--gates", gates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--gates" in captured.err
+
+    def test_verify_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        main(["sweep", "--flux", "0.1,1", "--gates", "10000", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        lines[1] = "x," + lines[1].split(",", 1)[1]  # flux 0.1 -> x
+        out.write_text("\n".join(lines) + "\n")
+        (tmp_path / "report.csv.manifest").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "flux" in err
+
+    def test_verify_directory_exits_2(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("seed = 1  # caf\xe9\n".encode("latin-1"))
+        out = tmp_path / "latin1.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "UTF-8" in err
+        assert not out.exists()

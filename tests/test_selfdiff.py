@@ -17,11 +17,12 @@ def quiet_params():
 
 
 def stream(bright, rng, mu=500.0):
-    """Events of a gate stream whose ``bright`` gates carry a pulse of ``mu``."""
+    """Events of a gate stream whose ``bright`` gates carry a pulse of ``mu``;
+    without dark counts the other gates stay empty."""
     p = quiet_params()
-    lam = np.where(bright, mu * p.qe, 0.0)
-    arm = detect_arm(lam, lam.size, p.dcp_apd1, rng)
-    codes = sd_event_codes(railed_amplitudes(arm.k, p, rng), p)
+    k = np.zeros(bright.size, dtype=np.int64)
+    k[bright] = detect_arm(mu * p.qe, int(bright.sum()), p.dcp_apd1, rng).k
+    codes = sd_event_codes(railed_amplitudes(k, p, rng), p)
     return [SdGateEvent(code) for code in codes]
 
 
