@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -57,65 +57,78 @@ class ExpectedOutcome(str, Enum):
     SPLIT_50 = "split_50_50"
 
 
+#: Share w of the pulse that reaches APD 1 (row 0) and APD 2 (row 1), by
+#: phase difference between the pulse and the receiver's modulator in
+#: quarter turns: 0 routes all of it to APD 1, pi to APD 2, and the two
+#: conjugate-basis differences split it evenly.
+ARM_WEIGHTS = np.array([[1.0, 0.5, 0.0, 0.5], [0.0, 0.5, 1.0, 0.5]])
+
+
+def _protocol_tuples(
+    scenario: Scenario,
+) -> Iterator[tuple[PhaseSymbol, PhaseSymbol, int, int, PhaseSymbol, bool]]:
+    """The 32 equally likely protocol tuples (sender phase, receiver
+    phase, guess basis, coin) of a scenario with a key channel, in that
+    iteration order, each followed by the phase that reaches the
+    receiver and whether the tuple is case C.
+
+    The resender resends the sender's phase when her guess basis matches
+    the sender's, and a coin-flip phase in her own basis when it does
+    not; case C is a guess basis that differs from the receiver's.
+    ``honest`` has no resender: its guess basis counts as the sender's,
+    so the sender's phase goes through.
+    """
+    for alice, bob, eve_basis, coin in itertools.product(
+        PhaseSymbol, RECEIVER_PHASES, (0, 1), (0, 1)
+    ):
+        if scenario is Scenario.HONEST:
+            eve_basis = alice.basis
+        send = alice if eve_basis == alice.basis else PhaseSymbol(eve_basis + 2 * coin)
+        yield alice, bob, eve_basis, coin, send, eve_basis != bob.basis
+
+
 @dataclass(frozen=True)
 class AttackCaseRow:
     """One row of the sifting-case enumeration."""
 
     alice_phase: PhaseSymbol
-    evebob_basis: int
-    eve_apd: int
-    evealice_phase: PhaseSymbol
+    evealice_phase: PhaseSymbol  # the phase the resender sends
     bob_phase: PhaseSymbol
-    expected_outcome: ExpectedOutcome
     case_label: CaseLabel
+
+    @property
+    def evebob_basis(self) -> int:
+        """The resender's guess basis, the basis of the phase she sends."""
+        return self.evealice_phase.basis
+
+    @property
+    def eve_apd(self) -> int:
+        """The resender's APD that clicked: 1 for bit 0, 2 for bit 1."""
+        return 1 + self.evealice_phase.bit
+
+    @property
+    def expected_outcome(self) -> ExpectedOutcome:
+        """The receiver's outcome, by the arm shares ARM_WEIGHTS gives the resent pulse."""
+        w1, w2 = ARM_WEIGHTS[:, self.evealice_phase.minus(self.bob_phase).value]
+        if w1 == w2:
+            return ExpectedOutcome.SPLIT_50
+        return ExpectedOutcome.DETERMINISTIC_1 if w1 > w2 else ExpectedOutcome.DETERMINISTIC_2
 
 
 def enumerate_cases() -> list[AttackCaseRow]:
-    """All 16 sifting-relevant combinations of sender phase, guess basis,
-    and receiver basis.
+    """The 16 sifting-relevant protocol tuples of the attack, with the
+    receiver in the sender's basis (the others are discarded in sifting).
 
-    The receiver's basis is pinned to the sender's (other combinations
-    are discarded in sifting).  Matched guess bases contribute a
-    controlled row (case A) and its detection-loss twin (case B);
-    mismatched bases contribute one 50/50 row per resender click, giving
-    eight case-C rows.
+    A matched guess basis resends the sender's phase whatever the coin,
+    so its two tuples give the controlled row (case A) and its
+    detection-loss twin (case B); a mismatched one gives one 50/50 row
+    per coin, eight case-C rows in all.
     """
-    rows: list[AttackCaseRow] = []
-    for alice in PhaseSymbol:
-        bob = RECEIVER_PHASES[alice.basis]
-        for eve_basis in (0, 1):
-            if alice.basis == eve_basis:
-                outcome = (
-                    ExpectedOutcome.DETERMINISTIC_1
-                    if alice.minus(bob) == PhaseSymbol.ZERO
-                    else ExpectedOutcome.DETERMINISTIC_2
-                )
-                for label in (CaseLabel.A, CaseLabel.B):
-                    rows.append(
-                        AttackCaseRow(
-                            alice_phase=alice,
-                            evebob_basis=eve_basis,
-                            eve_apd=1 + alice.bit,
-                            evealice_phase=alice,
-                            bob_phase=bob,
-                            expected_outcome=outcome,
-                            case_label=label,
-                        )
-                    )
-            else:
-                for coin in (0, 1):
-                    rows.append(
-                        AttackCaseRow(
-                            alice_phase=alice,
-                            evebob_basis=eve_basis,
-                            eve_apd=1 + coin,
-                            evealice_phase=PhaseSymbol(eve_basis + 2 * coin),
-                            bob_phase=bob,
-                            expected_outcome=ExpectedOutcome.SPLIT_50,
-                            case_label=CaseLabel.C,
-                        )
-                    )
-    return rows
+    return [
+        AttackCaseRow(alice, send, bob, CaseLabel.C if casec else (CaseLabel.A, CaseLabel.B)[coin])
+        for alice, bob, _, coin, send, casec in _protocol_tuples(Scenario.ATTACK_CM)
+        if alice.basis == bob.basis
+    ]
 
 
 @dataclass
@@ -127,8 +140,6 @@ class GateTally:
     pe2: int = 0
     fired1: int = 0  # gates whose arm avalanched (photon or dark)
     fired2: int = 0
-    dark1: int = 0
-    dark2: int = 0
     # readout clicks: arm fired alone (two-APD), comparator C/D (balanced),
     # rise/fall of the difference signal (self-differencing, one arm)
     click1: int = 0
@@ -220,16 +231,12 @@ def pinned_class(delta: int) -> GateClasses:
 def protocol_classes(
     scenario: Scenario, case_filter: Optional[frozenset[str]] = None
 ) -> GateClasses:
-    """The class table of a scenario, from its 32 equally likely protocol
-    tuples (sender basis and bit, receiver basis, resender basis, coin).
+    """The class table of a scenario, collapsed from its 32 equally likely
+    protocol tuples (see :func:`_protocol_tuples`).
 
-    The resender resends the sender's phase when her guess basis matches
-    the sender's, and a coin-flip phase in her own basis when it does
-    not; case C is a guess basis that differs from the receiver's.
-    ``honest`` sends the sender's phase, and its case C is a sender basis
-    that differs from the receiver's.  ``case_filter`` keeps the tuples
-    of the labels it names: C, or A and B, which share the matched-basis
-    tuples (B is their detection-loss branch).  ``blinding_only`` is one
+    ``case_filter`` keeps the tuples of the labels it names: C, or A and
+    B, which share the matched-basis tuples (B is their detection-loss
+    branch).  ``blinding_only`` is one
     class, conjugate-basis flux every gate, all case C, no key channel;
     it takes no filter.  A filter it cannot apply is a ConfigError.
     """
@@ -239,17 +246,11 @@ def protocol_classes(
         if case_filter is not None:
             raise ConfigError("blinding_only ignores case filters")
         return _class_table([(1, True, False, 0)])
-    rows = []
-    for alice_basis, bit, bob_basis, eve_basis, coin in itertools.product((0, 1), repeat=5):
-        alice_q = alice_basis + 2 * bit
-        if scenario is Scenario.HONEST:
-            send_q, casec = alice_q, alice_basis != bob_basis
-        else:
-            send_q = alice_q if alice_basis == eve_basis else eve_basis + 2 * coin
-            casec = eve_basis != bob_basis
-        if not case_filter or case_filter & set("C" if casec else "AB"):
-            rows.append(((send_q - bob_basis) % 4, casec, alice_basis == bob_basis, bit))
-    return _class_table(rows)
+    return _class_table([
+        (send.minus(bob).value, casec, alice.basis == bob.basis, alice.bit)
+        for alice, bob, _, _, send, casec in _protocol_tuples(scenario)
+        if not case_filter or case_filter & set("C" if casec else "AB")
+    ])
 
 
 def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
@@ -269,13 +270,6 @@ SHARD_GATES = 1_000_000
 
 #: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
-
-#: Share w of the pulse that reaches APD 1 (row 0) and APD 2 (row 1), by
-#: phase difference between the pulse and the receiver's modulator in
-#: quarter turns: 0 routes all of it to APD 1, pi to APD 2, and the two
-#: conjugate-basis differences split it evenly.
-ARM_WEIGHTS = np.array([[1.0, 0.5, 0.0, 0.5], [0.0, 0.5, 1.0, 0.5]])
-
 
 def arm_means(mu: float, qe: float, delta_q: int) -> tuple[float, float]:
     """Mean detected signal carriers per gate on APD 1 and APD 2, mu*qe*w,
@@ -387,9 +381,8 @@ def detect_pair(
         k1, k2 = k1[idx], k2[idx]
     fired1, fired2 = k1 > 0, k2 > 0
     tally = GateTally(
-        gates=n, pe1=arm1.pe, pe2=arm2.pe, dark1=arm1.dark, dark2=arm2.dark,
-        fired1=int(np.count_nonzero(fired1)), fired2=int(np.count_nonzero(fired2)),
-        doubles=int(np.count_nonzero(fired1 & fired2)),
+        gates=n, pe1=arm1.pe, pe2=arm2.pe, fired1=int(np.count_nonzero(fired1)),
+        fired2=int(np.count_nonzero(fired2)), doubles=int(np.count_nonzero(fired1 & fired2)),
     )
     if detector is DetectorKind.BASELINE_TWO_APD:
         tally.click1 = tally.fired1 - tally.doubles
@@ -528,6 +521,11 @@ CASE_C_MU = 0.1
 CASE_A_GATES = 200_000
 CASE_B_GATES = 200_000
 CASE_C_GATES = 4_000_000
+_CASE_RUNS = {
+    CaseLabel.A: (CASE_A_MU, CASE_A_GATES),
+    CaseLabel.B: (CASE_B_MU, CASE_B_GATES),
+    CaseLabel.C: (CASE_C_MU, CASE_C_GATES),
+}
 
 
 def evaluate_case_row(
@@ -543,33 +541,21 @@ def evaluate_case_row(
     exp(-mu*qe) within four binomial sigma.  Case C: at mu=0.1 each side
     takes 0.50 +/- 0.01 of the single clicks.
     """
-    if row.case_label is CaseLabel.A:
-        mu, n = CASE_A_MU, CASE_A_GATES if gates is None else gates
-    elif row.case_label is CaseLabel.B:
-        mu, n = CASE_B_MU, CASE_B_GATES if gates is None else gates
-    else:
-        mu, n = CASE_C_MU, CASE_C_GATES if gates is None else gates
+    mu, default_gates = _CASE_RUNS[row.case_label]
+    n = default_gates if gates is None else gates
     stats = run_fixed(row.evealice_phase, row.bob_phase, mu, n, params, seed_seq)
 
     if row.case_label is CaseLabel.A:
-        expected_clicks = (
-            stats.click1
-            if row.expected_outcome is ExpectedOutcome.DETERMINISTIC_1
-            else stats.click2
-        )
+        on_apd1 = row.expected_outcome is ExpectedOutcome.DETERMINISTIC_1
         total = stats.click1 + stats.click2 + stats.doubles
-        frac = expected_clicks / total if total else 0.0
-        return CaseRowResult(
-            row, mu, n, frac, "single-sided fraction >= 0.999", frac >= 0.999
-        )
+        frac = (stats.click1 if on_apd1 else stats.click2) / total if total else 0.0
+        return CaseRowResult(row, mu, n, frac, "single-sided fraction >= 0.999", frac >= 0.999)
     if row.case_label is CaseLabel.B:
         p_none = math.exp(-mu * params.qe)
         frac = stats.no_click / stats.gates
         sigma = math.sqrt(p_none * (1.0 - p_none) / stats.gates)
-        ok = abs(frac - p_none) <= 4.0 * sigma
-        return CaseRowResult(
-            row, mu, n, frac, f"no-click fraction {p_none:.4f} +/- 4 sigma", ok
-        )
+        expected = f"no-click fraction {p_none:.4f} +/- 4 sigma"
+        return CaseRowResult(row, mu, n, frac, expected, abs(frac - p_none) <= 4.0 * sigma)
     singles = stats.click1 + stats.click2
     frac = stats.click1 / singles if singles else 0.0
     return CaseRowResult(

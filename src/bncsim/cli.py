@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--f-gate", type=float, default=2e6)
     p_oracle.add_argument("--p-ave", type=float, help="average source power (W)")
     p_oracle.add_argument("--rep-rate", type=float, help="pulse repetition rate (Hz)")
-    p_oracle.add_argument("--att-bob", type=float, default=0.0, help="receiver attenuation (dB)")
+    p_oracle.add_argument("--att-bob", type=float, help="receiver attenuation (dB), default 0")
     p_oracle.add_argument(
         "--mu-eve-alice", type=float, help="target flux at the resender (photons/pulse)"
     )
@@ -90,8 +92,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     spec, params, merged = resolve_config(file_values, overrides)
+    out = Path(str(merged["out"]))
+    if not out.parent.is_dir() or out.is_dir() or Path(f"{out}.manifest").is_dir():
+        raise ConfigError(f"cannot write {out} and its manifest: no such directory, or a directory")
     report = run_sweep(spec, params)
-    path = emit_report(report, str(merged["out"]))
+    path = emit_report(report, out)
     print(f"wrote {path} and {path}.manifest")
     header = f"{'flux':>10} {'qber':>10} {'cm_success':>10} {'casec_cm':>10} {'weak_ratio':>10}"
     print(header)
@@ -148,31 +153,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    """Print the oracles at flux --mu; bad input is a ConfigError before any output."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if args.mu < 0.0:
+        raise ConfigError(f"--mu must be non-negative, got {args.mu:g}")
+    given = [v is not None for v in (args.p_ave, args.rep_rate, args.mu_eve_alice)]
+    if not all(given) and (any(given) or args.att_bob is not None):
+        raise ConfigError("the link budget needs --p-ave, --rep-rate and --mu-eve-alice together")
     params = replace(DetectorParams.default(), qe=args.qe, f_gate=args.f_gate)
     mu = args.mu
-    print(f"mu={mu:g}")
-    print(f"ideal_rate_same_phase={ideal_click_rate_same_phase(mu, args.qe, args.f_gate):.10g}")
-    print(f"ideal_rate_diff_phase={ideal_click_rate_diff_phase(mu, args.qe, args.f_gate):.10g}")
     probs = click_probabilities(mu, args.qe)
-    print(f"p1={probs.p1:.10g}")
-    print(f"p2={probs.p2:.10g}")
-    print(f"p_s={probs.p_s:.10g}")
+    values = {
+        "ideal_rate_same_phase": ideal_click_rate_same_phase(mu, args.qe, args.f_gate),
+        "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
+        "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
+    }
     if probs.p1 + probs.p_s > 0:
-        print(f"attack_qber={attack_qber(probs.p1, probs.p_s):.10g}")
-    if mu > 0:
-        print(f"cm_success_mixed={oracle_cm_success(mu, params, 0.5):.10g}")
-        print(f"cm_success_split={oracle_cm_success(mu, params, 1.0):.10g}")
-    if args.p_ave is not None and args.rep_rate is not None and args.mu_eve_alice is not None:
-        budget = LinkBudget(
-            p_ave_w=args.p_ave,
-            rep_rate_hz=args.rep_rate,
-            att_bob_db=args.att_bob,
-            mu_eve_alice=args.mu_eve_alice,
-        )
-        print(f"n_photons={budget.n_photons:.10g}")
-        print(f"att_path_db={budget.att_path_db:.10g}")
-        print(f"att_total_db={budget.att_total_db:.10g}")
-        print(f"mu_apd={budget.mu_apd:.10g}")
+        values["attack_qber"] = attack_qber(probs.p1, probs.p_s)
+    if mu * args.qe > 0:
+        values["cm_success_mixed"] = oracle_cm_success(mu, params, 0.5)
+        values["cm_success_split"] = oracle_cm_success(mu, params, 1.0)
+    if all(given):
+        try:
+            link = LinkBudget(args.p_ave, args.rep_rate, args.att_bob or 0.0, args.mu_eve_alice)
+            values.update(n_photons=link.n_photons, att_path_db=link.att_path_db,
+                          att_total_db=link.att_total_db, mu_apd=link.mu_apd)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    print(f"mu={mu:g}")
+    for name, value in values.items():
+        print(f"{name}={value:.10g}")
     return 0
 
 

@@ -159,7 +159,7 @@ def _oracle_columns(
         diff = ideal_click_rate_diff_phase(mu, params.qe, params.f_gate)
     probs = click_probabilities(mu, params.qe)
     qber = attack_qber(probs.p1, probs.p_s) if (probs.p1 + probs.p_s) > 0 else math.nan
-    cm = oracle_cm_success(mu, params, split_share) if mu > 0 else math.nan
+    cm = oracle_cm_success(mu, params, split_share) if mu * params.qe > 0 else math.nan
     regime = "ok" if mu * params.qe <= LINEAR_REGIME_MAX else "extrapolated"
     return same, diff, qber, cm, regime
 
@@ -240,7 +240,7 @@ def _run_sd_point(
         fired = int(np.count_nonzero(arm.k))
         strong = strong_rise + blind
         return GateTally(
-            gates=n, pe1=arm.pe, fired1=fired, dark1=arm.dark, click1=strong_rise + weak_rise,
+            gates=n, pe1=arm.pe, fired1=fired, click1=strong_rise + weak_rise,
             click2=fall, blind=blind, weak=fired - strong, strong=strong,
         )
 

@@ -13,6 +13,7 @@ import bncsim.attack as attack
 from bncsim.attack import (
     CASE_C_GATES,
     CASE_C_MU,
+    ARM_WEIGHTS,
     SHARD_GATES,
     SPARSE_LAM_MAX,
     AttackConfig,
@@ -47,6 +48,16 @@ def fixed_shard(send, bob, mu, params):
     config = AttackConfig(n_pulses=1, resend_mu=mu, detector=DetectorKind.BASELINE_TWO_APD)
     pinned = pinned_class(send.minus(bob).value)
     return lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng, pinned)
+
+
+def row_key(row):
+    """(delta, casec, sift, bit) of a table-1 row, as :func:`protocol_tuples` keys a tuple."""
+    return (
+        row.evealice_phase.minus(row.bob_phase).value,
+        row.case_label is CaseLabel.C,
+        row.alice_phase.basis == row.bob_phase.basis,
+        row.alice_phase.bit,
+    )
 
 
 def rows_for(alice, eve_basis):
@@ -135,6 +146,50 @@ class TestCaseEnumeration:
                 b.evealice_phase,
                 b.bob_phase,
             )
+
+
+    def test_rows_are_the_sifting_tuples(self):
+        sifting = [key for key in protocol_tuples(Scenario.ATTACK_CM) if key[2]]
+        assert len(sifting) == 16
+        assert Counter(map(row_key, enumerate_cases())) == Counter(sifting)
+
+    def test_each_matched_tuple_is_one_a_and_one_b_row(self):
+        rows = enumerate_cases()
+        a_rows = Counter(row_key(r) for r in rows if r.case_label is CaseLabel.A)
+        b_rows = Counter(row_key(r) for r in rows if r.case_label is CaseLabel.B)
+        # the two coins of a matched tuple resend the same phase: one is
+        # the A row, the other its B twin
+        tuples = protocol_tuples(Scenario.ATTACK_CM)
+        matched = Counter(key for key in tuples if key[2] and not key[1])
+        assert sum(matched.values()) == 8
+        assert a_rows == b_rows and a_rows + b_rows == matched
+
+    def test_expected_outcome_follows_arm_weights(self):
+        by_delta = {
+            0: ExpectedOutcome.DETERMINISTIC_1,
+            1: ExpectedOutcome.SPLIT_50,
+            2: ExpectedOutcome.DETERMINISTIC_2,
+            3: ExpectedOutcome.SPLIT_50,
+        }
+        for row in enumerate_cases():
+            delta = row.evealice_phase.minus(row.bob_phase).value
+            w1, w2 = ARM_WEIGHTS[:, delta]
+            assert row.expected_outcome is by_delta[delta]
+            assert (row.expected_outcome is ExpectedOutcome.SPLIT_50) == (w1 == w2 == 0.5)
+            assert (row.expected_outcome is ExpectedOutcome.DETERMINISTIC_1) == (w1 == 1.0)
+
+    def test_row_order(self):
+        # bncsim table1 seeds row i with spawn key (1, i), so the order is pinned
+        keys = [
+            (r.alice_phase.value, r.evebob_basis, r.case_label.value, r.eve_apd)
+            for r in enumerate_cases()
+        ]
+        assert keys == sorted(keys)
+
+    def test_derived_attributes(self):
+        for row in enumerate_cases():
+            assert row.evebob_basis == row.evealice_phase.basis
+            assert row.eve_apd == 1 + row.evealice_phase.bit
 
 
 class TestRunAttack:
@@ -533,7 +588,7 @@ def full_array_tally(arms, amps, labels, classes, params, balanced):
     """
     arm1, arm2 = arms
     amp1, amp2 = amps
-    t = GateTally(gates=arm1.k.size, pe1=arm1.pe, pe2=arm2.pe, dark1=arm1.dark, dark2=arm2.dark)
+    t = GateTally(gates=arm1.k.size, pe1=arm1.pe, pe2=arm2.pe)
     ledger = []
     for i in range(arm1.k.size):
         cls = labels[i]

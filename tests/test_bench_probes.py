@@ -90,3 +90,19 @@ def test_sift_counts_called_once_per_block(params, monkeypatch):
     tally = attack.simulate_block(config, params, np.random.default_rng(1))
     assert len(calls) == 1
     assert original(*calls[0]) == (tally.sifted, tally.errors)
+
+
+def test_case_gates_are_the_gates_table1_runs(params, monkeypatch):
+    # the case-table workload counts table 1's gates by reading
+    # attack.CASE_<label>_GATES with getattr, which no patched(...) call shows
+    gates = []
+
+    def spy(send, bob, mu, n_gates, *args):
+        gates.append(n_gates)
+        return attack.GateTally(gates=n_gates)
+
+    monkeypatch.setattr(attack, "run_fixed", spy)
+    for row in attack.enumerate_cases():
+        gates.clear()
+        attack.evaluate_case_row(row, params, np.random.SeedSequence(0))
+        assert gates == [getattr(attack, f"CASE_{row.case_label.value}_GATES")]

@@ -534,6 +534,63 @@ class TestCli:
         assert "n_photons=3901430.85" in out
         assert "att_path_db=45.91" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mu", "-1"],
+            ["--mu", "nan"],
+            ["--mu", "inf"],
+            ["--mu", "1", "--p-ave", "1e-6", "--rep-rate", "2e6", "--mu-eve-alice", "1e9"],
+            ["--mu", "1", "--p-ave", "1e-6", "--rep-rate", "0", "--mu-eve-alice", "100"],
+            ["--mu", "1", "--p-ave", "1e-6", "--rep-rate", "2e6", "--mu-eve-alice", "100",
+             "--att-bob", "-3"],
+            ["--mu", "1", "--p-ave", "1e-6"],
+            ["--mu", "1", "--att-bob", "3"],
+        ],
+        ids=[
+            "mu-negative", "mu-nan", "mu-inf", "budget-amplifies", "rep-rate-0",
+            "att-bob-negative", "p-ave-alone", "att-bob-alone",
+        ],
+    )
+    def test_oracle_bad_input_exits_2_without_output(self, argv, capsys):
+        assert main(["oracle", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_zero_qe_writes_nan_oracle_column(self, tmp_path, capsys):
+        cfg = tmp_path / "qe0.cfg"
+        cfg.write_text("qe = 0\n")
+        out = tmp_path / "qe0.csv"
+        argv = ["sweep", "--config", str(cfg), "--flux", "0.1,1", "--gates", "10000"]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = load_report_rows(out)
+        assert len(rows) == 2 and all(math.isnan(row["oracle_cm_success"]) for row in rows)
+        capsys.readouterr()
+        # the oracle command omits the monitor yield, as it does at mu = 0
+        assert main(["oracle", "--mu", "1", "--qe", "0"]) == 0
+        captured = capsys.readouterr()
+        assert "p_s=0\n" in captured.out and "cm_success" not in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "manifest-directory"])
+    def test_bad_out_path_exits_2_before_any_gate(self, where, tmp_path, capsys, monkeypatch):
+        import bncsim.attack as attack
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(attack, "_run_sharded", no_gates)
+        out = {
+            "missing-directory": tmp_path / "missing" / "report.csv",
+            "directory": tmp_path,
+            "manifest-directory": tmp_path / "report.csv",
+        }[where]
+        (tmp_path / "report.csv.manifest").mkdir()
+        assert main(["sweep", "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists() and not (tmp_path / "report.csv").exists()
+
     def test_table1_counts(self, capsys):
         # tiny statistics: only check the enumeration structure, not matches
         main(["table1", "--gates", "20000"])

@@ -4,8 +4,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,22 +21,6 @@ def test_compare_receivers(monkeypatch, capsys):
     flux, _, doubles, qber, flagged = lines[2].split()
     assert flux == "500"
     assert float(doubles) > 0.4 and float(qber) < 0.01 and float(flagged) > 0.99
-
-
-def test_run_landmark_sweep(monkeypatch, capsys, tmp_path):
-    out = tmp_path / "landmarks.csv"
-    # at 10k gates some bands may miss, and the script then exits 1
-    with pytest.raises(SystemExit) as status:
-        run_script(
-            "run_landmark_sweep.py", ["--gates", "10000", "--out", str(out)], monkeypatch, capsys
-        )
-    assert status.value.code in (0, 1)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("swept 6 flux points x 10000 gates")
-    landmarks = [line for line in lines[1:] if line.split()[0] in ("PASS", "FAIL")]
-    assert len(landmarks) == len(lines) - 1 == 9
-    assert len(out.read_text().splitlines()) == 7
-    assert (tmp_path / "landmarks.csv.manifest").exists()
 
 
 def test_sd_blinding_demo(monkeypatch, capsys):
