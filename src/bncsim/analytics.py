@@ -195,18 +195,15 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
         raise ValueError("nu must be non-negative")
     if nu == 0.0:
         return float(weak_probabilities(1, params)[1])
-    if nu > 1e4:
-        # P(k=1 | fired) alone is already below exp(-9000); avoid building
-        # an O(nu) term array for a value that underflows to zero anyway
-        return 0.0
-    k_max = max(20, int(nu + 12.0 * math.sqrt(nu) + 12))
-    ks = np.arange(1, k_max + 1)
-    log_pmf = ks * math.log(nu) - nu - special.gammaln(ks + 1)
-    pmf = np.exp(log_pmf)
-    # the table may stop early where P underflows; the terms after it are 0
-    cdf = weak_probabilities(k_max, params)[1:]
+    # k past nu + 12 sqrt(nu) carries no Poisson mass; the table may stop
+    # earlier, where P underflows to 0, and it is bounded by WEAK_TABLE_MAX
+    # entries whatever nu is, so the terms are only those of its entries
+    cdf = weak_probabilities(max(20, int(nu + 12.0 * math.sqrt(nu) + 12)), params)[1:]
+    ks = np.arange(1, cdf.size + 1)
+    pmf = np.exp(ks * math.log(nu) - nu - special.gammaln(ks + 1))
     fired = -math.expm1(-nu)
-    return float((pmf[: cdf.size] * cdf).sum() / fired)
+    # at nu ~ 1e4 the rounding of log_pmf can lift the sum past 1 by ~1e-11
+    return min(float((pmf * cdf).sum() / fired), 1.0)
 
 
 def oracle_cm_success(mu: float, params: DetectorParams, split_share: float) -> float:

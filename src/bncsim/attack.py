@@ -355,6 +355,27 @@ def railed_amplitudes(
     return amp
 
 
+def count_events(tally: GateTally, codes: np.ndarray, both_raw: int = 0) -> GateTally:
+    """Count a noise-cancelling monitor's :class:`GateEvent` codes into
+    ``tally``, whose fired counters are set, and return it.
+
+    Clicks are the strong and weak events of each difference polarity
+    (comparator C or D), blinding flags the ``BLINDING_DETECTED`` events.
+    A raw comparator fires only on a railed avalanche, and its word is a
+    strong click or a blinding flag; ``both_raw`` counts the flagged gates
+    where both raw comparators fired, two strong avalanches each (the
+    self-differencing monitor has one raw comparator, so none).  Every
+    other fired arm is weak.
+    """
+    events = np.bincount(codes, minlength=len(GateEvent)).tolist()
+    tally.click1 = events[GateEvent.STRONG_1] + events[GateEvent.WEAK_1]
+    tally.click2 = events[GateEvent.STRONG_2] + events[GateEvent.WEAK_2]
+    tally.blind = events[GateEvent.BLINDING_DETECTED]
+    tally.strong = events[GateEvent.STRONG_1] + events[GateEvent.STRONG_2] + tally.blind + both_raw
+    tally.weak = tally.fired1 + tally.fired2 - tally.strong
+    return tally
+
+
 def detect_pair(
     lam1: float,
     lam2: float,
@@ -370,8 +391,9 @@ def detect_pair(
     two-APD readout clicks on an arm that fired alone, so its clicks
     follow from the fired counts.  The balanced readout runs on the fired
     gates alone and counts their :func:`~bncsim.balanced.event_codes`,
-    which also check every comparator word for reachability.  The case-C
-    and sifting counters are left to the caller.
+    which also check every comparator word for reachability, with
+    :func:`count_events`.  The case-C and sifting counters are left to
+    the caller.
     """
     arm1 = detect_arm(lam1, n, params.dcp_apd1, rng)
     arm2 = detect_arm(lam2, n, params.dcp_apd2, rng)
@@ -392,13 +414,7 @@ def detect_pair(
         railed_amplitudes(k1, params, rng), railed_amplitudes(k2, params, rng), params
     )
     codes = event_codes(a, b, c, d)
-    events = np.bincount(codes, minlength=len(GateEvent)).tolist()
-    tally.click1 = events[GateEvent.STRONG_1] + events[GateEvent.WEAK_1]
-    tally.click2 = events[GateEvent.STRONG_2] + events[GateEvent.WEAK_2]
-    tally.blind = events[GateEvent.BLINDING_DETECTED]
-    # a raw comparator fires only on a railed avalanche, so only on a fired arm
-    tally.strong = int(np.count_nonzero(a) + np.count_nonzero(b))
-    tally.weak = tally.fired1 + tally.fired2 - tally.strong
+    count_events(tally, codes, int(np.count_nonzero(a & b)))
     tally.weak_coinc = int(np.count_nonzero(fired1 & fired2 & (codes == GateEvent.NO_EVENT)))
     return tally
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from .analytics import (
     ideal_click_rate_same_phase,
     oracle_cm_success,
 )
-from .attack import enumerate_cases, evaluate_case_row
+from .attack import DetectorKind, Scenario, enumerate_cases, evaluate_case_row
 from .errors import ConfigError, MissingFluxPoint
 from .harness import (
     emit_report,
@@ -48,14 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a flux sweep and write a report")
     _add_common(p_sweep)
     p_sweep.add_argument("--flux", help="comma-separated flux grid (photons/pulse)")
-    p_sweep.add_argument(
-        "--scenario",
-        choices=["honest", "attack_no_cm", "attack_cm", "blinding_only"],
-    )
-    p_sweep.add_argument(
-        "--detector",
-        choices=["baseline_two_apd", "balanced_bnc", "self_differencing"],
-    )
+    p_sweep.add_argument("--scenario", choices=[s.value for s in Scenario])
+    p_sweep.add_argument("--detector", choices=[d.value for d in DetectorKind])
     p_sweep.add_argument("--case-filter", help="restrict gates to case labels, e.g. C")
     p_sweep.add_argument("--out", help="report path (manifest written alongside)")
 
@@ -165,11 +160,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     params = replace(DetectorParams.default(), qe=args.qe, f_gate=args.f_gate)
     mu = args.mu
     probs = click_probabilities(mu, args.qe)
-    values = {
-        "ideal_rate_same_phase": ideal_click_rate_same_phase(mu, args.qe, args.f_gate),
-        "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
-        "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
-    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = {
+            "ideal_rate_same_phase": ideal_click_rate_same_phase(mu, args.qe, args.f_gate),
+            "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
+            "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
+        }
+    # both linear rates warn alike outside their regime; say it once
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     if probs.p1 + probs.p_s > 0:
         values["attack_qber"] = attack_qber(probs.p1, probs.p_s)
     if mu * args.qe > 0:

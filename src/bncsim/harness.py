@@ -38,13 +38,14 @@ from .attack import (
     GateTally,
     Scenario,
     _run_sharded,
+    count_events,
     detect_arm,
     protocol_classes,
     railed_amplitudes,
     run_attack,
 )
 from .errors import ConfigError, MissingFluxPoint
-from .selfdiff import SdGateEvent, sd_event_codes
+from .selfdiff import sd_event_codes
 from .signal_model import DetectorParams
 
 DEFAULT_FLUX_GRID: tuple[float, ...] = tuple(
@@ -223,8 +224,9 @@ def _run_sd_point(
     One APD sees the whole pulse, so the gate kernel draws it at mean
     mu*qe.  The point runs in shards like the gate pipeline; each shard
     starts the delay register from the previous shard's last amplitude,
-    so the event stream is the one a single block would give.  Rises
-    count as ``click1``, delayed falls as ``click2``.
+    so the event stream is the one a single block would give.  The
+    events count like the balanced monitor's: rises as ``click1``, delayed
+    falls as ``click2``.
     """
     register = 0.0
 
@@ -232,17 +234,10 @@ def _run_sd_point(
         nonlocal register
         arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
         amps = railed_amplitudes(arm.k, params, rng)
-        counts = np.bincount(sd_event_codes(amps, params, register), minlength=len(SdGateEvent))
+        tally = GateTally(gates=n, pe1=arm.pe, fired1=int(np.count_nonzero(arm.k)))
+        count_events(tally, sd_event_codes(amps, params, register))
         register = float(amps[-1])
-        # counts in SdGateEvent order; a railed amplitude sets comparator A,
-        # which reads as a strong rise or a blinding flag
-        _, strong_rise, fall, weak_rise, blind = counts.tolist()
-        fired = int(np.count_nonzero(arm.k))
-        strong = strong_rise + blind
-        return GateTally(
-            gates=n, pe1=arm.pe, fired1=fired, click1=strong_rise + weak_rise,
-            click2=fall, blind=blind, weak=fired - strong, strong=strong,
-        )
+        return tally
 
     return _run_sharded(n_gates, seed_seq, SHARD_GATES, block)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from bncsim.analytics import (
     photons_per_pulse_from_power,
     weak_avalanche_fraction,
 )
+from bncsim.attack import DetectorKind, Scenario
 from bncsim.errors import NonPhysical, UndefinedQuantity
+from bncsim.harness import SweepSpec, run_sweep
 from bncsim.signal_model import DetectorParams
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -157,6 +160,28 @@ class TestWeakFraction:
     def test_vanishes_at_high_flux(self, params):
         assert weak_avalanche_fraction(25.0, params) < 1e-9
         assert weak_avalanche_fraction(1e6, params) == 0.0
+
+    def test_continuous_across_nu_1e4(self, params):
+        # a rail of 1e5 single-carrier gains: an avalanche of ~1e4 carriers is weak
+        p = replace(params, gain_mean=1e-5, t_strong=1.0)
+        for nu in (9000.0, 9999.0, 10001.0, 15000.0):
+            assert weak_avalanche_fraction(nu, p) == pytest.approx(1.0), nu
+        # a rail of 1e4 gains: the weak share passes 1/2 near nu = 1e4
+        p = replace(params, gain_mean=1e-4, t_strong=1.0)
+        below, above = (weak_avalanche_fraction(nu, p) for nu in (9999.0, 10001.0))
+        assert 0.49 < above < below < 0.51
+
+    @pytest.mark.parametrize("gain_mean,mu", [(1e-5, 150_000.0), (1e-4, 100_010.0)])
+    def test_oracle_cm_success_matches_monte_carlo_past_nu_1e4(self, params, gain_mean, mu):
+        p = replace(params, gain_mean=gain_mean, t_strong=1.0)
+        spec = SweepSpec(
+            (mu,), 10_000, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING, seed=3
+        )
+        row = run_sweep(spec, p).rows[0]
+        avalanches = row.apd1_rate / p.f_gate * row.gates
+        strong = row.oracle_cm_success / 100.0
+        sigma = 100.0 * math.sqrt(strong * (1.0 - strong) / avalanches)
+        assert abs(row.cm_success - row.oracle_cm_success) <= max(4.0 * sigma, 1e-9)
 
     def test_oracle_cm_success_at_single_photon(self, params):
         # mixed-basis traffic at mu=1 keeps roughly 10% weak avalanches

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
+from bncsim.balanced import GateEvent
 from bncsim.cli import main
 from bncsim.errors import ConfigError, MissingFluxPoint
 from bncsim.harness import (
@@ -24,6 +26,7 @@ from bncsim.harness import (
 )
 from bncsim.selfdiff import SdGateEvent
 from bncsim.signal_model import DetectorParams
+from reference import sd_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -321,7 +324,7 @@ class TestSelfDifferencingShards:
         assert [r for _, r in calls] == [0.0] + [a[-1] for a, _ in calls[:-1]]
         # the shards count what one pass over the joined stream counts
         counts = np.bincount(
-            original(np.concatenate([a for a, _ in calls]), params), minlength=len(SdGateEvent)
+            original(np.concatenate([a for a, _ in calls]), params), minlength=len(GateEvent)
         )
         per_gate = lambda count: count / row.gates * params.f_gate  # noqa: E731
         rise = counts[SdGateEvent.STRONG_RISE] + counts[SdGateEvent.WEAK_RISE]
@@ -331,6 +334,33 @@ class TestSelfDifferencingShards:
         # a bright train cancels gate against gate: the only rise is the
         # first gate's, none at a shard boundary
         assert rise == 1
+
+    def test_tally_matches_reference_stream(self, params, monkeypatch):
+        import bncsim.harness as harness
+
+        shards = []
+        original = harness.sd_event_codes
+
+        def spy(amps, p, register=0.0):
+            shards.append(amps)
+            return original(amps, p, register)
+
+        # small shards keep the per-gate reference quick
+        monkeypatch.setattr(harness, "sd_event_codes", spy)
+        monkeypatch.setattr(harness, "SHARD_GATES", 20_000)
+        tally = harness._run_sd_point(10.0, 50_000, params, np.random.SeedSequence(4))
+        assert len(shards) == 3
+        amps = np.concatenate(shards)
+        events = Counter(sd_stream(amps.tolist(), params.t_strong, params.t_diff))
+        assert set(events) == {e.name for e in SdGateEvent}
+        fired = int(np.count_nonzero(amps))
+        strong = int(np.count_nonzero(amps >= params.t_strong))
+        assert (tally.gates, tally.fired1, tally.fired2) == (50_000, fired, 0)
+        assert tally.click1 == events["STRONG_RISE"] + events["WEAK_RISE"]
+        assert tally.click2 == events["DELAYED_FALL"]
+        assert tally.blind == events["BLINDING_DETECTED"]
+        assert tally.strong == strong == events["STRONG_RISE"] + events["BLINDING_DETECTED"]
+        assert tally.weak == fired - strong
 
     def test_memory_bounded_by_one_shard(self, params):
         def peak(gates):
@@ -506,12 +536,19 @@ class TestCli:
         assert main(["verify", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::bncsim.analytics.RegimeWarning")
     def test_oracle_output(self, capsys):
         assert main(["oracle", "--mu", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "p1=0.01338509414" in out
-        assert "attack_qber=0.006604445782" in out
+        captured = capsys.readouterr()
+        assert captured.out.startswith(
+            "mu=100\nideal_rate_same_phase=20000000\nideal_rate_diff_phase=10000000\n"
+        )
+        assert "p1=0.01338509414" in captured.out
+        assert "attack_qber=0.006604445782" in captured.out
+        # both linear rates are out of their regime: one warning line, no source
+        assert captured.err == (
+            "warning: mu_apd*qe = 10 exceeds the linear regime (<= 0.3); "
+            "the ideal rate overestimates clicks\n"
+        )
 
     def test_oracle_budget_chain(self, capsys):
         assert (

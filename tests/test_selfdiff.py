@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bncsim.attack import detect_arm, railed_amplitudes
+from bncsim.balanced import event_codes
 from bncsim.errors import InconsistentWord
-from bncsim.selfdiff import SdGateEvent, sd_event_codes, sd_word_codes
+from bncsim.selfdiff import SdGateEvent, sd_event_codes
 from bncsim.signal_model import DetectorParams
 from reference import sd_event, sd_stream, sd_word
 
@@ -59,7 +60,9 @@ class TestComparators:
 
 
 def word_event(bits):
-    return SdGateEvent(sd_word_codes(*(np.array([bool(x)]) for x in bits))[0])
+    """Event of the word (A, fall, rise): the balanced word (A, 0, rise, fall)."""
+    a, fall, rise = (np.array([bool(x)]) for x in bits)
+    return SdGateEvent(event_codes(a, np.False_, rise, fall)[0])
 
 
 class TestClassify:
