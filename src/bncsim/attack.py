@@ -9,9 +9,16 @@ gate goes silent instead of producing the 50/50 error clicks that would
 raise the sifted error rate.
 
 A gate's fate depends only on its protocol class, so the engine draws a
-shard's class counts and runs the numpy gate kernel once per class;
-shard results merge by plain field-wise addition, making the aggregate
-independent of how shards are grouped over workers.
+shard's class counts and runs the gate kernel (:func:`detect_pair`) once
+per class.  Within a class each arm of a gate is empty, weak (its
+avalanche stays below the rail) or railed, independently of the other
+arm, and a gate's readout is fixed by that pair of states unless an arm
+is weak.  The kernel therefore draws the class's counts of the nine
+(arm 1, arm 2) state cells and reads out only the gates with a weak arm,
+plus one row per other cell weighted by its count: a block costs
+O(classes + weak gates), not O(gates).  Shard results merge by plain
+field-wise addition, making the aggregate independent of how shards are
+grouped over workers.
 """
 
 from __future__ import annotations
@@ -157,9 +164,7 @@ class GateTally:
     errors: int = 0
 
     def __add__(self, other: "GateTally") -> "GateTally":
-        return GateTally(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+        return GateTally(*[getattr(self, name) + getattr(other, name) for name in _TALLY_FIELDS])
 
     @property
     def no_click(self) -> int:
@@ -169,6 +174,10 @@ class GateTally:
     @property
     def qber(self) -> float:
         return self.errors / self.sifted if self.sifted else math.nan
+
+
+# read once: each dataclasses.fields() call builds a new tuple
+_TALLY_FIELDS = tuple(f.name for f in fields(GateTally))
 
 
 @dataclass(frozen=True)
@@ -288,12 +297,14 @@ class Arm(NamedTuple):
 
 #: Largest mean at which :func:`detect_arm` draws carriers sparsely (the
 #: two paths break even near 4).  Results depend on it, since the two
-#: paths consume the generator differently.
+#: paths consume the generator differently.  Only the self-differencing
+#: point draws through :func:`detect_arm`; the pair receivers draw cells
+#: (:func:`detect_pair`).
 SPARSE_LAM_MAX = 1.0
 
 
 def detect_arm(lam: float, n: int, dcp: float, rng: np.random.Generator) -> Arm:
-    """The gate kernel: draw one APD's avalanche carriers over ``n`` gates.
+    """The per-gate kernel: draw one APD's avalanche carriers over ``n`` gates.
 
     ``lam`` is the arm's mean detected signal carriers per gate (see
     :func:`arm_means`).  Drawing the detected count directly as
@@ -321,10 +332,18 @@ def detect_arm(lam: float, n: int, dcp: float, rng: np.random.Generator) -> Arm:
         pe = pos.size
     else:
         k = rng.poisson(lam, n)
-        pe = int(k.sum())
+        # at huge means the total can pass the int64 range: sum it as Python ints
+        pe = int(k.sum()) if n * lam < 2.0**62 else sum(k.tolist())
     dark = rng.choice(n, rng.binomial(n, dcp), replace=False, shuffle=False)
     k[dark] += 1
     return Arm(k, pe, dark.size)
+
+
+def _below_rail(carriers: np.ndarray, u: np.ndarray, params: DetectorParams) -> np.ndarray:
+    """Amplitudes gain_mean * gammaincinv(K, u) of weak avalanches of K
+    carriers at uniforms u < P[K]; one that rounds up to the rail reads
+    as railed."""
+    return np.minimum(params.gain_mean * special.gammaincinv(carriers, u), params.t_strong)
 
 
 def railed_amplitudes(
@@ -338,8 +357,7 @@ def railed_amplitudes(
     :func:`~bncsim.signal_model.weak_probabilities`), and then has
     amplitude gain_mean * gammaincinv(k, u).  This is the exact inverse
     CDF, and the amplitude itself is computed only for the weak entries.
-    A weak draw that rounds up to the rail reads as railed.  Entries with
-    ``k = 0`` are 0 and draw nothing.
+    Entries with ``k = 0`` are 0 and draw nothing.
     """
     amp = np.zeros(np.shape(k))
     fired = np.flatnonzero(k)
@@ -350,12 +368,101 @@ def railed_amplitudes(
     # the table may stop before kf.max(); its last entry, 0, covers the rest
     weak = u < weak_probabilities(int(kf.max()), params).take(kf, mode="clip")
     amp[fired] = params.t_strong
-    x = special.gammaincinv(kf[weak], u[weak])
-    amp[fired[weak]] = np.minimum(params.gain_mean * x, params.t_strong)
+    amp[fired[weak]] = _below_rail(kf[weak], u[weak], params)
     return amp
 
 
-def count_events(tally: GateTally, codes: np.ndarray, both_raw: int = 0) -> GateTally:
+#: Avalanche state of one arm in one gate, the row and column of
+#: :func:`detect_pair`'s cells.
+EMPTY, WEAK, RAILED = range(3)
+
+
+class ArmLaw(NamedTuple):
+    """One arm's per-gate law, by avalanche state.
+
+    A gate's carrier count is K = k + d, with k ~ Poisson(lam) detected
+    signal photons and d ~ Bernoulli(dcp) a dark ignition.  The arm is
+    EMPTY when K = 0, WEAK when its Gamma(K) avalanche stays below the
+    rail (probability P[K] of
+    :func:`~bncsim.signal_model.weak_probabilities`) and RAILED otherwise.
+    The law is tabulated over a window of signal counts, lam +- (12
+    sqrt(lam) + 24), and normalised over it; the Poisson mass outside is
+    below 1e-30.  A window at or past the end of the P(k) table, where
+    every avalanche rails and no gate is empty, is not tabulated: ``k`` is
+    empty and ``state`` is (0, 0, 1).  The arrays are read-only, since laws
+    are cached and shared.
+    """
+
+    lam: float
+    state: np.ndarray  # P(EMPTY), P(WEAK), P(RAILED)
+    k: np.ndarray  # the window's signal counts
+    weak: np.ndarray  # P(d, k, WEAK), row d = 0, 1, over the window
+    railed: np.ndarray  # P(k, RAILED) over the window, both d pooled
+
+
+@functools.lru_cache(maxsize=256)
+def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
+    """The :class:`ArmLaw` of an arm at mean ``lam`` and dark probability ``dcp``."""
+    spread = 12.0 * math.sqrt(lam) + 24.0
+    lo, hi = max(0, math.floor(lam - spread)), math.ceil(lam + spread)
+    p = weak_probabilities(hi + 1, params)
+    if lo >= p.size - 1:
+        rails = np.array([0.0, 0.0, 1.0])
+        law = ArmLaw(lam, rails, np.zeros(0, np.int64), np.zeros((2, 0)), np.zeros(0))
+    else:
+        k = np.arange(lo, hi + 1)
+        poisson = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
+        # read P at min(k, len - 1); k = 0 without a dark ignition is empty, not weak
+        p_k, p_dark = p.take(k, mode="clip"), p.take(k + 1, mode="clip")
+        no_dark, dark = (1.0 - dcp) * poisson, dcp * poisson
+        weak = np.stack([np.where(k > 0, no_dark * p_k, 0.0), dark * p_dark])
+        railed = no_dark * (1.0 - p_k) + dark * (1.0 - p_dark)
+        state = np.array([no_dark[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
+        total = state.sum()
+        law = ArmLaw(lam, state / total, k, weak / total, railed / total)
+    for table in law[1:]:
+        table.flags.writeable = False
+    return law
+
+
+def _signal_photons(law: ArmLaw, pmf: np.ndarray, n: int, rng: np.random.Generator) -> int:
+    """Detected signal photons of ``n`` gates whose signal count k follows
+    ``pmf`` (up to a factor) over ``law.k``: one histogram multinomial.
+
+    Without a window every gate is railed and k ~ Poisson(lam), so the
+    total is Poisson(n*lam), drawn in equal chunks no larger than
+    :data:`POISSON_LAM_MAX` and summed as Python ints.
+    """
+    if not n:
+        return 0
+    if not law.k.size:
+        chunks = int(n * law.lam // POISSON_LAM_MAX) + 1
+        return sum(rng.poisson(n * law.lam / chunks, chunks).tolist())
+    return int(rng.multinomial(n, pmf / pmf.sum()) @ law.k)
+
+
+def _weak_gates(
+    law: ArmLaw, m: int, params: DetectorParams, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Detected signal photons and amplitudes of ``m`` weak arms.
+
+    Each arm draws its (d, k) from the weak law, independently of the
+    others, then a Gamma(K) amplitude truncated below the rail, by
+    inverse CDF at u ~ U(0, P[K]).
+    """
+    if not m:
+        return 0, np.zeros(0)
+    cell = rng.choice(law.weak.size, m, p=law.weak.ravel() / law.state[WEAK])
+    d, i = np.divmod(cell, law.k.size)
+    k = law.k[i]
+    carriers = k + d
+    u = weak_probabilities(int(carriers.max()), params)[carriers] * rng.random(m)
+    return int(k.sum()), _below_rail(carriers, u, params)
+
+
+def count_events(
+    tally: GateTally, codes: np.ndarray, both_raw: int = 0, weights: Optional[np.ndarray] = None
+) -> GateTally:
     """Count a noise-cancelling monitor's :class:`GateEvent` codes into
     ``tally``, whose fired counters are set, and return it.
 
@@ -365,15 +472,20 @@ def count_events(tally: GateTally, codes: np.ndarray, both_raw: int = 0) -> Gate
     strong click or a blinding flag; ``both_raw`` counts the flagged gates
     where both raw comparators fired, two strong avalanches each (the
     self-differencing monitor has one raw comparator, so none).  Every
-    other fired arm is weak.
+    other fired arm is weak.  ``weights``, when given, holds the number of
+    gates each code stands for; by default each code is one gate.
     """
-    events = np.bincount(codes, minlength=len(GateEvent)).tolist()
+    events = np.bincount(codes, weights, minlength=len(GateEvent)).astype(np.int64).tolist()
     tally.click1 = events[GateEvent.STRONG_1] + events[GateEvent.WEAK_1]
     tally.click2 = events[GateEvent.STRONG_2] + events[GateEvent.WEAK_2]
     tally.blind = events[GateEvent.BLINDING_DETECTED]
     tally.strong = events[GateEvent.STRONG_1] + events[GateEvent.STRONG_2] + tally.blind + both_raw
     tally.weak = tally.fired1 + tally.fired2 - tally.strong
     return tally
+
+
+#: State of each arm in the nine (arm 1, arm 2) cells of the balanced readout.
+_CELL_STATES = np.divmod(np.arange(9), 3)
 
 
 def detect_pair(
@@ -386,36 +498,60 @@ def detect_pair(
 ) -> GateTally:
     """Draw both arms over ``n`` gates and count their readout.
 
-    A gate where neither arm fired has no avalanche, hence no click, no
-    comparator bit and no event; it adds to the gate count only.  The
-    two-APD readout clicks on an arm that fired alone, so its clicks
-    follow from the fired counts.  The balanced readout runs on the fired
-    gates alone and counts their :func:`~bncsim.balanced.event_codes`,
-    which also check every comparator word for reachability, with
-    :func:`count_events`.  The case-C and sifting counters are left to
-    the caller.
+    The arms are independent, and each arm's state (EMPTY, WEAK or
+    RAILED, see :class:`ArmLaw`) follows its :func:`arm_law`, so one
+    multinomial over the (arm 1 state, arm 2 state) cells gives every
+    gate's pair of states.  The two-APD readout needs only whether each
+    arm fired: two states per arm, four cells, and it clicks on an arm
+    that fired alone.  Each arm's detected signal photons come from one
+    histogram multinomial over its fired (two-APD) or railed (balanced)
+    gates.
+
+    A gate's balanced monitor word is fixed by its cell unless an arm is
+    weak.  Only the weak arms draw a (d, k) and an amplitude, and
+    :func:`~bncsim.balanced.comparator_arrays` reads one row per gate of
+    a cell with a weak arm, plus one row per other cell weighted by the
+    cell's count (an empty arm reads 0, a railed one ``t_strong``).  Its
+    :func:`~bncsim.balanced.event_codes`, which also check every word for
+    reachability, are counted by :func:`count_events`.  The case-C and
+    sifting counters are left to the caller.
     """
-    arm1 = detect_arm(lam1, n, params.dcp_apd1, rng)
-    arm2 = detect_arm(lam2, n, params.dcp_apd2, rng)
-    k1, k2 = arm1.k, arm2.k
-    if detector is DetectorKind.BALANCED_BNC:
-        idx = np.flatnonzero((k1 > 0) | (k2 > 0))
-        k1, k2 = k1[idx], k2[idx]
-    fired1, fired2 = k1 > 0, k2 > 0
-    tally = GateTally(
-        gates=n, pe1=arm1.pe, pe2=arm2.pe, fired1=int(np.count_nonzero(fired1)),
-        fired2=int(np.count_nonzero(fired2)), doubles=int(np.count_nonzero(fired1 & fired2)),
-    )
-    if detector is DetectorKind.BASELINE_TWO_APD:
+    laws = arm_law(lam1, params.dcp_apd1, params), arm_law(lam2, params.dcp_apd2, params)
+    balanced = detector is DetectorKind.BALANCED_BNC
+    states = [law.state for law in laws]
+    if not balanced:
+        # the two-APD readout needs only EMPTY against fired (WEAK or RAILED)
+        states = [np.array([s[EMPTY], 1.0 - s[EMPTY]]) for s in states]
+    cells = rng.multinomial(n, np.outer(*states).ravel()).reshape(len(states[0]), -1)
+    by_arm = cells.sum(1), cells.sum(0)
+    tally = GateTally(gates=n, doubles=int(cells[1:, 1:].sum()))
+    tally.fired1, tally.fired2 = (n - int(count[EMPTY]) for count in by_arm)
+    if not balanced:
+        tally.pe1, tally.pe2 = (
+            _signal_photons(law, law.weak.sum(0) + law.railed, int(count[1]), rng)
+            for law, count in zip(laws, by_arm)
+        )
         tally.click1 = tally.fired1 - tally.doubles
         tally.click2 = tally.fired2 - tally.doubles
         return tally
-    a, b, c, d = comparator_arrays(
-        railed_amplitudes(k1, params, rng), railed_amplitudes(k2, params, rng), params
-    )
+
+    has_weak = (_CELL_STATES[0] == WEAK) | (_CELL_STATES[1] == WEAK)
+    rows = np.where(has_weak, cells.ravel(), 1)
+    weights = np.repeat(np.where(has_weak, 1, cells.ravel()), rows)
+    row_states = [np.repeat(s, rows) for s in _CELL_STATES]
+    pe, amps = [], []
+    for law, state, count in zip(laws, row_states, by_arm):
+        photons, weak_amp = _weak_gates(law, int(count[WEAK]), params, rng)
+        amp = np.where(state == RAILED, params.t_strong, 0.0)
+        amp[state == WEAK] = weak_amp
+        pe.append(photons + _signal_photons(law, law.railed, int(count[RAILED]), rng))
+        amps.append(amp)
+    tally.pe1, tally.pe2 = pe
+    a, b, c, d = comparator_arrays(amps[0], amps[1], params)
     codes = event_codes(a, b, c, d)
-    count_events(tally, codes, int(np.count_nonzero(a & b)))
-    tally.weak_coinc = int(np.count_nonzero(fired1 & fired2 & (codes == GateEvent.NO_EVENT)))
+    count_events(tally, codes, int(weights[a & b].sum()), weights)
+    both = (row_states[0] != EMPTY) & (row_states[1] != EMPTY)
+    tally.weak_coinc = int(weights[both & (codes == GateEvent.NO_EVENT)].sum())
     return tally
 
 
@@ -473,14 +609,14 @@ def _run_sharded(
     """
     if shard_gates <= 0:
         raise ConfigError("shard_gates must be positive")
-    total = None
+    total = GateTally()
     for i in range(-(-n_gates // shard_gates)):
         size = min(shard_gates, n_gates - i * shard_gates)
         child = np.random.SeedSequence(
             seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i), pool_size=seed_seq.pool_size
         )
-        part = block(size, np.random.Generator(np.random.PCG64(child)))
-        total = part if total is None else total + part
+        # no shard's tally outlives its merge
+        total += block(size, np.random.Generator(np.random.PCG64(child)))
     return total
 
 

@@ -12,6 +12,7 @@ chance that a k-carrier avalanche stays below the rail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -135,6 +136,23 @@ class DetectorParams:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _weak_table(params: DetectorParams) -> np.ndarray:
+    """The whole read-only P(k) table of ``params``, k = 0 .. k_rail, where
+    k_rail is the first power of two at which P underflows to 0.
+
+    :class:`DetectorParams` bounds k_rail by ``WEAK_TABLE_MAX - 1``, so the
+    table holds at most 16 MB; it is built once per parameter set.
+    """
+    x = params.t_strong / params.gain_mean
+    k_rail = 1
+    while special.gammainc(k_rail, x) > 0.0:
+        k_rail *= 2
+    table = special.gammainc(np.arange(k_rail + 1), x)
+    table.flags.writeable = False
+    return table
+
+
 def weak_probabilities(k_max: int, params: DetectorParams) -> np.ndarray:
     """P[k] = P(gain_mean * Gamma(k) < t_strong) for k = 0 .. k_max.
 
@@ -144,10 +162,7 @@ def weak_probabilities(k_max: int, params: DetectorParams) -> np.ndarray:
     early at the first power of two ``k_rail`` where P underflows to 0:
     every avalanche of ``k >= k_rail`` carriers is railed, and the table's
     size is set by the parameters, not by ``k_max``.  Read it at
-    ``min(k, len - 1)``.
+    ``min(k, len - 1)``.  The result is a read-only view of one table
+    built per parameter set.
     """
-    x = params.t_strong / params.gain_mean
-    k_rail = 1
-    while k_rail < k_max and special.gammainc(k_rail, x) > 0.0:
-        k_rail *= 2
-    return special.gammainc(np.arange(min(k_max, k_rail) + 1), x)
+    return _weak_table(params)[: k_max + 1]

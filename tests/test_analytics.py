@@ -203,3 +203,46 @@ class TestWeakFraction:
         for share in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 oracle_cm_success(1.0, params, share)
+
+
+class TestWeakTableCache:
+    """The P(k) table behind the sampler and the oracle is built once per
+    parameter set."""
+
+    def test_second_call_evaluates_no_gammainc(self, params, monkeypatch):
+        import bncsim.signal_model as signal_model
+
+        fresh = replace(params, gain_mean=0.987654321)  # built by no other test
+        calls = []
+        gammainc = signal_model.special.gammainc
+
+        def counted(*args):
+            calls.append(args)
+            return gammainc(*args)
+
+        monkeypatch.setattr(signal_model.special, "gammainc", counted)
+        first = weak_avalanche_fraction(1e4, fresh)
+        built = len(calls)
+        assert built > 0
+        assert weak_avalanche_fraction(1e4, fresh) == first
+        oracle_cm_success(30.0, fresh, 0.5)
+        assert len(calls) == built
+        table = signal_model.weak_probabilities(10**11, fresh)
+        assert not table.flags.writeable and len(calls) == built
+
+    def test_oracle_values_unchanged(self, params):
+        # values of the per-call table build the cache replaced, pinned
+        wide = replace(params, gain_mean=1e-5, t_strong=1.0)  # a 131,073-entry table
+        assert {mu: oracle_cm_success(mu, params, 0.5) for mu in (0.1, 1.0, 30.0, 500.0, 1e6)} == {
+            0.1: 90.0355002138997,
+            1.0: 90.34973253137285,
+            30.0: 96.57661720252678,
+            500.0: 99.99999999567434,
+            1e6: 100.0,
+        }
+        assert {nu: weak_avalanche_fraction(nu, wide) for nu in (0.0, 1.0, 1e5, 1e6)} == {
+            0.0: 1.0,
+            1.0: 1.0,
+            1e5: 0.5004460313370731,
+            1e6: 0.0,
+        }

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special, stats
 
 import bncsim.attack as attack
 from bncsim.attack import (
@@ -561,7 +562,7 @@ def test_shard_merge_is_associative(config, seeds):
 
 
 class RecordingRng:
-    """Generator stand-in that keeps every draw, in order, as (method, array)."""
+    """Generator stand-in that keeps every draw, in order, as (method, args, result)."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -572,34 +573,35 @@ class RecordingRng:
 
         def draw(*args, **kwargs):
             out = method(*args, **kwargs)
-            self.draws.append((name, out))
+            self.draws.append((name, args, out))
             return out
 
         return draw
 
 
-def full_array_tally(arms, amps, labels, classes, params, balanced):
+def full_array_tally(fired, amps, labels, classes, params, balanced):
     """GateTally of a block counted gate by gate over every gate, fired or
-    not, with the per-gate rules of :mod:`reference`.
+    not, with the per-gate rules of :mod:`reference`; ``pe1``/``pe2`` are
+    left at 0.
 
-    ``labels`` is each gate's class.  A class fixes the sifting ledger's
+    ``fired`` and ``amps`` hold each arm's per-gate flags and amplitudes,
+    ``labels`` each gate's class.  A class fixes the sifting ledger's
     inputs up to a relabelling: on receiver basis 0, a sender phase with
     the class's bit, in basis 0 when the class sifts and 1 when not.
     """
-    arm1, arm2 = arms
-    amp1, amp2 = amps
-    t = GateTally(gates=arm1.k.size, pe1=arm1.pe, pe2=arm2.pe)
+    t = GateTally(gates=labels.size)
     ledger = []
-    for i in range(arm1.k.size):
+    for i in range(labels.size):
         cls = labels[i]
-        fired1, fired2 = bool(arm1.k[i]), bool(arm2.k[i])
+        fired1, fired2 = bool(fired[0][i]), bool(fired[1][i])
         casec = bool(classes.casec[cls])
         t.fired1 += fired1
         t.fired2 += fired2
         t.doubles += fired1 and fired2
         t.casec_gates += casec
         if balanced:
-            a, b, c, d = comparators(float(amp1[i]), float(amp2[i]), params.t_strong, params.t_diff)
+            amp1, amp2 = float(amps[0][i]), float(amps[1][i])
+            a, b, c, d = comparators(amp1, amp2, params.t_strong, params.t_diff)
             event = gate_event(a, b, c, d)
             click = 1 if c else 2 if d else 0
             blind = event == "BLINDING_DETECTED"
@@ -644,55 +646,180 @@ def full_array_tally(arms, amps, labels, classes, params, balanced):
 def test_fired_gate_readout_equals_full_array_count(
     scenario, detector, case_filter, n, mu, params, monkeypatch
 ):
-    """Reading out only the fired gates, counting each readout from its
-    event codes and counting case C and sifting per class loses nothing:
-    with the same class counts, carriers and railed amplitudes, every
-    counter equals a per-gate count over the whole block, each gate
-    labelled with its class."""
-    arms, arm_args, gathered = [], [], []
-    for name, keep, args in (("detect_arm", arms, arm_args), ("railed_amplitudes", gathered, None)):
-        original = getattr(attack, name)
+    """Reading out weighted rows, counting each readout from its event
+    codes and counting case C and sifting per class loses nothing.
 
-        def recorded(*a, _original=original, _keep=keep, _args=args, **kwargs):
-            if _args is not None:
-                _args.append(a)
-            _keep.append(_original(*a, **kwargs))
-            return _keep[-1]
-
-        monkeypatch.setattr(attack, name, recorded)
+    Each class's cells (its first multinomial draw) give every gate's
+    fired flags; on the balanced readout each row given to
+    ``comparator_arrays`` stands for as many gates as its weight given to
+    ``count_events``.  Expanded gate by gate and labelled with their
+    class, they give every counter but ``pe`` by the per-gate rules of
+    :mod:`reference`."""
+    calls, rows, weights = [], [], []
     rng = RecordingRng(np.random.default_rng(int(mu * 10) + 7))
+    detect_pair, comparator_arrays, count_events = (
+        attack.detect_pair, attack.comparator_arrays, attack.count_events
+    )
+
+    def recorded_pair(*args):
+        start = len(rng.draws)
+        out = detect_pair(*args)
+        cells = next(out for name, _, out in rng.draws[start:] if name == "multinomial")
+        calls.append((args[:3], cells))
+        return out
+
+    def recorded_rows(amp1, amp2, params):
+        rows.append((amp1, amp2))
+        return comparator_arrays(amp1, amp2, params)
+
+    def recorded_weights(tally, codes, both_raw, gates):
+        weights.append(gates)
+        return count_events(tally, codes, both_raw, gates)
+
+    monkeypatch.setattr(attack, "detect_pair", recorded_pair)
+    monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
+    monkeypatch.setattr(attack, "count_events", recorded_weights)
     config = AttackConfig(n, mu, scenario=scenario, detector=detector, case_filter=case_filter)
     tally = simulate_block(config, params, rng)
 
     # one class draw, no per-gate protocol draw
     classes = protocol_classes(scenario, case_filter)
-    (counts,) = [out for name, out in rng.draws if name == "multinomial"]
-    assert not [out for name, out in rng.draws if name == "integers" and out.dtype == np.int8]
-    # one arm pair per class present, at that class's scalar means, in class order
+    counts = rng.draws[0][2]
+    assert rng.draws[0][0] == "multinomial" and counts.size == classes.weight.size
+    assert not [out for name, _, out in rng.draws if name == "integers"]
+    # one kernel call per class present, at that class's scalar means, in class order
     present = np.flatnonzero(counts)
-    assert len(arms) == 2 * present.size
-    for g, j in enumerate(present):
-        lam1, lam2 = arm_means(mu, params.qe, int(classes.delta[j]))
-        assert arm_args[2 * g][:2] == (lam1, int(counts[j]))
-        assert arm_args[2 * g + 1][:2] == (lam2, int(counts[j]))
-    labels = np.repeat(np.arange(counts.size), counts)
+    assert [args for args, _ in calls] == [
+        (*arm_means(mu, params.qe, int(classes.delta[j])), int(counts[j])) for j in present
+    ]
     balanced = detector is DetectorKind.BALANCED_BNC
-    assert len(gathered) == (2 * present.size if balanced else 0)
-    full_arms, amps = [], [[], []]
-    for arm in (0, 1):
-        group = arms[arm::2]
-        k = np.concatenate([a.k for a in group])
-        full_arms.append(attack.Arm(k, sum(a.pe for a in group), sum(a.dark for a in group)))
-    for g in range(present.size):
-        fired = np.flatnonzero((arms[2 * g].k > 0) | (arms[2 * g + 1].k > 0))
-        for arm in (0, 1):
-            full = np.zeros(arms[2 * g].k.size)
-            if balanced:
-                full[fired] = gathered[2 * g + arm]
-            amps[arm].append(full)
-    amps = [np.concatenate(a) for a in amps]
-    assert tally == full_array_tally(full_arms, amps, labels, classes, params, balanced)
+    assert len(rows) == len(weights) == (present.size if balanced else 0)
+    fired, amps = [[], []], [[], []]
+    for g, (_, cells) in enumerate(calls):
+        if balanced:
+            # an empty arm reads 0 and every avalanche has a positive amplitude
+            assert weights[g].sum() == cells.sum()
+            for arm in (0, 1):
+                amps[arm].append(np.repeat(rows[g][arm], weights[g]))
+                fired[arm].append(amps[arm][-1] > 0.0)
+            states = np.divmod(np.arange(9), 3)
+            for arm in (0, 1):
+                assert np.count_nonzero(fired[arm][-1]) == cells[states[arm] > 0].sum()
+        else:
+            cells = cells.reshape(2, 2)
+            fired[0].append(np.repeat([False, False, True, True], cells.ravel()))
+            fired[1].append(np.repeat([False, True, False, True], cells.ravel()))
+    fired = [np.concatenate(f) if f else np.zeros(0, bool) for f in fired]
+    amps = [np.concatenate(a) if a else np.zeros(0) for a in amps]
+    labels = np.repeat(np.arange(counts.size), counts)
+    expected = full_array_tally(fired, amps, labels, classes, params, balanced)
+    expected.pe1, expected.pe2 = tally.pe1, tally.pe2
+    assert tally == expected
     if n > 1000:
         assert tally.fired1 + tally.fired2 > 0
         if case_filter is None and scenario is not Scenario.BLINDING_ONLY:
             assert tally.sifted > 0
+
+
+def direct_arm_law(lam, dcp, params):
+    """(P(empty), P(weak), P(railed)) of one arm, summed gate state by gate
+    state over k ~ Poisson(lam) and d ~ Bernoulli(dcp), with P[K] from
+    ``gammainc`` directly."""
+    x = params.t_strong / params.gain_mean
+    p = {"empty": 0.0, "weak": 0.0, "railed": 0.0}
+    for k in range(int(lam + 40 * math.sqrt(lam) + 60)):
+        pk = stats.poisson.pmf(k, lam)
+        for d, pd in ((0, 1.0 - dcp), (1, dcp)):
+            carriers = k + d
+            if carriers == 0:
+                p["empty"] += pk * pd
+            else:
+                weak = special.gammainc(carriers, x)
+                p["weak"] += pk * pd * weak
+                p["railed"] += pk * pd * (1.0 - weak)
+    return np.array([p["empty"], p["weak"], p["railed"]])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 1.0, 30.0, 500.0])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_cell_probabilities_match_per_gate_law(mu, delta, params):
+    """The 3 x 3 cell probabilities detect_pair draws from equal the
+    product of each arm's direct per-gate (empty, weak, railed) law."""
+    dark_heavy = replace(params, dcp_apd2=0.3)
+    lam1, lam2 = arm_means(mu, params.qe, delta)
+    rng = RecordingRng(np.random.default_rng(0))
+    attack.detect_pair(lam1, lam2, 1000, DetectorKind.BALANCED_BNC, dark_heavy, rng)
+    name, (n, pvals), _ = rng.draws[0]
+    assert name == "multinomial" and n == 1000
+    direct = np.outer(
+        direct_arm_law(lam1, dark_heavy.dcp_apd1, dark_heavy),
+        direct_arm_law(lam2, dark_heavy.dcp_apd2, dark_heavy),
+    )
+    np.testing.assert_allclose(pvals, direct.ravel(), rtol=1e-9, atol=1e-300)
+
+
+def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):
+    """A weak arm's amplitude law is the same whatever the other arm's
+    state: the arms are independent.  A high rail makes weak avalanches of
+    several carriers common, so their amplitudes spread widely."""
+    high_rail = replace(params, t_strong=3.0)
+    rows = []
+    comparator_arrays = attack.comparator_arrays
+
+    def recorded(amp1, amp2, p):
+        rows.append((amp1, amp2))
+        return comparator_arrays(amp1, amp2, p)
+
+    monkeypatch.setattr(attack, "comparator_arrays", recorded)
+    rail = high_rail.t_strong
+    rng = np.random.default_rng(5)
+    attack.detect_pair(2.0, 2.0, 200_000, DetectorKind.BALANCED_BNC, high_rail, rng)
+    for amp, other in (rows[0], rows[0][::-1]):
+        weak = (amp > 0.0) & (amp < rail)
+        groups = [amp[weak & (other == 0.0)], amp[weak & (other > 0.0) & (other < rail)]]
+        groups.append(amp[weak & (other == rail)])
+        for x, y in itertools.combinations(groups, 2):
+            assert min(x.size, y.size) > 1000
+            sigma = math.sqrt(x.var() / x.size + y.var() / y.size)
+            assert abs(x.mean() - y.mean()) <= 5.0 * sigma
+
+
+def test_arm_law_tables_are_cached_and_read_only(params):
+    law = attack.arm_law(1.5, params.dcp_apd1, params)
+    assert attack.arm_law(1.5, params.dcp_apd1, params) is law
+    assert attack.arm_law.cache_info().maxsize is not None
+    for table in law[1:]:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_far_railed_arm_has_no_window(params):
+    """Past the P(k) table every gate fires and rails; the law is not
+    tabulated and the signal total is drawn in Poisson chunks."""
+    law = attack.arm_law(1e14, params.dcp_apd1, params)
+    assert law.state.tolist() == [0.0, 0.0, 1.0] and law.k.size == 0
+    lam = 1e14
+    n = 200_000
+    assert n * lam > attack.POISSON_LAM_MAX
+    for detector in (DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD):
+        t = attack.detect_pair(lam, lam, n, detector, params, np.random.default_rng(3))
+        assert t.fired1 == t.fired2 == t.doubles == n
+        for pe in (t.pe1, t.pe2):
+            assert abs(pe - n * lam) <= 5 * math.sqrt(n * lam)
+
+
+def test_huge_flux_photon_totals_do_not_wrap(params):
+    """At flux 1e18 a block's detected signal total passes the int64 range;
+    every receiver reads it within 5 sigma of n * lam."""
+    import bncsim.harness as harness
+
+    n, mu = 100_000, 1e18
+    lam = mu * params.qe
+    assert n * lam > np.iinfo(np.int64).max
+    sd = harness._run_sd_point(mu, n, params, seed_seq(30))
+    assert sd.pe1 > 0 and abs(sd.pe1 - n * lam) <= 5 * math.sqrt(n * lam)
+    for detector in (DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD):
+        cfg = AttackConfig(n, mu, scenario=Scenario.BLINDING_ONLY, detector=detector)
+        t = run_attack(cfg, params, seed_seq(31))
+        for pe in (t.pe1, t.pe2):
+            assert pe > 0 and abs(pe - n * lam / 2) <= 5 * math.sqrt(n * lam / 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
+from bncsim.attack import POISSON_LAM_MAX, SHARD_GATES, DetectorKind, Scenario, protocol_classes
 from bncsim.balanced import GateEvent
 from bncsim.cli import main
 from bncsim.errors import ConfigError, MissingFluxPoint
@@ -90,6 +90,25 @@ class TestSweepSpec:
             row = run_sweep(spec, params).rows[0]
             assert row.apd1_rate == params.f_gate
             assert row.strong_ratio == 1.0 and row.weak_ratio == 0.0
+        # the attack on both pair readouts, up to 1e15 detected photons per
+        # lit arm: a lit class's signal total then passes numpy's largest
+        # Poisson mean and is drawn in chunks.  Every lit arm fires and
+        # rails, so no click lands on the wrong arm and every case-C gate
+        # is flagged.
+        classes = protocol_classes(Scenario.ATTACK_CM)
+        lit1 = float(classes.weight[classes.delta != 2].sum())
+        p_fired = lit1 + (1.0 - lit1) * params.dcp_apd1
+        assert SHARD_GATES * float(classes.weight.min()) * 1e15 > POISSON_LAM_MAX
+        for detector in (DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD):
+            spec = small_spec(
+                flux_grid=(1e12, 1e16), n_gates_per_point=SHARD_GATES, detector=detector
+            )
+            for row in run_sweep(spec, params).rows:
+                sigma = math.sqrt(p_fired * (1.0 - p_fired) / row.gates)
+                assert abs(row.apd1_rate / params.f_gate - p_fired) <= 5.0 * sigma
+                assert row.qber == 0.0
+                if detector is DetectorKind.BALANCED_BNC:
+                    assert row.casec_cm_frac == 1.0
 
     def test_sd_attack_rejected(self):
         with pytest.raises(ConfigError):
