@@ -297,14 +297,18 @@ class Arm(NamedTuple):
 
 #: Largest mean at which :func:`detect_arm` draws carriers sparsely (the
 #: two paths break even near 4).  Results depend on it, since the two
-#: paths consume the generator differently.  Only the self-differencing
-#: point draws through :func:`detect_arm`; the pair receivers draw cells
-#: (:func:`detect_pair`).
+#: paths consume the generator differently.  No sweep draws through
+#: :func:`detect_arm`: the pair receivers draw cells (:func:`detect_pair`)
+#: and the self-differencing point its exception gates
+#: (``harness._run_sd_point``).
 SPARSE_LAM_MAX = 1.0
 
 
 def detect_arm(lam: float, n: int, dcp: float, rng: np.random.Generator) -> Arm:
-    """The per-gate kernel: draw one APD's avalanche carriers over ``n`` gates.
+    """Per-gate draw of one APD's avalanche carriers over ``n`` gates.
+
+    No sweep calls it; ``scripts/sd_blinding_demo.py`` and the tests do,
+    with :func:`railed_amplitudes` for the amplitudes.
 
     ``lam`` is the arm's mean detected signal carriers per gate (see
     :func:`arm_means`).  Drawing the detected count directly as

@@ -31,19 +31,24 @@ from .analytics import (
     oracle_cm_success,
 )
 from .attack import (
+    EMPTY,
     POISSON_LAM_MAX,
+    RAILED,
     SHARD_GATES,
+    WEAK,
     AttackConfig,
     DetectorKind,
     GateTally,
     Scenario,
     _run_sharded,
+    _signal_photons,
+    _weak_gates,
+    arm_law,
     count_events,
-    detect_arm,
     protocol_classes,
-    railed_amplitudes,
     run_attack,
 )
+from .balanced import GateEvent
 from .errors import ConfigError, MissingFluxPoint
 from .selfdiff import sd_event_codes
 from .signal_model import DetectorParams
@@ -216,28 +221,79 @@ def _row_from_tally(
     )
 
 
+def _sd_readout(
+    pos: np.ndarray,
+    levels: np.ndarray,
+    n: int,
+    bulk: float,
+    params: DetectorParams,
+    register: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Event codes of an ``n``-gate self-differencing shard, with the
+    number of gates each code stands for, and the shard's last level.
+
+    Every gate sits at the railed level ``bulk`` (0 or ``t_strong``)
+    except the exceptions at sorted positions ``pos``, whose levels are
+    ``levels``.  A gate's word depends on its own level and its
+    predecessor's, so :func:`sd_event_codes` reads a compressed stream:
+    the exceptions in order, one bulk level after each run of
+    consecutive exceptions that ends before the last gate, and one at
+    gate 0 unless gate 0 is an exception.  Each entry's predecessor in
+    the stream is its predecessor in the shard (``register`` before gate
+    0), so the stream's codes are exact.  The other gates are bulk gates
+    after bulk gates and count as one final row: ``NO_EVENT`` when the
+    bulk is empty, ``BLINDING_DETECTED`` when it rails.
+    """
+    after = np.flatnonzero(np.diff(pos, append=n) > 1) + 1
+    at = after if pos.size and pos[0] == 0 else np.concatenate(([0], after))
+    stream = np.insert(levels, at, bulk)
+    bulk_code = GateEvent.BLINDING_DETECTED if bulk >= params.t_strong else GateEvent.NO_EVENT
+    codes = np.append(sd_event_codes(stream, params, register), bulk_code)
+    weights = np.ones(codes.size)
+    weights[-1] = n - stream.size
+    return codes, weights, float(stream[-1])
+
+
 def _run_sd_point(
     mu: float, n_gates: int, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
     """Signal-level sweep point for the self-differencing receiver.
 
-    One APD sees the whole pulse, so the gate kernel draws it at mean
-    mu*qe.  The point runs in shards like the gate pipeline; each shard
-    starts the delay register from the previous shard's last amplitude,
-    so the event stream is the one a single block would give.  The
-    events count like the balanced monitor's: rises as ``click1``, delayed
-    falls as ``click2``.
+    One APD sees the whole pulse, so each gate's state (EMPTY, WEAK or
+    RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe.
+    The more probable of EMPTY and RAILED is the bulk state; a shard
+    draws only its exception gates: a Binomial count of distinct uniform
+    positions, each in one of the other two states, the weak ones with a
+    (d, k) and an amplitude.  A gate's word depends on its own railed
+    level and its predecessor's, so :func:`sd_event_codes` reads the
+    exceptions and their successors, and the other gates, bulk after
+    bulk, count as one row (:func:`_sd_readout`).  Each shard starts
+    the delay register from the previous shard's last level, so the
+    event stream is the one a single block would give.  The events count
+    like the balanced monitor's: rises as ``click1``, delayed falls as
+    ``click2``.
     """
+    law = arm_law(mu * params.qe, params.dcp_apd1, params)
+    bulk = RAILED if law.state[RAILED] > law.state[EMPTY] else EMPTY
+    other = EMPTY + RAILED - bulk
+    p_exception = law.state[WEAK] + law.state[other]
+    bulk_level, other_level = (params.t_strong if s == RAILED else 0.0 for s in (bulk, other))
     register = 0.0
 
     def block(n: int, rng: np.random.Generator) -> GateTally:
         nonlocal register
-        arm = detect_arm(mu * params.qe, n, params.dcp_apd1, rng)
-        amps = railed_amplitudes(arm.k, params, rng)
-        tally = GateTally(gates=n, pe1=arm.pe, fired1=int(np.count_nonzero(arm.k)))
-        count_events(tally, sd_event_codes(amps, params, register))
-        register = float(amps[-1])
-        return tally
+        m = int(rng.binomial(n, p_exception))
+        pos = np.sort(rng.choice(n, m, replace=False, shuffle=False))
+        weak = rng.random(m) * p_exception < law.state[WEAK]
+        n_weak = int(np.count_nonzero(weak))
+        count = {bulk: n - m, other: m - n_weak, WEAK: n_weak}
+        photons, weak_amps = _weak_gates(law, n_weak, params, rng)
+        levels = np.full(m, other_level)
+        levels[weak] = weak_amps
+        pe = photons + _signal_photons(law, law.railed, count[RAILED], rng)
+        tally = GateTally(gates=n, pe1=pe, fired1=n - count[EMPTY])
+        codes, weights, register = _sd_readout(pos, levels, n, bulk_level, params, register)
+        return count_events(tally, codes, weights=weights)
 
     return _run_sharded(n_gates, seed_seq, SHARD_GATES, block)
 

@@ -5,9 +5,9 @@ Avalanche amplitudes follow a one-parameter law: every detected photon
 mean ``gain_mean``, so a k-carrier avalanche is Gamma(k) distributed.  A
 gated APD front end rails once the avalanche exceeds ``t_strong``, so the
 comparator stages in :mod:`bncsim.balanced` / :mod:`bncsim.selfdiff` only
-ever see ``min(amplitude, t_strong)``; :func:`bncsim.attack.railed_amplitudes`
-draws that railed level directly, and :func:`weak_probabilities` gives the
-chance that a k-carrier avalanche stays below the rail.
+ever see ``min(amplitude, t_strong)``; the engine draws that railed level
+directly, and :func:`weak_probabilities` gives the chance that a
+k-carrier avalanche stays below the rail.
 """
 
 from __future__ import annotations

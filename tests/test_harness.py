@@ -1,12 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import bncsim
 from bncsim.attack import POISSON_LAM_MAX, SHARD_GATES, DetectorKind, Scenario, protocol_classes
 from bncsim.balanced import GateEvent
 from bncsim.cli import main
@@ -317,6 +323,11 @@ class TestReportRowInvariants:
         assert low.diff1_rate > 0.0 and low.diff2_rate > 0.0 and low.cm_success > 0.0
 
 
+#: Railed levels of self-differencing gates: empty, weak levels at least
+#: t_diff apart, one within t_diff of the rail, and the rail itself.
+SD_LEVELS = st.sampled_from([0.0, 0.01, 0.05, 0.1, DetectorParams.default().t_strong])
+
+
 def sd_spec(mu, gates):
     return small_spec(
         flux_grid=(mu,),
@@ -333,53 +344,52 @@ class TestSelfDifferencingShards:
         calls = []
         original = harness.sd_event_codes
 
-        def spy(amps, p, register=0.0):
-            calls.append((amps, register))
-            return original(amps, p, register)
+        def spy(stream, p, register=0.0):
+            codes = original(stream, p, register)
+            calls.append((stream, register, codes))
+            return codes
 
         monkeypatch.setattr(harness, "sd_event_codes", spy)
-        row = run_sweep(sd_spec(500.0, SHARD_GATES * 5 // 2), params).rows[0]
+        gates = SHARD_GATES * 5 // 2
+        tally = harness._run_sd_point(500.0, gates, params, np.random.SeedSequence(5))
         assert len(calls) == 3
-        assert [r for _, r in calls] == [0.0] + [a[-1] for a, _ in calls[:-1]]
-        # the shards count what one pass over the joined stream counts
-        counts = np.bincount(
-            original(np.concatenate([a for a, _ in calls]), params), minlength=len(GateEvent)
-        )
-        per_gate = lambda count: count / row.gates * params.f_gate  # noqa: E731
-        rise = counts[SdGateEvent.STRONG_RISE] + counts[SdGateEvent.WEAK_RISE]
-        assert row.diff1_rate == per_gate(rise)
-        assert row.diff2_rate == per_gate(counts[SdGateEvent.DELAYED_FALL])
-        assert row.cm_rate == per_gate(counts[SdGateEvent.BLINDING_DETECTED])
+        assert [r for _, r, _ in calls] == [0.0] + [s[-1] for s, _, _ in calls[:-1]]
         # a bright train cancels gate against gate: the only rise is the
         # first gate's, none at a shard boundary
-        assert rise == 1
+        assert (tally.click1, tally.click2, tally.blind) == (1, 0, gates - 1)
+        assert calls[0][2][0] == SdGateEvent.STRONG_RISE
+        assert all(codes[0] == SdGateEvent.BLINDING_DETECTED for _, _, codes in calls[1:])
 
-    def test_tally_matches_reference_stream(self, params, monkeypatch):
+    @given(
+        gates=st.lists(st.one_of(st.none(), SD_LEVELS), min_size=1, max_size=40),
+        bulk=st.sampled_from(["empty", "railed"]),
+        register=SD_LEVELS,
+    )
+    @example(gates=[None] * 5, bulk="railed", register=0.0)  # no exception
+    @example(gates=[0.05] * 5, bulk="empty", register=0.0)  # every gate an exception
+    @example(gates=[0.05, None, None, 0.1], bulk="railed", register=0.0)  # at 0 and n - 1
+    def test_compressed_stream_counts_as_dense(self, gates, bulk, register):
+        """The codes of the exceptions and their successors, plus the bulk
+        row, count what a pass over every gate counts.  ``gates`` holds each
+        exception's level and None for a bulk gate."""
         import bncsim.harness as harness
 
-        shards = []
-        original = harness.sd_event_codes
+        params = DetectorParams.default()
+        bulk_level = params.t_strong if bulk == "railed" else 0.0
+        dense = np.array([bulk_level if g is None else g for g in gates])
+        pos = np.flatnonzero([g is not None for g in gates])
 
-        def spy(amps, p, register=0.0):
-            shards.append(amps)
-            return original(amps, p, register)
-
-        # small shards keep the per-gate reference quick
-        monkeypatch.setattr(harness, "sd_event_codes", spy)
-        monkeypatch.setattr(harness, "SHARD_GATES", 20_000)
-        tally = harness._run_sd_point(10.0, 50_000, params, np.random.SeedSequence(4))
-        assert len(shards) == 3
-        amps = np.concatenate(shards)
-        events = Counter(sd_stream(amps.tolist(), params.t_strong, params.t_diff))
-        assert set(events) == {e.name for e in SdGateEvent}
-        fired = int(np.count_nonzero(amps))
-        strong = int(np.count_nonzero(amps >= params.t_strong))
-        assert (tally.gates, tally.fired1, tally.fired2) == (50_000, fired, 0)
-        assert tally.click1 == events["STRONG_RISE"] + events["WEAK_RISE"]
-        assert tally.click2 == events["DELAYED_FALL"]
-        assert tally.blind == events["BLINDING_DETECTED"]
-        assert tally.strong == strong == events["STRONG_RISE"] + events["BLINDING_DETECTED"]
-        assert tally.weak == fired - strong
+        codes, weights, carried = harness._sd_readout(
+            pos, dense[pos], dense.size, bulk_level, params, register
+        )
+        counts = np.bincount(codes, weights, minlength=len(GateEvent))
+        expected = np.bincount(
+            harness.sd_event_codes(dense, params, register), minlength=len(GateEvent)
+        )
+        assert counts.tolist() == expected.tolist()
+        names = Counter(sd_stream(dense.tolist(), params.t_strong, params.t_diff, register))
+        assert {e.name: counts[e] for e in SdGateEvent if counts[e]} == names
+        assert carried == dense[-1]
 
     def test_memory_bounded_by_one_shard(self, params):
         def peak(gates):
@@ -391,6 +401,19 @@ class TestSelfDifferencingShards:
                 tracemalloc.stop()
 
         assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
+
+    @pytest.mark.parametrize("mu", [0.1, 500.0])
+    def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
+        """The point draws and codes only the gates off the bulk state."""
+        import bncsim.harness as harness
+
+        tracemalloc.start()
+        try:
+            harness._run_sd_point(mu, SHARD_GATES, params, np.random.SeedSequence(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * SHARD_GATES
 
 
 @pytest.mark.parametrize(
@@ -646,6 +669,17 @@ class TestCli:
         assert main(["sweep", "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists() and not (tmp_path / "report.csv").exists()
+
+    def test_module_entry_point(self):
+        # python -m bncsim runs the CLI from a source checkout, no install needed
+        src = Path(bncsim.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "bncsim", "table1", "--gates", "0"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "--gates must be at least 1" in done.stderr
 
     def test_table1_counts(self, capsys):
         # tiny statistics: only check the enumeration structure, not matches
