@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Event timeline of the self-differencing monitor under blinding.
 
-Prints the gate-by-gate classification for an isolated bright pulse and
-for a continuous blinding train: the isolated avalanche produces a rise
-and, one gate later, the delayed-copy fall; the train collapses into
-raw-comparator clicks with a silent difference output, the blinded
-signature.
+Prints each gate's railed level and classification for an isolated
+bright pulse and for a continuous blinding train: the isolated avalanche
+produces a rise and, one gate later, the delayed-copy fall; the train
+collapses into raw-comparator clicks with a silent difference output,
+the blinded signature.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from bncsim.attack import detect_arm, railed_amplitudes
+from bncsim.attack import RAILED, arm_law, arm_levels
 from bncsim.selfdiff import SdGateEvent, sd_event_codes
 from bncsim.signal_model import DetectorParams
 
@@ -22,16 +22,19 @@ BRIGHT_MU = 500.0
 def timeline(title, bright, params, rng):
     """Run one gate stream; ``bright`` marks the gates that carry a pulse.
 
-    The bright gates draw their carriers in one kernel call; without dark
-    counts the other gates stay empty.
+    Each bright gate draws its avalanche state from the arm law at the
+    pulse's mean, and :func:`~bncsim.attack.arm_levels` its railed level;
+    without dark counts the other gates stay empty and read 0.
     """
-    carriers = np.zeros(bright.size, dtype=np.int64)
-    carriers[bright] = detect_arm(BRIGHT_MU * params.qe, int(bright.sum()), params.dcp_apd1, rng).k
-    codes = sd_event_codes(railed_amplitudes(carriers, params, rng), params)
+    law = arm_law(BRIGHT_MU * params.qe, params.dcp_apd1, params)
+    state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
+    levels = np.zeros(bright.size)
+    _, levels[bright] = arm_levels(law, state, int(np.count_nonzero(state == RAILED)), params, rng)
+    codes = sd_event_codes(levels, params)
     print(f"\n{title}")
-    print(f"{'gate':>5} {'carriers':>8}  event")
-    for gate, (k, code) in enumerate(zip(carriers, codes)):
-        print(f"{gate:>5} {k:>8}  {SdGateEvent(code).name.lower()}")
+    print(f"{'gate':>5} {'level':>8}  event")
+    for gate, (level, code) in enumerate(zip(levels, codes)):
+        print(f"{gate:>5} {level:>8.4f}  {SdGateEvent(code).name.lower()}")
 
 
 def main() -> None:

@@ -280,6 +280,16 @@ SHARD_GATES = 1_000_000
 #: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
+
+def check_flux(mu: float, params: DetectorParams) -> None:
+    """Reject a flux whose detected mean mu*qe numpy cannot draw, before any gate is drawn."""
+    if mu * params.qe > POISSON_LAM_MAX:
+        raise ConfigError(
+            f"flux {mu:g} at qe {params.qe:g} exceeds the largest "
+            f"Poisson mean numpy can draw ({POISSON_LAM_MAX:.6g} detected photons/pulse)"
+        )
+
+
 def arm_means(mu: float, qe: float, delta_q: int) -> tuple[float, float]:
     """Mean detected signal carriers per gate on APD 1 and APD 2, mu*qe*w,
     at phase difference ``delta_q``."""
@@ -287,93 +297,11 @@ def arm_means(mu: float, qe: float, delta_q: int) -> tuple[float, float]:
     return mu * qe * w1, mu * qe * w2
 
 
-class Arm(NamedTuple):
-    """One APD's draws over a block of gates."""
-
-    k: np.ndarray  # avalanche carriers per gate: detected photons plus dark ignition
-    pe: int  # detected signal photoelectrons, summed over the block
-    dark: int  # gates with a dark ignition
-
-
-#: Largest mean at which :func:`detect_arm` draws carriers sparsely (the
-#: two paths break even near 4).  Results depend on it, since the two
-#: paths consume the generator differently.  No sweep draws through
-#: :func:`detect_arm`: the pair receivers draw cells (:func:`detect_pair`)
-#: and the self-differencing point its exception gates
-#: (``harness._run_sd_point``).
-SPARSE_LAM_MAX = 1.0
-
-
-def detect_arm(lam: float, n: int, dcp: float, rng: np.random.Generator) -> Arm:
-    """Per-gate draw of one APD's avalanche carriers over ``n`` gates.
-
-    No sweep calls it; ``scripts/sd_blinding_demo.py`` and the tests do,
-    with :func:`railed_amplitudes` for the amplitudes.
-
-    ``lam`` is the arm's mean detected signal carriers per gate (see
-    :func:`arm_means`).  Drawing the detected count directly as
-    Poisson(lam) is exact, not an approximation: a Poisson(mu) pulse whose
-    photons are routed independently to an arm with probability w and
-    then detected with probability qe gives each arm an independent
-    Poisson(mu*qe*w) count.  One draw per arm thus
-    replaces the photon number, the interference split and the two
-    quantum-efficiency thinnings.
-
-    At low means the draw costs O(carriers), not O(gates).  When ``lam``
-    is at most :data:`SPARSE_LAM_MAX`, the block's carrier total is drawn
-    as Poisson(n*lam) and scattered over uniform gate positions, which
-    gives every gate an independent Poisson(lam) count.  Above the
-    threshold every gate draws its own Poisson variate.
-
-    A dark ignition adds one carrier with probability ``dcp`` per gate.
-    The dark gates are drawn as a Binomial(n, dcp) count of distinct,
-    uniformly chosen positions, which has the law of ``n`` independent
-    Bernoulli(dcp) gates.
-    """
-    if lam <= SPARSE_LAM_MAX:
-        pos = rng.integers(0, n, rng.poisson(n * lam))
-        k = np.bincount(pos, minlength=n)
-        pe = pos.size
-    else:
-        k = rng.poisson(lam, n)
-        # at huge means the total can pass the int64 range: sum it as Python ints
-        pe = int(k.sum()) if n * lam < 2.0**62 else sum(k.tolist())
-    dark = rng.choice(n, rng.binomial(n, dcp), replace=False, shuffle=False)
-    k[dark] += 1
-    return Arm(k, pe, dark.size)
-
-
 def _below_rail(carriers: np.ndarray, u: np.ndarray, params: DetectorParams) -> np.ndarray:
     """Amplitudes gain_mean * gammaincinv(K, u) of weak avalanches of K
     carriers at uniforms u < P[K]; one that rounds up to the rail reads
     as railed."""
     return np.minimum(params.gain_mean * special.gammaincinv(carriers, u), params.t_strong)
-
-
-def railed_amplitudes(
-    k: np.ndarray, params: DetectorParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Railed avalanche amplitude per entry: min(gain_mean * Gamma(k), t_strong).
-
-    The front end rails at ``t_strong``, so this is all any comparator
-    reads.  Each entry with ``k > 0`` draws one uniform u and inverts the
-    Gamma(k) CDF: the avalanche stays below the rail iff u < P[k] (see
-    :func:`~bncsim.signal_model.weak_probabilities`), and then has
-    amplitude gain_mean * gammaincinv(k, u).  This is the exact inverse
-    CDF, and the amplitude itself is computed only for the weak entries.
-    Entries with ``k = 0`` are 0 and draw nothing.
-    """
-    amp = np.zeros(np.shape(k))
-    fired = np.flatnonzero(k)
-    if not fired.size:
-        return amp
-    kf = k[fired]
-    u = rng.random(fired.size)
-    # the table may stop before kf.max(); its last entry, 0, covers the rest
-    weak = u < weak_probabilities(int(kf.max()), params).take(kf, mode="clip")
-    amp[fired] = params.t_strong
-    amp[fired[weak]] = _below_rail(kf[weak], u[weak], params)
-    return amp
 
 
 #: Avalanche state of one arm in one gate, the row and column of
@@ -464,6 +392,24 @@ def _weak_gates(
     return int(k.sum()), _below_rail(carriers, u, params)
 
 
+def arm_levels(
+    law: ArmLaw, state: np.ndarray, railed: int, params: DetectorParams, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Detected signal photons and railed levels of an arm's gates.
+
+    ``state`` holds each gate's avalanche state under ``law``: an EMPTY
+    gate reads 0, a RAILED one ``t_strong`` and a WEAK one its amplitude
+    (:func:`_weak_gates`).  The photons are the weak gates' plus those of
+    ``railed`` railed gates, which may outnumber the RAILED entries when
+    an entry stands for several gates.
+    """
+    weak = np.flatnonzero(state == WEAK)
+    photons, weak_amp = _weak_gates(law, weak.size, params, rng)
+    levels = (state == RAILED) * params.t_strong
+    levels[weak] = weak_amp
+    return photons + _signal_photons(law, law.railed, railed, rng), levels
+
+
 def count_events(
     tally: GateTally, codes: np.ndarray, both_raw: int = 0, weights: Optional[np.ndarray] = None
 ) -> GateTally:
@@ -512,10 +458,10 @@ def detect_pair(
     gates.
 
     A gate's balanced monitor word is fixed by its cell unless an arm is
-    weak.  Only the weak arms draw a (d, k) and an amplitude, and
-    :func:`~bncsim.balanced.comparator_arrays` reads one row per gate of
-    a cell with a weak arm, plus one row per other cell weighted by the
-    cell's count (an empty arm reads 0, a railed one ``t_strong``).  Its
+    weak.  Only the weak arms draw a (d, k) and an amplitude
+    (:func:`arm_levels`), and :func:`~bncsim.balanced.comparator_arrays`
+    reads one row per gate of a cell with a weak arm, plus one row per
+    other cell weighted by the cell's count.  Its
     :func:`~bncsim.balanced.event_codes`, which also check every word for
     reachability, are counted by :func:`count_events`.  The case-C and
     sifting counters are left to the caller.
@@ -543,15 +489,11 @@ def detect_pair(
     rows = np.where(has_weak, cells.ravel(), 1)
     weights = np.repeat(np.where(has_weak, 1, cells.ravel()), rows)
     row_states = [np.repeat(s, rows) for s in _CELL_STATES]
-    pe, amps = [], []
-    for law, state, count in zip(laws, row_states, by_arm):
-        photons, weak_amp = _weak_gates(law, int(count[WEAK]), params, rng)
-        amp = np.where(state == RAILED, params.t_strong, 0.0)
-        amp[state == WEAK] = weak_amp
-        pe.append(photons + _signal_photons(law, law.railed, int(count[RAILED]), rng))
-        amps.append(amp)
-    tally.pe1, tally.pe2 = pe
-    a, b, c, d = comparator_arrays(amps[0], amps[1], params)
+    (tally.pe1, amp1), (tally.pe2, amp2) = (
+        arm_levels(law, state, int(count[RAILED]), params, rng)
+        for law, state, count in zip(laws, row_states, by_arm)
+    )
+    a, b, c, d = comparator_arrays(amp1, amp2, params)
     codes = event_codes(a, b, c, d)
     count_events(tally, codes, int(weights[a & b].sum()), weights)
     both = (row_states[0] != EMPTY) & (row_states[1] != EMPTY)
@@ -631,6 +573,7 @@ def run_attack(
     classes: Optional[GateClasses] = None,
 ) -> GateTally:
     """Run the gate pipeline in shards of :func:`simulate_block`."""
+    check_flux(config.resend_mu, params)
     return _run_sharded(
         config.n_pulses,
         seed_seq,

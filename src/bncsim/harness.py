@@ -32,7 +32,6 @@ from .analytics import (
 )
 from .attack import (
     EMPTY,
-    POISSON_LAM_MAX,
     RAILED,
     SHARD_GATES,
     WEAK,
@@ -41,9 +40,9 @@ from .attack import (
     GateTally,
     Scenario,
     _run_sharded,
-    _signal_photons,
-    _weak_gates,
     arm_law,
+    arm_levels,
+    check_flux,
     count_events,
     protocol_classes,
     run_attack,
@@ -263,11 +262,12 @@ def _run_sd_point(
     RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe.
     The more probable of EMPTY and RAILED is the bulk state; a shard
     draws only its exception gates: a Binomial count of distinct uniform
-    positions, each in one of the other two states, the weak ones with a
-    (d, k) and an amplitude.  A gate's word depends on its own railed
-    level and its predecessor's, so :func:`sd_event_codes` reads the
-    exceptions and their successors, and the other gates, bulk after
-    bulk, count as one row (:func:`_sd_readout`).  Each shard starts
+    positions, each in one of the other two states, whose levels and
+    photons :func:`~bncsim.attack.arm_levels` draws.  A gate's word
+    depends on its own railed level and its predecessor's, so
+    :func:`sd_event_codes` reads the exceptions and their successors, and
+    the other gates, bulk after bulk, count as one row
+    (:func:`_sd_readout`).  Each shard starts
     the delay register from the previous shard's last level, so the
     event stream is the one a single block would give.  The events count
     like the balanced monitor's: rises as ``click1``, delayed falls as
@@ -277,7 +277,7 @@ def _run_sd_point(
     bulk = RAILED if law.state[RAILED] > law.state[EMPTY] else EMPTY
     other = EMPTY + RAILED - bulk
     p_exception = law.state[WEAK] + law.state[other]
-    bulk_level, other_level = (params.t_strong if s == RAILED else 0.0 for s in (bulk, other))
+    bulk_level = params.t_strong if bulk == RAILED else 0.0
     register = 0.0
 
     def block(n: int, rng: np.random.Generator) -> GateTally:
@@ -287,10 +287,7 @@ def _run_sd_point(
         weak = rng.random(m) * p_exception < law.state[WEAK]
         n_weak = int(np.count_nonzero(weak))
         count = {bulk: n - m, other: m - n_weak, WEAK: n_weak}
-        photons, weak_amps = _weak_gates(law, n_weak, params, rng)
-        levels = np.full(m, other_level)
-        levels[weak] = weak_amps
-        pe = photons + _signal_photons(law, law.railed, count[RAILED], rng)
+        pe, levels = arm_levels(law, np.where(weak, WEAK, other), count[RAILED], params, rng)
         tally = GateTally(gates=n, pe1=pe, fired1=n - count[EMPTY])
         codes, weights, register = _sd_readout(pos, levels, n, bulk_level, params, register)
         return count_events(tally, codes, weights=weights)
@@ -309,11 +306,8 @@ def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
 
 def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     """Run the sweep; deterministic for a given (spec, params)."""
-    if spec.flux_grid and spec.flux_grid[-1] * params.qe > POISSON_LAM_MAX:
-        raise ConfigError(
-            f"flux {spec.flux_grid[-1]:g} at qe {params.qe:g} exceeds the largest "
-            f"Poisson mean numpy can draw ({POISSON_LAM_MAX:.6g} detected photons/pulse)"
-        )
+    if spec.flux_grid:
+        check_flux(spec.flux_grid[-1], params)
     report = RunReport(spec=spec, params=params)
     for mu in spec.flux_grid:
         seed_seq = point_seed(spec.seed, mu)

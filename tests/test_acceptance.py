@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from bncsim.attack import (
+    RAILED,
     AttackConfig,
     CaseLabel,
     DetectorKind,
     Scenario,
-    detect_arm,
+    arm_law,
+    arm_levels,
     enumerate_cases,
     evaluate_case_row,
-    railed_amplitudes,
     run_attack,
     run_fixed,
 )
@@ -210,13 +211,16 @@ def test_c09_blinding_completeness_exact():
 def test_c10_self_differencing_cm():
     quiet = replace(PARAMS, dcp_apd1=0.0, dcp_apd2=0.0)
     rng = np.random.default_rng(SEED)
+    law = arm_law(500.0 * quiet.qe, quiet.dcp_apd1, quiet)
 
     def stream(bright):
         """Event codes of one APD over gates whose ``bright`` gates carry a
         500-photon pulse; without dark counts the other gates stay empty."""
-        k = np.zeros(bright.size, dtype=np.int64)
-        k[bright] = detect_arm(500.0 * quiet.qe, int(bright.sum()), quiet.dcp_apd1, rng).k
-        return sd_event_codes(railed_amplitudes(k, quiet, rng), quiet)
+        state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
+        levels = np.zeros(bright.size)
+        railed = int(np.count_nonzero(state == RAILED))
+        _, levels[bright] = arm_levels(law, state, railed, quiet, rng)
+        return sd_event_codes(levels, quiet)
 
     events = stream(np.ones(1000, dtype=bool))
     n_blind = int((events == SdGateEvent.BLINDING_DETECTED).sum())

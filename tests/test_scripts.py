@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from bncsim.signal_model import DetectorParams
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,14 @@ def test_sd_blinding_demo(monkeypatch, capsys):
     assert events.count("strong_rise") == 2
     assert events.count("delayed_fall") == 2
     assert events.count("blinding_detected") == 9
+    # the 11 bright gates rail and the empty gates read 0: a rise or a
+    # flag reads its own gate's level, a fall the empty gate after a pulse
+    t_strong = round(DetectorParams.default().t_strong, 4)
+    gates = [line.split()[1:] for line in lines if line.lstrip()[:1].isdigit()]
+    assert {(event, float(level)) for level, event in gates} == {
+        ("no_event", 0.0),
+        ("delayed_fall", 0.0),
+        ("strong_rise", t_strong),
+        ("blinding_detected", t_strong),
+    }
+    assert sum(float(level) > 0.0 for level, _ in gates) == 11

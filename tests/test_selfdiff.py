@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bncsim.attack import detect_arm, railed_amplitudes
+from bncsim.attack import RAILED, arm_law, arm_levels
 from bncsim.balanced import event_codes
 from bncsim.errors import InconsistentWord
 from bncsim.selfdiff import SdGateEvent, sd_event_codes
@@ -21,9 +21,11 @@ def stream(bright, rng, mu=500.0):
     """Events of a gate stream whose ``bright`` gates carry a pulse of ``mu``;
     without dark counts the other gates stay empty."""
     p = quiet_params()
-    k = np.zeros(bright.size, dtype=np.int64)
-    k[bright] = detect_arm(mu * p.qe, int(bright.sum()), p.dcp_apd1, rng).k
-    codes = sd_event_codes(railed_amplitudes(k, p, rng), p)
+    law = arm_law(mu * p.qe, p.dcp_apd1, p)
+    state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
+    levels = np.zeros(bright.size)
+    _, levels[bright] = arm_levels(law, state, int(np.count_nonzero(state == RAILED)), p, rng)
+    codes = sd_event_codes(levels, p)
     return [SdGateEvent(code) for code in codes]
 
 
