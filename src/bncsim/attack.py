@@ -245,16 +245,21 @@ def protocol_classes(
 
     ``case_filter`` keeps the tuples of the labels it names: C, or A and
     B, which share the matched-basis tuples (B is their detection-loss
-    branch).  ``blinding_only`` is one
-    class, conjugate-basis flux every gate, all case C, no key channel;
-    it takes no filter.  A filter it cannot apply is a ConfigError.
+    branch).  ``blinding_only`` is one class, conjugate-basis flux every
+    gate, all case C, no key channel; it takes no filter.  A filter it
+    cannot apply, or one that keeps the gates of another, is a ConfigError.
     """
     if case_filter is not None and not case_filter <= set("ABC"):
         raise ConfigError(f"unknown case labels in filter: {sorted(case_filter - set('ABC'))}")
     if scenario is Scenario.BLINDING_ONLY:
         if case_filter is not None:
-            raise ConfigError("blinding_only ignores case filters")
+            raise ConfigError("blinding_only ignores case filters; omit the filter")
         return _class_table([(1, True, False, 0)])
+    if case_filter not in (None, frozenset("C"), frozenset("AB")):
+        named = ",".join(sorted(case_filter))
+        if case_filter in (frozenset("A"), frozenset("B")):
+            raise ConfigError(f"case filter {named!r} keeps the same gates as 'A,B'; use A,B")
+        raise ConfigError(f"case filter {named!r} keeps every gate; omit the filter")
     return _class_table([
         (send.minus(bob).value, casec, alice.basis == bob.basis, alice.bit)
         for alice, bob, _, _, send, casec in _protocol_tuples(scenario)

@@ -86,24 +86,18 @@ class SweepSpec:
             raise ConfigError("n_gates_per_point must be at least 10000")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.detector is not DetectorKind.SELF_DIFFERENCING:
-            protocol_classes(self.scenario, self.case_filter)  # rejects a filter it cannot apply
-        elif self.scenario in (Scenario.ATTACK_NO_CM, Scenario.ATTACK_CM):
+        detector, scenario = self.detector, self.scenario
+        if detector is DetectorKind.SELF_DIFFERENCING and scenario is not Scenario.BLINDING_ONLY:
             raise ConfigError(
-                "the self-differencing receiver runs at the signal level only "
-                "(scenarios: honest, blinding_only)"
+                "the self-differencing receiver never reads the protocol: its one "
+                "scenario is blinding_only (honest would write the same report)"
             )
-        elif self.case_filter is not None:
-            raise ConfigError("the self-differencing receiver has no guess basis to filter on")
-
-    @property
-    def cm_enabled(self) -> bool:
-        """The blinding monitor runs: a noise-cancelling receiver, not
-        under ``attack_no_cm``."""
-        return (
-            self.detector is not DetectorKind.BASELINE_TWO_APD
-            and self.scenario is not Scenario.ATTACK_NO_CM
-        )
+        if detector is DetectorKind.BASELINE_TWO_APD and scenario is Scenario.ATTACK_CM:
+            raise ConfigError(
+                "the two-APD pair has no monitor, so attack_cm writes the same "
+                "report as attack_no_cm; use attack_no_cm"
+            )
+        protocol_classes(scenario, self.case_filter)  # rejects a filter it cannot apply
 
 
 @dataclass
@@ -189,7 +183,7 @@ def _row_from_tally(
     # split its gates by
     two_arms = spec.detector is not DetectorKind.SELF_DIFFERENCING
     pair_monitor = has_monitor and two_arms
-    cm_on = spec.cm_enabled
+    cm_on = has_monitor and spec.scenario is not Scenario.ATTACK_NO_CM
     avalanches = tally.weak + tally.strong
     same, diff, oq, ocm, regime = _oracle_columns(mu, params, _split_share(spec))
     return ReportRow(
@@ -287,7 +281,7 @@ def _run_sd_point(
         weak = rng.random(m) * p_exception < law.state[WEAK]
         n_weak = int(np.count_nonzero(weak))
         count = {bulk: n - m, other: m - n_weak, WEAK: n_weak}
-        pe, levels = arm_levels(law, np.where(weak, WEAK, other), count[RAILED], params, rng)
+        pe, levels = arm_levels(law, other + (WEAK - other) * weak, count[RAILED], params, rng)
         tally = GateTally(gates=n, pe1=pe, fired1=n - count[EMPTY])
         codes, weights, register = _sd_readout(pos, levels, n, bulk_level, params, register)
         return count_events(tally, codes, weights=weights)

@@ -73,7 +73,7 @@ class TestEveIntercept:
             assert row.eve_apd == 1
         # a matched guess basis copies the sender's bit: no sifted error
         quiet = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
-        cfg = AttackConfig(n_pulses=50_000, resend_mu=500.0, case_filter=frozenset("A"))
+        cfg = AttackConfig(n_pulses=50_000, resend_mu=500.0, case_filter=frozenset("AB"))
         tally = run_attack(cfg, quiet, seed_seq(16))
         assert tally.sifted > 0 and tally.errors == 0
 
@@ -285,6 +285,8 @@ class TestRunAttack:
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset("X"))
+        with pytest.raises(ConfigError, match="omit the filter"):
+            AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset())
         with pytest.raises(ConfigError):
             AttackConfig(
                 n_pulses=10,
@@ -525,8 +527,15 @@ class TestProtocolClasses:
     @pytest.mark.parametrize("scenario", [Scenario.HONEST, Scenario.ATTACK_CM])
     @pytest.mark.parametrize("labels", ["A", "B", "C", "AB", "AC", "ABC"])
     def test_case_filter_zeroes_excluded_classes(self, scenario, labels):
+        # A and B name the same matched-basis tuples, and C with A or B
+        # keeps every gate: such a filter is rejected in favour of the
+        # accepted setting that keeps the same classes
         full = class_weights(protocol_classes(scenario))
-        filtered = class_weights(protocol_classes(scenario, frozenset(labels)))
+        twin = {"A": "AB", "B": "AB", "AC": None, "ABC": None}.get(labels, labels)
+        if twin != labels:
+            with pytest.raises(ConfigError, match="'A,B'" if twin else "omit the filter"):
+                protocol_classes(scenario, frozenset(labels))
+        filtered = class_weights(protocol_classes(scenario, twin and frozenset(twin)))
         kept = {key for key in full if ("C" in labels if key[1] else bool(set(labels) & set("AB")))}
         share = sum(full[key] for key in kept)
         assert sum(filtered.values()) == 1.0

@@ -13,9 +13,10 @@ import numpy as np
 
 from bncsim import attack, cli, harness
 from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
-from bncsim.harness import SweepSpec, run_sweep
+from bncsim.harness import SweepSpec, parse_config_file, resolve_config, run_sweep
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.py"
 MODULES = {"attack": attack, "cli": cli, "harness": harness}
 
 
@@ -55,6 +56,33 @@ def test_patched_attributes_exist():
     assert expected <= patches
     missing = [f"{m}.{a}" for m, a in sorted(patches) if not hasattr(MODULES[m], a)]
     assert not missing
+
+
+def _benchmark_settings(tree):
+    """(scenario, detector) of each sweep the benchmark resolves: the
+    ``sweeps`` tuples of its workload classes and the constant
+    ``scenario=``/``detector=`` arguments of its ``resolve(...)`` calls."""
+    for node in ast.walk(tree):
+        if "sweeps" in [getattr(t, "id", None) for t in getattr(node, "targets", ())]:
+            yield from ast.literal_eval(node.value)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "resolve":
+            kw = {k.arg: k.value for k in node.keywords}
+            if all(isinstance(kw.get(key), ast.Constant) for key in ("scenario", "detector")):
+                yield kw["scenario"].value, kw["detector"].value
+
+
+def test_benchmark_settings_are_accepted():
+    # a narrowing of the accepted settings fails here, not inside the benchmark
+    settings = set(_benchmark_settings(ast.parse(WORKLOADS.read_text())))
+    assert {
+        ("attack_cm", "balanced_bnc"),
+        ("attack_no_cm", "baseline_two_apd"),
+        ("blinding_only", "balanced_bnc"),
+        ("blinding_only", "self_differencing"),
+    } <= settings
+    for scenario, detector in settings:
+        resolve_config(overrides={"scenario": scenario, "detector": detector})
+    resolve_config(parse_config_file(ROOT / "configs" / "landmarks.cfg"))
 
 
 def test_sd_event_codes_called_once_per_shard(params, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -105,9 +106,15 @@ class TestSweepSpec:
         lit1 = float(classes.weight[classes.delta != 2].sum())
         p_fired = lit1 + (1.0 - lit1) * params.dcp_apd1
         assert SHARD_GATES * float(classes.weight.min()) * 1e15 > POISSON_LAM_MAX
-        for detector in (DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD):
+        for detector, scenario in (
+            (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM),
+            (DetectorKind.BASELINE_TWO_APD, Scenario.ATTACK_NO_CM),
+        ):
             spec = small_spec(
-                flux_grid=(1e12, 1e16), n_gates_per_point=SHARD_GATES, detector=detector
+                flux_grid=(1e12, 1e16),
+                n_gates_per_point=SHARD_GATES,
+                scenario=scenario,
+                detector=detector,
             )
             for row in run_sweep(spec, params).rows:
                 sigma = math.sqrt(p_fired * (1.0 - p_fired) / row.gates)
@@ -420,7 +427,7 @@ class TestSelfDifferencingShards:
     "detector,scenario,case_filter",
     [
         (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, None),
-        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("A")),
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("AB")),
         (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("C")),
         (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, None),
     ],
@@ -441,6 +448,28 @@ def test_cm_success_within_5_sigma_of_oracle(params, detector, scenario, case_fi
     p = row.oracle_cm_success / 100.0
     sigma = 100.0 * math.sqrt(p * (1.0 - p) / avalanches)
     assert abs(row.cm_success - row.oracle_cm_success) <= 5.0 * sigma
+
+
+def test_accepted_settings_write_distinct_tables(params):
+    """SweepSpec accepts a (detector, scenario, case filter) setting only
+    when no other accepted setting writes the same table."""
+    filters = [None] + [
+        frozenset(labels) for r in (1, 2, 3) for labels in itertools.combinations("ABC", r)
+    ]
+    digests = {}
+    for detector, scenario, case_filter in itertools.product(DetectorKind, Scenario, filters):
+        try:
+            spec = small_spec(
+                flux_grid=(0.1, 30.0), scenario=scenario, detector=detector, case_filter=case_filter
+            )
+        except ConfigError:
+            continue
+        table = report_to_csv(run_sweep(spec, params))
+        digests[detector.value, scenario.value, case_filter] = hashlib.sha256(
+            table.encode()
+        ).hexdigest()
+    assert len(digests) == 18, sorted(digests, key=str)
+    assert len(set(digests.values())) == len(digests)
 
 
 class TestVerifyLandmarks:
@@ -756,6 +785,36 @@ class TestCli:
         argv = ["sweep", "--detector", detector, "--scenario", scenario, "--case-filter", labels]
         assert main([*argv, "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "detector,scenario,labels,twin",
+        [
+            ("balanced_bnc", "attack_cm", "A", "'A,B'"),
+            ("balanced_bnc", "attack_cm", "B", "'A,B'"),
+            ("balanced_bnc", "attack_cm", "A,C", "omit the filter"),
+            ("balanced_bnc", "attack_cm", "A,B,C", "omit the filter"),
+            ("self_differencing", "honest", None, "blinding_only"),
+            ("baseline_two_apd", "attack_cm", None, "attack_no_cm"),
+        ],
+    )
+    def test_aliased_setting_exits_2_naming_its_twin(
+        self, detector, scenario, labels, twin, tmp_path, capsys, monkeypatch
+    ):
+        # each of these settings writes the table of an accepted one
+        import bncsim.cli as cli
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(cli, "run_sweep", no_gates)
+        out = tmp_path / "alias.csv"
+        argv = ["sweep", "--detector", detector, "--scenario", scenario]
+        if labels is not None:
+            argv += ["--case-filter", labels]
+        assert main([*argv, "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and twin in err
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
