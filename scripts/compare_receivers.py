@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from bncsim.attack import AttackConfig, DetectorKind, Scenario, run_attack
+from bncsim.attack import AttackConfig, DetectorKind, run_attack
 from bncsim.signal_model import DetectorParams
 
 
@@ -35,10 +35,7 @@ def main() -> None:
     for i, mu in enumerate(float(x) for x in args.flux.split(",")):
         two = run_attack(
             AttackConfig(
-                n_pulses=args.gates,
-                resend_mu=mu,
-                scenario=Scenario.ATTACK_NO_CM,
-                detector=DetectorKind.BASELINE_TWO_APD,
+                n_pulses=args.gates, resend_mu=mu, detector=DetectorKind.BASELINE_TWO_APD
             ),
             params,
             np.random.SeedSequence(args.seed, spawn_key=(i, 0)),

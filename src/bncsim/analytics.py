@@ -194,11 +194,12 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     if nu < 0.0:
         raise ValueError("nu must be non-negative")
     if nu == 0.0:
-        return float(weak_probabilities(1, params)[1])
+        return float(weak_probabilities(params)[1])
     # k past nu + 12 sqrt(nu) carries no Poisson mass; the table may stop
     # earlier, where P underflows to 0, and it is bounded by WEAK_TABLE_MAX
     # entries whatever nu is, so the terms are only those of its entries
-    cdf = weak_probabilities(max(20, int(nu + 12.0 * math.sqrt(nu) + 12)), params)[1:]
+    k_max = max(20, int(nu + 12.0 * math.sqrt(nu) + 12))
+    cdf = weak_probabilities(params)[1 : k_max + 1]
     ks = np.arange(1, cdf.size + 1)
     pmf = np.exp(ks * math.log(nu) - nu - special.gammaln(ks + 1))
     fired = -math.expm1(-nu)

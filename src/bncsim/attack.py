@@ -204,6 +204,9 @@ class AttackConfig:
                 "the self-differencing receiver is not wired into the gate "
                 "pipeline; use the harness stream runner"
             )
+        if self.scenario is Scenario.ATTACK_NO_CM:
+            # the monitor only reads the gates; attack_no_cm is a report setting
+            raise ConfigError("the engine runs attack_no_cm as attack_cm; use attack_cm")
         protocol_classes(self.scenario, self.case_filter)  # rejects a filter it cannot apply
 
 
@@ -229,11 +232,6 @@ def _class_table(rows: list[tuple[int, bool, bool, int]]) -> GateClasses:
     for column in table:
         column.flags.writeable = False
     return table
-
-
-def pinned_class(delta: int) -> GateClasses:
-    """One class: every gate at phase difference ``delta``, nothing sifted."""
-    return _class_table([(delta, False, False, 0)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,8 +276,8 @@ def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
     return int(kept1.sum() + kept2.sum()), int(np.where(bit, kept1, kept2).sum())
 
 
-#: Gates per shard of :func:`run_attack` and :func:`run_fixed`.  Results
-#: depend on it (each shard owns a generator), so sweeps record it.
+#: Gates per shard of :func:`_run_sharded`.  Results depend on it (each
+#: shard owns a generator), so sweeps record it.
 SHARD_GATES = 1_000_000
 
 #: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
@@ -287,7 +285,10 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.in
 
 
 def check_flux(mu: float, params: DetectorParams) -> None:
-    """Reject a flux whose detected mean mu*qe numpy cannot draw, before any gate is drawn."""
+    """Reject a flux that is negative, not finite, or whose detected mean
+    mu*qe numpy cannot draw, before any gate is drawn."""
+    if not 0.0 <= mu < math.inf:
+        raise ConfigError(f"flux must be finite and non-negative, got {mu}")
     if mu * params.qe > POISSON_LAM_MAX:
         raise ConfigError(
             f"flux {mu:g} at qe {params.qe:g} exceeds the largest "
@@ -342,7 +343,7 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
     """The :class:`ArmLaw` of an arm at mean ``lam`` and dark probability ``dcp``."""
     spread = 12.0 * math.sqrt(lam) + 24.0
     lo, hi = max(0, math.floor(lam - spread)), math.ceil(lam + spread)
-    p = weak_probabilities(hi + 1, params)
+    p = weak_probabilities(params)
     if lo >= p.size - 1:
         rails = np.array([0.0, 0.0, 1.0])
         law = ArmLaw(lam, rails, np.zeros(0, np.int64), np.zeros((2, 0)), np.zeros(0))
@@ -393,7 +394,7 @@ def _weak_gates(
     d, i = np.divmod(cell, law.k.size)
     k = law.k[i]
     carriers = k + d
-    u = weak_probabilities(int(carriers.max()), params)[carriers] * rng.random(m)
+    u = weak_probabilities(params)[carriers] * rng.random(m)
     return int(k.sum()), _below_rail(carriers, u, params)
 
 
@@ -507,24 +508,19 @@ def detect_pair(
 
 
 def simulate_block(
-    config: AttackConfig,
-    params: DetectorParams,
-    rng: np.random.Generator,
-    classes: Optional[GateClasses] = None,
+    config: AttackConfig, params: DetectorParams, rng: np.random.Generator
 ) -> GateTally:
-    """Simulate ``config.n_pulses`` gates in one vectorized block.
+    """Simulate ``config.n_pulses`` gates of the config's
+    :func:`protocol_classes` in one vectorized block.
 
-    ``classes`` defaults to the config's :func:`protocol_classes`;
-    :func:`run_fixed` passes a :func:`pinned_class`.  One multinomial
-    draw of class counts has the law of a class drawn per gate (a
-    one-class table draws no variate).  The gate kernel
+    One multinomial draw of class counts has the law of a class drawn per
+    gate (a one-class table draws no variate).  The gate kernel
     (:func:`detect_pair`) then runs once per class drawn, in class order,
     at the class's scalar arm means.  Case-C classes add their counts to
     the case-C counters, and one :func:`sift_counts` call sifts the
     per-class clicks.
     """
-    if classes is None:
-        classes = protocol_classes(config.scenario, config.case_filter)
+    classes = protocol_classes(config.scenario, config.case_filter)
     counts = rng.multinomial(config.n_pulses, classes.weight)
     tally = GateTally()
     clicks = np.zeros((2, counts.size), dtype=np.int64)
@@ -543,10 +539,10 @@ def simulate_block(
 def _run_sharded(
     n_gates: int,
     seed_seq: np.random.SeedSequence,
-    shard_gates: int,
     block: Callable[[int, np.random.Generator], GateTally],
 ) -> GateTally:
-    """Run ``block(gates, rng)`` over shards, in order, and merge the
+    """Run ``block(gates, rng)`` over shards of :data:`SHARD_GATES`
+    gates, the last one taking the remainder, in order, and merge the
     counters with ``+``.
 
     Shard ``i`` draws from the child ``seed_seq.spawn`` would give first
@@ -558,11 +554,9 @@ def _run_sharded(
     shard's last amplitude, so those shards must run in order.  Memory is
     bounded by one shard.
     """
-    if shard_gates <= 0:
-        raise ConfigError("shard_gates must be positive")
     total = GateTally()
-    for i in range(-(-n_gates // shard_gates)):
-        size = min(shard_gates, n_gates - i * shard_gates)
+    for i in range(-(-n_gates // SHARD_GATES)):
+        size = min(SHARD_GATES, n_gates - i * SHARD_GATES)
         child = np.random.SeedSequence(
             seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i), pool_size=seed_seq.pool_size
         )
@@ -572,18 +566,14 @@ def _run_sharded(
 
 
 def run_attack(
-    config: AttackConfig,
-    params: DetectorParams,
-    seed_seq: np.random.SeedSequence,
-    classes: Optional[GateClasses] = None,
+    config: AttackConfig, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
     """Run the gate pipeline in shards of :func:`simulate_block`."""
     check_flux(config.resend_mu, params)
     return _run_sharded(
         config.n_pulses,
         seed_seq,
-        SHARD_GATES,
-        lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng, classes),
+        lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng),
     )
 
 
@@ -594,17 +584,24 @@ def run_fixed(
     n_gates: int,
     params: DetectorParams,
     seed_seq: np.random.SeedSequence,
-    detector: DetectorKind = DetectorKind.BASELINE_TWO_APD,
 ) -> GateTally:
-    """Run gates with both modulators pinned to fixed phases.
+    """Run gates with both modulators pinned to fixed phases on the two-APD pair.
 
-    This is the calibration-style measurement: one configuration, one
-    flux, count what each readout reports.  The pinned phase difference
-    gives each arm a fixed share w of the pulse, so every gate draws its
-    arms as Poisson(mu*qe*w): :func:`run_attack` with one pinned class.
+    This is table 1's calibration-style measurement: one phase difference,
+    one flux, count the clicks.  The pinned difference gives each arm a
+    fixed share w of the pulse, so every gate draws its arms as
+    Poisson(mu*qe*w): the gate kernel (:func:`detect_pair`) at those
+    means, in shards.  No gate is sifted or case C.
     """
-    config = AttackConfig(n_pulses=n_gates, resend_mu=mu, detector=detector)
-    return run_attack(config, params, seed_seq, pinned_class(send_phase.minus(bob_phase).value))
+    if n_gates < 1:
+        raise ConfigError(f"n_gates must be at least 1, got {n_gates}")
+    check_flux(mu, params)
+    lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
+    return _run_sharded(
+        n_gates,
+        seed_seq,
+        lambda n, rng: detect_pair(lam1, lam2, n, DetectorKind.BASELINE_TWO_APD, params, rng),
+    )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -106,8 +106,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     if args.gates is not None and args.gates < 1:
         raise ConfigError(f"--gates must be at least 1, got {args.gates}")
-    file_values = parse_config_file(args.config) if args.config else None
-    _, params, merged = resolve_config(file_values, {"seed": args.seed})
+    file_values = parse_config_file(args.config) if args.config else {}
+    # table 1 reads only the detector and the seed, so it checks no sweep key
+    read = {f.name for f in fields(DetectorParams)} | {"seed"}
+    table_values = {key: value for key, value in file_values.items() if key in read}
+    _, params, merged = resolve_config(table_values, {"seed": args.seed})
     seed = int(merged["seed"])
     rows = enumerate_cases()
     print(

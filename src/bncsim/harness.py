@@ -286,7 +286,7 @@ def _run_sd_point(
         codes, weights, register = _sd_readout(pos, levels, n, bulk_level, params, register)
         return count_events(tally, codes, weights=weights)
 
-    return _run_sharded(n_gates, seed_seq, SHARD_GATES, block)
+    return _run_sharded(n_gates, seed_seq, block)
 
 
 def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
@@ -302,6 +302,9 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     """Run the sweep; deterministic for a given (spec, params)."""
     if spec.flux_grid:
         check_flux(spec.flux_grid[-1], params)
+    # the monitor only reads the gates: attack_no_cm runs as attack_cm,
+    # and _row_from_tally masks the monitor columns
+    scenario = Scenario.ATTACK_CM if spec.scenario is Scenario.ATTACK_NO_CM else spec.scenario
     report = RunReport(spec=spec, params=params)
     for mu in spec.flux_grid:
         seed_seq = point_seed(spec.seed, mu)
@@ -311,7 +314,7 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
             config = AttackConfig(
                 n_pulses=spec.n_gates_per_point,
                 resend_mu=mu,
-                scenario=spec.scenario,
+                scenario=scenario,
                 detector=spec.detector,
                 case_filter=spec.case_filter,
             )

@@ -137,12 +137,17 @@ class DetectorParams:
 
 
 @functools.lru_cache(maxsize=8)
-def _weak_table(params: DetectorParams) -> np.ndarray:
-    """The whole read-only P(k) table of ``params``, k = 0 .. k_rail, where
-    k_rail is the first power of two at which P underflows to 0.
+def weak_probabilities(params: DetectorParams) -> np.ndarray:
+    """P[k] = P(gain_mean * Gamma(k) < t_strong) for k = 0 .. k_rail.
 
-    :class:`DetectorParams` bounds k_rail by ``WEAK_TABLE_MAX - 1``, so the
-    table holds at most 16 MB; it is built once per parameter set.
+    The regularized lower incomplete gamma function at the rail,
+    ``gammainc(k, t_strong / gain_mean)``; the empty avalanche (k = 0)
+    stays below it with certainty.  P falls with k, so the table stops at
+    the first power of two ``k_rail`` where P underflows to 0: every
+    avalanche of ``k >= k_rail`` carriers is railed, so read the table at
+    ``min(k, len - 1)``.  :class:`DetectorParams` bounds k_rail by
+    ``WEAK_TABLE_MAX - 1``, so the table holds at most 16 MB.  It is built
+    once per parameter set and returned read-only.
     """
     x = params.t_strong / params.gain_mean
     k_rail = 1
@@ -151,18 +156,3 @@ def _weak_table(params: DetectorParams) -> np.ndarray:
     table = special.gammainc(np.arange(k_rail + 1), x)
     table.flags.writeable = False
     return table
-
-
-def weak_probabilities(k_max: int, params: DetectorParams) -> np.ndarray:
-    """P[k] = P(gain_mean * Gamma(k) < t_strong) for k = 0 .. k_max.
-
-    The regularized lower incomplete gamma function at the rail,
-    ``gammainc(k, t_strong / gain_mean)``; the empty avalanche (k = 0)
-    stays below it with certainty.  P falls with k, so the table stops
-    early at the first power of two ``k_rail`` where P underflows to 0:
-    every avalanche of ``k >= k_rail`` carriers is railed, and the table's
-    size is set by the parameters, not by ``k_max``.  Read it at
-    ``min(k, len - 1)``.  The result is a read-only view of one table
-    built per parameter set.
-    """
-    return _weak_table(params)[: k_max + 1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,3 +18,27 @@ def params() -> DetectorParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def least_peak():
+    """The least tracemalloc peak, in bytes, of three runs of ``run()``.
+
+    A single peak carries a few hundred bytes of jitter from objects that
+    other code allocates or frees during the run, and the first run of a
+    parameter set also fills its caches; the least of three keeps the
+    run's own allocation.
+    """
+
+    def measure(run):
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    return measure

@@ -227,7 +227,7 @@ class TestWeakTableCache:
         assert weak_avalanche_fraction(1e4, fresh) == first
         oracle_cm_success(30.0, fresh, 0.5)
         assert len(calls) == built
-        table = signal_model.weak_probabilities(10**11, fresh)
+        table = signal_model.weak_probabilities(fresh)
         assert not table.flags.writeable and len(calls) == built
 
     def test_oracle_values_unchanged(self, params):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -27,7 +26,6 @@ from bncsim.attack import (
     detect_pair,
     enumerate_cases,
     evaluate_case_row,
-    pinned_class,
     protocol_classes,
     run_attack,
     run_fixed,
@@ -35,6 +33,7 @@ from bncsim.attack import (
     simulate_block,
 )
 from bncsim.errors import ConfigError
+from bncsim.harness import REPORT_COLUMNS, SweepSpec, report_to_csv, run_sweep
 from bncsim.signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol
 from reference import comparators, gate_event, sift_ledger, two_apd_click
 
@@ -43,11 +42,16 @@ def seed_seq(n=0):
     return np.random.SeedSequence(991, spawn_key=(n,))
 
 
-def fixed_shard(send, bob, mu, params):
-    """One :func:`run_fixed` shard: a one-class block at the pinned phases."""
-    config = AttackConfig(n_pulses=1, resend_mu=mu, detector=DetectorKind.BASELINE_TWO_APD)
-    pinned = pinned_class(send.minus(bob).value)
-    return lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng, pinned)
+def fixed_shard(send, bob, mu, params, detector=DetectorKind.BASELINE_TWO_APD):
+    """One :func:`run_fixed` shard: the gate kernel at the pinned phases' arm means."""
+    lam1, lam2 = arm_means(mu, params.qe, send.minus(bob).value)
+    return lambda n, rng: detect_pair(lam1, lam2, n, detector, params, rng)
+
+
+def engine_scenario(scenario):
+    """The scenario the engine runs for a report's ``scenario``: the
+    monitor only reads the gates, so ``attack_no_cm`` runs as ``attack_cm``."""
+    return Scenario.ATTACK_CM if scenario is Scenario.ATTACK_NO_CM else scenario
 
 
 def row_key(row):
@@ -223,30 +227,41 @@ class TestRunAttack:
         assert tally.blind <= 1
 
     def test_cm_disabled_keeps_physics(self, params):
-        # the monitor only reads the gates: with and without it the engine
-        # draws and counts the same, and the report masks its columns
-        on = AttackConfig(n_pulses=50_000, resend_mu=10.0)
-        off = replace(on, scenario=Scenario.ATTACK_NO_CM)
-        t_on = run_attack(on, params, seed_seq(5))
-        assert t_on.blind > 0
-        assert run_attack(off, params, seed_seq(5)) == t_on
+        # the monitor only reads the gates: the engine has one attack
+        # scenario, and an attack_no_cm report is the attack_cm report
+        # with the monitor columns masked
+        with pytest.raises(ConfigError, match="attack_cm"):
+            AttackConfig(n_pulses=50_000, resend_mu=10.0, scenario=Scenario.ATTACK_NO_CM)
+
+        def rows(scenario):
+            spec = SweepSpec((10.0, 500.0), 50_000, scenario, seed=5)
+            lines = report_to_csv(run_sweep(spec, params)).splitlines()[1:]
+            return [dict(zip(REPORT_COLUMNS, line.split(","))) for line in lines]
+
+        on, off = rows(Scenario.ATTACK_CM), rows(Scenario.ATTACK_NO_CM)
+        monitor = {"cm_rate", "cm_success", "casec_cm_frac"}
+        assert len(on) == len(off) == 2
+        for row_on, row_off in zip(on, off):
+            assert float(row_on["cm_rate"]) > 0.0
+            for column in REPORT_COLUMNS:
+                assert row_off[column] == ("nan" if column in monitor else row_on[column])
 
     def test_case_filter_c_only(self, params):
         cfg = AttackConfig(n_pulses=50_000, resend_mu=10.0, case_filter=frozenset("C"))
         tally = run_attack(cfg, params, seed_seq(6))
         assert tally.casec_gates == tally.gates
 
-    def test_sharding_is_grouping_invariant(self, params):
+    def test_sharding_is_grouping_invariant(self, params, monkeypatch):
+        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
         cfg = AttackConfig(n_pulses=80_000, resend_mu=1.0)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
-        # the sweep engine and the fixed-phase runner share one block
-        # function and one shard loop
+        # the sweep engine and the fixed-phase runner share one shard loop
         blocks = (
             lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng),
             fixed_shard(*pinned, params),
         )
         for block in blocks:
-            whole = _run_sharded(80_000, seed_seq(7), 10_000, block)
+            whole = _run_sharded(80_000, seed_seq(7), block)
             # same shards, different grouping: pairwise merge of partial sums
             children = seed_seq(7).spawn(8)
             partial = [block(10_000, np.random.Generator(np.random.PCG64(c))) for c in children]
@@ -254,18 +269,17 @@ class TestRunAttack:
                 groups = [partial[i::k] for i in range(k)]
                 merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
                 assert merged == whole
-        assert run_attack(cfg, params, seed_seq(7)) == _run_sharded(
-            80_000, seed_seq(7), SHARD_GATES, blocks[0]
-        )
+        assert run_attack(cfg, params, seed_seq(7)) == _run_sharded(80_000, seed_seq(7), blocks[0])
         assert run_fixed(*pinned, 80_000, params, seed_seq(7)) == _run_sharded(
-            80_000, seed_seq(7), SHARD_GATES, blocks[1]
+            80_000, seed_seq(7), blocks[1]
         )
 
-    def test_seed_sequence_reuse_repeats_the_run(self, params):
+    def test_seed_sequence_reuse_repeats_the_run(self, params, monkeypatch):
+        monkeypatch.setattr(attack, "SHARD_GATES", 5_000)
         cfg = AttackConfig(n_pulses=20_000, resend_mu=1.0)
         seq = seed_seq(15)
         block = lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng)  # noqa: E731
-        assert _run_sharded(20_000, seq, 5_000, block) == _run_sharded(20_000, seq, 5_000, block)
+        assert _run_sharded(20_000, seq, block) == _run_sharded(20_000, seq, block)
         assert run_attack(cfg, params, seq) == run_attack(cfg, params, seq)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
         assert run_fixed(*pinned, 20_000, params, seq) == run_fixed(*pinned, 20_000, params, seq)
@@ -277,6 +291,21 @@ class TestRunAttack:
             run_attack(AttackConfig(n_pulses=10, resend_mu=1e25), params, seed_seq(19))
         with pytest.raises(ConfigError, match="largest Poisson mean"):
             run_fixed(PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1e25, 10, params, seed_seq(19))
+
+    @pytest.mark.parametrize(
+        "n_gates,mu,message",
+        [(0, 1.0, "n_gates"), (10, -1.0, "non-negative"), (10, math.nan, "finite")],
+        ids=["no-gates", "negative-flux", "nan-flux"],
+    )
+    def test_run_fixed_rejects_bad_input_before_any_gate(
+        self, n_gates, mu, message, params, monkeypatch
+    ):
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(attack, "_run_sharded", no_gates)
+        with pytest.raises(ConfigError, match=message):
+            run_fixed(PhaseSymbol.ZERO, PhaseSymbol.ZERO, mu, n_gates, params, seed_seq(19))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -409,14 +438,9 @@ class TestRunFixed:
         # matched phases: only an APD2 dark fire alongside the railed APD1
         # avalanche can produce a blinding word
         n = 2_000_000
-        stats = run_fixed(
-            PhaseSymbol.ZERO,
-            PhaseSymbol.ZERO,
-            500.0,
-            n,
-            params,
-            seed_seq(8),
-            detector=DetectorKind.BALANCED_BNC,
+        pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 500.0)
+        stats = _run_sharded(
+            n, seed_seq(8), fixed_shard(*pinned, params, DetectorKind.BALANCED_BNC)
         )
         expected = n * params.dcp_apd2 * 0.9  # strong dark avalanches
         assert abs(stats.blind - expected) < 5 * math.sqrt(expected)
@@ -428,31 +452,32 @@ class TestRunFixed:
         singles = stats.click1 + stats.click2
         assert abs(stats.click1 / singles - 0.5) < 0.01
 
-    def test_last_shard_takes_the_remainder(self, params):
+    def test_last_shard_takes_the_remainder(self, params, monkeypatch):
+        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1.0)
-        stats = _run_sharded(25_000, seed_seq(13), 10_000, fixed_shard(*pinned, params))
+        shard, sizes = fixed_shard(*pinned, params), []
+
+        def block(n, rng):
+            sizes.append(n)
+            return shard(n, rng)
+
+        stats = _run_sharded(25_000, seed_seq(13), block)
+        assert sizes == [10_000, 10_000, 5_000]
         assert stats.gates == 25_000
         assert stats.click1 + stats.click2 + stats.no_click == 25_000
 
-    def test_allocation_bounded_by_one_shard(self, params):
-        """A case-C block of CASE_C_GATES allocates about one shard's arrays.
-
-        One untraced run first fills the arm-law and P(k) caches, which
-        would otherwise count against whichever traced run comes first.
-        """
+    def test_allocation_bounded_by_one_shard(self, params, least_peak):
+        """A case-C run of CASE_C_GATES allocates about one shard's arrays,
+        and less than a float per gate of one shard."""
         split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, CASE_C_MU)
 
         def peak(n_gates):
-            tracemalloc.start()
-            try:
-                run_fixed(*split, n_gates, params, seed_seq(14))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return least_peak(lambda: run_fixed(*split, n_gates, params, seed_seq(14)))
 
         assert CASE_C_GATES >= 4 * SHARD_GATES
-        run_fixed(*split, SHARD_GATES, params, seed_seq(14))
-        assert peak(CASE_C_GATES) < 1.25 * peak(SHARD_GATES)
+        many = peak(CASE_C_GATES)
+        assert many < 1.25 * peak(SHARD_GATES)
+        assert many < 8 * SHARD_GATES
 
 
 class TestCaseRowOracle:
@@ -520,9 +545,12 @@ class TestProtocolClasses:
         expected = {key: count / 32 for key, count in Counter(protocol_tuples(scenario)).items()}
         assert class_weights(classes) == expected
 
-    def test_blinding_and_pinned_are_one_class(self):
+    def test_blinding_and_pinned_are_one_class(self, params):
         assert class_weights(protocol_classes(Scenario.BLINDING_ONLY)) == {(1, True, False, 0): 1.0}
-        assert class_weights(pinned_class(2)) == {(2, False, False, 0): 1.0}
+        # a pinned phase difference is one class that sifts nothing and is
+        # never case C: run_fixed is the gate kernel alone
+        t = run_fixed(PhaseSymbol.PI, PhaseSymbol.ZERO, 1.0, 20_000, params, seed_seq(12))
+        assert t.click2 > 0 and t.sifted == t.errors == t.casec_gates == 0
 
     @pytest.mark.parametrize("scenario", [Scenario.HONEST, Scenario.ATTACK_CM])
     @pytest.mark.parametrize("labels", ["A", "B", "C", "AB", "AC", "ABC"])
@@ -557,7 +585,9 @@ def test_counters_match_closed_forms(scenario, detector, case_filter, mu, params
     of their closed forms over the tuple enumeration.  Gates are i.i.d., so
     each count is binomial in the gates."""
     n = 400_000
-    cfg = AttackConfig(n, mu, scenario=scenario, detector=detector, case_filter=case_filter)
+    cfg = AttackConfig(
+        n, mu, scenario=engine_scenario(scenario), detector=detector, case_filter=case_filter
+    )
     tally = run_attack(cfg, params, seed_seq(int(10 * mu) + 20))
     # the only filter here keeps the case-C tuples
     rows = [r for r in protocol_tuples(scenario) if case_filter is None or r[1]]
@@ -582,7 +612,7 @@ TALLY_CONFIGS = st.builds(
     AttackConfig,
     n_pulses=st.integers(1, 2000),
     resend_mu=st.sampled_from([0.0, 0.1, 1.0, 30.0, 500.0]),
-    scenario=st.sampled_from(list(Scenario)),
+    scenario=st.sampled_from([s for s in Scenario if s is not Scenario.ATTACK_NO_CM]),
     detector=st.sampled_from([DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC]),
 )
 
@@ -727,6 +757,7 @@ def test_fired_gate_readout_equals_full_array_count(
     monkeypatch.setattr(attack, "detect_pair", recorded_pair)
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
     monkeypatch.setattr(attack, "count_events", recorded_weights)
+    scenario = engine_scenario(scenario)
     config = AttackConfig(n, mu, scenario=scenario, detector=detector, case_filter=case_filter)
     tally = simulate_block(config, params, rng)
 

@@ -1,15 +1,18 @@
-"""The benchmark's trace points still exist in the package.
+"""The benchmark's trace points and calls still exist in the package.
 
 ``bench/workloads.py`` spans package functions by swapping module
 attributes while a traced round runs, and a missing attribute fails that
-round.  These tests read the attributes it patches from its source, so a
-refactor that would break ``bench/run.py --trace 1`` fails here first.
+round; it also calls package functions with fixed arguments.  These tests
+read the attributes it patches and the calls it makes from its source, so
+a refactor that would break ``bench/run.py --trace 1`` fails here first.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bncsim import attack, cli, harness
 from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
@@ -58,6 +61,47 @@ def test_patched_attributes_exist():
     assert not missing
 
 
+def _module_calls(tree):
+    """(module, attribute, positional count, keyword names) of each
+    ``attack.X(...)``, ``harness.X(...)`` or ``cli.X(...)`` call with no
+    ``*`` or ``**`` argument."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        module = getattr(node.func.value, "id", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if module in MODULES and not starred and all(k.arg for k in node.keywords):
+            yield module, node.func.attr, len(node.args), tuple(k.arg for k in node.keywords)
+
+
+def test_benchmark_calls_bind():
+    # a renamed or dropped parameter the benchmark passes fails here
+    calls = sorted(set(_module_calls(ast.parse(WORKLOADS.read_text()))))
+    called = {(module, attr) for module, attr, _, _ in calls}
+    assert {
+        ("attack", "AttackConfig"),
+        ("attack", "simulate_block"),
+        ("harness", "resolve_config"),
+        ("harness", "run_sweep"),
+        ("cli", "main"),
+    } <= called
+    for module, attr, n_args, keywords in calls:
+        signature = inspect.signature(getattr(MODULES[module], attr))
+        try:
+            signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"{module}.{attr}({n_args} positional, {keywords}): {exc}")
+
+
+def _engine_settings(tree):
+    """(Scenario, DetectorKind) member names of each ``attack.AttackConfig(...)``
+    call, such as the landmark probe's block config."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "AttackConfig":
+            kw = {k.arg: k.value for k in node.keywords}
+            yield kw["scenario"].attr, kw["detector"].attr
+
+
 def _benchmark_settings(tree):
     """(scenario, detector) of each sweep the benchmark resolves: the
     ``sweeps`` tuples of its workload classes and the constant
@@ -73,7 +117,8 @@ def _benchmark_settings(tree):
 
 def test_benchmark_settings_are_accepted():
     # a narrowing of the accepted settings fails here, not inside the benchmark
-    settings = set(_benchmark_settings(ast.parse(WORKLOADS.read_text())))
+    tree = ast.parse(WORKLOADS.read_text())
+    settings = set(_benchmark_settings(tree))
     assert {
         ("attack_cm", "balanced_bnc"),
         ("attack_no_cm", "baseline_two_apd"),
@@ -83,6 +128,12 @@ def test_benchmark_settings_are_accepted():
     for scenario, detector in settings:
         resolve_config(overrides={"scenario": scenario, "detector": detector})
     resolve_config(parse_config_file(ROOT / "configs" / "landmarks.cfg"))
+    engine = set(_engine_settings(tree))
+    assert ("ATTACK_CM", "BALANCED_BNC") in engine
+    for scenario, detector in engine:
+        attack.AttackConfig(
+            n_pulses=1, resend_mu=1.0, scenario=Scenario[scenario], detector=DetectorKind[detector]
+        )
 
 
 def test_sd_event_codes_called_once_per_shard(params, monkeypatch):

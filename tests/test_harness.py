@@ -398,14 +398,9 @@ class TestSelfDifferencingShards:
         assert {e.name: counts[e] for e in SdGateEvent if counts[e]} == names
         assert carried == dense[-1]
 
-    def test_memory_bounded_by_one_shard(self, params):
+    def test_memory_bounded_by_one_shard(self, params, least_peak):
         def peak(gates):
-            tracemalloc.start()
-            try:
-                run_sweep(sd_spec(0.1, gates), params)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return least_peak(lambda: run_sweep(sd_spec(0.1, gates), params))
 
         assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
 
@@ -834,6 +829,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "--gates" in captured.err
+
+    def test_table1_ignores_sweep_keys(self, tmp_path, capsys):
+        # table 1 reads only the detector keys and the seed from a config
+        # file; a sweep key, valid or not for a sweep, changes nothing
+        assert main(["table1", "--seed", "4"]) == 0
+        plain = capsys.readouterr().out
+        for line in ("gates = 5000", "flux = 1,0.5", "detector = self_differencing"):
+            cfg = tmp_path / "sweep_keys.cfg"
+            cfg.write_text(f"{line}\nseed = 4\n")
+            assert main(["table1", "--config", str(cfg)]) == 0, line
+            assert capsys.readouterr().out == plain, line
+
+    @pytest.mark.parametrize("line", ["qe = 2", "seed = -1"])
+    def test_table1_bad_config_exits_2_without_rows(self, line, tmp_path, capsys, monkeypatch):
+        import bncsim.cli as cli
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was simulated")
+
+        monkeypatch.setattr(cli, "evaluate_case_row", no_rows)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["table1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     def test_verify_non_numeric_cell_exits_2(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
