@@ -182,17 +182,12 @@ _TALLY_FIELDS = tuple(f.name for f in fields(GateTally))
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """One run of the gate pipeline.
-
-    ``case_filter`` keeps the protocol classes of the case labels it
-    names (see :func:`protocol_classes`).
-    """
+    """One run of the gate pipeline, over every protocol class of its scenario."""
 
     n_pulses: int
     resend_mu: float
     scenario: Scenario = Scenario.ATTACK_CM
     detector: DetectorKind = DetectorKind.BALANCED_BNC
-    case_filter: Optional[frozenset[str]] = None
 
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
@@ -207,7 +202,6 @@ class AttackConfig:
         if self.scenario is Scenario.ATTACK_NO_CM:
             # the monitor only reads the gates; attack_no_cm is a report setting
             raise ConfigError("the engine runs attack_no_cm as attack_cm; use attack_cm")
-        protocol_classes(self.scenario, self.case_filter)  # rejects a filter it cannot apply
 
 
 class GateClasses(NamedTuple):
@@ -235,33 +229,19 @@ def _class_table(rows: list[tuple[int, bool, bool, int]]) -> GateClasses:
 
 
 @functools.lru_cache(maxsize=None)
-def protocol_classes(
-    scenario: Scenario, case_filter: Optional[frozenset[str]] = None
-) -> GateClasses:
+def protocol_classes(scenario: Scenario) -> GateClasses:
     """The class table of a scenario, collapsed from its 32 equally likely
     protocol tuples (see :func:`_protocol_tuples`).
 
-    ``case_filter`` keeps the tuples of the labels it names: C, or A and
-    B, which share the matched-basis tuples (B is their detection-loss
-    branch).  ``blinding_only`` is one class, conjugate-basis flux every
-    gate, all case C, no key channel; it takes no filter.  A filter it
-    cannot apply, or one that keeps the gates of another, is a ConfigError.
+    ``blinding_only`` is one class, conjugate-basis flux every gate, all
+    case C, no key channel.  The case breakdown of a run is its case-C
+    counters, not a subset of the classes.
     """
-    if case_filter is not None and not case_filter <= set("ABC"):
-        raise ConfigError(f"unknown case labels in filter: {sorted(case_filter - set('ABC'))}")
     if scenario is Scenario.BLINDING_ONLY:
-        if case_filter is not None:
-            raise ConfigError("blinding_only ignores case filters; omit the filter")
         return _class_table([(1, True, False, 0)])
-    if case_filter not in (None, frozenset("C"), frozenset("AB")):
-        named = ",".join(sorted(case_filter))
-        if case_filter in (frozenset("A"), frozenset("B")):
-            raise ConfigError(f"case filter {named!r} keeps the same gates as 'A,B'; use A,B")
-        raise ConfigError(f"case filter {named!r} keeps every gate; omit the filter")
     return _class_table([
         (send.minus(bob).value, casec, alice.basis == bob.basis, alice.bit)
         for alice, bob, _, _, send, casec in _protocol_tuples(scenario)
-        if not case_filter or case_filter & set("C" if casec else "AB")
     ])
 
 
@@ -520,7 +500,7 @@ def simulate_block(
     the case-C counters, and one :func:`sift_counts` call sifts the
     per-class clicks.
     """
-    classes = protocol_classes(config.scenario, config.case_filter)
+    classes = protocol_classes(config.scenario)
     counts = rng.multinomial(config.n_pulses, classes.weight)
     tally = GateTally()
     clicks = np.zeros((2, counts.size), dtype=np.int64)

@@ -66,13 +66,15 @@ def comparator_arrays(
     A/B compare each arm's raw amplitude with ``t_strong``; C/D compare
     the difference of the railed levels with ``t_diff`` in each polarity.
     C and D are also the baseline readout's clicks on APD 1 and APD 2.
+    The difference is formed once, in place (v2 - v1 is exactly
+    -(v1 - v2)), so the bank holds one float array beside its inputs.
     """
-    v1 = np.minimum(amp1, params.t_strong)
-    v2 = np.minimum(amp2, params.t_strong)
+    diff = np.minimum(amp1, params.t_strong)
+    diff -= np.minimum(amp2, params.t_strong)
     a = amp1 >= params.t_strong
     b = amp2 >= params.t_strong
-    c = (v1 - v2) >= params.t_diff
-    d = (v2 - v1) >= params.t_diff
+    c = diff >= params.t_diff
+    d = diff <= -params.t_diff
     return a, b, c, d
 
 

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--flux", help="comma-separated flux grid (photons/pulse)")
     p_sweep.add_argument("--scenario", choices=[s.value for s in Scenario])
     p_sweep.add_argument("--detector", choices=[d.value for d in DetectorKind])
-    p_sweep.add_argument("--case-filter", help="restrict gates to case labels: C or A,B")
     p_sweep.add_argument("--out", help="report path (manifest written alongside)")
 
     p_table = sub.add_parser(
@@ -83,7 +82,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "flux": args.flux,
         "scenario": args.scenario,
         "detector": args.detector,
-        "case_filter": args.case_filter,
         "out": args.out,
     }
     spec, params, merged = resolve_config(file_values, overrides)

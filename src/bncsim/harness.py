@@ -67,7 +67,6 @@ class SweepSpec:
     n_gates_per_point: int
     scenario: Scenario = Scenario.ATTACK_CM
     detector: DetectorKind = DetectorKind.BALANCED_BNC
-    case_filter: Optional[frozenset[str]] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -97,7 +96,6 @@ class SweepSpec:
                 "the two-APD pair has no monitor, so attack_cm writes the same "
                 "report as attack_no_cm; use attack_no_cm"
             )
-        protocol_classes(scenario, self.case_filter)  # rejects a filter it cannot apply
 
 
 @dataclass
@@ -169,7 +167,7 @@ def _split_share(spec: SweepSpec) -> float:
     self-differencing APD sees every pulse whole."""
     if spec.detector is DetectorKind.SELF_DIFFERENCING:
         return 0.0
-    classes = protocol_classes(spec.scenario, spec.case_filter)
+    classes = protocol_classes(spec.scenario)
     return float(classes.weight[classes.delta % 2 == 1].sum())
 
 
@@ -316,7 +314,6 @@ def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
                 resend_mu=mu,
                 scenario=scenario,
                 detector=spec.detector,
-                case_filter=spec.case_filter,
             )
             tally = run_attack(config, params, seed_seq)
         report.rows.append(_row_from_tally(mu, tally, spec, params))
@@ -338,9 +335,6 @@ def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
         "detector": spec.detector.value,
         "gates": spec.n_gates_per_point,
         "flux": ",".join(_fmt(x) for x in spec.flux_grid),
-        "case_filter": (
-            ",".join(sorted(spec.case_filter)) if spec.case_filter else ""
-        ),
         "seed": spec.seed,
     }
     return [f"{k}={_fmt(v)}" for k, v in sorted(values.items())]
@@ -459,7 +453,7 @@ def verify_landmarks(
 ) -> list[LandmarkResult]:
     """Check the sweep landmarks at their pinned tolerances.
 
-    Expects an unfiltered attack sweep with the monitor enabled, covering
+    Expects an attack sweep with the monitor enabled, covering
     the flux points 0.1, 1, 10, 30, 100, 500.  High-flux claims are
     evaluated at the 500 photons/pulse point.
     """
@@ -537,7 +531,6 @@ _SWEEP_KEYS = {
     "scenario": str,
     "detector": str,
     "flux": str,
-    "case_filter": str,
     "out": str,
 }
 
@@ -570,7 +563,6 @@ def resolve_config(
         "scenario": Scenario.ATTACK_CM.value,
         "detector": DetectorKind.BALANCED_BNC.value,
         "flux": "",
-        "case_filter": "",
         "out": "report.csv",
     }
     for key, raw in (file_values or {}).items():
@@ -596,8 +588,6 @@ def resolve_config(
             raise ConfigError(f"bad flux list: {flux_raw!r}") from exc
     else:
         grid = DEFAULT_FLUX_GRID
-    filter_raw = str(merged["case_filter"]).strip()
-    case_filter = frozenset(filter_raw.split(",")) if filter_raw else None
     try:
         scenario = Scenario(str(merged["scenario"]))
         detector = DetectorKind(str(merged["detector"]))
@@ -608,7 +598,6 @@ def resolve_config(
         n_gates_per_point=int(merged["gates"]),
         scenario=scenario,
         detector=detector,
-        case_filter=case_filter,
         seed=int(merged["seed"]),
     )
     return spec, params, merged

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .balanced import GateEvent, event_codes
+from .balanced import GateEvent, comparator_arrays, event_codes
 from .signal_model import DetectorParams
 
 
@@ -51,9 +51,7 @@ def sd_event_codes(
     amplitude of the part before.
     """
     amps = np.asarray(amplitudes, dtype=float)
-    v = np.minimum(amps, params.t_strong)
-    v_del = np.concatenate(([min(register, params.t_strong)], v[:-1])) if amps.size else v
-    a = amps >= params.t_strong
-    fall = (v_del - v) >= params.t_diff
-    rise = (v - v_del) >= params.t_diff
+    delayed = np.concatenate(([register], amps[:-1]))
+    # the delayed copy has no raw comparator, so the B bit is dropped
+    a, _, rise, fall = comparator_arrays(amps, delayed, params)
     return event_codes(a, np.False_, rise, fall)

@@ -75,9 +75,17 @@ class TestEveIntercept:
         for row in rows_for(PhaseSymbol.ZERO, 0):
             assert row.evealice_phase is PhaseSymbol.ZERO
             assert row.eve_apd == 1
-        # a matched guess basis copies the sender's bit: no sifted error
+        # a matched guess basis copies the sender's bit: every sifting
+        # class off case C sends the whole pulse to its bit's arm
+        classes = protocol_classes(Scenario.ATTACK_CM)
+        matched = np.flatnonzero(classes.sift & ~classes.casec)
+        assert matched.size
+        for j in matched.tolist():
+            assert ARM_WEIGHTS[classes.bit[j], classes.delta[j]] == 1.0
+        # and at flux 500 the balanced pair cancels every case-C gate, so
+        # without dark counts no sifted gate errs
         quiet = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
-        cfg = AttackConfig(n_pulses=50_000, resend_mu=500.0, case_filter=frozenset("AB"))
+        cfg = AttackConfig(n_pulses=50_000, resend_mu=500.0)
         tally = run_attack(cfg, quiet, seed_seq(16))
         assert tally.sifted > 0 and tally.errors == 0
 
@@ -246,11 +254,6 @@ class TestRunAttack:
             for column in REPORT_COLUMNS:
                 assert row_off[column] == ("nan" if column in monitor else row_on[column])
 
-    def test_case_filter_c_only(self, params):
-        cfg = AttackConfig(n_pulses=50_000, resend_mu=10.0, case_filter=frozenset("C"))
-        tally = run_attack(cfg, params, seed_seq(6))
-        assert tally.casec_gates == tally.gates
-
     def test_sharding_is_grouping_invariant(self, params, monkeypatch):
         monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
         cfg = AttackConfig(n_pulses=80_000, resend_mu=1.0)
@@ -312,17 +315,6 @@ class TestRunAttack:
             AttackConfig(n_pulses=0, resend_mu=1.0)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
-        with pytest.raises(ConfigError):
-            AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset("X"))
-        with pytest.raises(ConfigError, match="omit the filter"):
-            AttackConfig(n_pulses=10, resend_mu=1.0, case_filter=frozenset())
-        with pytest.raises(ConfigError):
-            AttackConfig(
-                n_pulses=10,
-                resend_mu=1.0,
-                scenario=Scenario.BLINDING_ONLY,
-                case_filter=frozenset("C"),
-            )
 
 
 READOUTS = (DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC)
@@ -552,45 +544,24 @@ class TestProtocolClasses:
         t = run_fixed(PhaseSymbol.PI, PhaseSymbol.ZERO, 1.0, 20_000, params, seed_seq(12))
         assert t.click2 > 0 and t.sifted == t.errors == t.casec_gates == 0
 
-    @pytest.mark.parametrize("scenario", [Scenario.HONEST, Scenario.ATTACK_CM])
-    @pytest.mark.parametrize("labels", ["A", "B", "C", "AB", "AC", "ABC"])
-    def test_case_filter_zeroes_excluded_classes(self, scenario, labels):
-        # A and B name the same matched-basis tuples, and C with A or B
-        # keeps every gate: such a filter is rejected in favour of the
-        # accepted setting that keeps the same classes
-        full = class_weights(protocol_classes(scenario))
-        twin = {"A": "AB", "B": "AB", "AC": None, "ABC": None}.get(labels, labels)
-        if twin != labels:
-            with pytest.raises(ConfigError, match="'A,B'" if twin else "omit the filter"):
-                protocol_classes(scenario, frozenset(labels))
-        filtered = class_weights(protocol_classes(scenario, twin and frozenset(twin)))
-        kept = {key for key in full if ("C" in labels if key[1] else bool(set(labels) & set("AB")))}
-        share = sum(full[key] for key in kept)
-        assert sum(filtered.values()) == 1.0
-        assert filtered == {key: full[key] / share for key in kept}
-
 
 @pytest.mark.parametrize(
-    "scenario,detector,case_filter",
+    "scenario,detector",
     [
-        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, None),
-        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, None),
-        (Scenario.HONEST, DetectorKind.BASELINE_TWO_APD, None),
-        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, frozenset("C")),
+        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD),
+        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC),
+        (Scenario.HONEST, DetectorKind.BASELINE_TWO_APD),
     ],
 )
 @pytest.mark.parametrize("mu", [0.1, 1.0, 30.0])
-def test_counters_match_closed_forms(scenario, detector, case_filter, mu, params):
+def test_counters_match_closed_forms(scenario, detector, mu, params):
     """Per-arm fired, casec_gates and (two-APD) sifted gates within 4 sigma
     of their closed forms over the tuple enumeration.  Gates are i.i.d., so
     each count is binomial in the gates."""
     n = 400_000
-    cfg = AttackConfig(
-        n, mu, scenario=engine_scenario(scenario), detector=detector, case_filter=case_filter
-    )
+    cfg = AttackConfig(n, mu, scenario=engine_scenario(scenario), detector=detector)
     tally = run_attack(cfg, params, seed_seq(int(10 * mu) + 20))
-    # the only filter here keeps the case-C tuples
-    rows = [r for r in protocol_tuples(scenario) if case_filter is None or r[1]]
+    rows = protocol_tuples(scenario)
     dcp = (params.dcp_apd1, params.dcp_apd2)
     p = Counter()
     for delta, casec, sift, _ in rows:
@@ -701,28 +672,26 @@ def full_array_tally(fired, amps, labels, classes, params, balanced):
 
 
 @pytest.mark.parametrize(
-    "scenario,detector,case_filter,n",
+    "scenario,detector,n",
     [
-        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, None, 20_000),
-        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, None, 20_000),
-        (Scenario.HONEST, DetectorKind.BALANCED_BNC, None, 20_000),
-        (Scenario.BLINDING_ONLY, DetectorKind.BALANCED_BNC, None, 20_000),
-        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, frozenset("C"), 20_000),
+        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, 20_000),
+        (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, 20_000),
+        (Scenario.HONEST, DetectorKind.BALANCED_BNC, 20_000),
+        (Scenario.BLINDING_ONLY, DetectorKind.BALANCED_BNC, 20_000),
         # 8 gates over 14 classes: most classes draw no gate
-        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, None, 8),
+        (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, 8),
     ],
     ids=[
         "attack_cm-balanced_bnc",
         "attack_no_cm-baseline_two_apd",
         "honest-balanced_bnc",
         "blinding_only-balanced_bnc",
-        "attack_cm-balanced_bnc-C",
         "attack_cm-balanced_bnc-8gates",
     ],
 )
 @pytest.mark.parametrize("mu", [0.1, 1.0, 30.0, 500.0])
 def test_fired_gate_readout_equals_full_array_count(
-    scenario, detector, case_filter, n, mu, params, monkeypatch
+    scenario, detector, n, mu, params, monkeypatch
 ):
     """Reading out weighted rows, counting each readout from its event
     codes and counting case C and sifting per class loses nothing.
@@ -758,11 +727,11 @@ def test_fired_gate_readout_equals_full_array_count(
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
     monkeypatch.setattr(attack, "count_events", recorded_weights)
     scenario = engine_scenario(scenario)
-    config = AttackConfig(n, mu, scenario=scenario, detector=detector, case_filter=case_filter)
+    config = AttackConfig(n, mu, scenario=scenario, detector=detector)
     tally = simulate_block(config, params, rng)
 
     # one class draw, no per-gate protocol draw
-    classes = protocol_classes(scenario, case_filter)
+    classes = protocol_classes(scenario)
     counts = rng.draws[0][2]
     assert rng.draws[0][0] == "multinomial" and counts.size == classes.weight.size
     assert not [out for name, _, out in rng.draws if name == "integers"]
@@ -796,7 +765,7 @@ def test_fired_gate_readout_equals_full_array_count(
     assert tally == expected
     if n > 1000:
         assert tally.fired1 + tally.fired2 > 0
-        if case_filter is None and scenario is not Scenario.BLINDING_ONLY:
+        if scenario is not Scenario.BLINDING_ONLY:
             assert tally.sifted > 0
 
 

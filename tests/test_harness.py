@@ -14,7 +14,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bncsim
-from bncsim.attack import POISSON_LAM_MAX, SHARD_GATES, DetectorKind, Scenario, protocol_classes
+from bncsim.attack import (
+    ARM_WEIGHTS,
+    POISSON_LAM_MAX,
+    SHARD_GATES,
+    DetectorKind,
+    Scenario,
+    protocol_classes,
+)
 from bncsim.balanced import GateEvent
 from bncsim.cli import main
 from bncsim.errors import ConfigError, MissingFluxPoint
@@ -419,23 +426,22 @@ class TestSelfDifferencingShards:
 
 
 @pytest.mark.parametrize(
-    "detector,scenario,case_filter",
+    "detector,scenario",
     [
-        (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, None),
-        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("AB")),
-        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, frozenset("C")),
-        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, None),
+        (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY),
+        (DetectorKind.BALANCED_BNC, Scenario.BLINDING_ONLY),
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM),
     ],
 )
-def test_cm_success_within_5_sigma_of_oracle(params, detector, scenario, case_filter):
+def test_cm_success_within_5_sigma_of_oracle(params, detector, scenario):
     # mu = 30: one arm at full flux keeps 1.7% weak avalanches, a split
-    # pair 3.4%, so a column modelling the wrong gate mix is tens of sigma off
+    # pair 3.4%, so a column modelling the wrong gate mix is tens of sigma
+    # off; the oracle's split shares here are 0, 1 and 1/2
     spec = small_spec(
         flux_grid=(30.0,),
         n_gates_per_point=200_000,
         scenario=scenario,
         detector=detector,
-        case_filter=case_filter,
         seed=30,
     )
     row = run_sweep(spec, params).rows[0]
@@ -445,26 +451,68 @@ def test_cm_success_within_5_sigma_of_oracle(params, detector, scenario, case_fi
     assert abs(row.cm_success - row.oracle_cm_success) <= 5.0 * sigma
 
 
+def test_casec_columns_read_as_the_blinding_only_sweep(params):
+    """An attack sweep's case-C columns are the blinding-only sweep's, at
+    half the gates: a case-C gate splits its pulse evenly between the
+    arms, as every blinding-only gate does.  Each pair agrees within 5
+    binomial sigma."""
+    n = 1_000_000
+
+    def rows(scenario):
+        spec = small_spec(flux_grid=(1.0, 10.0, 500.0), n_gates_per_point=n, scenario=scenario)
+        return run_sweep(spec, params).rows
+
+    f = params.f_gate
+    for attack, blind in zip(rows(Scenario.ATTACK_CM), rows(Scenario.BLINDING_ONLY)):
+        for arm in (1, 2):
+            # case-C clicks are Binomial(n, p/2), as case C is half the
+            # attack's gates; blinding-only clicks are Binomial(n, p)
+            half = getattr(attack, f"casec_diff{arm}_rate") / f
+            full = getattr(blind, f"diff{arm}_rate") / f
+            p = half + full / 2
+            sigma = math.sqrt((2 * p * (1 - p / 2) + p * (1 - p)) / n)
+            assert abs(2 * half - full) <= 5 * sigma, (attack.flux, arm)
+        # flags: Binomial(n/2, q) over the case-C gates, Binomial(n, q) over all
+        q = (attack.casec_cm_frac + blind.cm_rate / f) / 2
+        sigma = math.sqrt(q * (1 - q) * 3 / n)
+        assert abs(attack.casec_cm_frac - blind.cm_rate / f) <= 5 * sigma, attack.flux
+
+
+def law_key(spec, table):
+    """What a sweep's report depends on beyond its random stream: the
+    receiver, the report columns it fills, the class weight per (arm
+    shares, case C), and over the sifting classes the weight per share of
+    the pulse on the bit's arm, normalised to the sifting weight."""
+    lines = [line.split(",") for line in table.splitlines()[1:]]
+    filled = frozenset(c for i, c in enumerate(REPORT_COLUMNS) if any(r[i] != "nan" for r in lines))
+    scenario = Scenario.ATTACK_CM if spec.scenario is Scenario.ATTACK_NO_CM else spec.scenario
+    classes = protocol_classes(scenario)
+    by_shares, by_bit_share = Counter(), Counter()
+    for w, delta, casec, sift, bit in zip(*(column.tolist() for column in classes)):
+        by_shares[tuple(ARM_WEIGHTS[:, delta].tolist()), casec] += w
+        if sift:
+            by_bit_share[ARM_WEIGHTS[bit, delta]] += w
+    sifting = sum(by_bit_share.values())
+    by_bit_share = {share: w / sifting for share, w in by_bit_share.items()}
+    return spec.detector, filled, frozenset(by_shares.items()), frozenset(by_bit_share.items())
+
+
 def test_accepted_settings_write_distinct_tables(params):
-    """SweepSpec accepts a (detector, scenario, case filter) setting only
-    when no other accepted setting writes the same table."""
-    filters = [None] + [
-        frozenset(labels) for r in (1, 2, 3) for labels in itertools.combinations("ABC", r)
-    ]
-    digests = {}
-    for detector, scenario, case_filter in itertools.product(DetectorKind, Scenario, filters):
+    """SweepSpec accepts a (detector, scenario) setting only when no other
+    accepted setting writes the same table: not only another digest, but
+    another law (:func:`law_key`)."""
+    digests, keys = {}, {}
+    for detector, scenario in itertools.product(DetectorKind, Scenario):
         try:
-            spec = small_spec(
-                flux_grid=(0.1, 30.0), scenario=scenario, detector=detector, case_filter=case_filter
-            )
+            spec = small_spec(flux_grid=(0.1, 30.0), scenario=scenario, detector=detector)
         except ConfigError:
             continue
         table = report_to_csv(run_sweep(spec, params))
-        digests[detector.value, scenario.value, case_filter] = hashlib.sha256(
-            table.encode()
-        ).hexdigest()
-    assert len(digests) == 18, sorted(digests, key=str)
+        digests[detector.value, scenario.value] = hashlib.sha256(table.encode()).hexdigest()
+        keys[detector.value, scenario.value] = law_key(spec, table)
+    assert len(digests) == 8, sorted(digests)
     assert len(set(digests.values())) == len(digests)
+    assert len(set(keys.values())) == len(keys)
 
 
 class TestVerifyLandmarks:
@@ -538,7 +586,6 @@ class TestConfigFiles:
         assert spec.scenario is Scenario.ATTACK_CM
         assert spec.detector is DetectorKind.BALANCED_BNC
         assert spec.n_gates_per_point == 1_000_000 and spec.seed == 20260809
-        assert spec.case_filter is None
         assert params == DetectorParams.default()
         assert merged["out"] == "landmarks.csv"
 
@@ -756,20 +803,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "table_sha256" in err
 
-    @pytest.mark.parametrize(
-        "detector,scenario,labels",
-        [
-            ("self_differencing", "blinding_only", "Z"),
-            ("self_differencing", "blinding_only", "C"),
-            ("self_differencing", "honest", "A"),
-            ("balanced_bnc", "blinding_only", "C"),
-            ("balanced_bnc", "attack_cm", "Z"),
-            ("baseline_two_apd", "honest", "A,X"),
-        ],
-    )
-    def test_bad_case_filter_exits_2_before_any_gate(
-        self, detector, scenario, labels, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_removed_case_filter_exits_2_before_any_gate(
+        self, via, tmp_path, capsys, monkeypatch
     ):
+        # every sweep runs all of its protocol classes; the casec_*
+        # columns are the case breakdown
         import bncsim.cli as cli
 
         def no_gates(*args, **kwargs):
@@ -777,24 +816,29 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_sweep", no_gates)
         out = tmp_path / "filtered.csv"
-        argv = ["sweep", "--detector", detector, "--scenario", scenario, "--case-filter", labels]
-        assert main([*argv, "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+        argv = ["sweep", "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]
+        if via == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--case-filter", "C"])
+            assert exc.value.code == 2
+            assert "--case-filter" in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "filtered.cfg"
+            cfg.write_text("case_filter = C\n")
+            assert main([*argv, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "unknown key 'case_filter'" in err
+        assert not out.exists() and not Path(f"{out}.manifest").exists()
 
     @pytest.mark.parametrize(
-        "detector,scenario,labels,twin",
+        "detector,scenario,twin",
         [
-            ("balanced_bnc", "attack_cm", "A", "'A,B'"),
-            ("balanced_bnc", "attack_cm", "B", "'A,B'"),
-            ("balanced_bnc", "attack_cm", "A,C", "omit the filter"),
-            ("balanced_bnc", "attack_cm", "A,B,C", "omit the filter"),
-            ("self_differencing", "honest", None, "blinding_only"),
-            ("baseline_two_apd", "attack_cm", None, "attack_no_cm"),
+            ("self_differencing", "honest", "blinding_only"),
+            ("baseline_two_apd", "attack_cm", "attack_no_cm"),
         ],
     )
     def test_aliased_setting_exits_2_naming_its_twin(
-        self, detector, scenario, labels, twin, tmp_path, capsys, monkeypatch
+        self, detector, scenario, twin, tmp_path, capsys, monkeypatch
     ):
         # each of these settings writes the table of an accepted one
         import bncsim.cli as cli
@@ -805,8 +849,6 @@ class TestCli:
         monkeypatch.setattr(cli, "run_sweep", no_gates)
         out = tmp_path / "alias.csv"
         argv = ["sweep", "--detector", detector, "--scenario", scenario]
-        if labels is not None:
-            argv += ["--case-filter", labels]
         assert main([*argv, "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and twin in err
