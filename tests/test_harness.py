@@ -803,12 +803,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "table_sha256" in err
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_removed_case_filter_exits_2_before_any_gate(
-        self, via, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "detector,scenario,labels",
+        [
+            ("self_differencing", "blinding_only", "Z"),
+            ("self_differencing", "blinding_only", "C"),
+            ("self_differencing", "honest", "A"),
+            ("balanced_bnc", "blinding_only", "C"),
+            ("balanced_bnc", "attack_cm", "Z"),
+            ("baseline_two_apd", "honest", "A,X"),
+        ],
+    )
+    def test_bad_case_filter_exits_2_before_any_gate(
+        self, detector, scenario, labels, tmp_path, capsys, monkeypatch
     ):
-        # every sweep runs all of its protocol classes; the casec_*
-        # columns are the case breakdown
+        # every sweep runs all of its protocol classes and the casec_*
+        # columns are the case breakdown, so any case filter is refused:
+        # as a flag it is an argparse usage error, in a config file an
+        # unknown key
         import bncsim.cli as cli
 
         def no_gates(*args, **kwargs):
@@ -816,18 +828,18 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_sweep", no_gates)
         out = tmp_path / "filtered.csv"
-        argv = ["sweep", "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]
-        if via == "flag":
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--case-filter", "C"])
-            assert exc.value.code == 2
-            assert "--case-filter" in capsys.readouterr().err
-        else:
-            cfg = tmp_path / "filtered.cfg"
-            cfg.write_text("case_filter = C\n")
-            assert main([*argv, "--config", str(cfg)]) == 2
-            err = capsys.readouterr().err
-            assert "error:" in err and "unknown key 'case_filter'" in err
+        argv = ["sweep", "--detector", detector, "--scenario", scenario]
+        argv += ["--flux", "0.1,500", "--gates", "10000", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--case-filter", labels])
+        assert exc.value.code == 2
+        assert "--case-filter" in capsys.readouterr().err
+
+        cfg = tmp_path / "filtered.cfg"
+        cfg.write_text(f"case_filter = {labels}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "unknown key 'case_filter'" in err
         assert not out.exists() and not Path(f"{out}.manifest").exists()
 
     @pytest.mark.parametrize(
