@@ -11,10 +11,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NonPhysical, UndefinedQuantity
-from .signal_model import DetectorParams, weak_probabilities
+from .signal_model import DetectorParams, poisson_log_pmf, weak_probabilities
 
 #: Energy of a single 1550 nm photon (0.7999 eV), in joules.
 E_PHOTON_1550_NM = 0.7999 * 1.602176634e-19
@@ -201,7 +200,7 @@ def weak_avalanche_fraction(nu: float, params: DetectorParams) -> float:
     k_max = max(20, int(nu + 12.0 * math.sqrt(nu) + 12))
     cdf = weak_probabilities(params)[1 : k_max + 1]
     ks = np.arange(1, cdf.size + 1)
-    pmf = np.exp(ks * math.log(nu) - nu - special.gammaln(ks + 1))
+    pmf = np.exp(poisson_log_pmf(ks, nu))
     fired = -math.expm1(-nu)
     # at nu ~ 1e4 the rounding of log_pmf can lift the sum past 1 by ~1e-11
     return min(float((pmf * cdf).sum() / fired), 1.0)

@@ -32,11 +32,17 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
+import numpy.random  # noqa: F401  # loaded with the package, not inside the first timed draw
 
 from .balanced import GateEvent, comparator_arrays, event_codes
 from .errors import ConfigError
-from .signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol, weak_probabilities
+from .signal_model import (
+    RECEIVER_PHASES,
+    DetectorParams,
+    PhaseSymbol,
+    poisson_log_pmf,
+    weak_probabilities,
+)
 
 
 class Scenario(str, Enum):
@@ -283,13 +289,6 @@ def arm_means(mu: float, qe: float, delta_q: int) -> tuple[float, float]:
     return mu * qe * w1, mu * qe * w2
 
 
-def _below_rail(carriers: np.ndarray, u: np.ndarray, params: DetectorParams) -> np.ndarray:
-    """Amplitudes gain_mean * gammaincinv(K, u) of weak avalanches of K
-    carriers at uniforms u < P[K]; one that rounds up to the rail reads
-    as railed."""
-    return np.minimum(params.gain_mean * special.gammaincinv(carriers, u), params.t_strong)
-
-
 #: Avalanche state of one arm in one gate, the row and column of
 #: :func:`detect_pair`'s cells.
 EMPTY, WEAK, RAILED = range(3)
@@ -329,7 +328,7 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
         law = ArmLaw(lam, rails, np.zeros(0, np.int64), np.zeros((2, 0)), np.zeros(0))
     else:
         k = np.arange(lo, hi + 1)
-        poisson = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1))
+        poisson = np.exp(poisson_log_pmf(k, lam))
         # read P at min(k, len - 1); k = 0 without a dark ignition is empty, not weak
         p_k, p_dark = p.take(k, mode="clip"), p.take(k + 1, mode="clip")
         no_dark, dark = (1.0 - dcp) * poisson, dcp * poisson
@@ -359,14 +358,36 @@ def _signal_photons(law: ArmLaw, pmf: np.ndarray, n: int, rng: np.random.Generat
     return int(rng.multinomial(n, pmf / pmf.sum()) @ law.k)
 
 
+def _weak_amplitudes(
+    carriers: np.ndarray, u: np.ndarray, params: DetectorParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Amplitudes of weak avalanches of K ``carriers``, at uniforms u < P[K].
+
+    With x = t_strong / gain_mean, a Gamma(K) amplitude below the rail is
+    gain_mean times the K-th arrival of a unit Poisson process on [0, x]
+    given N >= K arrivals there (P[K] = P(N >= K), see
+    :func:`~bncsim.signal_model.weak_probabilities`).  The largest j with
+    P[j] > u is such an N: u is uniform below P[K], so N = j with
+    probability P(N = j) / P[K] for every j >= K.  Given N, the arrivals
+    are N uniform points on [0, x], whose K-th sits at x * Beta(K, N - K +
+    1) (order statistics; Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. V).  An amplitude that rounds up to the rail
+    reads as railed.
+    """
+    table = weak_probabilities(params)
+    # the table falls with j, so the j with P[j] > u are 0 .. N
+    arrivals = table.size - 1 - np.searchsorted(table[::-1], u, side="right")
+    return np.minimum(params.t_strong * rng.beta(carriers, arrivals - carriers + 1), params.t_strong)
+
+
 def _weak_gates(
     law: ArmLaw, m: int, params: DetectorParams, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Detected signal photons and amplitudes of ``m`` weak arms.
 
     Each arm draws its (d, k) from the weak law, independently of the
-    others, then a Gamma(K) amplitude truncated below the rail, by
-    inverse CDF at u ~ U(0, P[K]).
+    others, then a Gamma(K) amplitude truncated below the rail
+    (:func:`_weak_amplitudes` at u ~ U(0, P[K])).
     """
     if not m:
         return 0, np.zeros(0)
@@ -375,7 +396,7 @@ def _weak_gates(
     k = law.k[i]
     carriers = k + d
     u = weak_probabilities(params)[carriers] * rng.random(m)
-    return int(k.sum()), _below_rail(carriers, u, params)
+    return int(k.sum()), _weak_amplitudes(carriers, u, params, rng)
 
 
 def arm_levels(

@@ -105,11 +105,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if args.gates is not None and args.gates < 1:
         raise ConfigError(f"--gates must be at least 1, got {args.gates}")
     file_values = parse_config_file(args.config) if args.config else {}
-    # table 1 reads only the detector and the seed, so it checks no sweep key
+    # table 1 reads only the detector, the seed and the gates per row, so
+    # it checks no other sweep key
     read = {f.name for f in fields(DetectorParams)} | {"seed"}
     table_values = {key: value for key, value in file_values.items() if key in read}
     _, params, merged = resolve_config(table_values, {"seed": args.seed})
     seed = int(merged["seed"])
+    gates = args.gates
+    if gates is None and "gates" in file_values:
+        try:
+            gates = int(file_values["gates"])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'gates': {file_values['gates']!r}") from exc
+        if gates < 1:
+            raise ConfigError(f"gates must be at least 1, got {gates}")
     rows = enumerate_cases()
     print(
         f"{'#':>2} {'alice':>6} {'eve_basis':>9} {'eve_apd':>7} {'resend':>6} "
@@ -121,7 +130,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             row,
             params,
             np.random.SeedSequence(seed, spawn_key=(1, i)),
-            gates=args.gates,
+            gates=gates,
         )
         all_ok &= result.matched
         print(

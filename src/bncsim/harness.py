@@ -245,6 +245,30 @@ def _sd_readout(
     return codes, weights, float(stream[-1])
 
 
+def _bernoulli_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the successes among ``n`` independent
+    Bernoulli(``p``) trials, as cumulative Geometric(p) gaps.
+
+    A gap is 1 + floor(E / -ln(1 - p)) for E ~ Exp(1), which has the
+    Geometric(p) law and costs less than ``rng.geometric``.  The gaps are
+    drawn in batches a few sigma past the expected count, so one batch
+    nearly always reaches past trial ``n``; the work is O(successes),
+    with no sort.
+    """
+    if p <= 0.0:
+        return np.zeros(0, np.int64)
+    scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
+    batch = math.ceil(n * p + 6.0 * math.sqrt(n * p) + 10.0)
+    chunks, last = [], -1
+    while last < n:
+        # a gap past n ends the shard either way; the bound keeps the sums in int64
+        gaps = np.minimum(rng.standard_exponential(batch) * scale, n).astype(np.int64) + 1
+        chunks.append(last + np.cumsum(gaps))
+        last = int(chunks[-1][-1])
+    pos = np.concatenate(chunks)
+    return pos[: np.searchsorted(pos, n)]
+
+
 def _run_sd_point(
     mu: float, n_gates: int, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
@@ -253,17 +277,16 @@ def _run_sd_point(
     One APD sees the whole pulse, so each gate's state (EMPTY, WEAK or
     RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe.
     The more probable of EMPTY and RAILED is the bulk state; a shard
-    draws only its exception gates: a Binomial count of distinct uniform
-    positions, each in one of the other two states, whose levels and
-    photons :func:`~bncsim.attack.arm_levels` draws.  A gate's word
-    depends on its own railed level and its predecessor's, so
+    draws only its exception gates, at independent Bernoulli positions
+    (:func:`_bernoulli_positions`), each in one of the other two states,
+    whose levels and photons :func:`~bncsim.attack.arm_levels` draws.  A
+    gate's word depends on its own railed level and its predecessor's, so
     :func:`sd_event_codes` reads the exceptions and their successors, and
     the other gates, bulk after bulk, count as one row
-    (:func:`_sd_readout`).  Each shard starts
-    the delay register from the previous shard's last level, so the
-    event stream is the one a single block would give.  The events count
-    like the balanced monitor's: rises as ``click1``, delayed falls as
-    ``click2``.
+    (:func:`_sd_readout`).  Each shard starts the delay register from
+    the previous shard's last level, so the event stream is the one a
+    single block would give.  The events count like the balanced
+    monitor's: rises as ``click1``, delayed falls as ``click2``.
     """
     law = arm_law(mu * params.qe, params.dcp_apd1, params)
     bulk = RAILED if law.state[RAILED] > law.state[EMPTY] else EMPTY
@@ -274,8 +297,8 @@ def _run_sd_point(
 
     def block(n: int, rng: np.random.Generator) -> GateTally:
         nonlocal register
-        m = int(rng.binomial(n, p_exception))
-        pos = np.sort(rng.choice(n, m, replace=False, shuffle=False))
+        pos = _bernoulli_positions(n, p_exception, rng)
+        m = pos.size
         weak = rng.random(m) * p_exception < law.state[WEAK]
         n_weak = int(np.count_nonzero(weak))
         count = {bulk: n - m, other: m - n_weak, WEAK: n_weak}

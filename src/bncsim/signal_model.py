@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError
 
@@ -109,9 +108,13 @@ class DetectorParams:
         if not 0.0 < self.t_diff < self.t_strong:
             raise ConfigError("thresholds must satisfy 0 < t_diff < t_strong")
         # the table stops at the first power of two k where P(k) underflows
-        # to 0, so it stays within WEAK_TABLE_MAX entries iff P(2**21) is 0
+        # to 0, so it stays within WEAK_TABLE_MAX entries iff P(2**21) is 0;
+        # P grows with the ratio, and at a ratio of 2**20 P(2**21) is below
+        # exp(-4e5) (Bennett's inequality), so only larger ratios are read
         ratio = self.t_strong / self.gain_mean
-        if special.gammainc(WEAK_TABLE_MAX - 1, ratio) > 0.0:
+        if ratio > (WEAK_TABLE_MAX - 1) / 2 and (
+            ratio == math.inf or poisson_tail(ratio, WEAK_TABLE_MAX - 1, WEAK_TABLE_MAX)[0] > 0.0
+        ):
             raise ConfigError(
                 f"t_strong / gain_mean = {ratio:.6g} is too large: its weak-avalanche "
                 f"table would exceed {WEAK_TABLE_MAX} entries"
@@ -136,23 +139,82 @@ class DetectorParams:
         )
 
 
+def log_factorial(k: np.ndarray) -> np.ndarray:
+    """ln k! of each non-negative integer in ``k``, by ``math.lgamma``."""
+    return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+
+
+def poisson_log_pmf(k: np.ndarray, lam: float) -> np.ndarray:
+    """ln P(N = k) for N ~ Poisson(lam) at each integer in ``k``, with
+    0 ln 0 = 0, so that lam = 0 puts all the mass on k = 0."""
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    log_power = np.multiply(k, log_lam, where=k > 0, out=np.zeros(k.shape))
+    return log_power - lam - log_factorial(k)
+
+
+def poisson_tail(x: float, start: int, stop: int) -> np.ndarray:
+    """P(N >= k) for N ~ Poisson(x), at k = start .. stop - 1.
+
+    This is the regularized lower incomplete gamma function at integer
+    shape, ``gammainc(k, x)`` (DLMF 8.4.10), and 1 at k = 0.  The Poisson
+    pmf, by the recurrence p(j + 1) = p(j) x / (j + 1), is summed over a
+    window holding all but 1e-30 of the mass that counts.  An entry above
+    the mean sums its upper tail, from the top of the window down; an
+    entry at or below it is the complement of the mass below it, summed
+    from the bottom of the distribution, and entries below that bottom
+    are 1.  Every entry thus lies in [0, 1], and the entries fall with k.
+
+    A window that reaches the mean starts the recurrence at the mode and
+    is normalised by its sum, which keeps ~1e-12 relative accuracy at
+    x = 1e5, where ``math.lgamma`` alone carries ~1e-10.  One wholly above
+    the mean starts from :func:`poisson_log_pmf` at ``start``.
+    """
+    bottom = max(0, math.floor(x - 12.0 * math.sqrt(x) - 24.0))
+    if stop <= bottom:
+        return np.ones(stop - start)
+    mode = math.floor(x)
+    top = max(stop - 1, mode)
+    # past top the pmf falls by at least x / (top + 1) per step, and by
+    # exp(-i**2 / 2 (top + i)) after i steps
+    span = 12.0 * math.sqrt(top) + 24.0
+    if 0.0 < x < top + 1:
+        span = min(span, 70.0 / (math.log(top + 1) - math.log(x)))
+    hi = top + 2 + math.ceil(span)
+    if start > x:
+        first = math.exp(poisson_log_pmf(np.array([start]), x)[0])
+        pmf = np.cumprod(np.concatenate(([first], x / np.arange(start + 1, hi))))
+        return np.cumsum(pmf[::-1])[::-1][: stop - start]
+    down = np.cumprod(np.arange(mode, bottom, -1) / x)[::-1]
+    pmf = np.concatenate((down, [1.0], np.cumprod(x / np.arange(mode + 1, hi))))
+    pmf /= pmf.sum()
+    upper = np.cumsum(pmf[::-1])[::-1]
+    tail = np.where(np.arange(bottom, hi) > x, upper, 1.0 - (np.cumsum(pmf) - pmf))
+    below_bottom = np.ones(max(bottom - start, 0))
+    return np.concatenate((below_bottom, tail[max(start - bottom, 0) :]))[: stop - start]
+
+
 @functools.lru_cache(maxsize=8)
 def weak_probabilities(params: DetectorParams) -> np.ndarray:
     """P[k] = P(gain_mean * Gamma(k) < t_strong) for k = 0 .. k_rail.
 
-    The regularized lower incomplete gamma function at the rail,
-    ``gammainc(k, t_strong / gain_mean)``; the empty avalanche (k = 0)
-    stays below it with certainty.  P falls with k, so the table stops at
-    the first power of two ``k_rail`` where P underflows to 0: every
-    avalanche of ``k >= k_rail`` carriers is railed, so read the table at
-    ``min(k, len - 1)``.  :class:`DetectorParams` bounds k_rail by
-    ``WEAK_TABLE_MAX - 1``, so the table holds at most 16 MB.  It is built
-    once per parameter set and returned read-only.
+    A Gamma(k) amplitude stays below the rail iff a unit Poisson process
+    has its k-th arrival before x = t_strong / gain_mean, so P[k] is the
+    Poisson tail P(N >= k), N ~ Poisson(x) (:func:`poisson_tail`); the
+    empty avalanche (k = 0) stays below it with certainty.  P falls with
+    k, so the table stops at the first power of two ``k_rail`` where P
+    underflows to 0: every avalanche of ``k >= k_rail`` carriers is
+    railed, so read the table at ``min(k, len - 1)``.
+    :class:`DetectorParams` bounds k_rail by ``WEAK_TABLE_MAX - 1``, so
+    the table holds at most 16 MB.  It is built once per parameter set
+    and returned read-only.
     """
     x = params.t_strong / params.gain_mean
-    k_rail = 1
-    while special.gammainc(k_rail, x) > 0.0:
+    # P is above 1e-60 up to 12 standard deviations past the mean, so the
+    # search starts at the first power of two beyond them
+    k_rail = 1 << int(x + 12.0 * math.sqrt(x) + 24.0).bit_length()
+    while poisson_tail(x, k_rail, k_rail + 1)[0] > 0.0:
         k_rail *= 2
-    table = special.gammainc(np.arange(k_rail + 1), x)
+    # the last entry is the 0 the loop stopped at
+    table = np.append(poisson_tail(x, 0, k_rail), 0.0)
     table.flags.writeable = False
     return table

@@ -411,6 +411,31 @@ class TestSelfDifferencingShards:
 
         assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
 
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.41, 1.0])
+    def test_exception_positions_are_bernoulli(self, p):
+        """Sorted distinct positions inside the shard, each trial a success
+        with probability p: a Binomial(n, p) count, split evenly between
+        the two halves of the shard."""
+        import bncsim.harness as harness
+
+        n = 200_000
+        pos = harness._bernoulli_positions(n, p, np.random.default_rng(31))
+        assert (np.diff(pos) > 0).all() and (pos >= 0).all() and (pos < n).all()
+        for lo, size in ((0, n), (0, n // 2), (n // 2, n // 2)):
+            count = np.count_nonzero((pos >= lo) & (pos < lo + size))
+            assert abs(count - size * p) <= 5.0 * math.sqrt(size * p * (1.0 - p))
+
+    def test_exception_gaps_run_past_one_batch(self):
+        # gaps of one trial fill a batch long before the shard ends; the
+        # batches chain, and every trial is then a position
+        import bncsim.harness as harness
+
+        class UnitGaps:
+            def standard_exponential(self, size):
+                return np.zeros(size)
+
+        assert harness._bernoulli_positions(100, 1e-9, UnitGaps()).tolist() == list(range(100))
+
     @pytest.mark.parametrize("mu", [0.1, 500.0])
     def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
         """The point draws and codes only the gates off the bulk state."""
@@ -752,6 +777,31 @@ class TestCli:
         assert done.returncode == 2
         assert "--gates must be at least 1" in done.stderr
 
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: the package imports none of it,
+        # and runs a balanced sweep and table 1 with every scipy import
+        # blocked; numpy.random loads with the package, not at the first draw
+        code = (
+            "import sys\n"
+            "import bncsim.cli, bncsim.harness\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+            "assert 'numpy.random' in sys.modules\n"
+            "sys.modules['scipy'] = None\n"
+            "main = bncsim.cli.main\n"
+            "assert main(['sweep', '--scenario', 'attack_cm', '--detector', 'balanced_bnc',"
+            " '--flux', '0.1,10,500', '--gates', '20000', '--out', sys.argv[1]]) == 0\n"
+            "assert main(['table1']) == 0\n"
+        )
+        src = Path(bncsim.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "report.csv")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "rows: 16, case C rows: 8" in done.stdout
+
     def test_table1_counts(self, capsys):
         # tiny statistics: only check the enumeration structure, not matches
         main(["table1", "--gates", "20000"])
@@ -885,15 +935,45 @@ class TestCli:
         assert "error:" in captured.err and "--gates" in captured.err
 
     def test_table1_ignores_sweep_keys(self, tmp_path, capsys):
-        # table 1 reads only the detector keys and the seed from a config
-        # file; a sweep key, valid or not for a sweep, changes nothing
+        # table 1 reads only the detector keys, the seed and the gates from a
+        # config file; any other sweep key, valid or not for a sweep,
+        # changes nothing
         assert main(["table1", "--seed", "4"]) == 0
         plain = capsys.readouterr().out
-        for line in ("gates = 5000", "flux = 1,0.5", "detector = self_differencing"):
+        for line in ("flux = 1,0.5", "detector = self_differencing", "scenario = honest"):
             cfg = tmp_path / "sweep_keys.cfg"
             cfg.write_text(f"{line}\nseed = 4\n")
             assert main(["table1", "--config", str(cfg)]) == 0, line
             assert capsys.readouterr().out == plain, line
+
+    def test_table1_reads_config_gates(self, tmp_path, capsys):
+        # a config file's gates set the gates per row, and --gates wins
+        def table(*argv):
+            main(["table1", "--seed", "4", *argv])
+            return capsys.readouterr().out
+
+        cfg = tmp_path / "gates.cfg"
+        cfg.write_text("gates = 5000\n")
+        from_file = table("--config", str(cfg))
+        assert from_file == table("--gates", "5000")
+        assert from_file != table("--gates", "6000")
+        assert table("--config", str(cfg), "--gates", "6000") == table("--gates", "6000")
+
+    @pytest.mark.parametrize("line", ["gates = 0", "gates = -5", "gates = many"])
+    def test_table1_bad_config_gates_exits_2_without_rows(
+        self, line, tmp_path, capsys, monkeypatch
+    ):
+        import bncsim.cli as cli
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was simulated")
+
+        monkeypatch.setattr(cli, "evaluate_case_row", no_rows)
+        cfg = tmp_path / "bad_gates.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["table1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gates" in captured.err
 
     @pytest.mark.parametrize("line", ["qe = 2", "seed = -1"])
     def test_table1_bad_config_exits_2_without_rows(self, line, tmp_path, capsys, monkeypatch):

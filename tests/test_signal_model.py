@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from bncsim.attack import (
     EMPTY,
@@ -13,7 +13,7 @@ from bncsim.attack import (
     WEAK,
     AttackConfig,
     DetectorKind,
-    _below_rail,
+    _weak_amplitudes,
     arm_law,
     arm_levels,
     arm_means,
@@ -24,6 +24,9 @@ from bncsim.signal_model import (
     WEAK_TABLE_MAX,
     DetectorParams,
     PhaseSymbol,
+    log_factorial,
+    poisson_log_pmf,
+    poisson_tail,
     weak_probabilities,
 )
 
@@ -64,6 +67,9 @@ def test_params_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="must be finite"):
                 replace(good, **{field.name: bad})
+    # finite thresholds whose ratio overflows need no table to be rejected
+    with pytest.raises(ConfigError, match="t_strong / gain_mean"):
+        replace(good, t_strong=1e300, gain_mean=1e-10)
 
 
 READOUTS = (DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC)
@@ -141,12 +147,12 @@ class TestDetect:
 
 def carrier_levels(k, n, params, rng):
     """Railed levels of ``n`` avalanches of ``k`` carriers each: one
-    uniform u per avalanche, weak at amplitude :func:`_below_rail` when
-    u < P[k], railed at ``t_strong`` otherwise."""
+    uniform u per avalanche, weak at amplitude :func:`_weak_amplitudes`
+    when u < P[k], railed at ``t_strong`` otherwise."""
     u = rng.random(n)
     weak = u < weak_probabilities(params).take(k, mode="clip")
     levels = np.full(n, params.t_strong)
-    levels[weak] = _below_rail(np.full(np.count_nonzero(weak), k), u[weak], params)
+    levels[weak] = _weak_amplitudes(np.full(np.count_nonzero(weak), k), u[weak], params, rng)
     return levels
 
 
@@ -166,11 +172,11 @@ def carrier_mixture(lam, dcp, params):
 
 class TestAvalancheAmplitude:
     """The railed law min(gain_mean * Gamma(K), t_strong) of K carriers:
-    :func:`_below_rail` at fixed K, and :func:`arm_levels` and the gate
+    :func:`_weak_amplitudes` at fixed K, and :func:`arm_levels` and the gate
     kernel's census over the K of an arm law.
 
     The oracles are ``scipy.stats`` gamma and Poisson distributions,
-    independent of the sampler's inverse-CDF table.
+    independent of the sampler's Poisson-tail table.
     """
 
     def test_silent_gate(self, params, rng):
@@ -263,10 +269,27 @@ class TestAvalancheAmplitude:
         rng = np.random.default_rng(78)
         p3 = weak_probabilities(railed)[3]
         m = rng.binomial(n, p3)
-        weak = _below_rail(np.full(m, 3), p3 * rng.random(m), railed)
+        weak = _weak_amplitudes(np.full(m, 3), p3 * rng.random(m), railed, rng)
         assert weak.size > 300
         truncated = lambda x: gamma3.cdf(x) / gamma3.cdf(t_strong)  # noqa: E731
         assert stats.kstest(weak, truncated).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "t_strong,gain_mean,k",
+        [(math.log(10.0 / 9.0), 1.0, k) for k in (1, 2, 3, 10)] + [(1.0, 1e-4, 9_900)],
+    )
+    def test_weak_amplitudes_follow_the_truncated_gamma(self, params, t_strong, gain_mean, k):
+        """The weak amplitudes of K carriers at u ~ U(0, P[K]) against the
+        Gamma(K) CDF truncated at the rail, on the default 129-entry table
+        and on a 16,385-entry one (x = 1e4, where P[9900] = 0.84)."""
+        railed = replace(params, t_strong=t_strong, gain_mean=gain_mean)
+        gamma = stats.gamma(a=k, scale=gain_mean)
+        rng = np.random.default_rng(79 + k)
+        n = 20_000
+        amp = _weak_amplitudes(np.full(n, k), weak_probabilities(railed)[k] * rng.random(n), railed, rng)
+        assert amp.max() < t_strong
+        truncated = lambda x: gamma.cdf(x) / gamma.cdf(t_strong)  # noqa: E731
+        assert stats.kstest(amp, truncated).pvalue > 1e-3
 
     def test_additivity_of_carriers(self, params):
         # min(a + b + c, t) = min(min(a, t) + min(b, t) + min(c, t), t), so
@@ -350,3 +373,46 @@ class TestOpticalPulse:
         for mu in (-1.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 AttackConfig(n_pulses=10, resend_mu=mu)
+
+
+class TestPoissonTail:
+    """The numpy P(k) table and its log-factorial against ``scipy.special``."""
+
+    @pytest.mark.parametrize("x", [math.log(10.0 / 9.0), 1.0, 50.0, 1e3, 1e4, 1e5])
+    def test_table_matches_gammainc(self, params, x):
+        table = weak_probabilities(replace(params, gain_mean=1.0, t_strong=x))
+        oracle = special.gammainc(np.arange(table.size), x)
+        oracle[0] = 1.0
+        on = oracle > 1e-300
+        np.testing.assert_allclose(table[on], oracle[on], rtol=1e-10, atol=0.0)
+        # a probability that falls with k: a plain upper-tail sum passes 1
+        # near x = 1e4, where P(N >= k) for k <= x must be a complement
+        assert table[0] == 1.0 and table[-1] == 0.0
+        assert (table >= 0.0).all() and (table <= 1.0).all()
+        assert (np.diff(table) <= 0.0).all()
+
+    @pytest.mark.parametrize("x", [0.3, 50.0, 1e4, 2.05e6])
+    def test_windows_match_gammainc(self, x):
+        # the windows the table-size check and the sizing loop read, below,
+        # across and above the mean, and past the end of the Poisson mass
+        for start in (0, 1, int(x) - 3, int(x) + 2, int(x + 30 * math.sqrt(x)), 2**21):
+            start = max(start, 0)
+            got = poisson_tail(x, start, start + 5)
+            oracle = special.gammainc(np.arange(start, start + 5), x)
+            oracle[np.arange(start, start + 5) == 0] = 1.0
+            on = oracle > 1e-300
+            np.testing.assert_allclose(got[on], oracle[on], rtol=1e-8, atol=0.0)
+            assert (got[~on] < 1e-290).all()
+
+    def test_log_factorial_matches_gammaln(self):
+        k = np.concatenate([np.arange(200), np.geomspace(200, 2**22, 300).astype(np.int64)])
+        np.testing.assert_allclose(log_factorial(k), special.gammaln(k + 1.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 7.5, 1e5])
+    def test_log_pmf_matches_scipy(self, lam):
+        k = np.arange(int(lam + 40 * math.sqrt(lam) + 60))
+        oracle = stats.poisson.logpmf(k, lam)
+        got = poisson_log_pmf(k, lam)
+        finite = np.isfinite(oracle)
+        assert (got[~finite] == -np.inf).all()
+        np.testing.assert_allclose(got[finite], oracle[finite], rtol=1e-12, atol=1e-9)
