@@ -13,10 +13,12 @@ shard's class counts and runs the gate kernel (:func:`detect_pair`) once
 per class.  Within a class each arm of a gate is empty, weak (its
 avalanche stays below the rail) or railed, independently of the other
 arm, and a gate's readout is fixed by that pair of states unless an arm
-is weak.  The kernel therefore draws the class's counts of the nine
-(arm 1, arm 2) state cells and reads out only the gates with a weak arm,
-plus one row per other cell weighted by its count: a block costs
-O(classes + weak gates), not O(gates).  Shard results merge by plain
+is weak; with one weak arm it is fixed by the side of one threshold its
+amplitude falls on.  The kernel therefore draws the class's counts of
+the nine (arm 1, arm 2) state cells, splits each one-weak cell's count
+by side, and reads out one weighted row per cell or side plus one row
+per gate with two weak arms: a block costs O(classes + weak-weak
+gates), not O(gates).  Shard results merge by plain
 field-wise addition, making the aggregate independent of how shards are
 grouped over workers.
 """
@@ -40,6 +42,7 @@ from .signal_model import (
     RECEIVER_PHASES,
     DetectorParams,
     PhaseSymbol,
+    below_probabilities,
     poisson_log_pmf,
     weak_probabilities,
 )
@@ -315,6 +318,7 @@ class ArmLaw(NamedTuple):
     k: np.ndarray  # the window's signal counts
     weak: np.ndarray  # P(d, k, WEAK), row d = 0, 1, over the window
     railed: np.ndarray  # P(k, RAILED) over the window, both d pooled
+    dk: np.ndarray  # P(d, k), row d = 0, 1, over the window, any state
 
 
 @functools.lru_cache(maxsize=256)
@@ -325,7 +329,8 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
     p = weak_probabilities(params)
     if lo >= p.size - 1:
         rails = np.array([0.0, 0.0, 1.0])
-        law = ArmLaw(lam, rails, np.zeros(0, np.int64), np.zeros((2, 0)), np.zeros(0))
+        no_window = np.zeros((2, 0))
+        law = ArmLaw(lam, rails, np.zeros(0, np.int64), no_window, np.zeros(0), no_window)
     else:
         k = np.arange(lo, hi + 1)
         poisson = np.exp(poisson_log_pmf(k, lam))
@@ -336,10 +341,34 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
         railed = no_dark * (1.0 - p_k) + dark * (1.0 - p_dark)
         state = np.array([no_dark[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
         total = state.sum()
-        law = ArmLaw(lam, state / total, k, weak / total, railed / total)
+        dk = np.stack([no_dark, dark]) / total
+        law = ArmLaw(lam, state / total, k, weak / total, railed / total, dk)
     for table in law[1:]:
         table.flags.writeable = False
     return law
+
+
+@functools.lru_cache(maxsize=512)
+def side_law(lam: float, dcp: float, params: DetectorParams, threshold: float) -> np.ndarray:
+    """P(side, d, k) of a weak arm of :func:`arm_law`, flattened: side 0
+    is an amplitude below ``threshold``, side 1 one at or above it.
+
+    A weak arm of K = d + k carriers falls below t with probability
+    P_t[K] / P[K] (:func:`~bncsim.signal_model.below_probabilities`), so
+    the entries are P(d, k) P_t[K] and P(d, k) (P[K] - P_t[K]), with no
+    ratio.  The first is capped by the weak entry, which also zeroes the
+    empty avalanche (K = 0) and keeps the second non-negative.  The
+    entries are normalised over the weak arms; the array is read-only,
+    since side laws are cached and shared.
+    """
+    law = arm_law(lam, dcp, params)
+    carriers = law.k + np.arange(2)[:, None]
+    below_t = below_probabilities(params, threshold).take(carriers, mode="clip")
+    below = np.minimum(law.dk * below_t, law.weak)
+    sides = np.stack([below, law.weak - below]).ravel()
+    sides /= sides.sum()
+    sides.flags.writeable = False
+    return sides
 
 
 def _signal_photons(law: ArmLaw, pmf: np.ndarray, n: int, rng: np.random.Generator) -> int:
@@ -399,6 +428,23 @@ def _weak_gates(
     return int(k.sum()), _weak_amplitudes(carriers, u, params, rng)
 
 
+def _weak_sides(
+    law: ArmLaw,
+    dcp: float,
+    threshold: float,
+    n: int,
+    params: DetectorParams,
+    rng: np.random.Generator,
+) -> tuple[int, np.ndarray]:
+    """Detected signal photons of ``n`` weak arms of ``law`` (dark
+    probability ``dcp``) and the arms' counts below and at or above
+    ``threshold``: one multinomial over the arms' :func:`side_law`."""
+    if not n:
+        return 0, np.zeros(2, np.int64)
+    counts = rng.multinomial(n, side_law(law.lam, dcp, params, threshold)).reshape(2, 2, -1)
+    return int(counts.sum((0, 1)) @ law.k), counts.sum((1, 2))
+
+
 def arm_levels(
     law: ArmLaw, state: np.ndarray, railed: int, params: DetectorParams, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
@@ -441,10 +487,6 @@ def count_events(
     return tally
 
 
-#: State of each arm in the nine (arm 1, arm 2) cells of the balanced readout.
-_CELL_STATES = np.divmod(np.arange(9), 3)
-
-
 def detect_pair(
     lam1: float,
     lam2: float,
@@ -465,10 +507,15 @@ def detect_pair(
     gates.
 
     A gate's balanced monitor word is fixed by its cell unless an arm is
-    weak.  Only the weak arms draw a (d, k) and an amplitude
-    (:func:`arm_levels`), and :func:`~bncsim.balanced.comparator_arrays`
-    reads one row per gate of a cell with a weak arm, plus one row per
-    other cell weighted by the cell's count.  Its
+    weak.  Beside an EMPTY or RAILED arm it depends only on which side of
+    one threshold the weak amplitude falls, so such a cell draws its
+    weak arms' photons and side counts in one multinomial
+    (:func:`_weak_sides`).  Only the gates of the WEAK-WEAK cell draw a
+    (d, k) and an amplitude per arm (:func:`_weak_gates`).
+    :func:`~bncsim.balanced.comparator_arrays` reads one row per cell
+    without a weak arm, weighted by the cell's count, one per side of a
+    cell with one weak arm, weighted by the side's count and at a level
+    inside the side, and one per WEAK-WEAK gate.  Its
     :func:`~bncsim.balanced.event_codes`, which also check every word for
     reachability, are counted by :func:`count_events`.  The case-C and
     sifting counters are left to the caller.
@@ -492,18 +539,43 @@ def detect_pair(
         tally.click2 = tally.fired2 - tally.doubles
         return tally
 
-    has_weak = (_CELL_STATES[0] == WEAK) | (_CELL_STATES[1] == WEAK)
-    rows = np.where(has_weak, cells.ravel(), 1)
-    weights = np.repeat(np.where(has_weak, 1, cells.ravel()), rows)
-    row_states = [np.repeat(s, rows) for s in _CELL_STATES]
-    (tally.pe1, amp1), (tally.pe2, amp2) = (
-        arm_levels(law, state, int(count[RAILED]), params, rng)
-        for law, state, count in zip(laws, row_states, by_arm)
+    # one weighted row per cell without a weak arm, two per cell with one
+    # (a side of its threshold each), one per gate of the weak-weak cell
+    dcp = params.dcp_apd1, params.dcp_apd2
+    level = {EMPTY: 0.0, RAILED: params.t_strong}
+    pe = [
+        _signal_photons(law, law.railed, int(count[RAILED]), rng)
+        for law, count in zip(laws, by_arm)
+    ]
+    rows = [(level[s1], level[s2], cells[s1, s2]) for s1, s2 in itertools.product(level, level)]
+    for arm, other in itertools.product((0, 1), level):
+        # a weak arm beside an empty one clicks above t_diff; beside a
+        # railed one it is out-dominated below t_strong - t_diff
+        threshold = params.t_diff if other == EMPTY else params.t_strong - params.t_diff
+        n_cell = int(cells[WEAK, other] if arm == 0 else cells[other, WEAK])
+        photons, side_counts = _weak_sides(laws[arm], dcp[arm], threshold, n_cell, params, rng)
+        pe[arm] += photons
+        # each side reads at its midpoint, strictly inside it, so the
+        # comparators decide as on any amplitude of the side
+        sides = threshold / 2.0, (threshold + params.t_strong) / 2.0
+        for side, count in zip(sides, side_counts.tolist()):
+            rows.append((side, level[other], count) if arm == 0 else (level[other], side, count))
+    weak_weak = int(cells[WEAK, WEAK])
+    amps = []
+    for arm, law in enumerate(laws):
+        photons, amp = _weak_gates(law, weak_weak, params, rng)
+        pe[arm] += photons
+        amps.append(amp)
+    tally.pe1, tally.pe2 = pe
+    level1, level2, counts = (np.array(column) for column in zip(*rows))
+    weights = np.concatenate([counts, np.ones(weak_weak, np.int64)])
+    a, b, c, d = comparator_arrays(
+        np.concatenate([level1, amps[0]]), np.concatenate([level2, amps[1]]), params
     )
-    a, b, c, d = comparator_arrays(amp1, amp2, params)
     codes = event_codes(a, b, c, d)
     count_events(tally, codes, int(weights[a & b].sum()), weights)
-    both = (row_states[0] != EMPTY) & (row_states[1] != EMPTY)
+    # an empty arm reads 0 and no other level is 0; weak-weak gates fire both
+    both = np.concatenate([(level1 > 0.0) & (level2 > 0.0), np.ones(weak_weak, bool)])
     tally.weak_coinc = int(weights[both & (codes == GateEvent.NO_EVENT)].sum())
     return tally
 

@@ -24,3 +24,7 @@ class ConfigError(ValueError):
 
 class MissingFluxPoint(KeyError):
     """A landmark check needs a flux point absent from the report."""
+
+    def __str__(self) -> str:
+        # KeyError's str is the repr of its argument, quotes included
+        return str(self.args[0]) if self.args else ""

@@ -218,3 +218,20 @@ def weak_probabilities(params: DetectorParams) -> np.ndarray:
     table = np.append(poisson_tail(x, 0, k_rail), 0.0)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=16)
+def below_probabilities(params: DetectorParams, threshold: float) -> np.ndarray:
+    """P_t[k] = P(gain_mean * Gamma(k) < t) at a threshold t = ``threshold``
+    below the rail, on the k of :func:`weak_probabilities`.
+
+    It is the Poisson tail at t / gain_mean (:func:`poisson_tail`),
+    capped by the table at the rail: the exact P_t[k] is below P[k], and
+    the cap keeps rounding from crossing it.  The balanced readout reads
+    it at its two comparator thresholds, so it is built on first use,
+    once per (parameter set, threshold), and returned read-only.
+    """
+    weak = weak_probabilities(params)
+    table = np.minimum(poisson_tail(threshold / params.gain_mean, 0, weak.size), weak)
+    table.flags.writeable = False
+    return table

@@ -34,7 +34,13 @@ from bncsim.attack import (
 )
 from bncsim.errors import ConfigError
 from bncsim.harness import REPORT_COLUMNS, SweepSpec, report_to_csv, run_sweep
-from bncsim.signal_model import RECEIVER_PHASES, DetectorParams, PhaseSymbol
+from bncsim.signal_model import (
+    RECEIVER_PHASES,
+    DetectorParams,
+    PhaseSymbol,
+    below_probabilities,
+    weak_probabilities,
+)
 from reference import comparators, gate_event, sift_ledger, two_apd_click
 
 
@@ -699,9 +705,12 @@ def test_fired_gate_readout_equals_full_array_count(
     Each class's cells (its first multinomial draw) give every gate's
     fired flags; on the balanced readout each row given to
     ``comparator_arrays`` stands for as many gates as its weight given to
-    ``count_events``.  Expanded gate by gate and labelled with their
-    class, they give every counter but ``pe`` by the per-gate rules of
-    :mod:`reference`."""
+    ``count_events``.  That holds for the side rows of the cells with one
+    weak arm too: each sits strictly inside its side of the threshold the
+    other arm's state sets, so each of its gates reads as any amplitude
+    of that side would.  Expanded gate by gate and labelled with their
+    class, the rows give every counter but ``pe`` by the per-gate rules
+    of :mod:`reference`."""
     calls, rows, weights = [], [], []
     rng = RecordingRng(np.random.default_rng(int(mu * 10) + 7))
     detect_pair, comparator_arrays, count_events = (
@@ -743,10 +752,19 @@ def test_fired_gate_readout_equals_full_array_count(
     balanced = detector is DetectorKind.BALANCED_BNC
     assert len(rows) == len(weights) == (present.size if balanced else 0)
     fired, amps = [[], []], [[], []]
+    rail = params.t_strong
     for g, (_, cells) in enumerate(calls):
         if balanced:
             # an empty arm reads 0 and every avalanche has a positive amplitude
             assert weights[g].sum() == cells.sum()
+            # two side rows per cell with one weak arm, one weak level each
+            weak = [(arm > 0.0) & (arm < rail) for arm in rows[g]]
+            side = weak[0] ^ weak[1]
+            assert np.count_nonzero(side) == 8
+            for arm in (0, 1):
+                level, other = rows[g][arm][side & weak[arm]], rows[g][1 - arm][side & weak[arm]]
+                threshold = np.where(other == 0.0, params.t_diff, rail - params.t_diff)
+                assert set(other.tolist()) == {0.0, rail} and (level != threshold).all()
             for arm in (0, 1):
                 amps[arm].append(np.repeat(rows[g][arm], weights[g]))
                 fired[arm].append(amps[arm][-1] > 0.0)
@@ -806,30 +824,133 @@ def test_cell_probabilities_match_per_gate_law(mu, delta, params):
     np.testing.assert_allclose(pvals, direct.ravel(), rtol=1e-9, atol=1e-300)
 
 
+#: A high rail, so that weak arms of several carriers are common, and the
+#: two thresholds of the one-weak cells: t_diff = 1 beside an empty arm,
+#: t_strong - t_diff = 2 beside a railed one.
+HIGH_RAIL = dict(t_strong=3.0, t_diff=1.0)
+
+
 def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):
     """A weak arm's amplitude law is the same whatever the other arm's
-    state: the arms are independent.  A high rail makes weak avalanches of
-    several carriers common, so their amplitudes spread widely."""
-    high_rail = replace(params, t_strong=3.0)
-    rows = []
-    comparator_arrays = attack.comparator_arrays
+    state: the arms are independent.  The share of the WEAK-WEAK gates'
+    per-gate amplitudes below t_diff matches the below side's share of
+    the (WEAK, EMPTY) cell within 5 sigma, on each arm.  A high rail and
+    threshold make weak avalanches of several carriers common and put
+    both sides far from 0 and 1."""
+    high_rail = replace(params, **HIGH_RAIL)
+    rows, weights = [], []
+    comparator_arrays, count_events = attack.comparator_arrays, attack.count_events
 
-    def recorded(amp1, amp2, p):
+    def recorded_rows(amp1, amp2, p):
         rows.append((amp1, amp2))
         return comparator_arrays(amp1, amp2, p)
 
-    monkeypatch.setattr(attack, "comparator_arrays", recorded)
-    rail = high_rail.t_strong
+    def recorded_weights(tally, codes, both_raw, gates):
+        weights.append(gates)
+        return count_events(tally, codes, both_raw, gates)
+
+    monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
+    monkeypatch.setattr(attack, "count_events", recorded_weights)
+    rail, t_diff = high_rail.t_strong, high_rail.t_diff
     rng = np.random.default_rng(5)
     attack.detect_pair(2.0, 2.0, 200_000, DetectorKind.BALANCED_BNC, high_rail, rng)
-    for amp, other in (rows[0], rows[0][::-1]):
-        weak = (amp > 0.0) & (amp < rail)
-        groups = [amp[weak & (other == 0.0)], amp[weak & (other > 0.0) & (other < rail)]]
-        groups.append(amp[weak & (other == rail)])
-        for x, y in itertools.combinations(groups, 2):
-            assert min(x.size, y.size) > 1000
-            sigma = math.sqrt(x.var() / x.size + y.var() / y.size)
-            assert abs(x.mean() - y.mean()) <= 5.0 * sigma
+    (row,), (weight,) = rows, weights
+    for amp, other in (row, row[::-1]):
+        weak, weak_other = ((x > 0.0) & (x < rail) for x in (amp, other))
+        per_gate = amp[weak & weak_other]
+        side = weak & (other == 0.0)
+        side_below, side_all = weight[side & (amp < t_diff)].sum(), weight[side].sum()
+        assert np.count_nonzero(side) == 2 and min(per_gate.size, side_all) > 10_000
+        share = np.count_nonzero(per_gate < t_diff) / per_gate.size
+        pooled = (share * per_gate.size + side_below) / (per_gate.size + side_all)
+        sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / per_gate.size + 1.0 / side_all))
+        assert 0.2 < pooled < 0.8
+        assert abs(share - side_below / side_all) <= 5.0 * sigma
+
+
+def side_share(lam, dcp, params, threshold):
+    """P(amplitude < threshold | weak) of one arm, summed over K = d + k
+    with k ~ Poisson(lam) and d ~ Bernoulli(dcp), from ``gammainc``."""
+    k = np.arange(int(lam + 40 * math.sqrt(lam) + 60))
+    below = weak = 0.0
+    for d, pd in ((0, 1.0 - dcp), (1, dcp)):
+        carriers = np.maximum(k + d, 1)
+        w = np.where(k + d > 0, pd * stats.poisson.pmf(k, lam), 0.0)
+        below += w @ special.gammainc(carriers, threshold / params.gain_mean)
+        weak += w @ special.gammainc(carriers, params.t_strong / params.gain_mean)
+    return below / weak
+
+
+@pytest.mark.parametrize("carriers", [1, 2, 3, 10])
+def test_below_tables_match_gammainc_ratio(carriers, params):
+    """The share of K-carrier weak avalanches below each threshold, read
+    from the cached tables, is the ratio of incomplete gammas."""
+    high_rail = replace(params, **HIGH_RAIL)
+    weak = weak_probabilities(high_rail)
+    for threshold in (1.0, 2.0):
+        table = below_probabilities(high_rail, threshold)
+        assert below_probabilities(high_rail, threshold) is table and table.size == weak.size
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        oracle = special.gammainc(carriers, threshold) / special.gammainc(carriers, 3.0)
+        assert table[carriers] / weak[carriers] == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("other", ["empty", "railed"])
+def test_one_weak_cell_splits_by_side_law(other, params):
+    """A one-weak cell splits its weak arms by the closed-form side law.
+
+    Arm 2 is always EMPTY (no dark counts, no signal) or always RAILED
+    (a mean past the P(k) table), so every weak arm 1 sits in one cell.
+    Beside an empty arm a weak arm clicks (``WEAK_1``) at or above
+    t_diff; beside a railed one it flags blinding at or above
+    t_strong - t_diff, and below it the railed arm's strong click wins.
+    Arm 1's dark probability is high, so its dark row moves the share.
+    """
+    high_rail = replace(params, dcp_apd1=0.5, dcp_apd2=0.0, **HIGH_RAIL)
+    lam1, n = 0.5, 400_000
+    lam2, threshold = (0.0, 1.0) if other == "empty" else (1e6, 2.0)
+    t = detect_pair(lam1, lam2, n, DetectorKind.BALANCED_BNC, high_rail, np.random.default_rng(17))
+    railed1 = t.strong - (n if other == "railed" else 0)
+    weak1 = t.fired1 - railed1
+    above = t.click1 - railed1 if other == "empty" else t.blind - railed1
+    share = side_share(lam1, high_rail.dcp_apd1, high_rail, threshold)
+    assert weak1 > 100_000 and 0.1 < share < 0.9
+    assert abs((weak1 - above) / weak1 - share) <= 5.0 * math.sqrt(share * (1.0 - share) / weak1)
+
+
+@pytest.mark.parametrize("mu", [1.0, 10.0, 30.0, 500.0])
+def test_only_weak_weak_gates_cost_per_gate_draws(mu, params, monkeypatch):
+    """A balanced pair block draws one amplitude per arm of a WEAK-WEAK
+    gate and none for any other gate, and reads at most 12 rows beside
+    them: the 4 cells without a weak arm, 2 sides of each of the 4 cells
+    with one, then one row per WEAK-WEAK gate."""
+    seen = []
+    comparator_arrays = attack.comparator_arrays
+
+    def recorded(amp1, amp2, p):
+        seen.append(amp1.size)
+        return comparator_arrays(amp1, amp2, p)
+
+    monkeypatch.setattr(attack, "comparator_arrays", recorded)
+    rng = RecordingRng(np.random.default_rng(23))
+    lam1, lam2 = arm_means(mu, params.qe, 1)
+    detect_pair(lam1, lam2, 1_000_000, DetectorKind.BALANCED_BNC, params, rng)
+    weak_weak = int(rng.draws[0][2].reshape(3, 3)[1, 1])
+    betas = sum(np.size(out) for name, _, out in rng.draws if name == "beta")
+    assert betas == 2 * weak_weak
+    assert seen == [seen[0]] and seen[0] <= 12 + weak_weak
+
+
+def test_below_tables_built_on_first_balanced_use(params):
+    """The two-APD kernel reads no threshold table; the balanced one
+    builds its two on first use."""
+    fresh = replace(params, t_diff=0.02)
+    below_probabilities.cache_clear()
+    run_fixed(PhaseSymbol.ZERO, PhaseSymbol.HALF_PI, 30.0, 10_000, fresh, seed_seq(40))
+    assert below_probabilities.cache_info().currsize == 0
+    detect_pair(1.5, 1.5, 100_000, DetectorKind.BALANCED_BNC, fresh, np.random.default_rng(4))
+    assert below_probabilities.cache_info().currsize == 2
 
 
 def test_arm_law_tables_are_cached_and_read_only(params):

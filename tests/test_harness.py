@@ -674,6 +674,13 @@ class TestCli:
         assert main(["verify", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_missing_point_prints_plain_message(self, tmp_path, capsys):
+        out = tmp_path / "short.csv"
+        assert main(["sweep", "--flux", "1,10", "--gates", "10000", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert capsys.readouterr().err == "error: report has no flux point 0.1\n"
+
     def test_oracle_output(self, capsys):
         assert main(["oracle", "--mu", "100"]) == 0
         captured = capsys.readouterr()
