@@ -8,19 +8,21 @@ noise-cancelling detector, the simultaneous avalanches cancel and the
 gate goes silent instead of producing the 50/50 error clicks that would
 raise the sifted error rate.
 
-A gate's fate depends only on its protocol class, so the engine draws a
-shard's class counts and runs the gate kernel (:func:`detect_pair`) once
-per class.  Within a class each arm of a gate is empty, weak (its
-avalanche stays below the rail) or railed, independently of the other
-arm, and a gate's readout is fixed by that pair of states unless an arm
-is weak; with one weak arm it is fixed by the side of one threshold its
-amplitude falls on.  The kernel therefore draws the class's counts of
-the nine (arm 1, arm 2) state cells, splits each one-weak cell's count
-by side, and reads out one weighted row per cell or side plus one row
-per gate with two weak arms: a block costs O(classes + weak-weak
-gates), not O(gates).  Shard results merge by plain
-field-wise addition, making the aggregate independent of how shards are
-grouped over workers.
+A gate's readout depends only on its arm law, the shares of the pulse
+its protocol class sends to each arm, and the classes have only three.
+The engine therefore draws a shard's counts per arm law and runs the
+gate kernel (:func:`detect_pair`) once per law, then splits each law's
+outcomes over its classes by their weights.  Under one law each arm of
+a gate is empty, weak (its avalanche stays below the rail) or railed,
+independently of the other arm, and a gate's readout is fixed by that
+pair of states unless an arm is weak; with one weak arm it is fixed by
+the side of one threshold its amplitude falls on.  The kernel therefore
+draws the law's counts of the nine (arm 1, arm 2) state cells, splits
+each one-weak cell's count by side, and reads out one weighted row per
+cell or side plus one row per gate with two weak arms: a block costs
+O(arm laws + classes + weak-weak gates), not O(gates).  Shard results
+merge by plain field-wise addition, making the aggregate independent of
+how shards are grouped over workers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -189,6 +192,17 @@ class GateTally:
 _TALLY_FIELDS = tuple(f.name for f in fields(GateTally))
 
 
+def check_int(value: object, name: str) -> int:
+    """``value`` as a Python int: any integer, numpy's included, but not a
+    bool, which would pass for 0 or 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """One run of the gate pipeline, over every protocol class of its scenario."""
@@ -199,6 +213,7 @@ class AttackConfig:
     detector: DetectorKind = DetectorKind.BALANCED_BNC
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_pulses", check_int(self.n_pulses, "n_pulses"))
         if self.n_pulses <= 0:
             raise ConfigError("n_pulses must be positive")
         if not 0.0 <= self.resend_mu < math.inf:
@@ -252,6 +267,41 @@ def protocol_classes(scenario: Scenario) -> GateClasses:
         (send.minus(bob).value, casec, alice.basis == bob.basis, alice.bit)
         for alice, bob, _, _, send, casec in _protocol_tuples(scenario)
     ])
+
+
+class ArmGroups(NamedTuple):
+    """A scenario's protocol classes grouped by arm law, the column of
+    :data:`ARM_WEIGHTS` at the class's ``delta``.  Given its arm law, a
+    gate's outcome is independent of its class."""
+
+    delta: np.ndarray  # a phase difference of each group's law
+    weight: np.ndarray  # probability of the group, the sum of its classes' weights
+    members: tuple[np.ndarray, ...]  # each group's classes, in class order
+    share: tuple[np.ndarray, ...]  # the members' weights within the group
+
+    @property
+    def even_split(self) -> np.ndarray:
+        """Whether each group's law splits the pulse evenly between the arms."""
+        w1, w2 = ARM_WEIGHTS[:, self.delta]
+        return w1 == w2
+
+
+@functools.lru_cache(maxsize=None)
+def arm_groups(scenario: Scenario) -> ArmGroups:
+    """The :class:`ArmGroups` of a scenario's :func:`protocol_classes`, in
+    the order their laws first appear among the classes; the arrays are
+    read-only, since groupings are cached and shared."""
+    classes = protocol_classes(scenario)
+    laws = [tuple(law) for law in ARM_WEIGHTS[:, classes.delta].T.tolist()]
+    members = tuple(
+        np.flatnonzero([law == key for law in laws]) for key in dict.fromkeys(laws)
+    )
+    delta = np.array([classes.delta[m[0]] for m in members])
+    weight = np.array([classes.weight[m].sum() for m in members])
+    share = tuple(classes.weight[m] / w for m, w in zip(members, weight))
+    for column in (delta, weight, *members, *share):
+        column.flags.writeable = False
+    return ArmGroups(delta, weight, members, share)
 
 
 def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
@@ -586,26 +636,36 @@ def simulate_block(
     """Simulate ``config.n_pulses`` gates of the config's
     :func:`protocol_classes` in one vectorized block.
 
-    One multinomial draw of class counts has the law of a class drawn per
-    gate (a one-class table draws no variate).  The gate kernel
-    (:func:`detect_pair`) then runs once per class drawn, in class order,
-    at the class's scalar arm means.  Case-C classes add their counts to
-    the case-C counters, and one :func:`sift_counts` call sifts the
-    per-class clicks.
+    One multinomial draw of the counts of the classes' :func:`arm_groups`
+    has the law of a group drawn per gate (a one-group table draws no
+    variate).  The gate kernel (:func:`detect_pair`) then runs once per
+    group drawn, in group order, at the group's scalar arm means.  A
+    group's gate outcomes are independent of their classes, so each of
+    its outcome categories (``click1``, ``click2``, ``blind`` and the
+    rest, exclusive on both readouts) splits over its classes by their
+    shares: one multinomial per group, none for a one-class group.  The
+    case-C classes' rows of the split make the case-C counters, and one
+    :func:`sift_counts` call sifts the per-class clicks.
     """
     classes = protocol_classes(config.scenario)
-    counts = rng.multinomial(config.n_pulses, classes.weight)
+    groups = arm_groups(config.scenario)
+    counts = rng.multinomial(config.n_pulses, groups.weight)
     tally = GateTally()
-    clicks = np.zeros((2, counts.size), dtype=np.int64)
-    for j in np.flatnonzero(counts).tolist():
-        lam1, lam2 = arm_means(config.resend_mu, params.qe, int(classes.delta[j]))
-        part = detect_pair(lam1, lam2, int(counts[j]), config.detector, params, rng)
-        clicks[:, j] = part.click1, part.click2
-        if classes.casec[j]:
-            part.casec_gates, part.casec_click1 = part.gates, part.click1
-            part.casec_click2, part.casec_blind = part.click2, part.blind
+    # per class: click1, click2, blind and the rest
+    split = np.zeros((classes.weight.size, 4), dtype=np.int64)
+    for g in np.flatnonzero(counts).tolist():
+        lam1, lam2 = arm_means(config.resend_mu, params.qe, int(groups.delta[g]))
+        part = detect_pair(lam1, lam2, int(counts[g]), config.detector, params, rng)
         tally += part
-    tally.sifted, tally.errors = sift_counts(classes.sift, classes.bit, clicks[0], clicks[1])
+        outcomes = [part.click1, part.click2, part.blind, part.no_click - part.blind]
+        members = groups.members[g]
+        split[members] = (
+            outcomes if members.size == 1 else rng.multinomial(outcomes, groups.share[g]).T
+        )
+    casec = split[classes.casec]
+    tally.casec_click1, tally.casec_click2, tally.casec_blind, _ = casec.sum(0).tolist()
+    tally.casec_gates = int(casec.sum())
+    tally.sifted, tally.errors = sift_counts(classes.sift, classes.bit, split[:, 0], split[:, 1])
     return tally
 
 
@@ -666,6 +726,7 @@ def run_fixed(
     Poisson(mu*qe*w): the gate kernel (:func:`detect_pair`) at those
     means, in shards.  No gate is sifted or case C.
     """
+    n_gates = check_int(n_gates, "n_gates")
     if n_gates < 1:
         raise ConfigError(f"n_gates must be at least 1, got {n_gates}")
     check_flux(mu, params)

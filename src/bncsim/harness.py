@@ -40,11 +40,12 @@ from .attack import (
     GateTally,
     Scenario,
     _run_sharded,
+    arm_groups,
     arm_law,
     arm_levels,
     check_flux,
+    check_int,
     count_events,
-    protocol_classes,
     run_attack,
 )
 from .balanced import GateEvent
@@ -81,6 +82,8 @@ class SweepSpec:
             raise ConfigError("flux values must be non-negative")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("flux grid must be strictly increasing")
+        for name in ("n_gates_per_point", "seed"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.n_gates_per_point < 10_000:
             raise ConfigError("n_gates_per_point must be at least 10000")
         if not 0 <= self.seed < 2**64:
@@ -163,12 +166,12 @@ def _oracle_columns(
 
 def _split_share(spec: SweepSpec) -> float:
     """Share of a sweep's gates whose flux splits evenly between two arms:
-    the protocol classes at a conjugate-basis phase difference.  The
+    the weight of the engine's even-split arm group.  The
     self-differencing APD sees every pulse whole."""
     if spec.detector is DetectorKind.SELF_DIFFERENCING:
         return 0.0
-    classes = protocol_classes(spec.scenario)
-    return float(classes.weight[classes.delta % 2 == 1].sum())
+    groups = arm_groups(spec.scenario)
+    return float(groups.weight[groups.even_split].sum())
 
 
 def _row_from_tally(

@@ -22,6 +22,7 @@ from bncsim.attack import (
     GateTally,
     Scenario,
     _run_sharded,
+    arm_groups,
     arm_means,
     detect_pair,
     enumerate_cases,
@@ -303,8 +304,14 @@ class TestRunAttack:
 
     @pytest.mark.parametrize(
         "n_gates,mu,message",
-        [(0, 1.0, "n_gates"), (10, -1.0, "non-negative"), (10, math.nan, "finite")],
-        ids=["no-gates", "negative-flux", "nan-flux"],
+        [
+            (0, 1.0, "n_gates"),
+            (10, -1.0, "non-negative"),
+            (10, math.nan, "finite"),
+            (2.5, 1.0, "n_gates must be an integer"),
+            (True, 1.0, "n_gates must be an integer"),
+        ],
+        ids=["no-gates", "negative-flux", "nan-flux", "fractional-gates", "bool-gates"],
     )
     def test_run_fixed_rejects_bad_input_before_any_gate(
         self, n_gates, mu, message, params, monkeypatch
@@ -321,6 +328,22 @@ class TestRunAttack:
             AttackConfig(n_pulses=0, resend_mu=1.0)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [2.5, 1e7, True, "10", np.float64(10.0)],
+        ids=["fractional", "float", "bool", "str", "numpy-float"],
+    )
+    def test_non_integer_pulse_count_rejected(self, bad):
+        with pytest.raises(ConfigError, match="n_pulses must be an integer"):
+            AttackConfig(n_pulses=bad, resend_mu=1.0)
+
+    def test_numpy_integer_pulse_count_is_a_python_int(self, params):
+        config = AttackConfig(n_pulses=np.int64(1000), resend_mu=1.0)
+        assert type(config.n_pulses) is int and config.n_pulses == 1000
+        rng = lambda: np.random.default_rng(3)  # noqa: E731
+        expected = simulate_block(AttackConfig(1000, 1.0), params, rng())
+        assert simulate_block(config, params, rng()) == expected
 
 
 READOUTS = (DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC)
@@ -677,6 +700,30 @@ def full_array_tally(fired, amps, labels, classes, params, balanced):
     return t
 
 
+def recorded_kernel(monkeypatch):
+    """Record every :func:`detect_pair` call ``simulate_block`` makes, as
+    (arguments, returned tally, the indices of its draws in the
+    :class:`RecordingRng` it draws from)."""
+    calls = []
+    detect_pair = attack.detect_pair
+
+    def recorded(*args):
+        draws = args[-1].draws
+        start = len(draws)
+        out = detect_pair(*args)
+        calls.append((args, replace(out), range(start, len(draws))))
+        return out
+
+    monkeypatch.setattr(attack, "detect_pair", recorded)
+    return calls
+
+
+def split_draws(rng, calls):
+    """The draws of a block made outside its group draw and its kernel calls."""
+    inside = {0}.union(*(span for *_, span in calls))
+    return [draw for i, draw in enumerate(rng.draws) if i not in inside]
+
+
 @pytest.mark.parametrize(
     "scenario,detector,n",
     [
@@ -684,7 +731,7 @@ def full_array_tally(fired, amps, labels, classes, params, balanced):
         (Scenario.ATTACK_NO_CM, DetectorKind.BASELINE_TWO_APD, 20_000),
         (Scenario.HONEST, DetectorKind.BALANCED_BNC, 20_000),
         (Scenario.BLINDING_ONLY, DetectorKind.BALANCED_BNC, 20_000),
-        # 8 gates over 14 classes: most classes draw no gate
+        # 8 gates split over 14 classes: most classes draw no gate
         (Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC, 8),
     ],
     ids=[
@@ -700,29 +747,22 @@ def test_fired_gate_readout_equals_full_array_count(
     scenario, detector, n, mu, params, monkeypatch
 ):
     """Reading out weighted rows, counting each readout from its event
-    codes and counting case C and sifting per class loses nothing.
+    codes and splitting each arm group's outcomes over its classes loses
+    nothing.
 
-    Each class's cells (its first multinomial draw) give every gate's
-    fired flags; on the balanced readout each row given to
+    Each group's cells (its kernel call's first multinomial draw) give
+    every gate's fired flags; on the balanced readout each row given to
     ``comparator_arrays`` stands for as many gates as its weight given to
     ``count_events``.  That holds for the side rows of the cells with one
     weak arm too: each sits strictly inside its side of the threshold the
     other arm's state sets, so each of its gates reads as any amplitude
-    of that side would.  Expanded gate by gate and labelled with their
-    class, the rows give every counter but ``pe`` by the per-gate rules
-    of :mod:`reference`."""
-    calls, rows, weights = [], [], []
+    of that side would.  Expanded gate by gate, each gate's outcome
+    (click on APD 1 or 2, blinding flag, or none) takes its class from
+    the group's split draw, in gate order; so labelled, the rows give
+    every counter but ``pe`` by the per-gate rules of :mod:`reference`."""
+    rows, weights = [], []
     rng = RecordingRng(np.random.default_rng(int(mu * 10) + 7))
-    detect_pair, comparator_arrays, count_events = (
-        attack.detect_pair, attack.comparator_arrays, attack.count_events
-    )
-
-    def recorded_pair(*args):
-        start = len(rng.draws)
-        out = detect_pair(*args)
-        cells = next(out for name, _, out in rng.draws[start:] if name == "multinomial")
-        calls.append((args[:3], cells))
-        return out
+    comparator_arrays, count_events = attack.comparator_arrays, attack.count_events
 
     def recorded_rows(amp1, amp2, params):
         rows.append((amp1, amp2))
@@ -732,41 +772,48 @@ def test_fired_gate_readout_equals_full_array_count(
         weights.append(gates)
         return count_events(tally, codes, both_raw, gates)
 
-    monkeypatch.setattr(attack, "detect_pair", recorded_pair)
+    calls = recorded_kernel(monkeypatch)
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
     monkeypatch.setattr(attack, "count_events", recorded_weights)
     scenario = engine_scenario(scenario)
     config = AttackConfig(n, mu, scenario=scenario, detector=detector)
     tally = simulate_block(config, params, rng)
 
-    # one class draw, no per-gate protocol draw
-    classes = protocol_classes(scenario)
+    # one group draw, no per-gate protocol draw
+    classes, groups = protocol_classes(scenario), arm_groups(scenario)
     counts = rng.draws[0][2]
-    assert rng.draws[0][0] == "multinomial" and counts.size == classes.weight.size
+    assert rng.draws[0][0] == "multinomial" and counts.size == groups.weight.size
     assert not [out for name, _, out in rng.draws if name == "integers"]
-    # one kernel call per class present, at that class's scalar means, in class order
+    # one kernel call per group present, at that group's scalar means, in group order
     present = np.flatnonzero(counts)
-    assert [args for args, _ in calls] == [
-        (*arm_means(mu, params.qe, int(classes.delta[j])), int(counts[j])) for j in present
+    assert [args[:3] for args, *_ in calls] == [
+        (*arm_means(mu, params.qe, int(groups.delta[g])), int(counts[g])) for g in present
     ]
+    # then one split draw per group present with more than one class
+    splits = split_draws(rng, calls)
+    assert [name for name, *_ in splits] == ["multinomial"] * sum(
+        groups.members[g].size > 1 for g in present
+    )
+    splits = iter(out for *_, out in splits)
     balanced = detector is DetectorKind.BALANCED_BNC
     assert len(rows) == len(weights) == (present.size if balanced else 0)
-    fired, amps = [[], []], [[], []]
+    fired, amps, labels = [[], []], [[], []], []
     rail = params.t_strong
-    for g, (_, cells) in enumerate(calls):
+    for i, (g, (args, _, span)) in enumerate(zip(present.tolist(), calls)):
+        cells = next(rng.draws[j][2] for j in span if rng.draws[j][0] == "multinomial")
         if balanced:
             # an empty arm reads 0 and every avalanche has a positive amplitude
-            assert weights[g].sum() == cells.sum()
+            assert weights[i].sum() == cells.sum()
             # two side rows per cell with one weak arm, one weak level each
-            weak = [(arm > 0.0) & (arm < rail) for arm in rows[g]]
+            weak = [(arm > 0.0) & (arm < rail) for arm in rows[i]]
             side = weak[0] ^ weak[1]
             assert np.count_nonzero(side) == 8
             for arm in (0, 1):
-                level, other = rows[g][arm][side & weak[arm]], rows[g][1 - arm][side & weak[arm]]
+                level, other = rows[i][arm][side & weak[arm]], rows[i][1 - arm][side & weak[arm]]
                 threshold = np.where(other == 0.0, params.t_diff, rail - params.t_diff)
                 assert set(other.tolist()) == {0.0, rail} and (level != threshold).all()
             for arm in (0, 1):
-                amps[arm].append(np.repeat(rows[g][arm], weights[g]))
+                amps[arm].append(np.repeat(rows[i][arm], weights[i]))
                 fired[arm].append(amps[arm][-1] > 0.0)
             states = np.divmod(np.arange(9), 3)
             for arm in (0, 1):
@@ -775,9 +822,29 @@ def test_fired_gate_readout_equals_full_array_count(
             cells = cells.reshape(2, 2)
             fired[0].append(np.repeat([False, False, True, True], cells.ravel()))
             fired[1].append(np.repeat([False, True, False, True], cells.ravel()))
+        # each gate's outcome: 0 click on APD 1, 1 on APD 2, 2 blinding flag, 3 none
+        outcome = np.full(args[2], 3)
+        for j in range(args[2]):
+            fired1, fired2 = fired[0][-1][j], fired[1][-1][j]
+            if balanced:
+                amp1, amp2 = float(amps[0][-1][j]), float(amps[1][-1][j])
+                word = comparators(amp1, amp2, rail, params.t_diff)
+                click = 1 if word[2] else 2 if word[3] else 0
+                blind = gate_event(*word) == "BLINDING_DETECTED"
+            else:
+                click, blind = two_apd_click(fired1, fired2), False
+            outcome[j] = click - 1 if click else 2 if blind else 3
+        members = groups.members[g]
+        split = next(splits) if members.size > 1 else np.bincount(outcome, minlength=4)[:, None]
+        assert split.shape == (4, members.size)
+        label = np.empty(args[2], np.int64)
+        for k in range(4):
+            assert np.count_nonzero(outcome == k) == split[k].sum()
+            label[outcome == k] = np.repeat(members, split[k])
+        labels.append(label)
     fired = [np.concatenate(f) if f else np.zeros(0, bool) for f in fired]
     amps = [np.concatenate(a) if a else np.zeros(0) for a in amps]
-    labels = np.repeat(np.arange(counts.size), counts)
+    labels = np.concatenate(labels) if labels else np.zeros(0, np.int64)
     expected = full_array_tally(fired, amps, labels, classes, params, balanced)
     expected.pe1, expected.pe2 = tally.pe1, tally.pe2
     assert tally == expected
@@ -785,6 +852,83 @@ def test_fired_gate_readout_equals_full_array_count(
         assert tally.fired1 + tally.fired2 > 0
         if scenario is not Scenario.BLINDING_ONLY:
             assert tally.sifted > 0
+
+
+def test_class_split_follows_class_weights(params, monkeypatch):
+    """Each arm group's outcomes split over its classes by the classes'
+    weights, and a block makes one kernel call per arm law drawn.
+
+    ``attack_cm``'s matched-basis groups hold classes of weight 1/16 and
+    1/8, so an even split would be wrong.  Over many small blocks on both
+    pair receivers, ``casec_gates`` matches its per-gate expectation, and
+    ``sifted``, ``errors`` and each class's gates in the split draws match
+    theirs given the group counts and kernel outcomes, all within 5 sigma.
+    The groups are formed here from the classes' arm means, not read from
+    the engine.  A ``blinding_only`` block is one class: one kernel call,
+    no split draw, and the parent engine's tally.
+    """
+    calls = recorded_kernel(monkeypatch)
+    blocks = 300
+    for scenario, detector, mu in itertools.product(
+        (Scenario.ATTACK_CM, Scenario.HONEST),
+        (DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD),
+        (1.0, 30.0),
+    ):
+        classes = protocol_classes(scenario)
+        laws = [arm_means(mu, params.qe, int(delta)) for delta in classes.delta]
+        sift = classes.sift.astype(float)
+        error_on = sift * (classes.bit == 1), sift * (classes.bit == 0)  # click1, click2
+        config = AttackConfig(400, mu, scenario=scenario, detector=detector)
+        casec_gates = 0
+        # observed, mean and variance of sifted, errors and each class's gates
+        moments = np.zeros((3, 2 + classes.weight.size))
+        rng = RecordingRng(np.random.default_rng(4))
+
+        def binomial(column, n, p):
+            moments[1, column] += n * p
+            moments[2, column] += n * p * (1.0 - p)
+
+        for _ in range(blocks):
+            rng.draws.clear()
+            del calls[:]
+            tally = simulate_block(config, params, rng)
+            assert len(calls) <= 3
+            casec_gates += tally.casec_gates
+            moments[0, :2] += tally.sifted, tally.errors
+            splits = [out for *_, out in split_draws(rng, calls)]
+            for args, part, _ in calls:
+                group = np.array([law == args[:2] for law in laws])
+                share = np.where(group, classes.weight, 0.0) / classes.weight[group].sum()
+                if group.sum() > 1:
+                    split = splits.pop(0)
+                    outcomes = [part.click1, part.click2, part.blind, part.no_click - part.blind]
+                    assert split.sum(1).tolist() == outcomes
+                    moments[0, 2:][group] += split.sum(0)
+                else:
+                    moments[0, 2:][group] += part.gates
+                binomial(0, part.click1 + part.click2, share @ sift)
+                binomial(1, part.click1, share @ error_on[0])
+                binomial(1, part.click2, share @ error_on[1])
+                binomial(slice(2, None), part.gates, share)
+            assert not splits
+        n_gates, casec_p = blocks * config.n_pulses, float(classes.weight[classes.casec].sum())
+        sigma = math.sqrt(n_gates * casec_p * (1.0 - casec_p))
+        assert abs(casec_gates - n_gates * casec_p) <= 5.0 * sigma
+        observed, mean, var = moments
+        assert (np.abs(observed - mean) <= 5.0 * np.sqrt(var)).all(), (scenario, detector, mu)
+
+    # one class: one kernel call, no split draw, and the parent engine's stream
+    del calls[:]
+    rng = RecordingRng(np.random.default_rng(31))
+    config = AttackConfig(100_000, 30.0, Scenario.BLINDING_ONLY, DetectorKind.BALANCED_BNC)
+    tally = simulate_block(config, params, rng)
+    assert len(calls) == 1 and not split_draws(rng, calls)
+    assert tally == GateTally(
+        gates=100_000, pe1=149_349, pe2=150_417, fired1=77_390, fired2=77_677,
+        click1=19_491, click2=19_858, doubles=60_119, blind=55_401, weak=6_907,
+        strong=148_160, weak_coinc=28, casec_gates=100_000, casec_click1=19_491,
+        casec_click2=19_858, casec_blind=55_401, sifted=0, errors=0,
+    )
 
 
 def direct_arm_law(lam, dcp, params):

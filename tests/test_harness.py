@@ -73,6 +73,26 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(n_gates_per_point=9_999)
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("n_gates_per_point", 2.5e4),
+            ("n_gates_per_point", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "3"),
+        ],
+        ids=["float-gates", "bool-gates", "fractional-seed", "bool-seed", "str-seed"],
+    )
+    def test_non_integer_gates_and_seed_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_spec(**{field: bad})
+
+    def test_numpy_integer_gates_and_seed_become_python_ints(self):
+        spec = small_spec(n_gates_per_point=np.int64(20_000), seed=np.uint64(7))
+        assert type(spec.n_gates_per_point) is int and spec.n_gates_per_point == 20_000
+        assert type(spec.seed) is int and spec.seed == 7
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_flux_rejected(self, bad):
         with pytest.raises(ConfigError):
