@@ -30,11 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 import numpy as np
 import numpy.random  # noqa: F401  # loaded with the package, not inside the first timed draw
@@ -203,6 +204,26 @@ def check_int(value: object, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(value: object, name: str) -> float:
+    """``value`` as a Python float: any real number, numpy's included, but
+    not a bool, which would pass for 0 or 1."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+_Member = TypeVar("_Member", bound=Enum)
+
+
+def check_enum(kind: type[_Member], value: object, name: str) -> _Member:
+    """``value`` as a member of ``kind``: a member, or its value by name."""
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(member.value for member in kind)
+        raise ConfigError(f"{name} must be one of {names}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """One run of the gate pipeline, over every protocol class of its scenario."""
@@ -214,6 +235,9 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pulses", check_int(self.n_pulses, "n_pulses"))
+        object.__setattr__(self, "resend_mu", check_real(self.resend_mu, "resend_mu"))
+        object.__setattr__(self, "scenario", check_enum(Scenario, self.scenario, "scenario"))
+        object.__setattr__(self, "detector", check_enum(DetectorKind, self.detector, "detector"))
         if self.n_pulses <= 0:
             raise ConfigError("n_pulses must be positive")
         if not 0.0 <= self.resend_mu < math.inf:
@@ -729,6 +753,7 @@ def run_fixed(
     n_gates = check_int(n_gates, "n_gates")
     if n_gates < 1:
         raise ConfigError(f"n_gates must be at least 1, got {n_gates}")
+    mu = check_real(mu, "mu")
     check_flux(mu, params)
     lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
     return _run_sharded(

@@ -31,24 +31,23 @@ from .analytics import (
     oracle_cm_success,
 )
 from .attack import (
-    EMPTY,
-    RAILED,
     SHARD_GATES,
-    WEAK,
     AttackConfig,
     DetectorKind,
     GateTally,
     Scenario,
     _run_sharded,
+    _signal_photons,
+    _weak_gates,
     arm_groups,
     arm_law,
-    arm_levels,
+    check_enum,
     check_flux,
     check_int,
+    check_real,
     count_events,
     run_attack,
 )
-from .balanced import GateEvent
 from .errors import ConfigError, MissingFluxPoint
 from .selfdiff import sd_event_codes
 from .signal_model import DetectorParams
@@ -74,7 +73,7 @@ class SweepSpec:
         if not self.flux_grid:
             object.__setattr__(self, "flux_grid", ())
         # + 0.0 turns -0.0 into 0.0, so equal fluxes share one seed
-        grid = tuple(float(x) + 0.0 for x in self.flux_grid)
+        grid = tuple(check_real(x, "flux") + 0.0 for x in self.flux_grid)
         object.__setattr__(self, "flux_grid", grid)
         if not all(math.isfinite(x) for x in grid):
             raise ConfigError(f"flux values must be finite, got {grid}")
@@ -84,6 +83,8 @@ class SweepSpec:
             raise ConfigError("flux grid must be strictly increasing")
         for name in ("n_gates_per_point", "seed"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
+        object.__setattr__(self, "scenario", check_enum(Scenario, self.scenario, "scenario"))
+        object.__setattr__(self, "detector", check_enum(DetectorKind, self.detector, "detector"))
         if self.n_gates_per_point < 10_000:
             raise ConfigError("n_gates_per_point must be at least 10000")
         if not 0 <= self.seed < 2**64:
@@ -215,39 +216,6 @@ def _row_from_tally(
     )
 
 
-def _sd_readout(
-    pos: np.ndarray,
-    levels: np.ndarray,
-    n: int,
-    bulk: float,
-    params: DetectorParams,
-    register: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Event codes of an ``n``-gate self-differencing shard, with the
-    number of gates each code stands for, and the shard's last level.
-
-    Every gate sits at the railed level ``bulk`` (0 or ``t_strong``)
-    except the exceptions at sorted positions ``pos``, whose levels are
-    ``levels``.  A gate's word depends on its own level and its
-    predecessor's, so :func:`sd_event_codes` reads a compressed stream:
-    the exceptions in order, one bulk level after each run of
-    consecutive exceptions that ends before the last gate, and one at
-    gate 0 unless gate 0 is an exception.  Each entry's predecessor in
-    the stream is its predecessor in the shard (``register`` before gate
-    0), so the stream's codes are exact.  The other gates are bulk gates
-    after bulk gates and count as one final row: ``NO_EVENT`` when the
-    bulk is empty, ``BLINDING_DETECTED`` when it rails.
-    """
-    after = np.flatnonzero(np.diff(pos, append=n) > 1) + 1
-    at = after if pos.size and pos[0] == 0 else np.concatenate(([0], after))
-    stream = np.insert(levels, at, bulk)
-    bulk_code = GateEvent.BLINDING_DETECTED if bulk >= params.t_strong else GateEvent.NO_EVENT
-    codes = np.append(sd_event_codes(stream, params, register), bulk_code)
-    weights = np.ones(codes.size)
-    weights[-1] = n - stream.size
-    return codes, weights, float(stream[-1])
-
-
 def _bernoulli_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted positions of the successes among ``n`` independent
     Bernoulli(``p``) trials, as cumulative Geometric(p) gaps.
@@ -272,42 +240,147 @@ def _bernoulli_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     return pos[: np.searchsorted(pos, n)]
 
 
+def _run_law(
+    lengths: np.ndarray, q: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw runs of ``lengths`` i.i.d. gates, each EMPTY with probability
+    ``q`` and RAILED otherwise, without drawing their gates.
+
+    Returns each run's EMPTY count m ~ Binomial(L, q), its number r of
+    runs of EMPTY gates, and whether it starts and whether it ends
+    RAILED; an empty run has m = r = 0 and neither end RAILED.  Given m,
+    the arrangements are equally likely, so r has the runs law (Mood,
+    "The distribution theory of runs", *Ann. Math. Statist.* 11, 1940):
+    r - 1 ~ Hypergeometric(m - 1, s + 1, s) for the s = L - m RAILED
+    gates, drawn only where m >= 2 and s >= 1 (else r is min(m, 1)).  The
+    RAILED gates then form r - 1 + a + b runs, where a and b say whether
+    the run starts and ends RAILED, in C(s - 1, r - 2 + a + b) ways each;
+    (a, b) takes one uniform over those weights, scaled to integers that
+    vanish where a case cannot occur.
+    """
+    m = rng.binomial(lengths, q)
+    s = lengths - m
+    r = np.minimum(m, 1)
+    mixed = np.flatnonzero((m >= 2) & (s >= 1))
+    r[mixed] += rng.hypergeometric(m[mixed] - 1, s[mixed] + 1, s[mixed])
+    # C(s - 1, r - 2 + a + b) times r (r - 1) / C(s - 1, r - 2)
+    both = (s - r + 1) * (s - r)
+    one = r * (s - r + 1)
+    none = r * (r - 1)
+    x = rng.random(lengths.size) * (both + 2 * one + none)
+    first = x < both + one
+    last = (x < both) | ((x >= both + one) & (x < both + 2 * one))
+    return m, r, first, last
+
+
+def _pair_totals(
+    lengths: np.ndarray, m: np.ndarray, r: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> list[list[int]]:
+    """Counts of adjacent (gate, successor) pairs in states (p, c), 0
+    EMPTY and 1 RAILED, summed over runs drawn by :func:`_run_law`:
+    [[EE, ER], [RE, RR]].
+
+    A run of m EMPTY gates in r runs has m - r EE pairs.  Each of its
+    EMPTY runs is followed by a RAILED gate unless it ends the run, which
+    gives r - 1 + b ER pairs (b = 1 when the run ends RAILED), and each
+    of its r - 1 + a + b RAILED runs by an EMPTY gate unless it ends the
+    run: r - 1 + a RE pairs.  The rest of its L - 1 pairs are RR.  An
+    empty run adds nothing.
+    """
+    filled = np.count_nonzero(lengths)
+    empty_runs = int(r.sum())
+    ee = int(m.sum()) - empty_runs
+    er = empty_runs - filled + int(np.count_nonzero(last))
+    re = empty_runs - filled + int(np.count_nonzero(first))
+    return [[ee, er], [re, int(lengths.sum()) - filled - ee - er - re]]
+
+
+def _sd_codes(
+    amps: np.ndarray,
+    lengths: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+    pairs: list[list[int]],
+    params: DetectorParams,
+    register: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Event codes of a self-differencing shard, with the number of gates
+    each code stands for, and the shard's last level.
+
+    The shard's WEAK gates read ``amps``; before each, and after the last,
+    lies a run of ``lengths`` EMPTY (level 0) or RAILED (``t_strong``)
+    gates, starting and ending RAILED where ``first`` and ``last`` say.
+    ``pairs[p][c]`` counts the runs' adjacent gates in states (p, c), 0
+    EMPTY and 1 RAILED.  A gate's word depends on its own level and its
+    predecessor's, so :func:`sd_event_codes` reads, per run, its first
+    gate, its last gate at weight 0 and the WEAK gate after it, with
+    ``register`` before gate 0.  An empty run's two entries, at weight 0,
+    repeat its predecessor's level, so every weighted entry's predecessor
+    in the stream has its predecessor's level in the shard.  The pair
+    totals then follow as a closed walk over the four pairs from the last
+    run's first level (E E R R E from EMPTY, R R E E R from RAILED), one
+    weighted entry per pair: 3 entries per WEAK gate plus 5 in all.  The
+    last run's first entry reads EMPTY when that run is empty.
+    """
+    t = params.t_strong
+    runs = lengths.size
+    filled = lengths > 0
+    before = np.concatenate(([register], amps))
+    levels = np.empty((runs, 3))
+    levels[:, 0] = np.where(filled, first * t, before)
+    levels[:, 1] = np.where(filled, last * t, before)
+    levels[:-1, 2] = amps
+    start = int(first[-1]) if filled[-1] else 0
+    levels[-1, 0] = start * t
+    weights = np.zeros((runs, 3), np.int64)
+    weights[:, 0] = filled
+    weights[:, 2] = 1
+    x, y = start, 1 - start
+    walk = [pairs[x][x], pairs[x][y], pairs[y][y], pairs[y][x]]
+    stream = np.concatenate([levels.ravel()[:-2], np.array([x, y, y, x]) * t])
+    codes = sd_event_codes(stream, params, register)
+    return codes, np.concatenate([weights.ravel()[:-2], walk]), float(levels[-1, 1])
+
+
 def _run_sd_point(
     mu: float, n_gates: int, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
     """Signal-level sweep point for the self-differencing receiver.
 
     One APD sees the whole pulse, so each gate's state (EMPTY, WEAK or
-    RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe.
-    The more probable of EMPTY and RAILED is the bulk state; a shard
-    draws only its exception gates, at independent Bernoulli positions
-    (:func:`_bernoulli_positions`), each in one of the other two states,
-    whose levels and photons :func:`~bncsim.attack.arm_levels` draws.  A
-    gate's word depends on its own railed level and its predecessor's, so
-    :func:`sd_event_codes` reads the exceptions and their successors, and
-    the other gates, bulk after bulk, count as one row
-    (:func:`_sd_readout`).  Each shard starts the delay register from
-    the previous shard's last level, so the event stream is the one a
+    RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe,
+    independently of the others.  A shard draws its WEAK gates at
+    Bernoulli positions (:func:`_bernoulli_positions`) and their
+    amplitudes and photons (:func:`~bncsim.attack._weak_gates`).  Between
+    them lie runs of EMPTY and RAILED gates, each EMPTY with probability
+    q = P(EMPTY) / (P(EMPTY) + P(RAILED)); :func:`_run_law` draws each
+    run's EMPTY count and ends, not its gates, and :func:`_pair_totals`
+    counts the runs' adjacent pairs of each kind.  A gate's word depends
+    on its own railed level and its predecessor's, so one
+    :func:`sd_event_codes` call codes the WEAK gates, the runs' ends and
+    four weighted rows for the pair totals (:func:`_sd_codes`): a shard
+    costs O(WEAK gates).  Each shard starts the delay register from the
+    previous shard's last gate level, so the event stream is the one a
     single block would give.  The events count like the balanced
     monitor's: rises as ``click1``, delayed falls as ``click2``.
     """
     law = arm_law(mu * params.qe, params.dcp_apd1, params)
-    bulk = RAILED if law.state[RAILED] > law.state[EMPTY] else EMPTY
-    other = EMPTY + RAILED - bulk
-    p_exception = law.state[WEAK] + law.state[other]
-    bulk_level = params.t_strong if bulk == RAILED else 0.0
+    p_empty, p_weak, p_railed = law.state.tolist()
+    # when every gate is weak, every run is empty and draws m = 0 at any q
+    q = p_empty / (p_empty + p_railed) if p_empty + p_railed > 0.0 else 0.0
     register = 0.0
 
     def block(n: int, rng: np.random.Generator) -> GateTally:
         nonlocal register
-        pos = _bernoulli_positions(n, p_exception, rng)
-        m = pos.size
-        weak = rng.random(m) * p_exception < law.state[WEAK]
-        n_weak = int(np.count_nonzero(weak))
-        count = {bulk: n - m, other: m - n_weak, WEAK: n_weak}
-        pe, levels = arm_levels(law, other + (WEAK - other) * weak, count[RAILED], params, rng)
-        tally = GateTally(gates=n, pe1=pe, fired1=n - count[EMPTY])
-        codes, weights, register = _sd_readout(pos, levels, n, bulk_level, params, register)
+        pos = _bernoulli_positions(n, p_weak, rng)
+        lengths = np.diff(pos, prepend=-1, append=n) - 1
+        m, r, first, last = _run_law(lengths, q, rng)
+        empty = int(m.sum())
+        photons, amps = _weak_gates(law, pos.size, params, rng)
+        photons += _signal_photons(law, law.railed, n - pos.size - empty, rng)
+        tally = GateTally(gates=n, pe1=photons, fired1=n - empty)
+        pairs = _pair_totals(lengths, m, r, first, last)
+        codes, weights, register = _sd_codes(amps, lengths, first, last, pairs, params, register)
         return count_events(tally, codes, weights=weights)
 
     return _run_sharded(n_gates, seed_seq, block)
@@ -614,16 +687,11 @@ def resolve_config(
             raise ConfigError(f"bad flux list: {flux_raw!r}") from exc
     else:
         grid = DEFAULT_FLUX_GRID
-    try:
-        scenario = Scenario(str(merged["scenario"]))
-        detector = DetectorKind(str(merged["detector"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     spec = SweepSpec(
         flux_grid=grid,
         n_gates_per_point=int(merged["gates"]),
-        scenario=scenario,
-        detector=detector,
+        scenario=str(merged["scenario"]),
+        detector=str(merged["detector"]),
         seed=int(merged["seed"]),
     )
     return spec, params, merged

@@ -310,8 +310,9 @@ class TestRunAttack:
             (10, math.nan, "finite"),
             (2.5, 1.0, "n_gates must be an integer"),
             (True, 1.0, "n_gates must be an integer"),
+            (10, True, "mu must be a real number"),
         ],
-        ids=["no-gates", "negative-flux", "nan-flux", "fractional-gates", "bool-gates"],
+        ids=["no-gates", "negative-flux", "nan-flux", "fractional-gates", "bool-gates", "bool-flux"],
     )
     def test_run_fixed_rejects_bad_input_before_any_gate(
         self, n_gates, mu, message, params, monkeypatch
@@ -337,6 +338,34 @@ class TestRunAttack:
     def test_non_integer_pulse_count_rejected(self, bad):
         with pytest.raises(ConfigError, match="n_pulses must be an integer"):
             AttackConfig(n_pulses=bad, resend_mu=1.0)
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.bool_(True), "1.0", None], ids=["bool", "numpy-bool", "str", "none"]
+    )
+    def test_non_real_flux_rejected(self, bad):
+        with pytest.raises(ConfigError, match="resend_mu must be a real number"):
+            AttackConfig(n_pulses=10, resend_mu=bad)
+
+    def test_numpy_real_flux_is_a_python_float(self):
+        for mu in (np.float32(1.5), np.int64(2), 3):
+            config = AttackConfig(n_pulses=10, resend_mu=mu)
+            assert type(config.resend_mu) is float and config.resend_mu == float(mu)
+
+    def test_scenario_and_detector_names_become_members(self, params):
+        """A name runs as its member: ``honest`` by name has no resender."""
+        named = AttackConfig(100_000, 30.0, scenario="honest", detector="balanced_bnc")
+        assert named.scenario is Scenario.HONEST and named.detector is DetectorKind.BALANCED_BNC
+        member = AttackConfig(100_000, 30.0, scenario=Scenario.HONEST)
+        rng = lambda: np.random.default_rng(1)  # noqa: E731
+        tally = simulate_block(named, params, rng())
+        assert tally == simulate_block(member, params, rng()) and tally.errors == 0
+        with pytest.raises(ConfigError, match="not wired into the gate pipeline"):
+            AttackConfig(10, 1.0, detector="self_differencing")
+
+    @pytest.mark.parametrize("field", ["scenario", "detector"])
+    def test_unknown_scenario_or_detector_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be one of"):
+            AttackConfig(10, 1.0, **{field: "sneaky"})
 
     def test_numpy_integer_pulse_count_is_a_python_int(self, params):
         config = AttackConfig(n_pulses=np.int64(1000), resend_mu=1.0)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from bncsim.attack import (
     POISSON_LAM_MAX,
     SHARD_GATES,
     DetectorKind,
+    GateTally,
     Scenario,
+    arm_law,
     protocol_classes,
 )
 from bncsim.balanced import GateEvent
@@ -92,6 +95,35 @@ class TestSweepSpec:
         spec = small_spec(n_gates_per_point=np.int64(20_000), seed=np.uint64(7))
         assert type(spec.n_gates_per_point) is int and spec.n_gates_per_point == 20_000
         assert type(spec.seed) is int and spec.seed == 7
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(True, 2.0), (np.bool_(False), 1.0), ("0.5",), (None,)],
+        ids=["bool", "numpy-bool", "str", "none"],
+    )
+    def test_non_real_flux_rejected(self, bad):
+        with pytest.raises(ConfigError, match="flux must be a real number"):
+            small_spec(flux_grid=bad)
+
+    def test_numpy_real_fluxes_become_floats(self):
+        spec = small_spec(flux_grid=(np.float32(0.5), np.int64(2), 3))
+        assert spec.flux_grid == (0.5, 2.0, 3.0)
+        assert all(type(x) is float for x in spec.flux_grid)
+
+    def test_scenario_and_detector_names_become_members(self, params):
+        # honest on the self-differencing receiver is refused by name too
+        with pytest.raises(ConfigError, match="blinding_only"):
+            SweepSpec((1.0,), 10_000, scenario="honest", detector="self_differencing")
+        named = small_spec(scenario="blinding_only", detector="self_differencing")
+        assert named.scenario is Scenario.BLINDING_ONLY
+        assert named.detector is DetectorKind.SELF_DIFFERENCING
+        member = small_spec(scenario=Scenario.BLINDING_ONLY, detector=DetectorKind.SELF_DIFFERENCING)
+        assert report_to_csv(run_sweep(named, params)) == report_to_csv(run_sweep(member, params))
+
+    @pytest.mark.parametrize("field", ["scenario", "detector"])
+    def test_unknown_scenario_or_detector_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be one of"):
+            small_spec(**{field: "sneaky"})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_flux_rejected(self, bad):
@@ -298,8 +330,6 @@ class TestReportRowInvariants:
                 assert row[col] <= params.f_gate
 
     def test_honest_sweep_without_darks(self, params):
-        from dataclasses import replace
-
         quiet = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
         spec = small_spec(flux_grid=(0.1,), scenario=Scenario.HONEST, seed=3)
         row = run_sweep(spec, quiet).rows[0]
@@ -375,47 +405,73 @@ class TestSelfDifferencingShards:
     def test_register_carried_across_shards(self, params, monkeypatch):
         import bncsim.harness as harness
 
-        calls = []
-        original = harness.sd_event_codes
+        shards, registers = [], []
+        original_codes, original_coder = harness._sd_codes, harness.sd_event_codes
 
-        def spy(stream, p, register=0.0):
-            codes = original(stream, p, register)
-            calls.append((stream, register, codes))
-            return codes
+        def spy_codes(amps, lengths, first, last, *args):
+            result = original_codes(amps, lengths, first, last, *args)
+            # the shard's last gate: the last run's last gate, or a weak gate
+            level = amps[-1] if lengths[-1] == 0 else params.t_strong * last[-1]
+            shards.append((level, result[0]))
+            return result
 
-        monkeypatch.setattr(harness, "sd_event_codes", spy)
+        def spy_coder(stream, p, register=0.0):
+            registers.append(register)
+            return original_coder(stream, p, register)
+
+        monkeypatch.setattr(harness, "_sd_codes", spy_codes)
+        monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
         gates = SHARD_GATES * 5 // 2
         tally = harness._run_sd_point(500.0, gates, params, np.random.SeedSequence(5))
-        assert len(calls) == 3
-        assert [r for _, r, _ in calls] == [0.0] + [s[-1] for s, _, _ in calls[:-1]]
+        assert len(shards) == 3
+        assert registers == [0.0] + [level for level, _ in shards[:-1]]
         # a bright train cancels gate against gate: the only rise is the
         # first gate's, none at a shard boundary
         assert (tally.click1, tally.click2, tally.blind) == (1, 0, gates - 1)
-        assert calls[0][2][0] == SdGateEvent.STRONG_RISE
-        assert all(codes[0] == SdGateEvent.BLINDING_DETECTED for _, _, codes in calls[1:])
+        assert shards[0][1][0] == SdGateEvent.STRONG_RISE
+        assert all(codes[0] == SdGateEvent.BLINDING_DETECTED for _, codes in shards[1:])
 
     @given(
-        gates=st.lists(st.one_of(st.none(), SD_LEVELS), min_size=1, max_size=40),
-        bulk=st.sampled_from(["empty", "railed"]),
+        gates=st.lists(
+            st.one_of(st.sampled_from(["empty", "railed"]), SD_LEVELS), min_size=1, max_size=40
+        ),
         register=SD_LEVELS,
     )
-    @example(gates=[None] * 5, bulk="railed", register=0.0)  # no exception
-    @example(gates=[0.05] * 5, bulk="empty", register=0.0)  # every gate an exception
-    @example(gates=[0.05, None, None, 0.1], bulk="railed", register=0.0)  # at 0 and n - 1
-    def test_compressed_stream_counts_as_dense(self, gates, bulk, register):
-        """The codes of the exceptions and their successors, plus the bulk
-        row, count what a pass over every gate counts.  ``gates`` holds each
-        exception's level and None for a bulk gate."""
+    @example(gates=["railed"] * 5, register=0.0)  # no weak gate
+    @example(gates=[0.05] * 5, register=0.0)  # every gate weak: empty runs only
+    @example(gates=[0.05, "railed", "empty", 0.1], register=0.0)  # weak at 0 and n - 1
+    @example(gates=["empty", 0.1, 0.01, "railed", 0.05, "empty"], register=0.1)  # runs of one
+    def test_compressed_stream_counts_as_dense(self, gates, register):
+        """The codes of the weak gates and the runs' ends, plus the pair
+        rows, count what a pass over every gate counts.  ``gates`` holds
+        each weak gate's amplitude and "empty" or "railed" for the others."""
         import bncsim.harness as harness
 
         params = DetectorParams.default()
-        bulk_level = params.t_strong if bulk == "railed" else 0.0
-        dense = np.array([bulk_level if g is None else g for g in gates])
-        pos = np.flatnonzero([g is not None for g in gates])
+        level = {"empty": 0.0, "railed": params.t_strong}
+        dense = np.array([level.get(g, g) for g in gates])
+        weak = [not isinstance(g, str) for g in gates]
+        runs = [[]]
+        for g, is_weak in zip(gates, weak):
+            if is_weak:
+                runs.append([])
+            else:
+                runs[-1].append(g == "railed")
+        pairs = [[0, 0], [0, 0]]
+        for run in runs:
+            for a, b in zip(run, run[1:]):
+                pairs[a][b] += 1
 
-        codes, weights, carried = harness._sd_readout(
-            pos, dense[pos], dense.size, bulk_level, params, register
+        codes, weights, carried = harness._sd_codes(
+            dense[weak],
+            np.array([len(run) for run in runs]),
+            np.array([bool(run) and run[0] for run in runs]),
+            np.array([bool(run) and run[-1] for run in runs]),
+            pairs,
+            params,
+            register,
         )
+        assert codes.size <= 3 * sum(weak) + 5
         counts = np.bincount(codes, weights, minlength=len(GateEvent))
         expected = np.bincount(
             harness.sd_event_codes(dense, params, register), minlength=len(GateEvent)
@@ -424,6 +480,86 @@ class TestSelfDifferencingShards:
         names = Counter(sd_stream(dense.tolist(), params.t_strong, params.t_diff, register))
         assert {e.name: counts[e] for e in SdGateEvent if counts[e]} == names
         assert carried == dense[-1]
+
+    @pytest.mark.parametrize("length", range(9))
+    @pytest.mark.parametrize("q", [0.0, 0.2, 0.63, 1.0])
+    def test_run_law_matches_enumeration(self, length, q):
+        """Each run's (EMPTY count, first, last, EE, ER, RE, RR) follows
+        the law of ``length`` i.i.d. gates, enumerated over every
+        sequence: within 5 sigma in each outcome, and nothing outside the
+        support.  The pair counts of a drawn run are its
+        :func:`_pair_totals`.  Length 0 is two adjacent weak gates, q = 0
+        and 1 the runs with m = 0 and m = L; the alternating sequences are
+        the r = L - m + 1 runs, where a run can neither start nor end
+        railed."""
+        import bncsim.harness as harness
+
+        law = Counter()
+        for seq in itertools.product((0, 1), repeat=length):  # 1 is RAILED
+            m = seq.count(0)
+            pairs = Counter(zip(seq, seq[1:]))
+            counts = (pairs[0, 0], pairs[0, 1], pairs[1, 0], pairs[1, 1])
+            law[m, seq[:1] == (1,), seq[-1:] == (1,), *counts] += q**m * (1.0 - q) ** (length - m)
+        n = 200_000
+        runs = harness._run_law(np.full(n, length), q, np.random.default_rng(length))
+        drawn = Counter()
+        for (m, r, first, last), count in Counter(zip(*(a.tolist() for a in runs))).items():
+            one = [np.array([x]) for x in (length, m, r, first, last)]
+            (ee, er), (re, rr) = harness._pair_totals(*one)
+            drawn[m, first, last, ee, er, re, rr] += count
+        assert set(drawn) <= {key for key, p in law.items() if p > 0.0}
+        for key, p in law.items():
+            assert abs(drawn[key] - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), key
+
+    def test_point_at_the_edges_of_the_state_law(self, params):
+        """At mu = 0 without dark counts every gate is empty; past the end
+        of the P(k) table no gate is weak or empty and every gate rails;
+        with a rail far above one carrier's gain every gate is weak, and
+        every run between them empty.  At mu = 0 with dark counts there
+        are no signal photons."""
+        import bncsim.harness as harness
+
+        n = SHARD_GATES + 10_000
+        dark_free = replace(params, dcp_apd1=0.0)
+        quiet = harness._run_sd_point(0.0, n, dark_free, np.random.SeedSequence(7))
+        assert quiet == GateTally(gates=n)
+        dark = harness._run_sd_point(0.0, n, params, np.random.SeedSequence(7))
+        p_fired = 1.0 - arm_law(0.0, params.dcp_apd1, params).state[0]
+        assert dark.pe1 == 0 and dark.fired1 > 0
+        assert abs(dark.fired1 - n * p_fired) <= 5.0 * math.sqrt(n * p_fired)
+        mu = 1e6
+        assert arm_law(mu * params.qe, params.dcp_apd1, params).state.tolist() == [0.0, 0.0, 1.0]
+        bright = harness._run_sd_point(mu, n, params, np.random.SeedSequence(7))
+        assert (bright.fired1, bright.click1, bright.click2, bright.blind) == (n, 1, 0, n - 1)
+        assert (bright.strong, bright.weak) == (n, 0)
+        low_gain = replace(params, gain_mean=1e-3 * params.t_strong)
+        mu = 2000.0
+        assert arm_law(mu * params.qe, params.dcp_apd1, low_gain).state.tolist() == [0.0, 1.0, 0.0]
+        weak = harness._run_sd_point(mu, 20_000, low_gain, np.random.SeedSequence(7))
+        assert weak.fired1 == weak.weak == 20_000 and weak.blind == 0
+
+    @pytest.mark.parametrize("mu", [1.0, 10.0, 30.0])
+    def test_stream_costs_three_entries_per_weak_gate(self, params, monkeypatch, mu):
+        """The one coded stream of a shard holds at most 3 entries per
+        weak gate plus 5, however many gates are empty or railed."""
+        import bncsim.harness as harness
+
+        weak, sizes = [], []
+        original_weak, original_coder = harness._weak_gates, harness.sd_event_codes
+
+        def spy_weak(law, m, *args):
+            weak.append(m)
+            return original_weak(law, m, *args)
+
+        def spy_coder(stream, *args):
+            sizes.append(stream.size)
+            return original_coder(stream, *args)
+
+        monkeypatch.setattr(harness, "_weak_gates", spy_weak)
+        monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
+        harness._run_sd_point(mu, SHARD_GATES, params, np.random.SeedSequence(8))
+        assert len(weak) == len(sizes) == 1 and weak[0] > 0
+        assert sizes[0] <= 3 * weak[0] + 5
 
     def test_memory_bounded_by_one_shard(self, params, least_peak):
         def peak(gates):
@@ -458,7 +594,7 @@ class TestSelfDifferencingShards:
 
     @pytest.mark.parametrize("mu", [0.1, 500.0])
     def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
-        """The point draws and codes only the gates off the bulk state."""
+        """The point draws and codes only its weak gates and the runs' ends."""
         import bncsim.harness as harness
 
         tracemalloc.start()
