@@ -423,26 +423,45 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
 
 
 @functools.lru_cache(maxsize=512)
-def side_law(lam: float, dcp: float, params: DetectorParams, threshold: float) -> np.ndarray:
-    """P(side, d, k) of a weak arm of :func:`arm_law`, flattened: side 0
-    is an amplitude below ``threshold``, side 1 one at or above it.
+def side_law(
+    lam: float, dcp: float, params: DetectorParams, thresholds: tuple[float, ...]
+) -> np.ndarray:
+    """P(bin, d, k) of a weak arm of :func:`arm_law`, flattened: the
+    sorted, distinct ``thresholds`` cut the weak amplitudes into bins,
+    bin 0 below the first, bin i at or above threshold i and below the
+    next (the last bin reaching the rail).
 
     A weak arm of K = d + k carriers falls below t with probability
     P_t[K] / P[K] (:func:`~bncsim.signal_model.below_probabilities`), so
-    the entries are P(d, k) P_t[K] and P(d, k) (P[K] - P_t[K]), with no
-    ratio.  The first is capped by the weak entry, which also zeroes the
-    empty avalanche (K = 0) and keeps the second non-negative.  The
-    entries are normalised over the weak arms; the array is read-only,
-    since side laws are cached and shared.
+    the mass below each threshold is P(d, k) P_t[K], with no ratio, and
+    each bin the difference between its two ends.  The mass below a
+    threshold is capped by the weak entry, which also zeroes the empty
+    avalanche (K = 0), and by the mass below the next threshold, so that
+    rounding keeps every bin non-negative.  The entries are normalised
+    over the weak arms; the array is read-only, since bin laws are
+    cached and shared.
     """
     law = arm_law(lam, dcp, params)
     carriers = law.k + np.arange(2)[:, None]
-    below_t = below_probabilities(params, threshold).take(carriers, mode="clip")
-    below = np.minimum(law.dk * below_t, law.weak)
-    sides = np.stack([below, law.weak - below]).ravel()
-    sides /= sides.sum()
-    sides.flags.writeable = False
-    return sides
+    bins = np.empty((len(thresholds) + 1, *law.weak.shape))
+    upper = law.weak
+    for i in range(len(thresholds), 0, -1):
+        below_t = below_probabilities(params, thresholds[i - 1]).take(carriers, mode="clip")
+        lower = np.minimum(law.dk * below_t, upper)
+        np.subtract(upper, lower, out=bins[i])
+        upper = lower
+    bins[0] = upper
+    bins = bins.ravel()
+    bins /= bins.sum()
+    bins.flags.writeable = False
+    return bins
+
+
+def bin_levels(thresholds: tuple[float, ...], params: DetectorParams) -> list[float]:
+    """A level inside each bin of :func:`side_law`, at its midpoint, so the
+    comparators decide on it as on any amplitude of the bin."""
+    edges = [0.0, *thresholds, params.t_strong]
+    return [(lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:])]
 
 
 def _signal_photons(law: ArmLaw, pmf: np.ndarray, n: int, rng: np.random.Generator) -> int:
@@ -505,17 +524,18 @@ def _weak_gates(
 def _weak_sides(
     law: ArmLaw,
     dcp: float,
-    threshold: float,
+    thresholds: tuple[float, ...],
     n: int,
     params: DetectorParams,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray]:
     """Detected signal photons of ``n`` weak arms of ``law`` (dark
-    probability ``dcp``) and the arms' counts below and at or above
-    ``threshold``: one multinomial over the arms' :func:`side_law`."""
+    probability ``dcp``) and the arms' counts in each bin of
+    ``thresholds``: one multinomial over the arms' :func:`side_law`."""
     if not n:
-        return 0, np.zeros(2, np.int64)
-    counts = rng.multinomial(n, side_law(law.lam, dcp, params, threshold)).reshape(2, 2, -1)
+        return 0, np.zeros(len(thresholds) + 1, np.int64)
+    law_bins = side_law(law.lam, dcp, params, thresholds)
+    counts = rng.multinomial(n, law_bins).reshape(len(thresholds) + 1, 2, -1)
     return int(counts.sum((0, 1)) @ law.k), counts.sum((1, 2))
 
 
@@ -627,12 +647,9 @@ def detect_pair(
         # railed one it is out-dominated below t_strong - t_diff
         threshold = params.t_diff if other == EMPTY else params.t_strong - params.t_diff
         n_cell = int(cells[WEAK, other] if arm == 0 else cells[other, WEAK])
-        photons, side_counts = _weak_sides(laws[arm], dcp[arm], threshold, n_cell, params, rng)
+        photons, side_counts = _weak_sides(laws[arm], dcp[arm], (threshold,), n_cell, params, rng)
         pe[arm] += photons
-        # each side reads at its midpoint, strictly inside it, so the
-        # comparators decide as on any amplitude of the side
-        sides = threshold / 2.0, (threshold + params.t_strong) / 2.0
-        for side, count in zip(sides, side_counts.tolist()):
+        for side, count in zip(bin_levels((threshold,), params), side_counts.tolist()):
             rows.append((side, level[other], count) if arm == 0 else (level[other], side, count))
     weak_weak = int(cells[WEAK, WEAK])
     amps = []
@@ -708,8 +725,9 @@ def _run_sharded(
     seed and the shard size, not on earlier uses of ``seed_seq``.  The
     gate-pipeline shards are independent and could run on any worker; a
     self-differencing shard starts its delay register from the previous
-    shard's last amplitude, so those shards must run in order.  Memory is
-    bounded by one shard.
+    shard's last gate level (its last weak amplitude, or the level of its
+    last empty or railed gate), so those shards must run in order.
+    Memory is bounded by one shard.
     """
     total = GateTally()
     for i in range(-(-n_gates // SHARD_GATES)):

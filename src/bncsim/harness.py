@@ -9,14 +9,16 @@ configuration give byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import os
 import platform
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +41,10 @@ from .attack import (
     _run_sharded,
     _signal_photons,
     _weak_gates,
+    _weak_sides,
     arm_groups,
     arm_law,
+    bin_levels,
     check_enum,
     check_flux,
     check_int,
@@ -216,30 +220,6 @@ def _row_from_tally(
     )
 
 
-def _bernoulli_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted positions of the successes among ``n`` independent
-    Bernoulli(``p``) trials, as cumulative Geometric(p) gaps.
-
-    A gap is 1 + floor(E / -ln(1 - p)) for E ~ Exp(1), which has the
-    Geometric(p) law and costs less than ``rng.geometric``.  The gaps are
-    drawn in batches a few sigma past the expected count, so one batch
-    nearly always reaches past trial ``n``; the work is O(successes),
-    with no sort.
-    """
-    if p <= 0.0:
-        return np.zeros(0, np.int64)
-    scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
-    batch = math.ceil(n * p + 6.0 * math.sqrt(n * p) + 10.0)
-    chunks, last = [], -1
-    while last < n:
-        # a gap past n ends the shard either way; the bound keeps the sums in int64
-        gaps = np.minimum(rng.standard_exponential(batch) * scale, n).astype(np.int64) + 1
-        chunks.append(last + np.cumsum(gaps))
-        last = int(chunks[-1][-1])
-    pos = np.concatenate(chunks)
-    return pos[: np.searchsorted(pos, n)]
-
-
 def _run_law(
     lengths: np.ndarray, q: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +242,8 @@ def _run_law(
     s = lengths - m
     r = np.minimum(m, 1)
     mixed = np.flatnonzero((m >= 2) & (s >= 1))
-    r[mixed] += rng.hypergeometric(m[mixed] - 1, s[mixed] + 1, s[mixed])
+    if mixed.size:
+        r[mixed] += rng.hypergeometric(m[mixed] - 1, s[mixed] + 1, s[mixed])
     # C(s - 1, r - 2 + a + b) times r (r - 1) / C(s - 1, r - 2)
     both = (s - r + 1) * (s - r)
     one = r * (s - r + 1)
@@ -295,51 +276,179 @@ def _pair_totals(
     return [[ee, er], [re, int(lengths.sum()) - filled - ee - er - re]]
 
 
-def _sd_codes(
+class SdSkeleton(NamedTuple):
+    """Structure of a self-differencing shard: its gates' states without
+    their positions, and the weak amplitudes that need drawing.
+
+    The non-weak (EMPTY or RAILED) gates in order, with the weak gates
+    taken out, form the contracted sequence; its first and last gates
+    have levels ``first`` and ``last`` (0 EMPTY, 1 RAILED).  The shard
+    starts with ``head`` weak gates (all of them when no gate is
+    non-weak) and ends with ``tail`` more after the last non-weak gate.
+    Each other run of weak gates breaks an adjacent (x, y) pair of the
+    contracted sequence, by type in the order EE, ER, RE, RR: ``lone``
+    counts the one-gate runs of each type, and the longer runs have
+    sizes ``runs`` and types ``run_types``.  ``pairs`` counts, by type,
+    the contracted pairs no weak run breaks: the adjacent non-weak gates.
+    """
+
+    empty: int
+    railed: int
+    first: int
+    last: int
+    head: int
+    tail: int
+    pairs: np.ndarray
+    lone: np.ndarray
+    runs: np.ndarray
+    run_types: np.ndarray
+
+    @property
+    def explicit(self) -> int:
+        """Weak gates whose amplitudes the readout needs: the head, the
+        tail and the runs of two or more."""
+        return self.head + self.tail + int(self.runs.sum())
+
+
+def _sd_skeleton(n: int, p_weak: float, q: float, rng: np.random.Generator) -> SdSkeleton:
+    """Draw the :class:`SdSkeleton` of ``n`` i.i.d. gates, each WEAK with
+    probability ``p_weak`` and otherwise EMPTY with probability ``q``.
+
+    :func:`_run_law` over the weak/non-weak sequence gives the non-weak
+    count n', its r runs and whether the shard starts and ends weak (a,
+    b), so the weak gates form r - 1 + a + b runs.  Given those, the
+    arrangements are equally likely: the weak runs' sizes are a uniform
+    composition of the W weak gates, drawn as W - r_W joins among their
+    W - 1 slots, and the r - 1 internal weak runs break a uniform subset
+    of the contracted sequence's n' - 1 pairs.  The contracted sequence is
+    i.i.d. EMPTY/RAILED, independent of those positions, so a second
+    :func:`_run_law` and :func:`_pair_totals` give its pair counts, one
+    multivariate hypergeometric the types of the broken pairs, and a
+    second one which of them hold the one-gate runs.  The sizes of the
+    longer internal runs are exchangeable, so they take their types in
+    type order.  Every step is O(1) array calls; only the joins' draw
+    (``rng.choice`` over the W - 1 slots) can cost O(W).  numpy's
+    hypergeometric draws need each population below 1e9, which bounds
+    the shard size.
+    """
+    nonweak, runs, starts_weak, ends_weak = (
+        int(x[0]) for x in _run_law(np.array([n]), 1.0 - p_weak, rng)
+    )
+    weak = n - nonweak
+    weak_runs = runs - 1 + starts_weak + ends_weak
+    head, tail = starts_weak, ends_weak * (nonweak > 0)
+    sizes = np.zeros(0, np.int64)
+    if weak > weak_runs:
+        joins = np.sort(rng.choice(weak - 1, weak - weak_runs, replace=False, shuffle=False))
+        # each block of consecutive joins makes one run of (block length + 1) gates
+        breaks = np.flatnonzero(np.diff(joins) != 1)
+        sizes = np.diff(np.concatenate(([-1], breaks, [joins.size - 1]))) + 1
+        if head and joins[0] == 0:
+            head, sizes = int(sizes[0]), sizes[1:]
+        if tail and joins[-1] == weak - 2:
+            tail, sizes = int(sizes[-1]), sizes[:-1]
+    lengths = np.array([nonweak])
+    empty, empty_runs, first, last = _run_law(lengths, q, rng)
+    contracted = np.ravel(_pair_totals(lengths, empty, empty_runs, first, last))
+    empty, first, last = int(empty[0]), int(first[0]), int(last[0])
+    internal = max(runs - 1, 0)
+    broken = lone = np.zeros(4, np.int64)
+    if internal:
+        broken = rng.multivariate_hypergeometric(contracted, internal)
+        lone = rng.multivariate_hypergeometric(broken, internal - sizes.size) if sizes.size else broken
+    run_types = np.repeat(np.arange(4), broken - lone)
+    return SdSkeleton(
+        empty, nonweak - empty, first, last, head, tail, contracted - broken, lone, sizes, run_types
+    )
+
+
+class SdReadout(NamedTuple):
+    """Per-parameter constants of the self-differencing readout."""
+
+    levels: np.ndarray  # railed level of an EMPTY and a RAILED gate
+    cuts: tuple[tuple[float, ...], ...]  # bin thresholds of a lone weak gate, by pair type
+    fixed: np.ndarray  # the pair walks x y, then each bin's lone walk x bin y, by type
+    source: np.ndarray  # each fixed entry's count: 0 none, then the pairs, then the bins
+
+
+@functools.lru_cache(maxsize=8)
+def _sd_readout(params: DetectorParams) -> SdReadout:
+    """The :class:`SdReadout` of ``params``, built once per parameter set
+    and returned read-only.
+
+    A weak gate beside an EMPTY one differs from it by t_diff or more at
+    or above ``t_diff``, and from a RAILED one at or below ``t_strong -
+    t_diff``, so a lone weak gate between levels x and y reads the same
+    everywhere inside a bin of those one or two cuts, sorted and
+    deduplicated, since t_diff may reach t_strong - t_diff.  It reads at
+    the bin's :func:`~bncsim.attack.bin_levels` midpoint.
+    """
+    levels = np.array([0.0, params.t_strong])
+    cut = (params.t_diff, params.t_strong - params.t_diff)
+    types = list(itertools.product((0, 1), (0, 1)))
+    cuts = tuple(tuple(sorted({cut[x], cut[y]})) for x, y in types)
+    entries = []
+    for count, (x, y) in enumerate(types, start=1):
+        entries += [(levels[x], 0), (levels[y], count)]
+    count = len(types)
+    for (x, y), c in zip(types, cuts):
+        for mid in bin_levels(c, params):
+            count += 1
+            entries += [(levels[x], 0), (mid, count), (levels[y], count)]
+    fixed, source = (np.array(column) for column in zip(*entries))
+    for table in (levels, fixed, source):
+        table.flags.writeable = False
+    return SdReadout(levels, cuts, fixed, source)
+
+
+def _sd_walks(
+    sk: SdSkeleton,
     amps: np.ndarray,
-    lengths: np.ndarray,
-    first: np.ndarray,
-    last: np.ndarray,
-    pairs: list[list[int]],
-    params: DetectorParams,
+    lone_bins: list[np.ndarray],
+    readout: SdReadout,
     register: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Event codes of a self-differencing shard, with the number of gates
-    each code stands for, and the shard's last level.
+    """Levels of a self-differencing shard as weighted walks, each walk's
+    entries counting the gates they stand for, and the shard's last level.
 
-    The shard's WEAK gates read ``amps``; before each, and after the last,
-    lies a run of ``lengths`` EMPTY (level 0) or RAILED (``t_strong``)
-    gates, starting and ending RAILED where ``first`` and ``last`` say.
-    ``pairs[p][c]`` counts the runs' adjacent gates in states (p, c), 0
-    EMPTY and 1 RAILED.  A gate's word depends on its own level and its
-    predecessor's, so :func:`sd_event_codes` reads, per run, its first
-    gate, its last gate at weight 0 and the WEAK gate after it, with
-    ``register`` before gate 0.  An empty run's two entries, at weight 0,
-    repeat its predecessor's level, so every weighted entry's predecessor
-    in the stream has its predecessor's level in the shard.  The pair
-    totals then follow as a closed walk over the four pairs from the last
-    run's first level (E E R R E from EMPTY, R R E E R from RAILED), one
-    weighted entry per pair: 3 entries per WEAK gate plus 5 in all.  The
-    last run's first entry reads EMPTY when that run is empty.
+    A gate's word depends on its own level and its predecessor's, so the
+    stream is a set of walks, each led by its first gate's predecessor at
+    weight 0.  The explicit ``amps``, in the order head, ``runs``, tail,
+    walk from the register through the head to the first non-weak level,
+    from x through each longer run to y, and from the last non-weak level
+    through the tail.  Each adjacent non-weak pair of type (x, y) is a
+    walk x y weighted by its count, and each bin of the lone weak gates
+    of type (x, y) a walk x bin y weighted by the bin's count in
+    ``lone_bins``.  A shard thus costs at most 2 entries per explicit
+    amplitude, plus a constant.
     """
-    t = params.t_strong
-    runs = lengths.size
-    filled = lengths > 0
-    before = np.concatenate(([register], amps))
-    levels = np.empty((runs, 3))
-    levels[:, 0] = np.where(filled, first * t, before)
-    levels[:, 1] = np.where(filled, last * t, before)
-    levels[:-1, 2] = amps
-    start = int(first[-1]) if filled[-1] else 0
-    levels[-1, 0] = start * t
-    weights = np.zeros((runs, 3), np.int64)
-    weights[:, 0] = filled
-    weights[:, 2] = 1
-    x, y = start, 1 - start
-    walk = [pairs[x][x], pairs[x][y], pairs[y][y], pairs[y][x]]
-    stream = np.concatenate([levels.ravel()[:-2], np.array([x, y, y, x]) * t])
-    codes = sd_event_codes(stream, params, register)
-    return codes, np.concatenate([weights.ravel()[:-2], walk]), float(levels[-1, 1])
+    levels = readout.levels
+    nonweak = sk.empty + sk.railed > 0
+    x, y = np.divmod(sk.run_types, 2)
+    tail = [sk.tail] if sk.tail else []
+    sizes = np.concatenate(([sk.head], sk.runs, tail)).astype(np.int64)
+    lead = np.concatenate(([register], levels[x], levels[[sk.last] * len(tail)]))
+    exits = np.concatenate(([levels[sk.first]] if nonweak else [], levels[y]))
+    # every walk but the tail's ends on a non-weak gate, the head's when there is one
+    closed = np.ones(sizes.size, bool)
+    closed[0] = nonweak
+    closed[sizes.size - len(tail) :] = False
+    stop = np.cumsum(1 + sizes + closed)
+    start = stop - 1 - sizes - closed
+    stream = np.empty(stop[-1])
+    weights = np.ones(stop[-1], np.int64)
+    is_amp = np.ones(stop[-1], bool)
+    is_amp[start] = is_amp[stop[closed] - 1] = False
+    stream[start], weights[start] = lead, 0
+    stream[stop[closed] - 1] = exits
+    stream[is_amp] = amps
+    counts = np.concatenate(([0], sk.pairs, *lone_bins))
+    last = amps[-1] if sk.tail or not nonweak else levels[sk.last]
+    return (
+        np.concatenate([stream, readout.fixed]),
+        np.concatenate([weights, counts[readout.source]]),
+        float(last),
+    )
 
 
 def _run_sd_point(
@@ -349,39 +458,40 @@ def _run_sd_point(
 
     One APD sees the whole pulse, so each gate's state (EMPTY, WEAK or
     RAILED) follows the :func:`~bncsim.attack.arm_law` at mean mu*qe,
-    independently of the others.  A shard draws its WEAK gates at
-    Bernoulli positions (:func:`_bernoulli_positions`) and their
-    amplitudes and photons (:func:`~bncsim.attack._weak_gates`).  Between
-    them lie runs of EMPTY and RAILED gates, each EMPTY with probability
-    q = P(EMPTY) / (P(EMPTY) + P(RAILED)); :func:`_run_law` draws each
-    run's EMPTY count and ends, not its gates, and :func:`_pair_totals`
-    counts the runs' adjacent pairs of each kind.  A gate's word depends
-    on its own railed level and its predecessor's, so one
-    :func:`sd_event_codes` call codes the WEAK gates, the runs' ends and
-    four weighted rows for the pair totals (:func:`_sd_codes`): a shard
-    costs O(WEAK gates).  Each shard starts the delay register from the
-    previous shard's last gate level, so the event stream is the one a
-    single block would give.  The events count like the balanced
-    monitor's: rises as ``click1``, delayed falls as ``click2``.
+    independently of the others.  A shard draws its :class:`SdSkeleton`
+    (:func:`_sd_skeleton`), not its gates.  A weak gate whose neighbours
+    are both non-weak reads only by the bin of its amplitude among the
+    cuts of those neighbours, so each type of lone weak gate draws its
+    photons and bin counts in one multinomial
+    (:func:`~bncsim.attack._weak_sides`); only the head, the tail and the
+    runs of two or more weak gates draw amplitudes
+    (:func:`~bncsim.attack._weak_gates`).  One :func:`sd_event_codes`
+    call per shard codes the weighted walks of :func:`_sd_walks`.  Each
+    shard starts the delay register from the previous shard's last gate
+    level, so the event stream is the one a single block would give.  The
+    events count like the balanced monitor's: rises as ``click1``,
+    delayed falls as ``click2``.
     """
     law = arm_law(mu * params.qe, params.dcp_apd1, params)
     p_empty, p_weak, p_railed = law.state.tolist()
-    # when every gate is weak, every run is empty and draws m = 0 at any q
+    # when every gate is weak, no gate is EMPTY or RAILED at any q
     q = p_empty / (p_empty + p_railed) if p_empty + p_railed > 0.0 else 0.0
+    readout = _sd_readout(params)
     register = 0.0
 
     def block(n: int, rng: np.random.Generator) -> GateTally:
         nonlocal register
-        pos = _bernoulli_positions(n, p_weak, rng)
-        lengths = np.diff(pos, prepend=-1, append=n) - 1
-        m, r, first, last = _run_law(lengths, q, rng)
-        empty = int(m.sum())
-        photons, amps = _weak_gates(law, pos.size, params, rng)
-        photons += _signal_photons(law, law.railed, n - pos.size - empty, rng)
-        tally = GateTally(gates=n, pe1=photons, fired1=n - empty)
-        pairs = _pair_totals(lengths, m, r, first, last)
-        codes, weights, register = _sd_codes(amps, lengths, first, last, pairs, params, register)
-        return count_events(tally, codes, weights=weights)
+        sk = _sd_skeleton(n, p_weak, q, rng)
+        photons, amps = _weak_gates(law, sk.explicit, params, rng)
+        lone_bins = []
+        for count, cuts in zip(sk.lone.tolist(), readout.cuts):
+            lone_photons, bins = _weak_sides(law, params.dcp_apd1, cuts, count, params, rng)
+            photons += lone_photons
+            lone_bins.append(bins)
+        photons += _signal_photons(law, law.railed, sk.railed, rng)
+        stream, weights, register = _sd_walks(sk, amps, lone_bins, readout, register)
+        tally = GateTally(gates=n, pe1=photons, fired1=n - sk.empty)
+        return count_events(tally, sd_event_codes(stream, params), weights=weights)
 
     return _run_sharded(n_gates, seed_seq, block)
 

@@ -1,12 +1,16 @@
-"""Per-gate reference for the readout and sifting rules, in plain Python.
+"""Per-gate reference for the readout and sifting rules.
 
-The package classifies whole gate arrays through lookup tables.  This
-module restates the same rules one gate at a time, from the circuit
-description rather than from those tables (it imports nothing from
-``bncsim``), so tests can use it as an independent oracle.
+The package classifies whole gate arrays through lookup tables, and
+draws the self-differencing point without drawing its gates.  This
+module restates the same rules one gate at a time, in plain Python, and
+draws a self-differencing point gate by gate, with numpy arrays, from
+the circuit description rather than from those tables (it imports
+nothing from ``bncsim``), so tests can use it as an independent oracle.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def comparators(amp1, amp2, t_strong, t_diff, common_mode=0.0):
@@ -83,6 +87,37 @@ def sd_stream(amplitudes, t_strong, t_diff, register=0.0):
         events.append(sd_event(*sd_word(amp, register, t_strong, t_diff)))
         register = amp
     return events
+
+
+def sd_point_dense(n, lam, dcp, gain_mean, t_strong, t_diff, rng):
+    """Counters (click1, click2, blind, fired1, strong, pe1) of ``n``
+    self-differencing gates from a cold start, drawn and read gate by
+    gate with numpy arrays.
+
+    A gate's carriers are a Poisson(``lam``) signal count k plus a dark
+    ignition with probability ``dcp``; its amplitude is ``gain_mean``
+    times a Gamma(carriers) draw, and 0 without carriers.  ``rng`` is a
+    numpy ``Generator``.  The comparators of :func:`sd_word` read every
+    gate against the one before: a rise is click1, a delayed fall click2,
+    and a raw click with neither is a blinding flag; ``strong`` counts
+    the raw clicks and ``pe1`` the signal photons.
+    """
+    k = rng.poisson(lam, n)
+    carriers = k + (rng.random(n) < dcp)
+    fired = carriers > 0
+    amps = np.zeros(n)
+    amps[fired] = gain_mean * rng.standard_gamma(carriers[fired])
+    level = np.minimum(amps, t_strong)
+    delayed = np.concatenate(([0.0], level[:-1]))
+    raw, rise, fall = amps >= t_strong, level - delayed >= t_diff, delayed - level >= t_diff
+    return (
+        int(rise.sum()),
+        int(fall.sum()),
+        int((raw & ~rise).sum()),
+        int(fired.sum()),
+        int(raw.sum()),
+        int(k.sum()),
+    )
 
 
 def sift(alice_phase, bob_basis, click):

@@ -1092,6 +1092,35 @@ def test_one_weak_cell_splits_by_side_law(other, params):
     assert abs((weak1 - above) / weak1 - share) <= 5.0 * math.sqrt(share * (1.0 - share) / weak1)
 
 
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_bin_law_matches_gammainc(lam, params):
+    """Each bin of two thresholds holds the weak arms' gammainc share
+    between its ends, and the (d, k) marginal is the weak law's."""
+    high_rail = replace(params, dcp_apd1=0.3, **HIGH_RAIL)
+    dcp = high_rail.dcp_apd1
+    bins = attack.side_law(lam, dcp, high_rail, (1.0, 2.0)).reshape(3, -1)
+    ends = [0.0, side_share(lam, dcp, high_rail, 1.0), side_share(lam, dcp, high_rail, 2.0), 1.0]
+    assert bins.sum(1) == pytest.approx(np.diff(ends), rel=1e-9)
+    law = attack.arm_law(lam, dcp, high_rail)
+    assert bins.sum(0) == pytest.approx(law.weak.ravel() / law.state[1], rel=1e-9, abs=1e-300)
+
+
+def test_one_threshold_bin_law_keeps_its_floats(params):
+    """One threshold gives the two sides P(d, k) P_t[K], capped by the
+    weak entry, and the rest of the weak entry, bit for bit: the balanced
+    one-weak cells draw from the same floats as before bins had more
+    than one cut."""
+    for lam, threshold in ((0.1, params.t_diff), (3.0, params.t_strong - params.t_diff)):
+        law = attack.arm_law(lam, params.dcp_apd1, params)
+        below_t = below_probabilities(params, threshold).take(law.k + np.arange(2)[:, None], mode="clip")
+        below = np.minimum(law.dk * below_t, law.weak)
+        sides = np.stack([below, law.weak - below]).ravel()
+        sides /= sides.sum()
+        assert np.array_equal(attack.side_law(lam, params.dcp_apd1, params, (threshold,)), sides)
+        levels = attack.bin_levels((threshold,), params)
+        assert levels == [threshold / 2.0, (threshold + params.t_strong) / 2.0]
+
+
 @pytest.mark.parametrize("mu", [1.0, 10.0, 30.0, 500.0])
 def test_only_weak_weak_gates_cost_per_gate_draws(mu, params, monkeypatch):
     """A balanced pair block draws one amplitude per arm of a WEAK-WEAK

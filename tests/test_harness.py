@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import stats
 
 import bncsim
 from bncsim.attack import (
@@ -43,7 +44,7 @@ from bncsim.harness import (
 )
 from bncsim.selfdiff import SdGateEvent
 from bncsim.signal_model import DetectorParams
-from reference import sd_stream
+from reference import sd_point_dense, sd_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -390,6 +391,11 @@ class TestReportRowInvariants:
 #: Railed levels of self-differencing gates: empty, weak levels at least
 #: t_diff apart, one within t_diff of the rail, and the rail itself.
 SD_LEVELS = st.sampled_from([0.0, 0.01, 0.05, 0.1, DetectorParams.default().t_strong])
+#: Weak amplitudes: inside each bin of the lone weak gates' cuts (t_diff =
+#: 0.01 and t_strong - t_diff = 0.0954), one on the t_diff cut itself.
+SD_WEAK = st.sampled_from([0.005, 0.01, 0.05, 0.1])
+#: Operating point of the exact-law tests: every gate state is common.
+SD_HIGH_RAIL = dict(t_strong=3.0, t_diff=1.0, dcp_apd1=0.05)
 
 
 def sd_spec(mu, gates):
@@ -401,78 +407,160 @@ def sd_spec(mu, gates):
     )
 
 
+def shard_skeleton(states):
+    """The :class:`~bncsim.harness.SdSkeleton` of a list of gate states (0
+    EMPTY, 1 WEAK, 2 RAILED), with the indices of its explicit weak gates
+    in walk order (head, longer runs, tail) and of its lone weak gates by
+    pair type, read off the sequence."""
+    import bncsim.harness as harness
+
+    n = len(states)
+    level = [s // 2 for s in states]
+    nonweak = [i for i, s in enumerate(states) if s != 1]
+    runs = [
+        list(run)
+        for weak, run in itertools.groupby(range(n), lambda i: states[i] == 1)
+        if weak
+    ]
+    head = runs.pop(0) if runs and runs[0][0] == 0 else []
+    tail = runs.pop() if runs and runs[-1][-1] == n - 1 else []
+    pairs, lone = np.zeros(4, np.int64), np.zeros(4, np.int64)
+    for i, j in zip(nonweak, nonweak[1:]):
+        pairs[2 * level[i] + level[j]] += j == i + 1
+    lone_at, longer = [[] for _ in range(4)], []
+    for run in runs:
+        kind = 2 * level[run[0] - 1] + level[run[-1] + 1]
+        if len(run) == 1:
+            lone[kind] += 1
+            lone_at[kind].append(run[0])
+        else:
+            longer.append((kind, run))
+    longer.sort(key=lambda item: item[0])
+    sk = harness.SdSkeleton(
+        empty=states.count(0),
+        railed=states.count(2),
+        first=level[nonweak[0]] if nonweak else 0,
+        last=level[nonweak[-1]] if nonweak else 0,
+        head=len(head),
+        tail=len(tail),
+        pairs=pairs,
+        lone=lone,
+        runs=np.array([len(run) for _, run in longer], np.int64),
+        run_types=np.array([kind for kind, _ in longer], np.int64),
+    )
+    return sk, head + [i for _, run in longer for i in run] + tail, lone_at
+
+
+def skeleton_key(sk):
+    """A skeleton as a hashable outcome; its longer runs as a multiset."""
+    return (
+        *sk[:6],
+        tuple(sk.pairs.tolist()),
+        tuple(sk.lone.tolist()),
+        tuple(sorted(zip(sk.run_types.tolist(), sk.runs.tolist()))),
+    )
+
+
+def assert_same_law(drawn, reference):
+    """Two samples of outcomes (Counters) pass a chi-square homogeneity
+    test at p > 1e-6, outcomes seen fewer than 10 times in all pooled."""
+    keys = sorted(set(drawn) | set(reference))
+    table = np.array([[c[k] for k in keys] for c in (drawn, reference)])
+    rare = table.sum(0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(1)])
+    table = table[:, table.sum(0) > 0]
+    assert stats.chi2_contingency(table)[1] > 1e-6
+
+
+def sd_outcomes(tally):
+    """The counters :func:`reference.sd_point_dense` gives, in its order."""
+    return tally.click1, tally.click2, tally.blind, tally.fired1, tally.strong, tally.pe1
+
+
 class TestSelfDifferencingShards:
     def test_register_carried_across_shards(self, params, monkeypatch):
+        """Each shard's stream starts from the level the previous shard
+        ended on: the last tail amplitude when it ended weak, else its
+        last non-weak level.  At mu = 500 every gate rails, and a bright
+        train cancels gate against gate: the only rise is the first
+        gate's, none at a shard boundary."""
+        import bncsim.attack as attack
         import bncsim.harness as harness
 
-        shards, registers = [], []
-        original_codes, original_coder = harness._sd_codes, harness.sd_event_codes
+        shards, streams = [], []
+        original_skeleton, original_weak = harness._sd_skeleton, harness._weak_gates
+        original_coder = harness.sd_event_codes
 
-        def spy_codes(amps, lengths, first, last, *args):
-            result = original_codes(amps, lengths, first, last, *args)
-            # the shard's last gate: the last run's last gate, or a weak gate
-            level = amps[-1] if lengths[-1] == 0 else params.t_strong * last[-1]
-            shards.append((level, result[0]))
+        def spy_skeleton(*args):
+            shards.append([original_skeleton(*args)])
+            return shards[-1][0]
+
+        def spy_weak(*args):
+            result = original_weak(*args)
+            shards[-1].append(result[1])
             return result
 
-        def spy_coder(stream, p, register=0.0):
-            registers.append(register)
-            return original_coder(stream, p, register)
+        def spy_coder(stream, *args):
+            codes = original_coder(stream, *args)
+            streams.append((stream[0], codes))
+            return codes
 
-        monkeypatch.setattr(harness, "_sd_codes", spy_codes)
+        monkeypatch.setattr(harness, "_sd_skeleton", spy_skeleton)
+        monkeypatch.setattr(harness, "_weak_gates", spy_weak)
         monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
         gates = SHARD_GATES * 5 // 2
         tally = harness._run_sd_point(500.0, gates, params, np.random.SeedSequence(5))
-        assert len(shards) == 3
-        assert registers == [0.0] + [level for level, _ in shards[:-1]]
-        # a bright train cancels gate against gate: the only rise is the
-        # first gate's, none at a shard boundary
+        assert [lead for lead, _ in streams] == [0.0, params.t_strong, params.t_strong]
         assert (tally.click1, tally.click2, tally.blind) == (1, 0, gates - 1)
-        assert shards[0][1][0] == SdGateEvent.STRONG_RISE
-        assert all(codes[0] == SdGateEvent.BLINDING_DETECTED for _, codes in shards[1:])
+        # the head walk's first weighted entry is the shard's first gate
+        assert streams[0][1][1] == SdGateEvent.STRONG_RISE
+        assert all(codes[1] == SdGateEvent.BLINDING_DETECTED for _, codes in streams[1:])
+
+        shards.clear(), streams.clear()
+        high_rail = replace(params, **SD_HIGH_RAIL)
+        monkeypatch.setattr(attack, "SHARD_GATES", 4)
+        harness._run_sd_point(20.0, 400, high_rail, np.random.SeedSequence(5))
+        ends = [
+            amps[-1] if sk.tail or not sk.empty + sk.railed else sk.last * high_rail.t_strong
+            for sk, amps in shards
+        ]
+        assert [lead for lead, _ in streams] == [0.0] + ends[:-1]
+        ended_weak = sum(bool(sk.tail or not sk.empty + sk.railed) for sk, _ in shards)
+        assert 0 < ended_weak < len(shards) == 100
 
     @given(
         gates=st.lists(
-            st.one_of(st.sampled_from(["empty", "railed"]), SD_LEVELS), min_size=1, max_size=40
+            st.one_of(st.sampled_from(["empty", "railed"]), SD_WEAK), min_size=1, max_size=40
         ),
         register=SD_LEVELS,
     )
     @example(gates=["railed"] * 5, register=0.0)  # no weak gate
-    @example(gates=[0.05] * 5, register=0.0)  # every gate weak: empty runs only
-    @example(gates=[0.05, "railed", "empty", 0.1], register=0.0)  # weak at 0 and n - 1
-    @example(gates=["empty", 0.1, 0.01, "railed", 0.05, "empty"], register=0.1)  # runs of one
+    @example(gates=[0.05] * 5, register=0.0)  # every gate weak: one head run
+    @example(gates=[0.05, "railed", "empty", 0.1], register=0.0)  # lone head and tail
+    @example(gates=["empty", 0.1, 0.01, "railed", 0.05, "empty"], register=0.1)  # runs of 1, 2
+    @example(gates=["railed", 0.005, "empty", 0.1, "railed", 0.05, "railed"], register=0.0)
     def test_compressed_stream_counts_as_dense(self, gates, register):
-        """The codes of the weak gates and the runs' ends, plus the pair
-        rows, count what a pass over every gate counts.  ``gates`` holds
-        each weak gate's amplitude and "empty" or "railed" for the others."""
+        """The walks of a skeleton read off a dense gate list, with its
+        explicit amplitudes and its lone weak gates' bin counts, count
+        what a pass over every gate counts.  ``gates`` holds each weak
+        gate's amplitude and "empty" or "railed" for the others."""
         import bncsim.harness as harness
 
         params = DetectorParams.default()
         level = {"empty": 0.0, "railed": params.t_strong}
         dense = np.array([level.get(g, g) for g in gates])
-        weak = [not isinstance(g, str) for g in gates]
-        runs = [[]]
-        for g, is_weak in zip(gates, weak):
-            if is_weak:
-                runs.append([])
-            else:
-                runs[-1].append(g == "railed")
-        pairs = [[0, 0], [0, 0]]
-        for run in runs:
-            for a, b in zip(run, run[1:]):
-                pairs[a][b] += 1
-
-        codes, weights, carried = harness._sd_codes(
-            dense[weak],
-            np.array([len(run) for run in runs]),
-            np.array([bool(run) and run[0] for run in runs]),
-            np.array([bool(run) and run[-1] for run in runs]),
-            pairs,
-            params,
-            register,
+        states = [{"empty": 0, "railed": 2}.get(g, 1) for g in gates]
+        sk, explicit, lone_at = shard_skeleton(states)
+        readout = harness._sd_readout(params)
+        lone_bins = [
+            np.bincount(np.searchsorted(cuts, dense[at], side="right"), minlength=len(cuts) + 1)
+            for cuts, at in zip(readout.cuts, lone_at)
+        ]
+        stream, weights, carried = harness._sd_walks(
+            sk, dense[explicit], lone_bins, readout, register
         )
-        assert codes.size <= 3 * sum(weak) + 5
-        counts = np.bincount(codes, weights, minlength=len(GateEvent))
+        assert stream.size <= 2 * len(explicit) + 4 + readout.fixed.size
+        counts = np.bincount(harness.sd_event_codes(stream, params), weights, len(GateEvent))
         expected = np.bincount(
             harness.sd_event_codes(dense, params, register), minlength=len(GateEvent)
         )
@@ -480,6 +568,32 @@ class TestSelfDifferencingShards:
         names = Counter(sd_stream(dense.tolist(), params.t_strong, params.t_diff, register))
         assert {e.name: counts[e] for e in SdGateEvent if counts[e]} == names
         assert carried == dense[-1]
+
+    @pytest.mark.parametrize("t_diff", [0.5, 0.7])
+    def test_lone_cuts_sorted_and_deduplicated(self, params, t_diff):
+        """With t_diff at or past t_strong - t_diff the cuts of a lone weak
+        gate between EMPTY and RAILED swap or coincide; they stay sorted
+        and distinct, and every sequence of 4 gates, with weak gates in
+        each bin, still codes as its dense stream."""
+        import bncsim.harness as harness
+
+        p = replace(params, t_strong=1.0, t_diff=t_diff)
+        readout = harness._sd_readout(p)
+        mixed = tuple(sorted({t_diff, 1.0 - t_diff}))
+        assert readout.cuts == ((t_diff,), mixed, mixed, (1.0 - t_diff,))
+        amps = [0.2, 0.45, 0.6, 0.9]
+        for states in itertools.product(range(3), repeat=4):
+            for amp in amps:
+                dense = np.array([(0.0, amp, 1.0)[s] for s in states])
+                sk, explicit, lone_at = shard_skeleton(list(states))
+                lone_bins = [
+                    np.bincount(np.searchsorted(c, dense[at], side="right"), minlength=len(c) + 1)
+                    for c, at in zip(readout.cuts, lone_at)
+                ]
+                stream, weights, _ = harness._sd_walks(sk, dense[explicit], lone_bins, readout, 0.0)
+                counts = np.bincount(harness.sd_event_codes(stream, p), weights, len(GateEvent))
+                expected = np.bincount(harness.sd_event_codes(dense, p), minlength=len(GateEvent))
+                assert counts.tolist() == expected.tolist(), (states, amp)
 
     @pytest.mark.parametrize("length", range(9))
     @pytest.mark.parametrize("q", [0.0, 0.2, 0.63, 1.0])
@@ -511,6 +625,70 @@ class TestSelfDifferencingShards:
         for key, p in law.items():
             assert abs(drawn[key] - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), key
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_skeleton_matches_enumeration(self, n):
+        """The drawn :class:`SdSkeleton` of ``n`` gates follows the law of
+        the skeletons of all 3**n state sequences: within 5 sigma in each
+        outcome, and nothing outside the support.  Its longer runs count
+        as a multiset of (type, size)."""
+        import bncsim.harness as harness
+
+        p = (0.2, 0.4, 0.4)  # EMPTY, WEAK, RAILED
+        law = Counter()
+        for seq in itertools.product(range(3), repeat=n):
+            law[skeleton_key(shard_skeleton(list(seq))[0])] += math.prod(p[s] for s in seq)
+        draws, rng = 1_500, np.random.default_rng(n)
+        drawn = Counter(
+            skeleton_key(harness._sd_skeleton(n, p[1], p[0] / (p[0] + p[2]), rng))
+            for _ in range(draws)
+        )
+        assert set(drawn) <= {key for key, prob in law.items() if prob > 0.0}
+        for key, prob in law.items():
+            assert abs(drawn[key] - draws * prob) <= 5.0 * math.sqrt(draws * prob * (1.0 - prob)), key
+
+    @pytest.mark.parametrize("shard,sizes", [(None, range(1, 10)), (3, range(4, 10))])
+    def test_point_matches_dense_reference(self, params, monkeypatch, shard, sizes):
+        """(n, click1, click2, blind, fired1) of points of n gates has the
+        joint law of the same gates drawn and read one by one
+        (:func:`reference.sd_point_dense`), in one shard and across
+        ``shard``-gate shards, where the register carries the stream."""
+        import bncsim.attack as attack
+        import bncsim.harness as harness
+
+        if shard:
+            monkeypatch.setattr(attack, "SHARD_GATES", shard)
+        hr = replace(params, **SD_HIGH_RAIL)
+        mu, draws, rng = 20.0, 200, np.random.default_rng(shard or 0)
+        args = mu * hr.qe, hr.dcp_apd1, hr.gain_mean, hr.t_strong, hr.t_diff, rng
+        drawn, dense = Counter(), Counter()
+        for n in sizes:
+            for i in range(draws):
+                seed_seq = np.random.SeedSequence([shard or 0, n, i])
+                drawn[n, *sd_outcomes(harness._run_sd_point(mu, n, hr, seed_seq))[:4]] += 1
+                dense[n, *sd_point_dense(n, *args)[:4]] += 1
+        assert_same_law(drawn, dense)
+
+    @pytest.mark.parametrize("mu", [5.0, 20.0])
+    def test_point_counters_match_dense_reference(self, params, monkeypatch, mu):
+        """Each counter of 100k-gate points in 10k-gate shards agrees with
+        :func:`reference.sd_point_dense` within 5 sigma (Welch, 20 points
+        a side), where every gate state is common."""
+        import bncsim.attack as attack
+        import bncsim.harness as harness
+
+        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
+        hr = replace(params, **SD_HIGH_RAIL)
+        n, points, rng = 100_000, 20, np.random.default_rng(int(mu))
+        args = mu * hr.qe, hr.dcp_apd1, hr.gain_mean, hr.t_strong, hr.t_diff, rng
+        drawn = np.array([
+            sd_outcomes(harness._run_sd_point(mu, n, hr, np.random.SeedSequence([int(mu), i])))
+            for i in range(points)
+        ])
+        dense = np.array([sd_point_dense(n, *args) for _ in range(points)])
+        spread = np.sqrt((drawn.var(0, ddof=1) + dense.var(0, ddof=1)) / points)
+        z = (drawn.mean(0) - dense.mean(0)) / spread
+        assert (np.abs(z) < 5.0).all(), z
+
     def test_point_at_the_edges_of_the_state_law(self, params):
         """At mu = 0 without dark counts every gate is empty; past the end
         of the P(k) table no gate is weak or empty and every gate rails;
@@ -540,12 +718,20 @@ class TestSelfDifferencingShards:
 
     @pytest.mark.parametrize("mu", [1.0, 10.0, 30.0])
     def test_stream_costs_three_entries_per_weak_gate(self, params, monkeypatch, mu):
-        """The one coded stream of a shard holds at most 3 entries per
-        weak gate plus 5, however many gates are empty or railed."""
+        """Amplitudes are drawn only for the head, the tail and the runs of
+        two or more weak gates, and the one coded stream of a shard holds
+        at most 2 entries per such gate plus a constant, however many
+        gates are empty, railed or lone weak: far below 3 entries per
+        weak gate."""
         import bncsim.harness as harness
 
-        weak, sizes = [], []
-        original_weak, original_coder = harness._weak_gates, harness.sd_event_codes
+        skeletons, weak, sizes = [], [], []
+        original_skeleton, original_weak = harness._sd_skeleton, harness._weak_gates
+        original_coder = harness.sd_event_codes
+
+        def spy_skeleton(*args):
+            skeletons.append(original_skeleton(*args))
+            return skeletons[-1]
 
         def spy_weak(law, m, *args):
             weak.append(m)
@@ -555,42 +741,22 @@ class TestSelfDifferencingShards:
             sizes.append(stream.size)
             return original_coder(stream, *args)
 
+        monkeypatch.setattr(harness, "_sd_skeleton", spy_skeleton)
         monkeypatch.setattr(harness, "_weak_gates", spy_weak)
         monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
         harness._run_sd_point(mu, SHARD_GATES, params, np.random.SeedSequence(8))
-        assert len(weak) == len(sizes) == 1 and weak[0] > 0
-        assert sizes[0] <= 3 * weak[0] + 5
+        assert len(skeletons) == len(weak) == len(sizes) == 1
+        (sk,) = skeletons
+        weak_gates = SHARD_GATES - sk.empty - sk.railed
+        assert weak == [sk.explicit] and 0 < sk.explicit < weak_gates / 10
+        assert sizes[0] <= 2 * sk.explicit + 4 + harness._sd_readout(params).fixed.size
+        assert sizes[0] <= 3 * weak_gates + 5
 
     def test_memory_bounded_by_one_shard(self, params, least_peak):
         def peak(gates):
             return least_peak(lambda: run_sweep(sd_spec(0.1, gates), params))
 
         assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
-
-    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.41, 1.0])
-    def test_exception_positions_are_bernoulli(self, p):
-        """Sorted distinct positions inside the shard, each trial a success
-        with probability p: a Binomial(n, p) count, split evenly between
-        the two halves of the shard."""
-        import bncsim.harness as harness
-
-        n = 200_000
-        pos = harness._bernoulli_positions(n, p, np.random.default_rng(31))
-        assert (np.diff(pos) > 0).all() and (pos >= 0).all() and (pos < n).all()
-        for lo, size in ((0, n), (0, n // 2), (n // 2, n // 2)):
-            count = np.count_nonzero((pos >= lo) & (pos < lo + size))
-            assert abs(count - size * p) <= 5.0 * math.sqrt(size * p * (1.0 - p))
-
-    def test_exception_gaps_run_past_one_batch(self):
-        # gaps of one trial fill a batch long before the shard ends; the
-        # batches chain, and every trial is then a position
-        import bncsim.harness as harness
-
-        class UnitGaps:
-            def standard_exponential(self, size):
-                return np.zeros(size)
-
-        assert harness._bernoulli_positions(100, 1e-9, UnitGaps()).tolist() == list(range(100))
 
     @pytest.mark.parametrize("mu", [0.1, 500.0])
     def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
