@@ -339,9 +339,27 @@ def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
     return int(kept1.sum() + kept2.sum()), int(np.where(bit, kept1, kept2).sum())
 
 
-#: Gates per shard of :func:`_run_sharded`.  Results depend on it (each
-#: shard owns a generator), so sweeps record it.
+#: Fewest gates per shard of :func:`_run_sharded`.  A point of at most
+#: this many gates runs as one shard on shard 0's seed.
 SHARD_GATES = 1_000_000
+
+#: Expected per-gate entries (:func:`gate_work`) of one shard.  A shard's
+#: memory and time grow with them, not with its gates.  At the high-rail
+#: point (t_strong = 3, t_diff = 1, other parameters default), where weak
+#: avalanches are common, a gate holds up to 0.19 weak-weak gates in
+#: ``attack_cm`` (at mu = 37), 0.39 in ``blinding_only`` and 0.62 weak
+#: gates on the self-differencing APD (at mu = 18): 190k to 620k entries
+#: in a ``SHARD_GATES`` shard.  2**16 stays below all of them, so no
+#: shard holds more entries than a 1M-gate shard there.
+SHARD_WORK = 2**16
+
+#: Most gates per shard.  numpy's ``hypergeometric`` and
+#: ``multivariate_hypergeometric``, which draw a self-differencing shard's
+#: skeleton, need every population below 1e9.  At 2**29 gates a photon
+#: histogram's total (counts times signal counts below 2**22, the largest
+#: P(k) table plus its window) stays below 2**51, inside int64, and the
+#: float64 weighted ``bincount`` of :func:`count_events` stays exact.
+SHARD_GATES_MAX = 2**29
 
 #: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
@@ -710,14 +728,57 @@ def simulate_block(
     return tally
 
 
+def gate_work(
+    mu: float, params: DetectorParams, scenario: Optional[Scenario], detector: DetectorKind
+) -> float:
+    """Expected per-gate entries a gate adds to its shard at flux ``mu``.
+
+    A balanced block draws an amplitude per arm, and reads a row, only
+    for its weak-weak gates: the sum over the scenario's
+    :func:`arm_groups` of weight x P(WEAK) arm 1 x P(WEAK) arm 2.  A
+    self-differencing shard's skeleton joins its weak gates among their
+    slots (``rng.choice``, O(weak gates)): P(WEAK) at mu*qe.  The two-APD
+    pair draws no per-gate array: 0.  Neither of those two reads the
+    scenario, so ``scenario`` may be None there.
+    """
+    if detector is DetectorKind.BASELINE_TWO_APD:
+        return 0.0
+    if detector is DetectorKind.SELF_DIFFERENCING:
+        return float(arm_law(mu * params.qe, params.dcp_apd1, params).state[WEAK])
+    groups = arm_groups(scenario)
+    work = 0.0
+    for delta, weight in zip(groups.delta.tolist(), groups.weight.tolist()):
+        lam1, lam2 = arm_means(mu, params.qe, delta)
+        weak1 = arm_law(lam1, params.dcp_apd1, params).state[WEAK]
+        weak2 = arm_law(lam2, params.dcp_apd2, params).state[WEAK]
+        work += weight * weak1 * weak2
+    return work
+
+
+def shard_size(
+    mu: float, params: DetectorParams, scenario: Optional[Scenario], detector: DetectorKind
+) -> int:
+    """Gates per shard of a point: :data:`SHARD_WORK` over its
+    :func:`gate_work`, within :data:`SHARD_GATES` and
+    :data:`SHARD_GATES_MAX`.
+
+    It reads only (flux, parameters, scenario, detector), so a point's
+    result still depends only on (seed, flux, configuration).
+    """
+    work = gate_work(mu, params, scenario, detector)
+    size = SHARD_WORK / work if work * SHARD_GATES_MAX > SHARD_WORK else SHARD_GATES_MAX
+    return min(max(int(size), SHARD_GATES), SHARD_GATES_MAX)
+
+
 def _run_sharded(
     n_gates: int,
+    shard_gates: int,
     seed_seq: np.random.SeedSequence,
     block: Callable[[int, np.random.Generator], GateTally],
 ) -> GateTally:
-    """Run ``block(gates, rng)`` over shards of :data:`SHARD_GATES`
-    gates, the last one taking the remainder, in order, and merge the
-    counters with ``+``.
+    """Run ``block(gates, rng)`` over shards of ``shard_gates`` gates, the
+    last one taking the remainder, in order, and merge the counters with
+    ``+``.
 
     Shard ``i`` draws from the child ``seed_seq.spawn`` would give first
     (spawn key extended by ``i``), derived without spawning so that
@@ -730,8 +791,8 @@ def _run_sharded(
     Memory is bounded by one shard.
     """
     total = GateTally()
-    for i in range(-(-n_gates // SHARD_GATES)):
-        size = min(SHARD_GATES, n_gates - i * SHARD_GATES)
+    for i in range(-(-n_gates // shard_gates)):
+        size = min(shard_gates, n_gates - i * shard_gates)
         child = np.random.SeedSequence(
             seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i), pool_size=seed_seq.pool_size
         )
@@ -743,10 +804,11 @@ def _run_sharded(
 def run_attack(
     config: AttackConfig, params: DetectorParams, seed_seq: np.random.SeedSequence
 ) -> GateTally:
-    """Run the gate pipeline in shards of :func:`simulate_block`."""
+    """Run the gate pipeline in :func:`shard_size` shards of :func:`simulate_block`."""
     check_flux(config.resend_mu, params)
     return _run_sharded(
         config.n_pulses,
+        shard_size(config.resend_mu, params, config.scenario, config.detector),
         seed_seq,
         lambda n, rng: simulate_block(replace(config, n_pulses=n), params, rng),
     )
@@ -766,7 +828,7 @@ def run_fixed(
     one flux, count the clicks.  The pinned difference gives each arm a
     fixed share w of the pulse, so every gate draws its arms as
     Poisson(mu*qe*w): the gate kernel (:func:`detect_pair`) at those
-    means, in shards.  No gate is sifted or case C.
+    means, in :func:`shard_size` shards.  No gate is sifted or case C.
     """
     n_gates = check_int(n_gates, "n_gates")
     if n_gates < 1:
@@ -776,6 +838,7 @@ def run_fixed(
     lam1, lam2 = arm_means(mu, params.qe, send_phase.minus(bob_phase).value)
     return _run_sharded(
         n_gates,
+        shard_size(mu, params, None, DetectorKind.BASELINE_TWO_APD),
         seed_seq,
         lambda n, rng: detect_pair(lam1, lam2, n, DetectorKind.BASELINE_TWO_APD, params, rng),
     )

@@ -33,7 +33,6 @@ from .analytics import (
     oracle_cm_success,
 )
 from .attack import (
-    SHARD_GATES,
     AttackConfig,
     DetectorKind,
     GateTally,
@@ -51,6 +50,7 @@ from .attack import (
     check_real,
     count_events,
     run_attack,
+    shard_size,
 )
 from .errors import ConfigError, MissingFluxPoint
 from .selfdiff import sd_event_codes
@@ -469,8 +469,9 @@ def _run_sd_point(
     call per shard codes the weighted walks of :func:`_sd_walks`.  Each
     shard starts the delay register from the previous shard's last gate
     level, so the event stream is the one a single block would give.  The
-    events count like the balanced monitor's: rises as ``click1``,
-    delayed falls as ``click2``.
+    shards are :func:`~bncsim.attack.shard_size` gates long.  The events
+    count like the balanced monitor's: rises as ``click1``, delayed falls
+    as ``click2``.
     """
     law = arm_law(mu * params.qe, params.dcp_apd1, params)
     p_empty, p_weak, p_railed = law.state.tolist()
@@ -493,7 +494,8 @@ def _run_sd_point(
         tally = GateTally(gates=n, pe1=photons, fired1=n - sk.empty)
         return count_events(tally, sd_event_codes(stream, params), weights=weights)
 
-    return _run_sharded(n_gates, seed_seq, block)
+    shard = shard_size(mu, params, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
+    return _run_sharded(n_gates, shard, seed_seq, block)
 
 
 def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
@@ -568,10 +570,13 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
     """Write the data table and its manifest; returns the data path.
 
     The manifest records the table's SHA-256, so the two are checked as
-    one unit when the table is read back.  Each file replaces any earlier
-    one atomically.
+    one unit when the table is read back, and each point's
+    :func:`~bncsim.attack.shard_size`, in flux order.  Each file replaces
+    any earlier one atomically.
     """
     path = Path(path)
+    spec, params = report.spec, report.params
+    shards = [shard_size(mu, params, spec.scenario, spec.detector) for mu in spec.flux_grid]
     table = report_to_csv(report)
     _replace_file(path, table)
     digest = hashlib.sha256(
@@ -587,7 +592,7 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
         f"scenario={report.spec.scenario.value}",
         f"detector={report.spec.detector.value}",
         f"gates={report.spec.n_gates_per_point}",
-        f"shard_gates={SHARD_GATES}",
+        "shard_gates=" + ",".join(str(shard) for shard in shards),
         "flux=" + ",".join(_fmt(x) for x in report.spec.flux_grid),
     ]
     _replace_file(_manifest_path(path), "\n".join(manifest) + "\n")

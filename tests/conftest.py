@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from bncsim import attack
 from bncsim.signal_model import DetectorParams
 
 settings.register_profile("default", deadline=None)
@@ -42,3 +43,15 @@ def least_peak():
         return min(peaks)
 
     return measure
+
+
+@pytest.fixture
+def fixed_shards(monkeypatch):
+    """Pin every point's :func:`~bncsim.attack.shard_size` to ``n`` gates,
+    by setting the rule's floor and cap both to ``n``."""
+
+    def fix(n):
+        monkeypatch.setattr(attack, "SHARD_GATES", n)
+        monkeypatch.setattr(attack, "SHARD_GATES_MAX", n)
+
+    return fix

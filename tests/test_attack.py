@@ -15,6 +15,8 @@ from bncsim.attack import (
     CASE_C_MU,
     ARM_WEIGHTS,
     SHARD_GATES,
+    SHARD_GATES_MAX,
+    SHARD_WORK,
     AttackConfig,
     CaseLabel,
     DetectorKind,
@@ -39,6 +41,7 @@ from bncsim.signal_model import (
     RECEIVER_PHASES,
     DetectorParams,
     PhaseSymbol,
+    WEAK_TABLE_MAX,
     below_probabilities,
     weak_probabilities,
 )
@@ -261,8 +264,8 @@ class TestRunAttack:
             for column in REPORT_COLUMNS:
                 assert row_off[column] == ("nan" if column in monitor else row_on[column])
 
-    def test_sharding_is_grouping_invariant(self, params, monkeypatch):
-        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
+    def test_sharding_is_grouping_invariant(self, params, fixed_shards):
+        fixed_shards(10_000)
         cfg = AttackConfig(n_pulses=80_000, resend_mu=1.0)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
         # the sweep engine and the fixed-phase runner share one shard loop
@@ -271,7 +274,7 @@ class TestRunAttack:
             fixed_shard(*pinned, params),
         )
         for block in blocks:
-            whole = _run_sharded(80_000, seed_seq(7), block)
+            whole = _run_sharded(80_000, 10_000, seed_seq(7), block)
             # same shards, different grouping: pairwise merge of partial sums
             children = seed_seq(7).spawn(8)
             partial = [block(10_000, np.random.Generator(np.random.PCG64(c))) for c in children]
@@ -279,17 +282,19 @@ class TestRunAttack:
                 groups = [partial[i::k] for i in range(k)]
                 merged = sum((sum(g[1:], g[0]) for g in groups if g), partial[0].__class__())
                 assert merged == whole
-        assert run_attack(cfg, params, seed_seq(7)) == _run_sharded(80_000, seed_seq(7), blocks[0])
+        assert run_attack(cfg, params, seed_seq(7)) == _run_sharded(
+            80_000, 10_000, seed_seq(7), blocks[0]
+        )
         assert run_fixed(*pinned, 80_000, params, seed_seq(7)) == _run_sharded(
-            80_000, seed_seq(7), blocks[1]
+            80_000, 10_000, seed_seq(7), blocks[1]
         )
 
-    def test_seed_sequence_reuse_repeats_the_run(self, params, monkeypatch):
-        monkeypatch.setattr(attack, "SHARD_GATES", 5_000)
+    def test_seed_sequence_reuse_repeats_the_run(self, params, fixed_shards):
+        fixed_shards(5_000)
         cfg = AttackConfig(n_pulses=20_000, resend_mu=1.0)
         seq = seed_seq(15)
         block = lambda n, rng: simulate_block(replace(cfg, n_pulses=n), params, rng)  # noqa: E731
-        assert _run_sharded(20_000, seq, block) == _run_sharded(20_000, seq, block)
+        assert _run_sharded(20_000, 5_000, seq, block) == _run_sharded(20_000, 5_000, seq, block)
         assert run_attack(cfg, params, seq) == run_attack(cfg, params, seq)
         pinned = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, 1.0)
         assert run_fixed(*pinned, 20_000, params, seq) == run_fixed(*pinned, 20_000, params, seq)
@@ -490,7 +495,7 @@ class TestRunFixed:
         n = 2_000_000
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 500.0)
         stats = _run_sharded(
-            n, seed_seq(8), fixed_shard(*pinned, params, DetectorKind.BALANCED_BNC)
+            n, SHARD_GATES, seed_seq(8), fixed_shard(*pinned, params, DetectorKind.BALANCED_BNC)
         )
         expected = n * params.dcp_apd2 * 0.9  # strong dark avalanches
         assert abs(stats.blind - expected) < 5 * math.sqrt(expected)
@@ -502,8 +507,7 @@ class TestRunFixed:
         singles = stats.click1 + stats.click2
         assert abs(stats.click1 / singles - 0.5) < 0.01
 
-    def test_last_shard_takes_the_remainder(self, params, monkeypatch):
-        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
+    def test_last_shard_takes_the_remainder(self, params):
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 1.0)
         shard, sizes = fixed_shard(*pinned, params), []
 
@@ -511,14 +515,15 @@ class TestRunFixed:
             sizes.append(n)
             return shard(n, rng)
 
-        stats = _run_sharded(25_000, seed_seq(13), block)
+        stats = _run_sharded(25_000, 10_000, seed_seq(13), block)
         assert sizes == [10_000, 10_000, 5_000]
         assert stats.gates == 25_000
         assert stats.click1 + stats.click2 + stats.no_click == 25_000
 
     def test_allocation_bounded_by_one_shard(self, params, least_peak):
-        """A case-C run of CASE_C_GATES allocates about one shard's arrays,
-        and less than a float per gate of one shard."""
+        """A case-C run of CASE_C_GATES, one shard of the two-APD pair,
+        allocates about what a SHARD_GATES run does, and less than a float
+        per gate of it: the pair draws no per-gate array."""
         split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, CASE_C_MU)
 
         def peak(n_gates):
@@ -528,6 +533,119 @@ class TestRunFixed:
         many = peak(CASE_C_GATES)
         assert many < 1.25 * peak(SHARD_GATES)
         assert many < 8 * SHARD_GATES
+
+
+class TestShardSize:
+    """The shard rule: :data:`SHARD_WORK` expected per-gate entries per
+    shard, within :data:`SHARD_GATES` and :data:`SHARD_GATES_MAX`."""
+
+    FLUX = (0.0, 0.1, 1.0, 10.0, 18.0, 37.0, 100.0, 500.0, 1e4, 1e12)
+    SETTINGS = (
+        (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM),
+        (DetectorKind.BALANCED_BNC, Scenario.HONEST),
+        (DetectorKind.BALANCED_BNC, Scenario.BLINDING_ONLY),
+        (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY),
+        (DetectorKind.BASELINE_TWO_APD, Scenario.ATTACK_NO_CM),
+    )
+
+    def test_within_floor_and_cap(self, params):
+        """Where neither bound binds a shard expects SHARD_WORK entries, to
+        within one gate's; the floor keeps heavier points at SHARD_GATES,
+        and points without weak gates, or without per-gate arrays, take
+        the cap."""
+        dark_free = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
+        for p in (params, replace(params, **HIGH_RAIL), dark_free):
+            for detector, scenario in self.SETTINGS:
+                for mu in self.FLUX:
+                    size = attack.shard_size(mu, p, scenario, detector)
+                    work = attack.gate_work(mu, p, scenario, detector)
+                    assert SHARD_GATES <= size <= SHARD_GATES_MAX
+                    if work == 0.0:
+                        assert size == SHARD_GATES_MAX
+                    elif SHARD_GATES < size < SHARD_GATES_MAX:
+                        assert SHARD_WORK - work < size * work <= SHARD_WORK
+                    elif size == SHARD_GATES:
+                        assert size * work >= SHARD_WORK - work
+                    else:
+                        assert size * work <= SHARD_WORK
+        balanced, two_apd = DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD
+        assert attack.gate_work(0.0, dark_free, Scenario.ATTACK_CM, balanced) == 0.0
+        assert attack.shard_size(1.0, params, None, two_apd) == SHARD_GATES_MAX
+
+    def test_shard_work_below_a_high_rail_shard(self, params):
+        """No shard expects more entries than a SHARD_GATES shard of the
+        high-rail point at its heaviest flux, on any receiver or scenario
+        with per-gate arrays, so no point's memory grows with its gates."""
+        high_rail = replace(params, **HIGH_RAIL)
+        grid = np.geomspace(1.0, 1000.0, 61)
+        for detector, scenario in self.SETTINGS[:4]:
+            heaviest = max(attack.gate_work(mu, high_rail, scenario, detector) for mu in grid)
+            assert SHARD_WORK <= SHARD_GATES * heaviest, (detector, scenario)
+
+    def test_cap_keeps_every_draw_exact(self):
+        """numpy's hypergeometric draws need populations below 1e9; a
+        photon histogram's total, the cap times signal counts below 2**22,
+        must fit int64; the weighted event counts must be exact in float64."""
+        # an arm law's window ends 2 * (12 sqrt(lam) + 24) past the P(k) table
+        assert WEAK_TABLE_MAX + 2 * (12.0 * math.sqrt(2.0 * WEAK_TABLE_MAX) + 24.0) < 2**22
+        assert SHARD_GATES_MAX < 10**9 and SHARD_GATES_MAX * 2**22 < 2**63
+        assert SHARD_GATES_MAX < 2**53
+
+    @pytest.mark.parametrize(
+        "detector,scenario,mu",
+        [
+            (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, 500.0),
+            (DetectorKind.BASELINE_TWO_APD, Scenario.ATTACK_NO_CM, 0.1),
+            (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, 100.0),
+        ],
+    )
+    def test_point_at_the_cap_runs(self, params, detector, scenario, mu):
+        """A SHARD_GATES_MAX-gate shard draws and counts every gate.  At
+        mu = 100 the self-differencing skeleton's hypergeometric
+        populations are nearly the whole shard."""
+        assert attack.shard_size(mu, params, scenario, detector) == SHARD_GATES_MAX
+        spec = SweepSpec((mu,), SHARD_GATES_MAX, scenario, detector, seed=3)
+        row = run_sweep(spec, params).rows[0]
+        assert row.gates == SHARD_GATES_MAX
+        assert 0.0 < row.apd1_rate < params.f_gate
+
+    def test_point_of_at_most_shard_gates_is_one_shard(self, params):
+        """Up to SHARD_GATES gates a point is one block on the first child
+        of its seed, whatever its shard size; so is a table-1 case-C row
+        (CASE_C_GATES on the two-APD pair, whose shards take the cap)."""
+        child = seed_seq(3).spawn(1)[0]
+        high_rail = replace(params, **HIGH_RAIL)
+        points = ((params, 0.1, SHARD_GATES), (high_rail, 30.0, SHARD_GATES), (params, 10.0, 999))
+        for p, mu, n in points:
+            cfg = AttackConfig(n_pulses=n, resend_mu=mu)
+            rng = np.random.Generator(np.random.PCG64(child))
+            assert run_attack(cfg, p, seed_seq(3)) == simulate_block(cfg, p, rng)
+        mu, n = CASE_C_MU, CASE_C_GATES
+        assert SHARD_GATES < n < attack.shard_size(mu, params, None, DetectorKind.BASELINE_TWO_APD)
+        split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO)
+        rng = np.random.Generator(np.random.PCG64(child))
+        one_block = fixed_shard(*split, mu, params)(n, rng)
+        assert run_fixed(*split, mu, n, params, seed_seq(3)) == one_block
+
+    def test_high_rail_point_memory_bounded_by_one_shard(self, params, monkeypatch, least_peak):
+        """A many-shard point where weak-weak gates are common allocates at
+        most a quarter more than one shard.  The rule's constants are
+        scaled down a hundredfold, which keeps the SHARD_GATES floor
+        binding at the high-rail mu = 30 point (0.19 weak-weak gates per
+        gate), so twenty shards stand in for a 1e8-gate point."""
+        monkeypatch.setattr(attack, "SHARD_GATES", SHARD_GATES // 100)
+        monkeypatch.setattr(attack, "SHARD_WORK", SHARD_WORK // 100)
+        high_rail = replace(params, **HIGH_RAIL)
+        shard = attack.shard_size(30.0, high_rail, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
+        assert shard == SHARD_GATES // 100
+
+        def peak(gates):
+            cfg = AttackConfig(n_pulses=gates, resend_mu=30.0)
+            return least_peak(lambda: run_attack(cfg, high_rail, seed_seq(16)))
+
+        one = peak(shard)
+        assert one > 100_000  # the shard's weak-weak rows, not numpy's temporaries
+        assert peak(20 * shard) <= 1.25 * one
 
 
 class TestCaseRowOracle:

@@ -9,6 +9,7 @@ a refactor that would break ``bench/run.py --trace 1`` fails here first.
 
 import ast
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,10 @@ def test_benchmark_settings_are_accepted():
 
 
 def test_sd_event_codes_called_once_per_shard(params, monkeypatch):
+    """One call per shard of the point's shard size: the rare weak gates
+    of mu = 0.1 make the whole point one shard, the common ones of the
+    default mu = 10 point two, and those of the high-rail mu = 10 point
+    keep the SHARD_GATES floor."""
     calls = []
     original = harness.sd_event_codes
 
@@ -145,15 +150,20 @@ def test_sd_event_codes_called_once_per_shard(params, monkeypatch):
         return original(amps, *args)
 
     monkeypatch.setattr(harness, "sd_event_codes", spy)
-    spec = SweepSpec(
-        flux_grid=(0.1,),
-        n_gates_per_point=SHARD_GATES * 5 // 2,
-        scenario=Scenario.BLINDING_ONLY,
-        detector=DetectorKind.SELF_DIFFERENCING,
-    )
-    run_sweep(spec, params)
-    # one call per shard, each on that shard's compressed stream
-    assert len(calls) == 3
+    high_rail = replace(params, t_strong=3.0, t_diff=1.0)
+    for mu, p, shards in ((0.1, params, 1), (10.0, params, 2), (10.0, high_rail, 3)):
+        spec = SweepSpec(
+            flux_grid=(mu,),
+            n_gates_per_point=SHARD_GATES * 5 // 2,
+            scenario=Scenario.BLINDING_ONLY,
+            detector=DetectorKind.SELF_DIFFERENCING,
+        )
+        size = attack.shard_size(mu, p, spec.scenario, spec.detector)
+        assert -(-spec.n_gates_per_point // size) == shards
+        calls.clear()
+        run_sweep(spec, p)
+        # one call per shard, each on that shard's compressed stream
+        assert len(calls) == shards
 
 
 def test_sift_counts_called_once_per_block(params, monkeypatch):

@@ -16,15 +16,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import bncsim
+import bncsim.attack as attack
 from bncsim.attack import (
     ARM_WEIGHTS,
     POISSON_LAM_MAX,
     SHARD_GATES,
+    SHARD_GATES_MAX,
     DetectorKind,
     GateTally,
     Scenario,
     arm_law,
     protocol_classes,
+    shard_size,
 )
 from bncsim.balanced import GateEvent
 from bncsim.cli import main
@@ -201,20 +204,40 @@ class TestDeterminism:
         m2 = (tmp_path / "b.csv.manifest").read_text()
         assert m1 == m2
 
-    def test_point_independent_of_grid(self, params):
-        def mu1_line(grid):
-            report = run_sweep(small_spec(flux_grid=grid), params)
-            lines = report_to_csv(report).splitlines()
-            return lines[1 + grid.index(1.0)]
+    def test_point_independent_of_grid(self, params, monkeypatch):
+        """A point's row, shards included, is the same on any grid.  The
+        rule's constants are scaled down so that the points' shard sizes
+        differ and some point spans several shards."""
+        monkeypatch.setattr(attack, "SHARD_GATES", 5_000)
+        for detector, scenario, work in (
+            (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, 2.0),
+            (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, 200.0),
+        ):
+            monkeypatch.setattr(attack, "SHARD_WORK", work)
+            shards = [shard_size(mu, params, scenario, detector) for mu in (1.0, 10.0)]
+            assert shards[0] > shards[1] and 20_000 > 2 * shards[1]
 
-        line = mu1_line((1.0, 10.0))
-        assert line.startswith("1,")
-        assert line == mu1_line((0.5, 1.0, 10.0))
+            def row_lines(grid):
+                spec = small_spec(
+                    flux_grid=grid, n_gates_per_point=20_000, detector=detector, scenario=scenario
+                )
+                lines = report_to_csv(run_sweep(spec, params)).splitlines()
+                return [lines[1 + grid.index(mu)] for mu in (1.0, 10.0)]
+
+            lines = row_lines((1.0, 10.0))
+            assert lines[0].startswith("1,") and lines[1].startswith("10,")
+            assert lines == row_lines((0.5, 1.0, 10.0, 30.0))
 
     def test_manifest_records_shard_size(self, params, tmp_path):
-        emit_report(run_sweep(small_spec(), params), tmp_path / "r.csv")
+        """One shard size per point, in flux order: the balanced pair's
+        weak-weak gates peak near mu = 20 and vanish at high flux."""
+        grid = (0.1, 10.0, 30.0, 500.0)
+        emit_report(run_sweep(small_spec(flux_grid=grid), params), tmp_path / "r.csv")
         manifest = (tmp_path / "r.csv.manifest").read_text().splitlines()
-        assert f"shard_gates={SHARD_GATES}" in manifest
+        setting = Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC
+        sizes = [shard_size(mu, params, *setting) for mu in grid]
+        assert f"shard_gates={','.join(map(str, sizes))}" in manifest
+        assert sizes[0] > sizes[1] > SHARD_GATES and sizes[1] < sizes[3] == SHARD_GATES_MAX
 
     def test_seed_changes_data(self, params):
         r1 = run_sweep(small_spec(seed=1), params)
@@ -478,13 +501,12 @@ def sd_outcomes(tally):
 
 
 class TestSelfDifferencingShards:
-    def test_register_carried_across_shards(self, params, monkeypatch):
+    def test_register_carried_across_shards(self, params, monkeypatch, fixed_shards):
         """Each shard's stream starts from the level the previous shard
         ended on: the last tail amplitude when it ended weak, else its
         last non-weak level.  At mu = 500 every gate rails, and a bright
         train cancels gate against gate: the only rise is the first
         gate's, none at a shard boundary."""
-        import bncsim.attack as attack
         import bncsim.harness as harness
 
         shards, streams = [], []
@@ -508,6 +530,7 @@ class TestSelfDifferencingShards:
         monkeypatch.setattr(harness, "_sd_skeleton", spy_skeleton)
         monkeypatch.setattr(harness, "_weak_gates", spy_weak)
         monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
+        fixed_shards(SHARD_GATES)
         gates = SHARD_GATES * 5 // 2
         tally = harness._run_sd_point(500.0, gates, params, np.random.SeedSequence(5))
         assert [lead for lead, _ in streams] == [0.0, params.t_strong, params.t_strong]
@@ -518,7 +541,7 @@ class TestSelfDifferencingShards:
 
         shards.clear(), streams.clear()
         high_rail = replace(params, **SD_HIGH_RAIL)
-        monkeypatch.setattr(attack, "SHARD_GATES", 4)
+        fixed_shards(4)
         harness._run_sd_point(20.0, 400, high_rail, np.random.SeedSequence(5))
         ends = [
             amps[-1] if sk.tail or not sk.empty + sk.railed else sk.last * high_rail.t_strong
@@ -647,16 +670,15 @@ class TestSelfDifferencingShards:
             assert abs(drawn[key] - draws * prob) <= 5.0 * math.sqrt(draws * prob * (1.0 - prob)), key
 
     @pytest.mark.parametrize("shard,sizes", [(None, range(1, 10)), (3, range(4, 10))])
-    def test_point_matches_dense_reference(self, params, monkeypatch, shard, sizes):
+    def test_point_matches_dense_reference(self, params, fixed_shards, shard, sizes):
         """(n, click1, click2, blind, fired1) of points of n gates has the
         joint law of the same gates drawn and read one by one
         (:func:`reference.sd_point_dense`), in one shard and across
         ``shard``-gate shards, where the register carries the stream."""
-        import bncsim.attack as attack
         import bncsim.harness as harness
 
         if shard:
-            monkeypatch.setattr(attack, "SHARD_GATES", shard)
+            fixed_shards(shard)
         hr = replace(params, **SD_HIGH_RAIL)
         mu, draws, rng = 20.0, 200, np.random.default_rng(shard or 0)
         args = mu * hr.qe, hr.dcp_apd1, hr.gain_mean, hr.t_strong, hr.t_diff, rng
@@ -669,14 +691,13 @@ class TestSelfDifferencingShards:
         assert_same_law(drawn, dense)
 
     @pytest.mark.parametrize("mu", [5.0, 20.0])
-    def test_point_counters_match_dense_reference(self, params, monkeypatch, mu):
+    def test_point_counters_match_dense_reference(self, params, fixed_shards, mu):
         """Each counter of 100k-gate points in 10k-gate shards agrees with
         :func:`reference.sd_point_dense` within 5 sigma (Welch, 20 points
         a side), where every gate state is common."""
-        import bncsim.attack as attack
         import bncsim.harness as harness
 
-        monkeypatch.setattr(attack, "SHARD_GATES", 10_000)
+        fixed_shards(10_000)
         hr = replace(params, **SD_HIGH_RAIL)
         n, points, rng = 100_000, 20, np.random.default_rng(int(mu))
         args = mu * hr.qe, hr.dcp_apd1, hr.gain_mean, hr.t_strong, hr.t_diff, rng
@@ -752,11 +773,36 @@ class TestSelfDifferencingShards:
         assert sizes[0] <= 2 * sk.explicit + 4 + harness._sd_readout(params).fixed.size
         assert sizes[0] <= 3 * weak_gates + 5
 
-    def test_memory_bounded_by_one_shard(self, params, least_peak):
-        def peak(gates):
-            return least_peak(lambda: run_sweep(sd_spec(0.1, gates), params))
+    def test_memory_bounded_by_one_shard(self, params, monkeypatch, least_peak):
+        """A point of three shards allocates at most a quarter more than
+        one.  At the high-rail mu = 10 point half the gates are weak, so a
+        shard's arrays are megabytes, far above numpy's constant-size
+        temporaries.  The rule's constants are scaled down tenfold, which
+        keeps the SHARD_GATES floor binding there."""
+        monkeypatch.setattr(attack, "SHARD_GATES", SHARD_GATES // 10)
+        monkeypatch.setattr(attack, "SHARD_WORK", attack.SHARD_WORK // 10)
+        high_rail = replace(params, **SD_HIGH_RAIL)
+        shard = shard_size(10.0, high_rail, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
+        assert shard == SHARD_GATES // 10
 
-        assert peak(3 * SHARD_GATES) <= 1.25 * peak(SHARD_GATES)
+        def peak(gates):
+            return least_peak(lambda: run_sweep(sd_spec(10.0, gates), high_rail))
+
+        one = peak(shard)
+        assert one > 1_000_000
+        assert peak(3 * shard) <= 1.25 * one
+
+    @pytest.mark.parametrize("rail,mu", [({}, 0.1), (SD_HIGH_RAIL, 10.0)])
+    def test_point_of_at_most_shard_gates_is_one_shard(self, params, fixed_shards, rail, mu):
+        """Up to SHARD_GATES gates a point is one shard on the first child
+        of its seed, at a point whose shard is far larger and at one where
+        the floor binds."""
+        import bncsim.harness as harness
+
+        p = replace(params, **rail)
+        by_rule = harness._run_sd_point(mu, SHARD_GATES, p, np.random.SeedSequence(4))
+        fixed_shards(SHARD_GATES)
+        assert by_rule == harness._run_sd_point(mu, SHARD_GATES, p, np.random.SeedSequence(4))
 
     @pytest.mark.parametrize("mu", [0.1, 500.0])
     def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
