@@ -18,9 +18,12 @@ independently of the other arm, and a gate's readout is fixed by that
 pair of states unless an arm is weak; with one weak arm it is fixed by
 the side of one threshold its amplitude falls on.  The kernel therefore
 draws the law's counts of the nine (arm 1, arm 2) state cells, splits
-each one-weak cell's count by side, and reads out one weighted row per
-cell or side plus one row per gate with two weak arms: a block costs
-O(arm laws + classes + weak-weak gates), not O(gates).  Shard results
+each one-weak cell's count by side, and counts one weighted word per
+cell or side plus one word per gate with two weak arms.  The words of
+the cells and sides depend only on the parameters, so their readout
+rows are read once per parameter set; a kernel call reads only its
+gates with two weak arms.  A block costs O(arm laws + classes +
+weak-weak gates), not O(gates).  Shard results
 merge by plain field-wise addition, making the aggregate independent of
 how shards are grouped over workers.
 """
@@ -405,7 +408,8 @@ class ArmLaw(NamedTuple):
     are cached and shared.
     """
 
-    lam: float
+    lam: float  # the law's mean
+    dcp: float  # and dark probability
     state: np.ndarray  # P(EMPTY), P(WEAK), P(RAILED)
     k: np.ndarray  # the window's signal counts
     weak: np.ndarray  # P(d, k, WEAK), row d = 0, 1, over the window
@@ -413,29 +417,49 @@ class ArmLaw(NamedTuple):
     dk: np.ndarray  # P(d, k), row d = 0, 1, over the window, any state
 
 
+def _window(lam: float) -> tuple[int, int]:
+    """First and last signal count of an :class:`ArmLaw`'s window at mean ``lam``."""
+    spread = 12.0 * math.sqrt(lam) + 24.0
+    return max(0, math.floor(lam - spread)), math.ceil(lam + spread)
+
+
+@functools.lru_cache(maxsize=128)
+def _poisson_window(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The counts k of a :func:`_window` and their Poisson(lam) pmf,
+    read-only and shared by the laws of both dark probabilities."""
+    lo, hi = _window(lam)
+    k = np.arange(lo, hi + 1)
+    poisson = np.exp(poisson_log_pmf(k, lam))
+    k.flags.writeable = poisson.flags.writeable = False
+    return k, poisson
+
+
+#: The dark ignitions d of an arm's (d, k) rows.
+_DARK = np.arange(2)[:, None]
+
+
 @functools.lru_cache(maxsize=256)
 def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
     """The :class:`ArmLaw` of an arm at mean ``lam`` and dark probability ``dcp``."""
-    spread = 12.0 * math.sqrt(lam) + 24.0
-    lo, hi = max(0, math.floor(lam - spread)), math.ceil(lam + spread)
+    lo = _window(lam)[0]
     p = weak_probabilities(params)
     if lo >= p.size - 1:
         rails = np.array([0.0, 0.0, 1.0])
         no_window = np.zeros((2, 0))
-        law = ArmLaw(lam, rails, np.zeros(0, np.int64), no_window, np.zeros(0), no_window)
+        law = ArmLaw(lam, dcp, rails, np.zeros(0, np.int64), no_window, np.zeros(0), no_window)
     else:
-        k = np.arange(lo, hi + 1)
-        poisson = np.exp(poisson_log_pmf(k, lam))
-        # read P at min(k, len - 1); k = 0 without a dark ignition is empty, not weak
-        p_k, p_dark = p.take(k, mode="clip"), p.take(k + 1, mode="clip")
-        no_dark, dark = (1.0 - dcp) * poisson, dcp * poisson
-        weak = np.stack([np.where(k > 0, no_dark * p_k, 0.0), dark * p_dark])
-        railed = no_dark * (1.0 - p_k) + dark * (1.0 - p_dark)
-        state = np.array([no_dark[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
+        k, poisson = _poisson_window(lam)
+        dk = np.multiply.outer((1.0 - dcp, dcp), poisson)
+        # read P at min(K, len - 1) for K = k + d
+        p_dk = p.take(k + _DARK, mode="clip")
+        weak = dk * p_dk
+        if lo == 0:
+            weak[0, 0] = 0.0  # no carrier: empty, not weak
+        railed = (dk * (1.0 - p_dk)).sum(0)
+        state = np.array([dk[0, 0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
         total = state.sum()
-        dk = np.stack([no_dark, dark]) / total
-        law = ArmLaw(lam, state / total, k, weak / total, railed / total, dk)
-    for table in law[1:]:
+        law = ArmLaw(lam, dcp, state / total, k, weak / total, railed / total, dk / total)
+    for table in law[2:]:
         table.flags.writeable = False
     return law
 
@@ -460,7 +484,7 @@ def side_law(
     cached and shared.
     """
     law = arm_law(lam, dcp, params)
-    carriers = law.k + np.arange(2)[:, None]
+    carriers = law.k + _DARK
     bins = np.empty((len(thresholds) + 1, *law.weak.shape))
     upper = law.weak
     for i in range(len(thresholds), 0, -1):
@@ -520,18 +544,32 @@ def _weak_amplitudes(
     return np.minimum(params.t_strong * rng.beta(carriers, arrivals - carriers + 1), params.t_strong)
 
 
+@functools.lru_cache(maxsize=256)
+def weak_cdf(lam: float, dcp: float, params: DetectorParams) -> np.ndarray:
+    """CDF of a weak arm's cell over the flattened ``weak`` table of
+    :func:`arm_law`, scaled to end at 1 as ``Generator.choice`` scales
+    its ``p``'s; read-only, since CDFs are cached and shared."""
+    law = arm_law(lam, dcp, params)
+    cdf = (law.weak.ravel() / law.state[WEAK]).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _weak_gates(
     law: ArmLaw, m: int, params: DetectorParams, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Detected signal photons and amplitudes of ``m`` weak arms.
 
     Each arm draws its (d, k) from the weak law, independently of the
-    others, then a Gamma(K) amplitude truncated below the rail
+    others, by inverting :func:`weak_cdf` at a uniform, numpy's algorithm
+    for ``rng.choice`` with the weak law as ``p`` (same variates, same
+    cells), then a Gamma(K) amplitude truncated below the rail
     (:func:`_weak_amplitudes` at u ~ U(0, P[K])).
     """
     if not m:
         return 0, np.zeros(0)
-    cell = rng.choice(law.weak.size, m, p=law.weak.ravel() / law.state[WEAK])
+    cell = weak_cdf(law.lam, law.dcp, params).searchsorted(rng.random(m), side="right")
     d, i = np.divmod(cell, law.k.size)
     k = law.k[i]
     carriers = k + d
@@ -541,18 +579,17 @@ def _weak_gates(
 
 def _weak_sides(
     law: ArmLaw,
-    dcp: float,
     thresholds: tuple[float, ...],
     n: int,
     params: DetectorParams,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray]:
-    """Detected signal photons of ``n`` weak arms of ``law`` (dark
-    probability ``dcp``) and the arms' counts in each bin of
-    ``thresholds``: one multinomial over the arms' :func:`side_law`."""
+    """Detected signal photons of ``n`` weak arms of ``law`` and the arms'
+    counts in each bin of ``thresholds``: one multinomial over the arms'
+    :func:`side_law`."""
     if not n:
         return 0, np.zeros(len(thresholds) + 1, np.int64)
-    law_bins = side_law(law.lam, dcp, params, thresholds)
+    law_bins = side_law(law.lam, law.dcp, params, thresholds)
     counts = rng.multinomial(n, law_bins).reshape(len(thresholds) + 1, 2, -1)
     return int(counts.sum((0, 1)) @ law.k), counts.sum((1, 2))
 
@@ -573,6 +610,46 @@ def arm_levels(
     levels = (state == RAILED) * params.t_strong
     levels[weak] = weak_amp
     return photons + _signal_photons(law, law.railed, railed, rng), levels
+
+
+class PairReadout(NamedTuple):
+    """The balanced readout's 12 fixed rows: the 4 cells without a weak
+    arm in (arm 1, arm 2) state order, then the 2 sides of each cell with
+    one, by weak arm and then by the other arm's state."""
+
+    cuts: tuple[tuple[float], tuple[float]]  # the threshold beside an EMPTY and a RAILED arm
+    codes: np.ndarray  # each row's event code
+    raw_both: np.ndarray  # whether both raw comparators fired
+    cancelled: np.ndarray  # whether both arms fired and the word is no event
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_readout(params: DetectorParams) -> PairReadout:
+    """The :class:`PairReadout` of ``params``, built once per parameter set
+    and returned read-only.
+
+    An EMPTY arm reads 0 and a RAILED one ``t_strong``.  A weak arm
+    beside an empty one clicks at or above t_diff, and beside a railed
+    one it is out-dominated below t_strong - t_diff; each side reads at
+    its :func:`bin_levels` midpoint.  The rows go through
+    :func:`~bncsim.balanced.comparator_arrays` and
+    :func:`~bncsim.balanced.event_codes`, which check every word.
+    """
+    level = {EMPTY: 0.0, RAILED: params.t_strong}
+    cuts = ((params.t_diff,), (params.t_strong - params.t_diff,))
+    rows = [(level[s1], level[s2]) for s1, s2 in itertools.product(level, level)]
+    for arm, (other, cut) in itertools.product((0, 1), zip(level, cuts)):
+        for side in bin_levels(cut, params):
+            rows.append((side, level[other]) if arm == 0 else (level[other], side))
+    level1, level2 = (np.array(column) for column in zip(*rows))
+    a, b, c, d = comparator_arrays(level1, level2, params)
+    codes = event_codes(a, b, c, d)
+    # no level but an empty arm's is 0
+    cancelled = (level1 > 0.0) & (level2 > 0.0) & (codes == GateEvent.NO_EVENT)
+    raw_both = a & b
+    for table in (codes, raw_both, cancelled):
+        table.flags.writeable = False
+    return PairReadout(cuts, codes, raw_both, cancelled)
 
 
 def count_events(
@@ -623,14 +700,16 @@ def detect_pair(
     one threshold the weak amplitude falls, so such a cell draws its
     weak arms' photons and side counts in one multinomial
     (:func:`_weak_sides`).  Only the gates of the WEAK-WEAK cell draw a
-    (d, k) and an amplitude per arm (:func:`_weak_gates`).
-    :func:`~bncsim.balanced.comparator_arrays` reads one row per cell
-    without a weak arm, weighted by the cell's count, one per side of a
-    cell with one weak arm, weighted by the side's count and at a level
-    inside the side, and one per WEAK-WEAK gate.  Its
-    :func:`~bncsim.balanced.event_codes`, which also check every word for
-    reachability, are counted by :func:`count_events`.  The case-C and
-    sifting counters are left to the caller.
+    (d, k) and an amplitude per arm (:func:`_weak_gates`).  The words of
+    the cells without a weak arm and of the sides of the cells with one
+    are read once per parameter set (:func:`_pair_readout`); a call
+    reads only its WEAK-WEAK gates through
+    :func:`~bncsim.balanced.comparator_arrays` and
+    :func:`~bncsim.balanced.event_codes`, which also check every word
+    for reachability, and only when it has any.  :func:`count_events`
+    counts the fixed words, weighted by their cell and side counts, and
+    the call's own, one gate each.  The case-C and sifting counters are
+    left to the caller.
     """
     laws = arm_law(lam1, params.dcp_apd1, params), arm_law(lam2, params.dcp_apd2, params)
     balanced = detector is DetectorKind.BALANCED_BNC
@@ -638,54 +717,48 @@ def detect_pair(
     if not balanced:
         # the two-APD readout needs only EMPTY against fired (WEAK or RAILED)
         states = [np.array([s[EMPTY], 1.0 - s[EMPTY]]) for s in states]
-    cells = rng.multinomial(n, np.outer(*states).ravel()).reshape(len(states[0]), -1)
-    by_arm = cells.sum(1), cells.sum(0)
-    tally = GateTally(gates=n, doubles=int(cells[1:, 1:].sum()))
-    tally.fired1, tally.fired2 = (n - int(count[EMPTY]) for count in by_arm)
+    cells = rng.multinomial(n, np.multiply.outer(*states).ravel()).reshape(len(states[0]), -1)
+    grid = cells.tolist()
+    by_arm = [sum(row) for row in grid], [sum(column) for column in zip(*grid)]
+    tally = GateTally(gates=n, doubles=sum(sum(row[1:]) for row in grid[1:]))
+    tally.fired1, tally.fired2 = (n - count[EMPTY] for count in by_arm)
     if not balanced:
         tally.pe1, tally.pe2 = (
-            _signal_photons(law, law.weak.sum(0) + law.railed, int(count[1]), rng)
+            _signal_photons(law, law.weak.sum(0) + law.railed, count[1], rng)
             for law, count in zip(laws, by_arm)
         )
         tally.click1 = tally.fired1 - tally.doubles
         tally.click2 = tally.fired2 - tally.doubles
         return tally
 
-    # one weighted row per cell without a weak arm, two per cell with one
-    # (a side of its threshold each), one per gate of the weak-weak cell
-    dcp = params.dcp_apd1, params.dcp_apd2
-    level = {EMPTY: 0.0, RAILED: params.t_strong}
-    pe = [
-        _signal_photons(law, law.railed, int(count[RAILED]), rng)
-        for law, count in zip(laws, by_arm)
-    ]
-    rows = [(level[s1], level[s2], cells[s1, s2]) for s1, s2 in itertools.product(level, level)]
-    for arm, other in itertools.product((0, 1), level):
-        # a weak arm beside an empty one clicks above t_diff; beside a
-        # railed one it is out-dominated below t_strong - t_diff
-        threshold = params.t_diff if other == EMPTY else params.t_strong - params.t_diff
-        n_cell = int(cells[WEAK, other] if arm == 0 else cells[other, WEAK])
-        photons, side_counts = _weak_sides(laws[arm], dcp[arm], (threshold,), n_cell, params, rng)
+    readout = _pair_readout(params)
+    pe = [_signal_photons(law, law.railed, count[RAILED], rng) for law, count in zip(laws, by_arm)]
+    # the gates of the readout's fixed rows: the cells without a weak arm,
+    # then the sides of each cell with one
+    counts = [cells[::2, ::2].ravel()]
+    for arm, (other, cut) in itertools.product((0, 1), zip((EMPTY, RAILED), readout.cuts)):
+        n_cell = grid[WEAK][other] if arm == 0 else grid[other][WEAK]
+        photons, side_counts = _weak_sides(laws[arm], cut, n_cell, params, rng)
         pe[arm] += photons
-        for side, count in zip(bin_levels((threshold,), params), side_counts.tolist()):
-            rows.append((side, level[other], count) if arm == 0 else (level[other], side, count))
-    weak_weak = int(cells[WEAK, WEAK])
+        counts.append(side_counts)
+    weak_weak = grid[WEAK][WEAK]
     amps = []
     for arm, law in enumerate(laws):
         photons, amp = _weak_gates(law, weak_weak, params, rng)
         pe[arm] += photons
         amps.append(amp)
     tally.pe1, tally.pe2 = pe
-    level1, level2, counts = (np.array(column) for column in zip(*rows))
-    weights = np.concatenate([counts, np.ones(weak_weak, np.int64)])
-    a, b, c, d = comparator_arrays(
-        np.concatenate([level1, amps[0]]), np.concatenate([level2, amps[1]]), params
-    )
-    codes = event_codes(a, b, c, d)
-    count_events(tally, codes, int(weights[a & b].sum()), weights)
-    # an empty arm reads 0 and no other level is 0; weak-weak gates fire both
-    both = np.concatenate([(level1 > 0.0) & (level2 > 0.0), np.ones(weak_weak, bool)])
-    tally.weak_coinc = int(weights[both & (codes == GateEvent.NO_EVENT)].sum())
+    weights = np.concatenate([*counts, np.ones(weak_weak, np.int64)])
+    codes, raw_both, cancelled = readout.codes, readout.raw_both, readout.cancelled
+    if weak_weak:
+        a, b, c, d = comparator_arrays(amps[0], amps[1], params)
+        weak_codes = event_codes(a, b, c, d)
+        codes = np.concatenate([codes, weak_codes])
+        raw_both = np.concatenate([raw_both, a & b])
+        # both arms of a weak-weak gate fired
+        cancelled = np.concatenate([cancelled, weak_codes == GateEvent.NO_EVENT])
+    count_events(tally, codes, int(weights[raw_both].sum()), weights)
+    tally.weak_coinc = int(weights[cancelled].sum())
     return tally
 
 
@@ -702,7 +775,7 @@ def simulate_block(
     group's gate outcomes are independent of their classes, so each of
     its outcome categories (``click1``, ``click2``, ``blind`` and the
     rest, exclusive on both readouts) splits over its classes by their
-    shares: one multinomial per group, none for a one-class group.  The
+    shares: one multinomial per category, none for a one-class group.  The
     case-C classes' rows of the split make the case-C counters, and one
     :func:`sift_counts` call sifts the per-class clicks.
     """
@@ -717,9 +790,13 @@ def simulate_block(
         part = detect_pair(lam1, lam2, int(counts[g]), config.detector, params, rng)
         tally += part
         outcomes = [part.click1, part.click2, part.blind, part.no_click - part.blind]
-        members = groups.members[g]
+        members, share = groups.members[g], groups.share[g]
+        # a draw per outcome gives the variates of one draw with the
+        # outcomes as n, through numpy's faster scalar-n path
         split[members] = (
-            outcomes if members.size == 1 else rng.multinomial(outcomes, groups.share[g]).T
+            outcomes
+            if members.size == 1
+            else np.array([rng.multinomial(count, share) for count in outcomes]).T
         )
     casec = split[classes.casec]
     tally.casec_click1, tally.casec_click2, tally.casec_blind, _ = casec.sum(0).tolist()
@@ -728,6 +805,7 @@ def simulate_block(
     return tally
 
 
+@functools.lru_cache(maxsize=256)
 def gate_work(
     mu: float, params: DetectorParams, scenario: Optional[Scenario], detector: DetectorKind
 ) -> float:
@@ -739,7 +817,8 @@ def gate_work(
     self-differencing shard's skeleton joins its weak gates among their
     slots (``rng.choice``, O(weak gates)): P(WEAK) at mu*qe.  The two-APD
     pair draws no per-gate array: 0.  Neither of those two reads the
-    scenario, so ``scenario`` may be None there.
+    scenario, so ``scenario`` may be None there.  It is computed once
+    per point, since the report reads it again.
     """
     if detector is DetectorKind.BASELINE_TWO_APD:
         return 0.0

@@ -486,7 +486,7 @@ def _run_sd_point(
         photons, amps = _weak_gates(law, sk.explicit, params, rng)
         lone_bins = []
         for count, cuts in zip(sk.lone.tolist(), readout.cuts):
-            lone_photons, bins = _weak_sides(law, params.dcp_apd1, cuts, count, params, rng)
+            lone_photons, bins = _weak_sides(law, cuts, count, params, rng)
             photons += lone_photons
             lone_bins.append(bins)
         photons += _signal_photons(law, law.railed, sk.railed, rng)

@@ -139,16 +139,34 @@ class DetectorParams:
         )
 
 
+#: :func:`log_factorial` reads k below this bound from a table of
+#: ``math.lgamma`` values, grown on demand; larger k, such as the one
+#: k up to 2**21 of a :func:`poisson_tail` window above its mean, call
+#: ``math.lgamma`` each.
+LOG_FACTORIAL_TABLE_MAX = 4096
+_log_factorials = np.zeros(0)
+
+
 def log_factorial(k: np.ndarray) -> np.ndarray:
     """ln k! of each non-negative integer in ``k``, by ``math.lgamma``."""
-    return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+    global _log_factorials
+    top = int(k.max()) + 1 if k.size else 0
+    if top > LOG_FACTORIAL_TABLE_MAX:
+        return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+    size = _log_factorials.size
+    if top > size:
+        grown = range(size, min(max(top, 2 * size), LOG_FACTORIAL_TABLE_MAX))
+        _log_factorials = np.append(_log_factorials, [math.lgamma(v + 1.0) for v in grown])
+    return _log_factorials.take(k)
 
 
 def poisson_log_pmf(k: np.ndarray, lam: float) -> np.ndarray:
     """ln P(N = k) for N ~ Poisson(lam) at each integer in ``k``, with
     0 ln 0 = 0, so that lam = 0 puts all the mass on k = 0."""
-    log_lam = math.log(lam) if lam > 0.0 else -math.inf
-    log_power = np.multiply(k, log_lam, where=k > 0, out=np.zeros(k.shape))
+    if lam > 0.0:
+        log_power = k * math.log(lam)
+    else:
+        log_power = np.where(k > 0, -math.inf, 0.0)
     return log_power - lam - log_factorial(k)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import bncsim.attack as attack
+import bncsim.balanced as balanced
 from bncsim.attack import (
     CASE_C_GATES,
     CASE_C_MU,
@@ -35,7 +36,7 @@ from bncsim.attack import (
     sift_counts,
     simulate_block,
 )
-from bncsim.errors import ConfigError
+from bncsim.errors import ConfigError, InconsistentWord
 from bncsim.harness import REPORT_COLUMNS, SweepSpec, report_to_csv, run_sweep
 from bncsim.signal_model import (
     RECEIVER_PHASES,
@@ -898,12 +899,15 @@ def test_fired_gate_readout_equals_full_array_count(
     nothing.
 
     Each group's cells (its kernel call's first multinomial draw) give
-    every gate's fired flags; on the balanced readout each row given to
-    ``comparator_arrays`` stands for as many gates as its weight given to
-    ``count_events``.  That holds for the side rows of the cells with one
-    weak arm too: each sits strictly inside its side of the threshold the
-    other arm's state sets, so each of its gates reads as any amplitude
-    of that side would.  Expanded gate by gate, each gate's outcome
+    every gate's fired flags.  On the balanced readout ``comparator_arrays``
+    reads the 12 fixed rows once, when the parameters' readout is built,
+    and then, in a kernel call with WEAK-WEAK gates, one row per such
+    gate; the fixed rows followed by the call's own rows stand each for as
+    many gates as its weight given to ``count_events``.  That holds for
+    the side rows of the cells with one weak arm too: each sits strictly
+    inside its side of the threshold the other arm's state sets, so each
+    of its gates reads as any amplitude of that side would.  Expanded gate
+    by gate, each gate's outcome
     (click on APD 1 or 2, blinding flag, or none) takes its class from
     the group's split draw, in gate order; so labelled, the rows give
     every counter but ``pe`` by the per-gate rules of :mod:`reference`."""
@@ -912,7 +916,8 @@ def test_fired_gate_readout_equals_full_array_count(
     comparator_arrays, count_events = attack.comparator_arrays, attack.count_events
 
     def recorded_rows(amp1, amp2, params):
-        rows.append((amp1, amp2))
+        # the kernel call it belongs to, then its rows
+        rows.append((len(calls), amp1, amp2))
         return comparator_arrays(amp1, amp2, params)
 
     def recorded_weights(tally, codes, both_raw, gates):
@@ -920,6 +925,7 @@ def test_fired_gate_readout_equals_full_array_count(
         return count_events(tally, codes, both_raw, gates)
 
     calls = recorded_kernel(monkeypatch)
+    attack._pair_readout.cache_clear()
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
     monkeypatch.setattr(attack, "count_events", recorded_weights)
     scenario = engine_scenario(scenario)
@@ -936,31 +942,39 @@ def test_fired_gate_readout_equals_full_array_count(
     assert [args[:3] for args, *_ in calls] == [
         (*arm_means(mu, params.qe, int(groups.delta[g])), int(counts[g])) for g in present
     ]
-    # then one split draw per group present with more than one class
+    # then one split draw per outcome of each group present with more than one class
     splits = split_draws(rng, calls)
-    assert [name for name, *_ in splits] == ["multinomial"] * sum(
+    assert [name for name, *_ in splits] == ["multinomial"] * 4 * sum(
         groups.members[g].size > 1 for g in present
     )
     splits = iter(out for *_, out in splits)
     balanced = detector is DetectorKind.BALANCED_BNC
-    assert len(rows) == len(weights) == (present.size if balanced else 0)
+    assert len(weights) == (present.size if balanced else 0)
+    if balanced:
+        # the fixed rows, read when the first kernel call builds the readout
+        (_, *fixed), *rows = rows
+        assert fixed[0].size == fixed[1].size == 12
     fired, amps, labels = [[], []], [[], []], []
     rail = params.t_strong
     for i, (g, (args, _, span)) in enumerate(zip(present.tolist(), calls)):
         cells = next(rng.draws[j][2] for j in span if rng.draws[j][0] == "multinomial")
         if balanced:
+            # one comparator call per kernel call with WEAK-WEAK gates, of those gates
+            own = [row[1:] for row in rows if row[0] == i]
+            assert [row[0].size for row in own] == ([cells[4]] if cells[4] else [])
+            block = [np.concatenate([fixed[arm], *(row[arm] for row in own)]) for arm in (0, 1)]
             # an empty arm reads 0 and every avalanche has a positive amplitude
-            assert weights[i].sum() == cells.sum()
+            assert weights[i].size == block[0].size and weights[i].sum() == cells.sum()
             # two side rows per cell with one weak arm, one weak level each
-            weak = [(arm > 0.0) & (arm < rail) for arm in rows[i]]
+            weak = [(arm > 0.0) & (arm < rail) for arm in block]
             side = weak[0] ^ weak[1]
             assert np.count_nonzero(side) == 8
             for arm in (0, 1):
-                level, other = rows[i][arm][side & weak[arm]], rows[i][1 - arm][side & weak[arm]]
+                level, other = block[arm][side & weak[arm]], block[1 - arm][side & weak[arm]]
                 threshold = np.where(other == 0.0, params.t_diff, rail - params.t_diff)
                 assert set(other.tolist()) == {0.0, rail} and (level != threshold).all()
             for arm in (0, 1):
-                amps[arm].append(np.repeat(rows[i][arm], weights[i]))
+                amps[arm].append(np.repeat(block[arm], weights[i]))
                 fired[arm].append(amps[arm][-1] > 0.0)
             states = np.divmod(np.arange(9), 3)
             for arm in (0, 1):
@@ -982,13 +996,18 @@ def test_fired_gate_readout_equals_full_array_count(
                 click, blind = two_apd_click(fired1, fired2), False
             outcome[j] = click - 1 if click else 2 if blind else 3
         members = groups.members[g]
-        split = next(splits) if members.size > 1 else np.bincount(outcome, minlength=4)[:, None]
+        if members.size > 1:
+            split = np.array([next(splits) for _ in range(4)])
+        else:
+            split = np.bincount(outcome, minlength=4)[:, None]
         assert split.shape == (4, members.size)
         label = np.empty(args[2], np.int64)
         for k in range(4):
             assert np.count_nonzero(outcome == k) == split[k].sum()
             label[outcome == k] = np.repeat(members, split[k])
         labels.append(label)
+    if balanced:
+        assert {row[0] for row in rows} <= set(range(present.size))
     fired = [np.concatenate(f) if f else np.zeros(0, bool) for f in fired]
     amps = [np.concatenate(a) if a else np.zeros(0) for a in amps]
     labels = np.concatenate(labels) if labels else np.zeros(0, np.int64)
@@ -1047,7 +1066,8 @@ def test_class_split_follows_class_weights(params, monkeypatch):
                 group = np.array([law == args[:2] for law in laws])
                 share = np.where(group, classes.weight, 0.0) / classes.weight[group].sum()
                 if group.sum() > 1:
-                    split = splits.pop(0)
+                    split = np.array(splits[:4])
+                    del splits[:4]
                     outcomes = [part.click1, part.click2, part.blind, part.no_click - part.blind]
                     assert split.sum(1).tolist() == outcomes
                     moments[0, 2:][group] += split.sum(0)
@@ -1076,6 +1096,46 @@ def test_class_split_follows_class_weights(params, monkeypatch):
         strong=148_160, weak_coinc=28, casec_gates=100_000, casec_click1=19_491,
         casec_click2=19_858, casec_blind=55_401, sifted=0, errors=0,
     )
+
+
+@pytest.mark.parametrize(
+    "mu,expected",
+    [
+        (10.0, dict(
+            pe1=501_801, pe2=499_373, fired1=355_758, fired2=354_649, click1=281_815,
+            click2=280_618, doubles=77_429, blind=66_770, weak=49_578, strong=660_829,
+            weak_coinc=73, casec_gates=500_375, casec_click1=124_500, casec_click2=123_858,
+            casec_blind=66_764, sifted=281_906, errors=62_044,
+        )),
+        (30.0, dict(
+            pe1=1_500_363, pe2=1_498_159, fired1=626_725, fired2=625_525, click1=336_019,
+            click2=334_758, doubles=301_938, blind=277_900, weak=43_034, strong=1_209_216,
+            weak_coinc=102, casec_gates=500_375, casec_click1=98_585, casec_click2=98_190,
+            casec_blind=277_890, sifted=335_423, errors=49_080,
+        )),
+    ],
+)
+def test_weak_weak_blocks_keep_their_stream(mu, expected, params):
+    """1M-gate balanced ``attack_cm`` blocks at mu = 10 and 30, whose
+    kernel calls read hundreds of WEAK-WEAK gates, give the tallies of the
+    engine that read every fixed row in every call and drew the weak
+    cells with ``rng.choice``."""
+    config = AttackConfig(1_000_000, mu, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
+    tally = simulate_block(config, params, np.random.default_rng(37))
+    assert tally == GateTally(gates=1_000_000, **expected)
+
+
+def test_class_split_draws_are_one_array_draw(params):
+    """Drawing a group's split one outcome at a time gives the variates,
+    and leaves the generator where, one draw with the outcomes as ``n``
+    would."""
+    share = arm_groups(Scenario.ATTACK_CM).share[0]
+    for seed in range(50):
+        outcomes = np.random.default_rng(seed).integers(0, [10, 10**3, 10**6, 10**9][seed % 4], 4)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = np.array([ours.multinomial(m, share) for m in outcomes.tolist()])
+        assert np.array_equal(split, theirs.multinomial(outcomes.tolist(), share))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def direct_arm_law(lam, dcp, params):
@@ -1124,7 +1184,8 @@ HIGH_RAIL = dict(t_strong=3.0, t_diff=1.0)
 def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):
     """A weak arm's amplitude law is the same whatever the other arm's
     state: the arms are independent.  The share of the WEAK-WEAK gates'
-    per-gate amplitudes below t_diff matches the below side's share of
+    per-gate amplitudes below t_diff (read after the parameters' 12
+    fixed rows) matches the below side's share of
     the (WEAK, EMPTY) cell within 5 sigma, on each arm.  A high rail and
     threshold make weak avalanches of several carriers common and put
     both sides far from 0 and 1."""
@@ -1140,12 +1201,15 @@ def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):
         weights.append(gates)
         return count_events(tally, codes, both_raw, gates)
 
+    attack._pair_readout.cache_clear()
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)
     monkeypatch.setattr(attack, "count_events", recorded_weights)
     rail, t_diff = high_rail.t_strong, high_rail.t_diff
     rng = np.random.default_rng(5)
     attack.detect_pair(2.0, 2.0, 200_000, DetectorKind.BALANCED_BNC, high_rail, rng)
-    (row,), (weight,) = rows, weights
+    # the fixed rows, read once for the parameters, then the WEAK-WEAK rows
+    (fixed, weak_weak), (weight,) = rows, weights
+    row = [np.concatenate([f, w]) for f, w in zip(fixed, weak_weak)]
     for amp, other in (row, row[::-1]):
         weak, weak_other = ((x > 0.0) & (x < rail) for x in (amp, other))
         per_gate = amp[weak & weak_other]
@@ -1242,9 +1306,10 @@ def test_one_threshold_bin_law_keeps_its_floats(params):
 @pytest.mark.parametrize("mu", [1.0, 10.0, 30.0, 500.0])
 def test_only_weak_weak_gates_cost_per_gate_draws(mu, params, monkeypatch):
     """A balanced pair block draws one amplitude per arm of a WEAK-WEAK
-    gate and none for any other gate, and reads at most 12 rows beside
-    them: the 4 cells without a weak arm, 2 sides of each of the 4 cells
-    with one, then one row per WEAK-WEAK gate."""
+    gate and none for any other gate.  The parameters' readout reads 12
+    fixed rows once: the 4 cells without a weak arm and 2 sides of each
+    of the 4 cells with one.  The block then reads exactly its WEAK-WEAK
+    gates, one row each, and nothing when it has none."""
     seen = []
     comparator_arrays = attack.comparator_arrays
 
@@ -1252,14 +1317,19 @@ def test_only_weak_weak_gates_cost_per_gate_draws(mu, params, monkeypatch):
         seen.append(amp1.size)
         return comparator_arrays(amp1, amp2, p)
 
+    attack._pair_readout.cache_clear()
     monkeypatch.setattr(attack, "comparator_arrays", recorded)
     rng = RecordingRng(np.random.default_rng(23))
     lam1, lam2 = arm_means(mu, params.qe, 1)
-    detect_pair(lam1, lam2, 1_000_000, DetectorKind.BALANCED_BNC, params, rng)
-    weak_weak = int(rng.draws[0][2].reshape(3, 3)[1, 1])
-    betas = sum(np.size(out) for name, _, out in rng.draws if name == "beta")
-    assert betas == 2 * weak_weak
-    assert seen == [seen[0]] and seen[0] <= 12 + weak_weak
+    # the second block reuses the fixed rows the first one read
+    for fixed in ([12], []):
+        rng.draws.clear()
+        del seen[:]
+        detect_pair(lam1, lam2, 1_000_000, DetectorKind.BALANCED_BNC, params, rng)
+        weak_weak = int(rng.draws[0][2].reshape(3, 3)[1, 1])
+        betas = sum(np.size(out) for name, _, out in rng.draws if name == "beta")
+        assert betas == 2 * weak_weak
+        assert seen == fixed + ([weak_weak] if weak_weak else [])
 
 
 def test_below_tables_built_on_first_balanced_use(params):
@@ -1277,9 +1347,100 @@ def test_arm_law_tables_are_cached_and_read_only(params):
     law = attack.arm_law(1.5, params.dcp_apd1, params)
     assert attack.arm_law(1.5, params.dcp_apd1, params) is law
     assert attack.arm_law.cache_info().maxsize is not None
-    for table in law[1:]:
+    for table in law[2:]:
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def reference_arm_law(lam, dcp, params):
+    """(state, k, weak, railed, dk) of an arm law built term by term: k ln
+    lam by a masked multiply, the log factorials by ``math.lgamma`` one
+    entry at a time, the empty avalanche cut by ``np.where`` and the
+    (d, k) rows joined by ``np.stack``."""
+    spread = 12.0 * math.sqrt(lam) + 24.0
+    lo, hi = max(0, math.floor(lam - spread)), math.ceil(lam + spread)
+    p = weak_probabilities(params)
+    if lo >= p.size - 1:
+        return np.array([0.0, 0.0, 1.0]), np.zeros(0, np.int64), *[np.zeros(s) for s in ((2, 0), 0, (2, 0))]
+    k = np.arange(lo, hi + 1)
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    log_power = np.multiply(k, log_lam, where=k > 0, out=np.zeros(k.shape))
+    poisson = np.exp(log_power - lam - np.array([math.lgamma(v + 1.0) for v in k.tolist()]))
+    p_k, p_dark = p.take(k, mode="clip"), p.take(k + 1, mode="clip")
+    no_dark, dark = (1.0 - dcp) * poisson, dcp * poisson
+    weak = np.stack([np.where(k > 0, no_dark * p_k, 0.0), dark * p_dark])
+    railed = no_dark * (1.0 - p_k) + dark * (1.0 - p_dark)
+    state = np.array([no_dark[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
+    total = state.sum()
+    return state / total, k, weak / total, railed / total, np.stack([no_dark, dark]) / total
+
+
+@pytest.mark.parametrize("point", ["default", "high_rail", "fine_gain"])
+def test_arm_law_keeps_its_floats(point, params):
+    """Every table of :func:`arm_law` equals the term-by-term build, bit
+    for bit, from empty arms to windows past the P(k) table."""
+    tuned = {
+        "default": params,
+        "high_rail": replace(params, **HIGH_RAIL),
+        "fine_gain": replace(params, gain_mean=0.01),
+    }[point]
+    for lam in (0.0, 1e-3, 0.05, 0.5, 1.0, 2.5, 7.0, 30.0, 99.5, 1e3, 1e4, 1e5):
+        for dcp in (0.0, 2e-5, 0.1, 0.5, 1.0):
+            law = attack.arm_law(lam, dcp, tuned)
+            tables = (law.state, law.k, law.weak, law.railed, law.dk)
+            for got, want in zip(tables, reference_arm_law(lam, dcp, tuned)):
+                assert got.shape == want.shape and np.array_equal(got, want), (lam, dcp)
+
+
+def reference_weak_gates(law, m, params, rng):
+    """:func:`attack._weak_gates` with its cells drawn by ``rng.choice``."""
+    cell = rng.choice(law.weak.size, m, p=law.weak.ravel() / law.state[attack.WEAK])
+    d, i = np.divmod(cell, law.k.size)
+    k = law.k[i]
+    u = weak_probabilities(params)[k + d] * rng.random(m)
+    return int(k.sum()), attack._weak_amplitudes(k + d, u, params, rng)
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.5, 15.0])
+def test_weak_cells_are_the_choice_draws(lam, params):
+    """Inverting :func:`attack.weak_cdf` at ``rng.random`` draws the cells
+    ``rng.choice`` draws from the weak law, from the same variates, so a
+    weak arm's photons and amplitudes are unchanged."""
+    for tuned in (params, replace(params, dcp_apd1=0.3, **HIGH_RAIL)):
+        law = attack.arm_law(lam, tuned.dcp_apd1, tuned)
+        cdf = attack.weak_cdf(lam, tuned.dcp_apd1, tuned)
+        assert cdf[-1] == 1.0 and not cdf.flags.writeable
+        for m in (1, 7, 5_000):
+            ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
+            cells = cdf.searchsorted(ours.random(m), side="right")
+            p = law.weak.ravel() / law.state[attack.WEAK]
+            assert np.array_equal(cells, theirs.choice(law.weak.size, m, p=p))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            photons, amps = attack._weak_gates(law, m, tuned, ours)
+            ref_photons, ref_amps = reference_weak_gates(law, m, tuned, theirs)
+            assert photons == ref_photons and np.array_equal(amps, ref_amps)
+
+
+def test_fixed_and_weak_weak_words_are_checked(params, monkeypatch):
+    """The fixed rows are read through ``event_codes`` when the
+    parameters' readout is built, and a block's WEAK-WEAK rows on every
+    call, so an unreachable word raises on either path.  Marking the
+    weak click on APD 1 unreachable, a block at a high rail raises
+    from its WEAK-WEAK rows with the readout already built, and a block
+    with no WEAK-WEAK gate raises from the readout's build."""
+    high_rail = replace(params, **HIGH_RAIL)
+    attack._pair_readout(high_rail)
+    table = balanced._WORD_TABLE.copy()
+    table[0b0010] = -1
+    monkeypatch.setattr(balanced, "_WORD_TABLE", table)
+    rng = RecordingRng(np.random.default_rng(11))
+    with pytest.raises(InconsistentWord):
+        detect_pair(2.0, 2.0, 10_000, DetectorKind.BALANCED_BNC, high_rail, rng)
+    assert rng.draws[0][2][4] > 0
+    attack._pair_readout.cache_clear()
+    with pytest.raises(InconsistentWord):
+        detect_pair(0.0, 0.0, 10, DetectorKind.BALANCED_BNC, high_rail, np.random.default_rng(12))
+    assert attack._pair_readout.cache_info().currsize == 0
 
 
 def test_far_railed_arm_has_no_window(params):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +23,11 @@ from bncsim.attack import (
     arm_means,
     detect_pair,
 )
+import bncsim
+import bncsim.signal_model as signal_model
 from bncsim.errors import ConfigError
 from bncsim.signal_model import (
+    LOG_FACTORIAL_TABLE_MAX,
     WEAK_TABLE_MAX,
     DetectorParams,
     PhaseSymbol,
@@ -408,6 +415,23 @@ class TestPoissonTail:
         k = np.concatenate([np.arange(200), np.geomspace(200, 2**22, 300).astype(np.int64)])
         np.testing.assert_allclose(log_factorial(k), special.gammaln(k + 1.0), rtol=1e-14)
 
+    def test_log_factorial_is_lgamma_inside_and_past_the_table(self, monkeypatch):
+        # from an empty table, growing in steps, up to its bound and past it
+        monkeypatch.setattr(signal_model, "_log_factorials", np.zeros(0))
+        top = LOG_FACTORIAL_TABLE_MAX
+        for k in (
+            np.zeros(0, np.int64),
+            np.array([3]),
+            np.arange(10),
+            np.arange(100)[::-1],
+            np.arange(top),
+            np.array([0, top, 7]),
+            np.array([2**21, 5]),
+            np.arange(top - 5, top + 5),
+        ):
+            assert log_factorial(k).tolist() == [math.lgamma(v + 1.0) for v in k.tolist()]
+        assert signal_model._log_factorials.size == top
+
     @pytest.mark.parametrize("lam", [0.0, 0.1, 7.5, 1e5])
     def test_log_pmf_matches_scipy(self, lam):
         k = np.arange(int(lam + 40 * math.sqrt(lam) + 60))
@@ -416,3 +440,23 @@ class TestPoissonTail:
         finite = np.isfinite(oracle)
         assert (got[~finite] == -np.inf).all()
         np.testing.assert_allclose(got[finite], oracle[finite], rtol=1e-12, atol=1e-9)
+
+
+def test_import_builds_no_table():
+    """Importing the package computes no law, readout or factorial table:
+    each is built on its first use."""
+    code = (
+        "import bncsim, bncsim.cli, bncsim.harness\n"
+        "from bncsim import attack, signal_model\n"
+        "assert signal_model._log_factorials.size == 0\n"
+        "cached = [signal_model.weak_probabilities, signal_model.below_probabilities,\n"
+        "          attack.arm_law, attack._poisson_window, attack.side_law, attack.weak_cdf,\n"
+        "          attack._pair_readout, attack.gate_work]\n"
+        "assert [f.cache_info().currsize for f in cached] == [0] * len(cached)\n"
+    )
+    src = Path(bncsim.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
