@@ -613,11 +613,12 @@ def arm_levels(
 
 
 class PairReadout(NamedTuple):
-    """The balanced readout's 12 fixed rows: the 4 cells without a weak
-    arm in (arm 1, arm 2) state order, then the 2 sides of each cell with
-    one, by weak arm and then by the other arm's state."""
+    """The balanced readout's 12 fixed rows: one per cell without a weak
+    arm, in the order of ``cells``, then the 2 sides of each cell with one,
+    in the order of ``sides``."""
 
-    cuts: tuple[tuple[float], tuple[float]]  # the threshold beside an EMPTY and a RAILED arm
+    cells: tuple[tuple[int, int], ...]  # (arm 1 state, arm 2 state) of each cell without a weak arm
+    sides: tuple[tuple[int, int, tuple[float]], ...]  # (weak arm, other arm's state, its threshold)
     codes: np.ndarray  # each row's event code
     raw_both: np.ndarray  # whether both raw comparators fired
     cancelled: np.ndarray  # whether both arms fired and the word is no event
@@ -637,8 +638,12 @@ def _pair_readout(params: DetectorParams) -> PairReadout:
     """
     level = {EMPTY: 0.0, RAILED: params.t_strong}
     cuts = ((params.t_diff,), (params.t_strong - params.t_diff,))
-    rows = [(level[s1], level[s2]) for s1, s2 in itertools.product(level, level)]
-    for arm, (other, cut) in itertools.product((0, 1), zip(level, cuts)):
+    cells = tuple(itertools.product(level, level))
+    sides = tuple(
+        (arm, other, cut) for arm, (other, cut) in itertools.product((0, 1), zip(level, cuts))
+    )
+    rows = [(level[s1], level[s2]) for s1, s2 in cells]
+    for arm, other, cut in sides:
         for side in bin_levels(cut, params):
             rows.append((side, level[other]) if arm == 0 else (level[other], side))
     level1, level2 = (np.array(column) for column in zip(*rows))
@@ -649,7 +654,7 @@ def _pair_readout(params: DetectorParams) -> PairReadout:
     raw_both = a & b
     for table in (codes, raw_both, cancelled):
         table.flags.writeable = False
-    return PairReadout(cuts, codes, raw_both, cancelled)
+    return PairReadout(cells, sides, codes, raw_both, cancelled)
 
 
 def count_events(
@@ -735,8 +740,8 @@ def detect_pair(
     pe = [_signal_photons(law, law.railed, count[RAILED], rng) for law, count in zip(laws, by_arm)]
     # the gates of the readout's fixed rows: the cells without a weak arm,
     # then the sides of each cell with one
-    counts = [cells[::2, ::2].ravel()]
-    for arm, (other, cut) in itertools.product((0, 1), zip((EMPTY, RAILED), readout.cuts)):
+    counts = [[grid[s1][s2] for s1, s2 in readout.cells]]
+    for arm, other, cut in readout.sides:
         n_cell = grid[WEAK][other] if arm == 0 else grid[other][WEAK]
         photons, side_counts = _weak_sides(laws[arm], cut, n_cell, params, rng)
         pe[arm] += photons

@@ -140,24 +140,24 @@ class DetectorParams:
 
 
 #: :func:`log_factorial` reads k below this bound from a table of
-#: ``math.lgamma`` values, grown on demand; larger k, such as the one
-#: k up to 2**21 of a :func:`poisson_tail` window above its mean, call
-#: ``math.lgamma`` each.
+#: ``math.lgamma`` values, built on first use at the power of two that
+#: holds the k asked for; larger k, such as the one k up to 2**21 of a
+#: :func:`poisson_tail` window above its mean, call ``math.lgamma`` each.
 LOG_FACTORIAL_TABLE_MAX = 4096
-_log_factorials = np.zeros(0)
+
+
+@functools.cache
+def _log_factorial_table(size: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
 
 
 def log_factorial(k: np.ndarray) -> np.ndarray:
     """ln k! of each non-negative integer in ``k``, by ``math.lgamma``."""
-    global _log_factorials
-    top = int(k.max()) + 1 if k.size else 0
-    if top > LOG_FACTORIAL_TABLE_MAX:
+    top = int(k.max()) if k.size else 0
+    if top >= LOG_FACTORIAL_TABLE_MAX:
         return np.array([math.lgamma(v + 1.0) for v in k.tolist()])
-    size = _log_factorials.size
-    if top > size:
-        grown = range(size, min(max(top, 2 * size), LOG_FACTORIAL_TABLE_MAX))
-        _log_factorials = np.append(_log_factorials, [math.lgamma(v + 1.0) for v in grown])
-    return _log_factorials.take(k)
+    # the default laws read k < 264: a table of 512, not all 4096
+    return _log_factorial_table(1 << top.bit_length()).take(k)
 
 
 def poisson_log_pmf(k: np.ndarray, lam: float) -> np.ndarray:

@@ -954,6 +954,9 @@ def test_fired_gate_readout_equals_full_array_count(
         # the fixed rows, read when the first kernel call builds the readout
         (_, *fixed), *rows = rows
         assert fixed[0].size == fixed[1].size == 12
+    else:
+        # the two-APD readout reads no comparator
+        assert not rows
     fired, amps, labels = [[], []], [[], []], []
     rail = params.t_strong
     for i, (g, (args, _, span)) in enumerate(zip(present.tolist(), calls)):

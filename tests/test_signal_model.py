@@ -415,9 +415,9 @@ class TestPoissonTail:
         k = np.concatenate([np.arange(200), np.geomspace(200, 2**22, 300).astype(np.int64)])
         np.testing.assert_allclose(log_factorial(k), special.gammaln(k + 1.0), rtol=1e-14)
 
-    def test_log_factorial_is_lgamma_inside_and_past_the_table(self, monkeypatch):
-        # from an empty table, growing in steps, up to its bound and past it
-        monkeypatch.setattr(signal_model, "_log_factorials", np.zeros(0))
+    def test_log_factorial_is_lgamma_inside_and_past_the_table(self):
+        # from no table, through tables of growing size, up to the bound and past it
+        signal_model._log_factorial_table.cache_clear()
         top = LOG_FACTORIAL_TABLE_MAX
         for k in (
             np.zeros(0, np.int64),
@@ -430,7 +430,10 @@ class TestPoissonTail:
             np.arange(top - 5, top + 5),
         ):
             assert log_factorial(k).tolist() == [math.lgamma(v + 1.0) for v in k.tolist()]
-        assert signal_model._log_factorials.size == top
+        sizes = [1, 4, 16, 128, top]
+        for size in sizes:
+            assert signal_model._log_factorial_table(size).size == size
+        assert signal_model._log_factorial_table.cache_info().currsize == len(sizes)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 7.5, 1e5])
     def test_log_pmf_matches_scipy(self, lam):
@@ -448,8 +451,8 @@ def test_import_builds_no_table():
     code = (
         "import bncsim, bncsim.cli, bncsim.harness\n"
         "from bncsim import attack, signal_model\n"
-        "assert signal_model._log_factorials.size == 0\n"
         "cached = [signal_model.weak_probabilities, signal_model.below_probabilities,\n"
+        "          signal_model._log_factorial_table,\n"
         "          attack.arm_law, attack._poisson_window, attack.side_law, attack.weak_cdf,\n"
         "          attack._pair_readout, attack.gate_work]\n"
         "assert [f.cache_info().currsize for f in cached] == [0] * len(cached)\n"
