@@ -12,24 +12,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from bncsim.attack import RAILED, arm_law, arm_levels
+from bncsim.attack import RAILED, arm_law
 from bncsim.selfdiff import SdGateEvent, sd_event_codes
 from bncsim.signal_model import DetectorParams
 
 BRIGHT_MU = 500.0
 
 
-def timeline(title, bright, params, rng):
+def timeline(title, bright, params):
     """Run one gate stream; ``bright`` marks the gates that carry a pulse.
 
-    Each bright gate draws its avalanche state from the arm law at the
-    pulse's mean, and :func:`~bncsim.attack.arm_levels` its railed level;
-    without dark counts the other gates stay empty and read 0.
+    A bright gate rails and reads ``t_strong``; without dark counts the
+    other gates stay empty and read 0.
     """
-    law = arm_law(BRIGHT_MU * params.qe, params.dcp_apd1, params)
-    state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
-    levels = np.zeros(bright.size)
-    _, levels[bright] = arm_levels(law, state, int(np.count_nonzero(state == RAILED)), params, rng)
+    levels = bright * params.t_strong
     codes = sd_event_codes(levels, params)
     print(f"\n{title}")
     print(f"{'gate':>5} {'level':>8}  event")
@@ -39,15 +35,16 @@ def timeline(title, bright, params, rng):
 
 def main() -> None:
     params = replace(DetectorParams.default(), dcp_apd1=0.0, dcp_apd2=0.0)
-    rng = np.random.default_rng(42)
+    # the arm law at the bright pulse's mean puts every avalanche on the rail
+    assert arm_law(BRIGHT_MU * params.qe, params.dcp_apd1, params).state[RAILED] == 1.0
 
     isolated = np.zeros(6, dtype=bool)
     isolated[2] = True
-    timeline("isolated avalanche", isolated, params, rng)
+    timeline("isolated avalanche", isolated, params)
 
     train = np.zeros(13, dtype=bool)
     train[1:11] = True
-    timeline("blinding train (10 bright gates)", train, params, rng)
+    timeline("blinding train (10 bright gates)", train, params)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ the Monte Carlo sampler, and is used to cross-check simulated output.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,29 +18,16 @@ from .signal_model import DetectorParams, poisson_log_pmf, weak_probabilities
 E_PHOTON_1550_NM = 0.7999 * 1.602176634e-19
 
 #: The linear count-rate formulas ignore gate saturation; beyond this
-#: detected-carriers-per-gate level they overestimate the click rate.
+#: detected-carriers-per-gate level (mu_apd*qe) they overestimate the
+#: click rate.  The rates do not check it: the report's ``oracle_regime``
+#: column and ``bncsim oracle``'s warning line do.
 LINEAR_REGIME_MAX = 0.3
-
-
-class RegimeWarning(UserWarning):
-    """Linear count-rate formula evaluated outside its validity regime."""
-
-
-def _check_regime(mu_apd: float, qe: float) -> None:
-    if mu_apd * qe > LINEAR_REGIME_MAX:
-        warnings.warn(
-            f"mu_apd*qe = {mu_apd * qe:.3g} exceeds the linear regime "
-            f"(<= {LINEAR_REGIME_MAX}); the ideal rate overestimates clicks",
-            RegimeWarning,
-            stacklevel=3,
-        )
 
 
 def ideal_click_rate_same_phase(mu_apd: float, qe: float, f_gate: float) -> float:
     """Ideal count rate when interference sends every photon to one APD."""
     if mu_apd < 0.0 or qe < 0.0 or f_gate < 0.0:
         raise ValueError("arguments must be non-negative")
-    _check_regime(mu_apd, qe)
     return mu_apd * qe * f_gate
 
 
@@ -49,7 +35,6 @@ def ideal_click_rate_diff_phase(mu_apd: float, qe: float, f_gate: float) -> floa
     """Ideal per-APD count rate when the photons split evenly between arms."""
     if mu_apd < 0.0 or qe < 0.0 or f_gate < 0.0:
         raise ValueError("arguments must be non-negative")
-    _check_regime(mu_apd, qe)
     return mu_apd * qe * f_gate / 2.0
 
 

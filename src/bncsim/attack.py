@@ -499,6 +499,18 @@ def side_law(
     return bins
 
 
+def side_cuts(params: DetectorParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The levels of an EMPTY and a RAILED gate, 0 and ``t_strong``, and
+    the cut a weak amplitude beside each reads by, in the same order.
+
+    Beside an empty gate a weak amplitude differs from it by t_diff or
+    more at or above ``t_diff``; beside a railed one, at or below
+    ``t_strong - t_diff``.  So every weak amplitude on one side of its
+    cut reads alike.
+    """
+    return (0.0, params.t_strong), (params.t_diff, params.t_strong - params.t_diff)
+
+
 def bin_levels(thresholds: tuple[float, ...], params: DetectorParams) -> list[float]:
     """A level inside each bin of :func:`side_law`, at its midpoint, so the
     comparators decide on it as on any amplitude of the bin."""
@@ -594,24 +606,6 @@ def _weak_sides(
     return int(counts.sum((0, 1)) @ law.k), counts.sum((1, 2))
 
 
-def arm_levels(
-    law: ArmLaw, state: np.ndarray, railed: int, params: DetectorParams, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Detected signal photons and railed levels of an arm's gates.
-
-    ``state`` holds each gate's avalanche state under ``law``: an EMPTY
-    gate reads 0, a RAILED one ``t_strong`` and a WEAK one its amplitude
-    (:func:`_weak_gates`).  The photons are the weak gates' plus those of
-    ``railed`` railed gates, which may outnumber the RAILED entries when
-    an entry stands for several gates.
-    """
-    weak = np.flatnonzero(state == WEAK)
-    photons, weak_amp = _weak_gates(law, weak.size, params, rng)
-    levels = (state == RAILED) * params.t_strong
-    levels[weak] = weak_amp
-    return photons + _signal_photons(law, law.railed, railed, rng), levels
-
-
 class PairReadout(NamedTuple):
     """The balanced readout's 12 fixed rows: one per cell without a weak
     arm, in the order of ``cells``, then the 2 sides of each cell with one,
@@ -629,18 +623,17 @@ def _pair_readout(params: DetectorParams) -> PairReadout:
     """The :class:`PairReadout` of ``params``, built once per parameter set
     and returned read-only.
 
-    An EMPTY arm reads 0 and a RAILED one ``t_strong``.  A weak arm
-    beside an empty one clicks at or above t_diff, and beside a railed
-    one it is out-dominated below t_strong - t_diff; each side reads at
-    its :func:`bin_levels` midpoint.  The rows go through
+    The non-weak arms read at their :func:`side_cuts` levels, and each
+    side of a weak arm beside one, split at its :func:`side_cuts` cut,
+    at its :func:`bin_levels` midpoint.  The rows go through
     :func:`~bncsim.balanced.comparator_arrays` and
     :func:`~bncsim.balanced.event_codes`, which check every word.
     """
-    level = {EMPTY: 0.0, RAILED: params.t_strong}
-    cuts = ((params.t_diff,), (params.t_strong - params.t_diff,))
+    levels, cuts = side_cuts(params)
+    level = dict(zip((EMPTY, RAILED), levels))
     cells = tuple(itertools.product(level, level))
     sides = tuple(
-        (arm, other, cut) for arm, (other, cut) in itertools.product((0, 1), zip(level, cuts))
+        (arm, other, (cut,)) for arm, (other, cut) in itertools.product((0, 1), zip(level, cuts))
     )
     rows = [(level[s1], level[s2]) for s1, s2 in cells]
     for arm, other, cut in sides:
@@ -658,7 +651,7 @@ def _pair_readout(params: DetectorParams) -> PairReadout:
 
 
 def count_events(
-    tally: GateTally, codes: np.ndarray, both_raw: int = 0, weights: Optional[np.ndarray] = None
+    tally: GateTally, codes: np.ndarray, weights: np.ndarray, both_raw: int = 0
 ) -> GateTally:
     """Count a noise-cancelling monitor's :class:`GateEvent` codes into
     ``tally``, whose fired counters are set, and return it.
@@ -669,8 +662,8 @@ def count_events(
     strong click or a blinding flag; ``both_raw`` counts the flagged gates
     where both raw comparators fired, two strong avalanches each (the
     self-differencing monitor has one raw comparator, so none).  Every
-    other fired arm is weak.  ``weights``, when given, holds the number of
-    gates each code stands for; by default each code is one gate.
+    other fired arm is weak.  ``weights`` holds the number of gates each
+    code stands for.
     """
     events = np.bincount(codes, weights, minlength=len(GateEvent)).astype(np.int64).tolist()
     tally.click1 = events[GateEvent.STRONG_1] + events[GateEvent.WEAK_1]
@@ -762,7 +755,7 @@ def detect_pair(
         raw_both = np.concatenate([raw_both, a & b])
         # both arms of a weak-weak gate fired
         cancelled = np.concatenate([cancelled, weak_codes == GateEvent.NO_EVENT])
-    count_events(tally, codes, int(weights[raw_both].sum()), weights)
+    count_events(tally, codes, weights, int(weights[raw_both].sum()))
     tally.weak_coinc = int(weights[cancelled].sum())
     return tally
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -13,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytics import (
+    LINEAR_REGIME_MAX,
     LinkBudget,
     attack_qber,
     click_probabilities,
@@ -169,20 +169,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError("the link budget needs --p-ave, --rep-rate and --mu-eve-alice together")
     params = replace(DetectorParams.default(), qe=args.qe, f_gate=args.f_gate)
     mu = args.mu
+    nu = mu * args.qe
     probs = click_probabilities(mu, args.qe)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        values = {
-            "ideal_rate_same_phase": ideal_click_rate_same_phase(mu, args.qe, args.f_gate),
-            "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
-            "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
-        }
-    # both linear rates warn alike outside their regime; say it once
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+    values = {
+        "ideal_rate_same_phase": ideal_click_rate_same_phase(mu, args.qe, args.f_gate),
+        "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
+        "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
+    }
+    if nu > LINEAR_REGIME_MAX:
+        print(
+            f"warning: mu_apd*qe = {nu:.3g} exceeds the linear regime "
+            f"(<= {LINEAR_REGIME_MAX}); the ideal rate overestimates clicks",
+            file=sys.stderr,
+        )
     if probs.p1 + probs.p_s > 0:
         values["attack_qber"] = attack_qber(probs.p1, probs.p_s)
-    if mu * args.qe > 0:
+    if nu > 0:
         values["cm_success_mixed"] = oracle_cm_success(mu, params, 0.5)
         values["cm_success_split"] = oracle_cm_success(mu, params, 1.0)
     if all(given):

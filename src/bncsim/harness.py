@@ -15,8 +15,7 @@ import itertools
 import math
 import os
 import platform
-import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,7 +24,6 @@ import numpy as np
 from . import __version__
 from .analytics import (
     LINEAR_REGIME_MAX,
-    RegimeWarning,
     attack_qber,
     click_probabilities,
     ideal_click_rate_diff_phase,
@@ -51,6 +49,7 @@ from .attack import (
     count_events,
     run_attack,
     shard_size,
+    side_cuts,
 )
 from .errors import ConfigError, MissingFluxPoint
 from .selfdiff import sd_event_codes
@@ -158,10 +157,8 @@ def _ratio(num: float, den: float) -> float:
 def _oracle_columns(
     mu: float, params: DetectorParams, split_share: float
 ) -> tuple[float, float, float, float, str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        same = ideal_click_rate_same_phase(mu, params.qe, params.f_gate)
-        diff = ideal_click_rate_diff_phase(mu, params.qe, params.f_gate)
+    same = ideal_click_rate_same_phase(mu, params.qe, params.f_gate)
+    diff = ideal_click_rate_diff_phase(mu, params.qe, params.f_gate)
     probs = click_probabilities(mu, params.qe)
     qber = attack_qber(probs.p1, probs.p_s) if (probs.p1 + probs.p_s) > 0 else math.nan
     cm = oracle_cm_success(mu, params, split_share) if mu * params.qe > 0 else math.nan
@@ -376,15 +373,13 @@ def _sd_readout(params: DetectorParams) -> SdReadout:
     """The :class:`SdReadout` of ``params``, built once per parameter set
     and returned read-only.
 
-    A weak gate beside an EMPTY one differs from it by t_diff or more at
-    or above ``t_diff``, and from a RAILED one at or below ``t_strong -
-    t_diff``, so a lone weak gate between levels x and y reads the same
-    everywhere inside a bin of those one or two cuts, sorted and
-    deduplicated, since t_diff may reach t_strong - t_diff.  It reads at
-    the bin's :func:`~bncsim.attack.bin_levels` midpoint.
+    A lone weak gate between levels x and y reads the same everywhere
+    inside a bin of the :func:`~bncsim.attack.side_cuts` cuts of x and y,
+    sorted and deduplicated, since t_diff may reach t_strong - t_diff.  It
+    reads at the bin's :func:`~bncsim.attack.bin_levels` midpoint.
     """
-    levels = np.array([0.0, params.t_strong])
-    cut = (params.t_diff, params.t_strong - params.t_diff)
+    levels, cut = side_cuts(params)
+    levels = np.array(levels)
     types = list(itertools.product((0, 1), (0, 1)))
     cuts = tuple(tuple(sorted({cut[x], cut[y]})) for x, y in types)
     entries = []
@@ -492,7 +487,7 @@ def _run_sd_point(
         photons += _signal_photons(law, law.railed, sk.railed, rng)
         stream, weights, register = _sd_walks(sk, amps, lone_bins, readout, register)
         tally = GateTally(gates=n, pe1=photons, fired1=n - sk.empty)
-        return count_events(tally, sd_event_codes(stream, params), weights=weights)
+        return count_events(tally, sd_event_codes(stream, params), weights)
 
     shard = shard_size(mu, params, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
     return _run_sharded(n_gates, shard, seed_seq, block)
@@ -538,10 +533,16 @@ def report_to_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _param_values(params: DetectorParams) -> dict[str, float]:
+    """The parameters by field name, as ``dataclasses.asdict`` gives them
+    without its deep copy of each field."""
+    return {key: getattr(params, key) for key in _PARAM_KEYS}
+
+
 def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
     """Canonical key=value rendering of the resolved configuration."""
     values = {
-        **asdict(params),
+        **_param_values(params),
         "scenario": spec.scenario.value,
         "detector": spec.detector.value,
         "gates": spec.n_gates_per_point,
@@ -771,7 +772,7 @@ def resolve_config(
 ) -> tuple[SweepSpec, DetectorParams, dict[str, object]]:
     """Merge defaults, config-file values, and CLI overrides (highest wins)."""
     merged: dict[str, object] = {
-        **asdict(DetectorParams.default()),
+        **_param_values(DetectorParams.default()),
         "seed": 0,
         "gates": 100_000,
         "scenario": Scenario.ATTACK_CM.value,

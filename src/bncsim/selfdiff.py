@@ -37,21 +37,19 @@ class SdGateEvent(int, Enum):
     BLINDING_DETECTED = GateEvent.BLINDING_DETECTED.value
 
 
-def sd_event_codes(
-    amplitudes: np.ndarray, params: DetectorParams, register: float = 0.0
-) -> np.ndarray:
+def sd_event_codes(amplitudes: np.ndarray, params: DetectorParams) -> np.ndarray:
     """Event stream for a gate-amplitude sequence, as :class:`SdGateEvent` codes.
 
     The three monitor comparators read the live amplitude and the delay
-    register, which holds the previous gate's railed level.  The register
-    starts at ``register``, the amplitude of the gate before the sequence
-    (0.0, the default, is a cold start); entry ``t`` compares amplitude
-    ``t`` against amplitude ``t - 1``.  A stream cut anywhere thus gives
-    the same codes as one call when each part starts from the last
-    amplitude of the part before.
+    register, which holds the previous gate's railed level: entry ``t``
+    compares amplitude ``t`` against amplitude ``t - 1``, and entry 0
+    against an empty register (a cold start).  A stream cut anywhere thus
+    gives the same codes as one call when each part after the first is
+    led by the last amplitude of the part before, whose own code is
+    dropped.
     """
     amps = np.asarray(amplitudes, dtype=float)
-    delayed = np.concatenate(([register], amps[:-1]))
+    delayed = np.concatenate(([0.0], amps[:-1]))
     # the delayed copy has no raw comparator, so the B bit is dropped
     a, _, rise, fall = comparator_arrays(amps, delayed, params)
     return event_codes(a, np.False_, rise, fall)

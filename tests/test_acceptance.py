@@ -22,7 +22,6 @@ from bncsim.attack import (
     DetectorKind,
     Scenario,
     arm_law,
-    arm_levels,
     enumerate_cases,
     evaluate_case_row,
     run_attack,
@@ -210,17 +209,14 @@ def test_c09_blinding_completeness_exact():
 
 def test_c10_self_differencing_cm():
     quiet = replace(PARAMS, dcp_apd1=0.0, dcp_apd2=0.0)
-    rng = np.random.default_rng(SEED)
-    law = arm_law(500.0 * quiet.qe, quiet.dcp_apd1, quiet)
+    # every 500-photon avalanche rails
+    assert arm_law(500.0 * quiet.qe, quiet.dcp_apd1, quiet).state[RAILED] == 1.0
 
     def stream(bright):
         """Event codes of one APD over gates whose ``bright`` gates carry a
-        500-photon pulse; without dark counts the other gates stay empty."""
-        state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
-        levels = np.zeros(bright.size)
-        railed = int(np.count_nonzero(state == RAILED))
-        _, levels[bright] = arm_levels(law, state, railed, quiet, rng)
-        return sd_event_codes(levels, quiet)
+        500-photon pulse and read ``t_strong``; without dark counts the
+        other gates stay empty and read 0."""
+        return sd_event_codes(bright * quiet.t_strong, quiet)
 
     events = stream(np.ones(1000, dtype=bool))
     n_blind = int((events == SdGateEvent.BLINDING_DETECTED).sum())

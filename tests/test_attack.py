@@ -37,7 +37,7 @@ from bncsim.attack import (
     simulate_block,
 )
 from bncsim.errors import ConfigError, InconsistentWord
-from bncsim.harness import REPORT_COLUMNS, SweepSpec, report_to_csv, run_sweep
+from bncsim.harness import REPORT_COLUMNS, SweepSpec, _run_sd_point, report_to_csv, run_sweep
 from bncsim.signal_model import (
     RECEIVER_PHASES,
     DetectorParams,
@@ -920,9 +920,9 @@ def test_fired_gate_readout_equals_full_array_count(
         rows.append((len(calls), amp1, amp2))
         return comparator_arrays(amp1, amp2, params)
 
-    def recorded_weights(tally, codes, both_raw, gates):
+    def recorded_weights(tally, codes, gates, both_raw):
         weights.append(gates)
-        return count_events(tally, codes, both_raw, gates)
+        return count_events(tally, codes, gates, both_raw)
 
     calls = recorded_kernel(monkeypatch)
     attack._pair_readout.cache_clear()
@@ -1128,6 +1128,44 @@ def test_weak_weak_blocks_keep_their_stream(mu, expected, params):
     assert tally == GateTally(gates=1_000_000, **expected)
 
 
+@pytest.mark.parametrize(
+    "mu,high_rail,expected",
+    [
+        (0.1, False, dict(
+            pe1=9_798, fired1=9_782, click1=9_598, click2=9_599, blind=82, weak=953, strong=8_829,
+        )),
+        (1.0, False, dict(
+            pe1=99_950, fired1=95_090, click1=86_048, click2=86_043, blind=7_472, weak=8_946,
+            strong=86_144,
+        )),
+        (10.0, False, dict(
+            pe1=1_001_066, fired1=632_585, click1=252_218, click2=252_081, blind=355_926,
+            weak=37_488, strong=595_097,
+        )),
+        (30.0, False, dict(
+            pe1=2_997_200, fired1=949_950, click1=61_090, click2=61_054, blind=873_748,
+            weak=15_963, strong=933_987,
+        )),
+        (500.0, False, dict(
+            pe1=49_992_173, fired1=1_000_000, click1=1, click2=0, blind=999_999, weak=0,
+            strong=1_000_000,
+        )),
+        (10.0, True, dict(
+            pe1=1_001_100, fired1=633_008, click1=225_229, click2=225_201, blind=17_081,
+            weak=538_962, strong=94_046,
+        )),
+    ],
+)
+def test_self_differencing_points_keep_their_stream(mu, high_rail, expected, params):
+    """1M-gate self-differencing points give the tallies of the engine
+    whose ``sd_event_codes`` took the delay register's start value, whose
+    ``count_events`` defaulted its weights and whose readouts each stated
+    their own side cuts."""
+    p = replace(params, **HIGH_RAIL) if high_rail else params
+    tally = _run_sd_point(mu, 1_000_000, p, np.random.SeedSequence(41))
+    assert tally == GateTally(gates=1_000_000, **expected)
+
+
 def test_class_split_draws_are_one_array_draw(params):
     """Drawing a group's split one outcome at a time gives the variates,
     and leaves the generator where, one draw with the outcomes as ``n``
@@ -1200,9 +1238,9 @@ def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):
         rows.append((amp1, amp2))
         return comparator_arrays(amp1, amp2, p)
 
-    def recorded_weights(tally, codes, both_raw, gates):
+    def recorded_weights(tally, codes, gates, both_raw):
         weights.append(gates)
-        return count_events(tally, codes, both_raw, gates)
+        return count_events(tally, codes, gates, both_raw)
 
     attack._pair_readout.cache_clear()
     monkeypatch.setattr(attack, "comparator_arrays", recorded_rows)

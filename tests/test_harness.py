@@ -584,9 +584,9 @@ class TestSelfDifferencingShards:
         )
         assert stream.size <= 2 * len(explicit) + 4 + readout.fixed.size
         counts = np.bincount(harness.sd_event_codes(stream, params), weights, len(GateEvent))
-        expected = np.bincount(
-            harness.sd_event_codes(dense, params, register), minlength=len(GateEvent)
-        )
+        # the dense stream led by the register, whose own code is dropped
+        led = harness.sd_event_codes(np.concatenate(([register], dense)), params)[1:]
+        expected = np.bincount(led, minlength=len(GateEvent))
         assert counts.tolist() == expected.tolist()
         names = Counter(sd_stream(dense.tolist(), params.t_strong, params.t_diff, register))
         assert {e.name: counts[e] for e in SdGateEvent if counts[e]} == names
@@ -1062,6 +1062,24 @@ class TestCli:
             "warning: mu_apd*qe = 10 exceeds the linear regime (<= 0.3); "
             "the ideal rate overestimates clicks\n"
         )
+
+    @pytest.mark.parametrize(
+        "mu,regime", [(0.6, "ok"), (math.nextafter(0.6, 1.0), "extrapolated")]
+    )
+    def test_regime_boundary_in_both_readers(self, mu, regime, capsys):
+        """mu*qe = 0.6*0.5 is 0.3 exactly in binary64, inside the linear
+        regime for the report and the CLI; at the next float of mu it is
+        past it for both: the report says so, and the CLI prints one line."""
+        assert (mu * 0.5 == 0.3) is (regime == "ok")
+        params = replace(DetectorParams.default(), qe=0.5)
+        report = run_sweep(small_spec(flux_grid=(mu,)), params)
+        assert [row.oracle_regime for row in report.rows] == [regime]
+        assert main(["oracle", "--mu", repr(mu), "--qe", "0.5"]) == 0
+        warning = (
+            "warning: mu_apd*qe = 0.3 exceeds the linear regime (<= 0.3); "
+            "the ideal rate overestimates clicks\n"
+        )
+        assert capsys.readouterr().err == ("" if regime == "ok" else warning)
 
     def test_oracle_budget_chain(self, capsys):
         assert (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bncsim.attack import RAILED, arm_law, arm_levels
+from bncsim.attack import RAILED, arm_law
 from bncsim.balanced import event_codes
 from bncsim.errors import InconsistentWord
 from bncsim.selfdiff import SdGateEvent, sd_event_codes
@@ -17,16 +17,13 @@ def quiet_params():
     return replace(DetectorParams.default(), dcp_apd1=0.0, dcp_apd2=0.0)
 
 
-def stream(bright, rng, mu=500.0):
-    """Events of a gate stream whose ``bright`` gates carry a pulse of ``mu``;
-    without dark counts the other gates stay empty."""
+def stream(bright):
+    """Events of a gate stream whose ``bright`` gates carry a 500-photon
+    pulse, which rails and reads ``t_strong``; without dark counts the
+    other gates stay empty and read 0."""
     p = quiet_params()
-    law = arm_law(mu * p.qe, p.dcp_apd1, p)
-    state = rng.choice(len(law.state), int(bright.sum()), p=law.state)
-    levels = np.zeros(bright.size)
-    _, levels[bright] = arm_levels(law, state, int(np.count_nonzero(state == RAILED)), p, rng)
-    codes = sd_event_codes(levels, p)
-    return [SdGateEvent(code) for code in codes]
+    assert arm_law(500.0 * p.qe, p.dcp_apd1, p).state[RAILED] == 1.0
+    return [SdGateEvent(code) for code in sd_event_codes(bright * p.t_strong, p)]
 
 
 def second_gate(delayed, current, params):
@@ -101,8 +98,8 @@ class TestStream:
     def test_empty_stream(self, params):
         assert sd_event_codes(np.array([]), params).size == 0
 
-    def test_isolated_avalanche_events(self, rng):
-        events = stream(np.array([0, 0, 1, 0, 0], dtype=bool), rng)
+    def test_isolated_avalanche_events(self):
+        events = stream(np.array([0, 0, 1, 0, 0], dtype=bool))
         assert events == [
             SdGateEvent.NO_EVENT,
             SdGateEvent.NO_EVENT,
@@ -111,8 +108,8 @@ class TestStream:
             SdGateEvent.NO_EVENT,
         ]
 
-    def test_blinding_train(self, rng):
-        events = stream(np.ones(200, dtype=bool), rng)
+    def test_blinding_train(self):
+        events = stream(np.ones(200, dtype=bool))
         assert events[0] is SdGateEvent.STRONG_RISE
         assert all(e is SdGateEvent.BLINDING_DETECTED for e in events[1:])
 
@@ -143,17 +140,20 @@ def test_stream_matches_vectorized_classifier(params):
     register=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
 )
 def test_cut_stream_carries_register(amps, cut, register):
-    """A stream cut at any gate, the second part starting from the last
-    amplitude of the first, gives the codes of one call, and both match
-    the per-gate delay-register reference."""
+    """A stream led by the register level, cut at any gate, the second
+    part led by the last amplitude of the first, gives the codes of one
+    call once each part drops its lead's code, and both match the
+    per-gate delay-register reference."""
     p = quiet_params()
     amps = np.array(amps)
     cut = min(cut, amps.size)
-    whole = sd_event_codes(amps, p, register)
+
+    def led(lead, part):
+        return sd_event_codes(np.concatenate(([lead], part)), p)[1:]
+
+    whole = led(register, amps)
     carried = amps[cut - 1] if cut else register
-    parts = np.concatenate(
-        [sd_event_codes(amps[:cut], p, register), sd_event_codes(amps[cut:], p, carried)]
-    )
+    parts = np.concatenate([led(register, amps[:cut]), led(carried, amps[cut:])])
     assert (parts == whole).all()
     expected = sd_stream(amps, p.t_strong, p.t_diff, register)
     assert [SdGateEvent(code).name for code in whole] == expected

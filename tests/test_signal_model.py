@@ -17,11 +17,13 @@ from bncsim.attack import (
     WEAK,
     AttackConfig,
     DetectorKind,
+    _signal_photons,
     _weak_amplitudes,
+    _weak_gates,
     arm_law,
-    arm_levels,
     arm_means,
     detect_pair,
+    side_cuts,
 )
 import bncsim
 import bncsim.signal_model as signal_model
@@ -179,31 +181,39 @@ def carrier_mixture(lam, dcp, params):
 
 class TestAvalancheAmplitude:
     """The railed law min(gain_mean * Gamma(K), t_strong) of K carriers:
-    :func:`_weak_amplitudes` at fixed K, and :func:`arm_levels` and the gate
-    kernel's census over the K of an arm law.
+    :func:`_weak_amplitudes` at fixed K, and over the K of an arm law the
+    weak gates' amplitudes (:func:`_weak_gates`), the railed gates'
+    photons (:func:`_signal_photons`) and the gate kernel's census.
 
     The oracles are ``scipy.stats`` gamma and Poisson distributions,
     independent of the sampler's Poisson-tail table.
     """
 
     def test_silent_gate(self, params, rng):
+        # no weak and no railed gate: no photons, no amplitudes, no variates
         law = arm_law(2.0, params.dcp_apd1, params)
-        photons, levels = arm_levels(law, np.full(10, EMPTY), 0, params, rng)
-        assert photons == 0 and levels.max() == 0.0
+        before = rng.bit_generator.state
+        photons, amps = _weak_gates(law, 0, params, rng)
+        assert photons == 0 and amps.size == 0
+        assert _signal_photons(law, law.railed, 0, rng) == 0
+        assert rng.bit_generator.state == before
 
     def test_dark_only_gate_fires(self, params, rng):
         law = arm_law(0.0, 1.0, params)
         assert law.state[EMPTY] == 0.0
         state = rng.choice(3, 1000, p=law.state)
-        photons, levels = arm_levels(law, state, int((state == RAILED).sum()), params, rng)
-        assert photons == 0 and (levels > 0.0).all()
+        photons, amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
+        railed = int((state == RAILED).sum())
+        assert photons == 0 and _signal_photons(law, law.railed, railed, rng) == 0
+        assert (amps > 0.0).all()
 
     def test_never_above_rail(self, params, rng):
         law = arm_law(2.0, params.dcp_apd1, params)
         state = rng.choice(3, 100_000, p=law.state)
-        _, levels = arm_levels(law, state, int((state == RAILED).sum()), params, rng)
-        assert levels.max() == params.t_strong
-        assert (levels[state == WEAK] < params.t_strong).all()
+        _, amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
+        assert (amps < params.t_strong).all()
+        # the readouts' empty and railed levels: 0 and the rail itself
+        assert side_cuts(params)[0] == (0.0, params.t_strong)
 
     def test_single_carrier_weak_fraction(self, params):
         # t_strong = gain_mean * ln(10/9) puts exactly 10% of single-carrier
@@ -222,7 +232,7 @@ class TestAvalancheAmplitude:
         levels = carrier_levels(10, 100_000, params, rng)
         assert (levels == params.t_strong).all()
 
-    def test_probability_table_sized_by_parameters(self, params, rng):
+    def test_probability_table_sized_by_parameters(self, params):
         # P(k) falls with k and underflows to 0 a little past the rail, so
         # the table stops there however many carriers an avalanche holds
         table = weak_probabilities(params)
@@ -230,10 +240,9 @@ class TestAvalancheAmplitude:
         ks = np.arange(1, 11)
         oracle = stats.gamma(a=ks, scale=params.gain_mean).cdf(params.t_strong)
         np.testing.assert_allclose(table[1:11], oracle, rtol=1e-10)
+        # every gate rails, and reads the rail (test_never_above_rail)
         law = arm_law(1e11, params.dcp_apd1, params)
         assert law.state.tolist() == [0.0, 0.0, 1.0]
-        _, levels = arm_levels(law, np.full(1000, RAILED), 1000, params, rng)
-        assert (levels == params.t_strong).all()
 
     def test_largest_accepted_ratio_bounds_the_table(self, params):
         # bisect t_strong / gain_mean down to adjacent floats: the largest
@@ -320,7 +329,7 @@ class TestAvalancheAmplitude:
         k, carriers, weight, below = carrier_mixture(lam, dcp, railed)
         weak = weight * below / (weight @ below)
         law = arm_law(lam, dcp, railed)
-        photons, levels = arm_levels(law, np.full(n, WEAK), 0, railed, np.random.default_rng(8))
+        photons, levels = _weak_gates(law, n, railed, np.random.default_rng(8))
 
         def cdf(x):
             # the (d, k) of weight below 1e-9 do not move the CDF
@@ -341,8 +350,7 @@ class TestAvalancheAmplitude:
         k, _, weight, below = carrier_mixture(lam, dcp, params)
         rails = weight * (1.0 - below) / (weight @ (1.0 - below))
         law = arm_law(lam, dcp, params)
-        photons, levels = arm_levels(law, np.full(n, RAILED), n, params, np.random.default_rng(9))
-        assert (levels == params.t_strong).all()
+        photons = _signal_photons(law, law.railed, n, np.random.default_rng(9))
         k_mean, k_var = rails @ k, rails @ k**2 - (rails @ k) ** 2
         assert abs(photons - n * k_mean) <= 5.0 * math.sqrt(n * k_var)
 
