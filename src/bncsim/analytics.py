@@ -51,19 +51,16 @@ class LinkBudget:
     rep_rate_hz: float
     att_bob_db: float
     mu_eve_alice: float
-    e_photon_j: float = E_PHOTON_1550_NM
 
     def __post_init__(self) -> None:
         if min(self.p_ave_w, self.att_bob_db, self.mu_eve_alice) < 0.0:
             raise ValueError("budget values must be non-negative")
-        if self.rep_rate_hz <= 0.0 or self.e_photon_j <= 0.0:
-            raise ValueError("rep_rate_hz and e_photon_j must be positive")
+        if self.rep_rate_hz <= 0.0:
+            raise ValueError("rep_rate_hz must be positive")
 
     @property
     def n_photons(self) -> float:
-        return photons_per_pulse_from_power(
-            self.p_ave_w, self.rep_rate_hz, self.e_photon_j
-        )
+        return photons_per_pulse_from_power(self.p_ave_w, self.rep_rate_hz)
 
     @property
     def att_path_db(self) -> float:
@@ -78,15 +75,13 @@ class LinkBudget:
         return flux_after_attenuation(self.n_photons, self.att_total_db)
 
 
-def photons_per_pulse_from_power(
-    p_ave_w: float, rep_rate_hz: float, e_photon_j: float = E_PHOTON_1550_NM
-) -> float:
-    """Photons per pulse from average power: (P/R) / E_photon."""
+def photons_per_pulse_from_power(p_ave_w: float, rep_rate_hz: float) -> float:
+    """Photons per pulse from average power: (P/R) / E_photon at 1550 nm."""
     if p_ave_w < 0.0:
         raise ValueError("average power must be non-negative")
-    if rep_rate_hz <= 0.0 or e_photon_j <= 0.0:
-        raise ValueError("rep_rate_hz and e_photon_j must be positive")
-    return (p_ave_w / rep_rate_hz) / e_photon_j
+    if rep_rate_hz <= 0.0:
+        raise ValueError("rep_rate_hz must be positive")
+    return (p_ave_w / rep_rate_hz) / E_PHOTON_1550_NM
 
 
 def flux_after_attenuation(n_photons: float, att_db: float) -> float:

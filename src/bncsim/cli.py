@@ -176,12 +176,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "ideal_rate_diff_phase": ideal_click_rate_diff_phase(mu, args.qe, args.f_gate),
         "p1": probs.p1, "p2": probs.p2, "p_s": probs.p_s,
     }
-    if nu > LINEAR_REGIME_MAX:
-        print(
-            f"warning: mu_apd*qe = {nu:.3g} exceeds the linear regime "
-            f"(<= {LINEAR_REGIME_MAX}); the ideal rate overestimates clicks",
-            file=sys.stderr,
-        )
     if probs.p1 + probs.p_s > 0:
         values["attack_qber"] = attack_qber(probs.p1, probs.p_s)
     if nu > 0:
@@ -194,6 +188,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                           att_total_db=link.att_total_db, mu_apd=link.mu_apd)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    if nu > LINEAR_REGIME_MAX:
+        print(
+            f"warning: mu_apd*qe = {nu:.3g} exceeds the linear regime "
+            f"(<= {LINEAR_REGIME_MAX}); the ideal rate overestimates clicks",
+            file=sys.stderr,
+        )
     print(f"mu={mu:g}")
     for name, value in values.items():
         print(f"{name}={value:.10g}")

@@ -45,7 +45,7 @@ from .attack import (
     check_enum,
     check_flux,
     check_int,
-    check_real,
+    check_poisson_mean,
     count_events,
     run_attack,
     shard_size,
@@ -76,12 +76,8 @@ class SweepSpec:
         if not self.flux_grid:
             object.__setattr__(self, "flux_grid", ())
         # + 0.0 turns -0.0 into 0.0, so equal fluxes share one seed
-        grid = tuple(check_real(x, "flux") + 0.0 for x in self.flux_grid)
+        grid = tuple(check_flux(x, "flux") + 0.0 for x in self.flux_grid)
         object.__setattr__(self, "flux_grid", grid)
-        if not all(math.isfinite(x) for x in grid):
-            raise ConfigError(f"flux values must be finite, got {grid}")
-        if any(x < 0.0 for x in grid):
-            raise ConfigError("flux values must be non-negative")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("flux grid must be strictly increasing")
         for name in ("n_gates_per_point", "seed"):
@@ -251,11 +247,9 @@ def _run_law(
     return m, r, first, last
 
 
-def _pair_totals(
-    lengths: np.ndarray, m: np.ndarray, r: np.ndarray, first: np.ndarray, last: np.ndarray
-) -> list[list[int]]:
+def _pair_totals(length: int, m: int, r: int, first: int, last: int) -> list[list[int]]:
     """Counts of adjacent (gate, successor) pairs in states (p, c), 0
-    EMPTY and 1 RAILED, summed over runs drawn by :func:`_run_law`:
+    EMPTY and 1 RAILED, of one run drawn by :func:`_run_law`:
     [[EE, ER], [RE, RR]].
 
     A run of m EMPTY gates in r runs has m - r EE pairs.  Each of its
@@ -263,14 +257,13 @@ def _pair_totals(
     gives r - 1 + b ER pairs (b = 1 when the run ends RAILED), and each
     of its r - 1 + a + b RAILED runs by an EMPTY gate unless it ends the
     run: r - 1 + a RE pairs.  The rest of its L - 1 pairs are RR.  An
-    empty run adds nothing.
+    empty run has none.
     """
-    filled = np.count_nonzero(lengths)
-    empty_runs = int(r.sum())
-    ee = int(m.sum()) - empty_runs
-    er = empty_runs - filled + int(np.count_nonzero(last))
-    re = empty_runs - filled + int(np.count_nonzero(first))
-    return [[ee, er], [re, int(lengths.sum()) - filled - ee - er - re]]
+    filled = int(length > 0)
+    ee = m - r
+    er = r - filled + last
+    re = r - filled + first
+    return [[ee, er], [re, length - filled - ee - er - re]]
 
 
 class SdSkeleton(NamedTuple):
@@ -344,10 +337,8 @@ def _sd_skeleton(n: int, p_weak: float, q: float, rng: np.random.Generator) -> S
             head, sizes = int(sizes[0]), sizes[1:]
         if tail and joins[-1] == weak - 2:
             tail, sizes = int(sizes[-1]), sizes[:-1]
-    lengths = np.array([nonweak])
-    empty, empty_runs, first, last = _run_law(lengths, q, rng)
-    contracted = np.ravel(_pair_totals(lengths, empty, empty_runs, first, last))
-    empty, first, last = int(empty[0]), int(first[0]), int(last[0])
+    empty, empty_runs, first, last = (int(x[0]) for x in _run_law(np.array([nonweak]), q, rng))
+    contracted = np.ravel(_pair_totals(nonweak, empty, empty_runs, first, last))
     internal = max(runs - 1, 0)
     broken = lone = np.zeros(4, np.int64)
     if internal:
@@ -505,7 +496,7 @@ def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
 def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     """Run the sweep; deterministic for a given (spec, params)."""
     if spec.flux_grid:
-        check_flux(spec.flux_grid[-1], params)
+        check_poisson_mean(spec.flux_grid[-1], params)
     # the monitor only reads the gates: attack_no_cm runs as attack_cm,
     # and _row_from_tally masks the monitor columns
     scenario = Scenario.ATTACK_CM if spec.scenario is Scenario.ATTACK_NO_CM else spec.scenario

@@ -1,11 +1,12 @@
 """Per-gate reference for the readout and sifting rules.
 
 The package classifies whole gate arrays through lookup tables, and
-draws the self-differencing point without drawing its gates.  This
-module restates the same rules one gate at a time, in plain Python, and
-draws a self-differencing point gate by gate, with numpy arrays, from
-the circuit description rather than from those tables (it imports
-nothing from ``bncsim``), so tests can use it as an independent oracle.
+draws the balanced and self-differencing points without drawing most of
+their gates.  This module restates the same rules one gate at a time, in
+plain Python, and draws both kinds of point gate by gate, with numpy
+arrays, from the circuit description rather than from those tables (it
+imports nothing from ``bncsim``), so tests can use it as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import numpy as np
 
 
 def comparators(amp1, amp2, t_strong, t_diff, common_mode=0.0):
-    """Monitor bits (a, b, c, d) of one balanced gate.
+    """Monitor bits (a, b, c, d) of one balanced gate, or of arrays of
+    gates, elementwise.
 
     Each arm rails at ``t_strong`` before the differencing node; a common
     offset such as the gate transient reaches both inputs of that node.
     """
-    v1 = min(amp1, t_strong) + common_mode
-    v2 = min(amp2, t_strong) + common_mode
+    v1 = np.minimum(amp1, t_strong) + common_mode
+    v2 = np.minimum(amp2, t_strong) + common_mode
     return amp1 >= t_strong, amp2 >= t_strong, v1 - v2 >= t_diff, v2 - v1 >= t_diff
 
 
@@ -118,6 +120,53 @@ def sd_point_dense(n, lam, dcp, gain_mean, t_strong, t_diff, rng):
         int(raw.sum()),
         int(k.sum()),
     )
+
+
+def balanced_point_dense(n, lam1, lam2, dcp1, dcp2, gain_mean, t_strong, t_diff, rng):
+    """Counters of ``n`` balanced gates, drawn gate by gate with numpy
+    arrays and read through :func:`comparators` and :func:`gate_event`:
+    a dict with ``fired1``, ``fired2``, ``doubles``, ``click1``,
+    ``click2``, ``blind``, ``strong``, ``weak``, ``weak_coinc``, ``pe1``
+    and ``pe2``.
+
+    Arm i's carriers are a Poisson(``lam_i``) signal count plus a dark
+    ignition with probability ``dcp_i``; its amplitude is ``gain_mean``
+    times a Gamma(carriers) draw, and 0 without carriers.  A click is a
+    strong or weak event of either polarity, a blinding flag the
+    ``BLINDING_DETECTED`` event; ``strong`` counts the arms whose raw
+    comparator fired and ``weak`` the other fired arms; ``weak_coinc``
+    counts the gates where both arms fired and the word is no event.
+    ``rng`` is a numpy ``Generator``.
+    """
+    k = np.array([rng.poisson(lam1, n), rng.poisson(lam2, n)])
+    carriers = k + (rng.random((2, n)) < np.array([[dcp1], [dcp2]]))
+    fired = carriers > 0
+    amps = np.zeros((2, n))
+    amps[fired] = gain_mean * rng.standard_gamma(carriers[fired])
+    a, b, c, d = comparators(amps[0], amps[1], t_strong, t_diff)
+    word = 8 * a + 4 * b + 2 * c + d
+    # each of the 16 words is read once; a gate takes its word's event
+    names = [gate_event(*(bool(w >> bit & 1) for bit in (3, 2, 1, 0))) for w in range(16)]
+
+    def reads(*events):
+        return np.isin(word, [w for w, name in enumerate(names) if name in events])
+
+    assert not reads(None).any(), "unreachable comparator word"
+    both = fired[0] & fired[1]
+    strong = int(a.sum() + b.sum())
+    return {
+        "fired1": int(fired[0].sum()),
+        "fired2": int(fired[1].sum()),
+        "doubles": int(both.sum()),
+        "click1": int(reads("STRONG_1", "WEAK_1").sum()),
+        "click2": int(reads("STRONG_2", "WEAK_2").sum()),
+        "blind": int(reads("BLINDING_DETECTED").sum()),
+        "strong": strong,
+        "weak": int(fired.sum()) - strong,
+        "weak_coinc": int((both & reads("NO_EVENT")).sum()),
+        "pe1": int(k[0].sum()),
+        "pe2": int(k[1].sum()),
+    }
 
 
 def sift(alice_phase, bob_basis, click):

@@ -65,7 +65,7 @@ class TestLinkBudget:
         assert flux_after_attenuation(3.9e6, 40.0) == pytest.approx(390.0)
 
     def test_photons_per_pulse(self):
-        n = photons_per_pulse_from_power(1e-6, 2e6, 1.2816e-19)
+        n = photons_per_pulse_from_power(1e-6, 2e6)
         assert n == pytest.approx(3.90e6, rel=1e-3)
         assert photons_per_pulse_from_power(0.0, 2e6) == 0.0
 

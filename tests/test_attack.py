@@ -46,7 +46,7 @@ from bncsim.signal_model import (
     below_probabilities,
     weak_probabilities,
 )
-from reference import comparators, gate_event, sift_ledger, two_apd_click
+from reference import balanced_point_dense, comparators, gate_event, sift_ledger, two_apd_click
 
 
 def seed_seq(n=0):
@@ -312,8 +312,8 @@ class TestRunAttack:
         "n_gates,mu,message",
         [
             (0, 1.0, "n_gates"),
-            (10, -1.0, "non-negative"),
-            (10, math.nan, "finite"),
+            (10, -1.0, "mu must be finite and non-negative"),
+            (10, math.nan, "mu must be finite and non-negative"),
             (2.5, 1.0, "n_gates must be an integer"),
             (True, 1.0, "n_gates must be an integer"),
             (10, True, "mu must be a real number"),
@@ -335,6 +335,9 @@ class TestRunAttack:
             AttackConfig(n_pulses=0, resend_mu=1.0)
         with pytest.raises(ConfigError):
             AttackConfig(n_pulses=10, resend_mu=1.0, detector=DetectorKind.SELF_DIFFERENCING)
+        for bad in (-1.0, math.nan, math.inf, 10**400, -(10**400)):
+            with pytest.raises(ConfigError, match="resend_mu must be finite and non-negative"):
+                AttackConfig(n_pulses=10, resend_mu=bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -1216,6 +1219,41 @@ def test_cell_probabilities_match_per_gate_law(mu, delta, params):
     np.testing.assert_allclose(pvals, direct.ravel(), rtol=1e-9, atol=1e-300)
 
 
+@pytest.mark.parametrize("delta", [0, 1, 2])
+@pytest.mark.parametrize(
+    "high_rail,mu", [(False, 10.0), (False, 30.0), (True, 1.0), (True, 10.0), (True, 30.0)]
+)
+def test_pair_counters_match_dense_reference(high_rail, mu, delta, params):
+    """Each counter of 100k-gate balanced :func:`detect_pair` calls, at
+    the arm means of each arm group, agrees with the same gates drawn and
+    read one by one (:func:`reference.balanced_point_dense`) within 5
+    sigma (Welch, 20 points a side); a counter that neither side varies
+    agrees exactly.  On the default point and on the high rail with a
+    dark-heavy APD 1, where weak-weak gates hold 0.3-19% of the gates."""
+    p = replace(params, dcp_apd1=0.05, **HIGH_RAIL) if high_rail else params
+    lam1, lam2 = arm_means(mu, p.qe, delta)
+    n, points = 100_000, 20
+    ours, theirs = (np.random.default_rng([side, int(mu), delta, high_rail]) for side in (0, 1))
+    dense = [
+        balanced_point_dense(
+            n, lam1, lam2, p.dcp_apd1, p.dcp_apd2, p.gain_mean, p.t_strong, p.t_diff, theirs
+        )
+        for _ in range(points)
+    ]
+    names = list(dense[0])
+    dense = np.array([[point[name] for name in names] for point in dense])
+    drawn = np.array([
+        [getattr(tally, name) for name in names]
+        for tally in (
+            detect_pair(lam1, lam2, n, DetectorKind.BALANCED_BNC, p, ours) for _ in range(points)
+        )
+    ])
+    gap = drawn.mean(0) - dense.mean(0)
+    spread = np.sqrt((drawn.var(0, ddof=1) + dense.var(0, ddof=1)) / points)
+    z = np.divide(gap, spread, out=np.where(gap == 0.0, 0.0, np.inf), where=spread > 0.0)
+    assert (np.abs(z) < 5.0).all(), dict(zip(names, z.round(2).tolist()))
+
+
 #: A high rail, so that weak arms of several carriers are common, and the
 #: two thresholds of the one-weak cells: t_diff = 1 beside an empty arm,
 #: t_strong - t_diff = 2 beside a railed one.
@@ -1514,3 +1552,27 @@ def test_huge_flux_photon_totals_do_not_wrap(params):
         t = run_attack(cfg, params, seed_seq(31))
         for pe in (t.pe1, t.pe2):
             assert pe > 0 and abs(pe - n * lam / 2) <= 5 * math.sqrt(n * lam / 2)
+
+
+def test_chunked_photon_total_memory_stays_bounded(params):
+    """Past the P(k) table an arm's total is drawn in Poisson chunks, a
+    batch at a time: the traced peak of 2**20 chunks is that of 2**16,
+    and the total is that of one draw of all the chunks on a twin
+    generator."""
+    import tracemalloc
+
+    lam = attack.POISSON_LAM_MAX
+    law = attack.arm_law(lam, 0.0, params)
+    assert not law.k.size
+    peaks = []
+    for n in (2**16, 2**20):
+        chunks = int(n * lam // attack.POISSON_LAM_MAX) + 1
+        twin = np.random.default_rng(n).poisson(n * lam / chunks, chunks)
+        tracemalloc.start()
+        try:
+            total = attack._signal_photons(law, law.railed, n, np.random.default_rng(n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert total == sum(twin.tolist())
+    assert peaks[1] <= 1.25 * peaks[0], peaks

@@ -129,9 +129,9 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=f"{field} must be one of"):
             small_spec(**{field: "sneaky"})
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_flux_rejected(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="flux must be finite and non-negative"):
             small_spec(flux_grid=(0.1, bad))
 
     def test_flux_beyond_poisson_limit_rejected_before_any_gate(self, params, monkeypatch):
@@ -641,8 +641,7 @@ class TestSelfDifferencingShards:
         runs = harness._run_law(np.full(n, length), q, np.random.default_rng(length))
         drawn = Counter()
         for (m, r, first, last), count in Counter(zip(*(a.tolist() for a in runs))).items():
-            one = [np.array([x]) for x in (length, m, r, first, last)]
-            (ee, er), (re, rr) = harness._pair_totals(*one)
+            (ee, er), (re, rr) = harness._pair_totals(length, m, r, first, last)
             drawn[m, first, last, ee, er, re, rr] += count
         assert set(drawn) <= {key for key, p in law.items() if p > 0.0}
         for key, p in law.items():
@@ -1114,10 +1113,14 @@ class TestCli:
              "--att-bob", "-3"],
             ["--mu", "1", "--p-ave", "1e-6"],
             ["--mu", "1", "--att-bob", "3"],
+            # past the linear regime: the budget is checked before the warning
+            ["--mu", "10", "--p-ave", "1e-6", "--rep-rate", "2e6", "--mu-eve-alice", "1e9"],
+            ["--mu", "10", "--p-ave", "-1", "--rep-rate", "2e6", "--mu-eve-alice", "100"],
         ],
         ids=[
             "mu-negative", "mu-nan", "mu-inf", "budget-amplifies", "rep-rate-0",
             "att-bob-negative", "p-ave-alone", "att-bob-alone",
+            "warned-budget-amplifies", "warned-p-ave-negative",
         ],
     )
     def test_oracle_bad_input_exits_2_without_output(self, argv, capsys):
