@@ -53,6 +53,9 @@ class LinkBudget:
     mu_eve_alice: float
 
     def __post_init__(self) -> None:
+        values = (self.p_ave_w, self.rep_rate_hz, self.att_bob_db, self.mu_eve_alice)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("budget values must be finite")
         if min(self.p_ave_w, self.att_bob_db, self.mu_eve_alice) < 0.0:
             raise ValueError("budget values must be non-negative")
         if self.rep_rate_hz <= 0.0:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -50,6 +49,7 @@ from .signal_model import (
     DetectorParams,
     PhaseSymbol,
     below_probabilities,
+    check_real,
     poisson_log_pmf,
     weak_probabilities,
 )
@@ -208,15 +208,9 @@ def check_int(value: object, name: str) -> int:
 
 
 def check_flux(value: object, name: str) -> float:
-    """``value`` as a flux, a Python float: any real number, numpy's
-    included, but not a bool, which would pass for 0 or 1; finite and
-    non-negative.  An int past the float range counts as infinite."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        mu = float(value)
-    except OverflowError:
-        mu = math.inf if value > 0 else -math.inf
+    """``value`` as a flux: a :func:`check_real` number, finite and
+    non-negative."""
+    mu = check_real(value, name)
     if not 0.0 <= mu < math.inf:
         raise ConfigError(f"{name} must be finite and non-negative, got {mu}")
     return mu

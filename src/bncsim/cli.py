@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from .analytics import (
     ideal_click_rate_same_phase,
     oracle_cm_success,
 )
-from .attack import DetectorKind, Scenario, enumerate_cases, evaluate_case_row
+from .attack import DetectorKind, Scenario, check_flux, enumerate_cases, evaluate_case_row
 from .errors import ConfigError, MissingFluxPoint
 from .harness import (
     emit_report,
@@ -76,16 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {
-        "seed": args.seed,
-        "gates": args.gates,
-        "flux": args.flux,
-        "scenario": args.scenario,
-        "detector": args.detector,
-        "out": args.out,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     spec, params, merged = resolve_config(file_values, overrides)
-    out = Path(str(merged["out"]))
+    out = Path(merged["out"])
     if not out.parent.is_dir() or out.is_dir() or Path(f"{out}.manifest").is_dir():
         raise ConfigError(f"cannot write {out} and its manifest: no such directory, or a directory")
     report = run_sweep(spec, params)
@@ -102,23 +94,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    if args.gates is not None and args.gates < 1:
-        raise ConfigError(f"--gates must be at least 1, got {args.gates}")
     file_values = parse_config_file(args.config) if args.config else {}
+    gates, name = args.gates, "--gates"
+    if gates is None:
+        gates, name = file_values.get("gates"), "gates"
+    if gates is not None and gates < 1:
+        raise ConfigError(f"{name} must be at least 1, got {gates}")
     # table 1 reads only the detector, the seed and the gates per row, so
     # it checks no other sweep key
     read = {f.name for f in fields(DetectorParams)} | {"seed"}
     table_values = {key: value for key, value in file_values.items() if key in read}
-    _, params, merged = resolve_config(table_values, {"seed": args.seed})
-    seed = int(merged["seed"])
-    gates = args.gates
-    if gates is None and "gates" in file_values:
-        try:
-            gates = int(file_values["gates"])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for 'gates': {file_values['gates']!r}") from exc
-        if gates < 1:
-            raise ConfigError(f"gates must be at least 1, got {gates}")
+    spec, params, _ = resolve_config(table_values, {"seed": args.seed})
     rows = enumerate_cases()
     print(
         f"{'#':>2} {'alice':>6} {'eve_basis':>9} {'eve_apd':>7} {'resend':>6} "
@@ -129,7 +115,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         result = evaluate_case_row(
             row,
             params,
-            np.random.SeedSequence(seed, spawn_key=(1, i)),
+            np.random.SeedSequence(spec.seed, spawn_key=(1, i)),
             gates=gates,
         )
         all_ok &= result.matched
@@ -159,16 +145,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     """Print the oracles at flux --mu; bad input is a ConfigError before any output."""
-    for name, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if args.mu < 0.0:
-        raise ConfigError(f"--mu must be non-negative, got {args.mu:g}")
+    mu = check_flux(args.mu, "--mu")
     given = [v is not None for v in (args.p_ave, args.rep_rate, args.mu_eve_alice)]
     if not all(given) and (any(given) or args.att_bob is not None):
         raise ConfigError("the link budget needs --p-ave, --rep-rate and --mu-eve-alice together")
     params = replace(DetectorParams.default(), qe=args.qe, f_gate=args.f_gate)
-    mu = args.mu
     nu = mu * args.qe
     probs = click_probabilities(mu, args.qe)
     values = {

@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import platform
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -741,9 +741,10 @@ _SWEEP_KEYS = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key=value file; '#' starts a comment."""
-    values: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, object]:
+    """Read a flat key=value file; '#' starts a comment.  Each value is cast
+    by its key's type; ``flux`` stays the text :func:`resolve_config` parses."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(_decode(Path(path).read_bytes(), path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -751,54 +752,37 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARAM_KEYS and key not in _SWEEP_KEYS:
+        caster = _PARAM_KEYS.get(key) or _SWEEP_KEYS.get(key)
+        if caster is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = caster(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return values
 
 
 def resolve_config(
-    file_values: Optional[dict[str, str]] = None,
+    file_values: Optional[dict[str, object]] = None,
     overrides: Optional[dict[str, object]] = None,
 ) -> tuple[SweepSpec, DetectorParams, dict[str, object]]:
-    """Merge defaults, config-file values, and CLI overrides (highest wins)."""
-    merged: dict[str, object] = {
-        **_param_values(DetectorParams.default()),
-        "seed": 0,
-        "gates": 100_000,
-        "scenario": Scenario.ATTACK_CM.value,
-        "detector": DetectorKind.BALANCED_BNC.value,
-        "flux": "",
-        "out": "report.csv",
-    }
-    for key, raw in (file_values or {}).items():
-        caster = _PARAM_KEYS.get(key) or _SWEEP_KEYS[key]
-        try:
-            merged[key] = caster(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
+    """Merge defaults, config-file values, and overrides that are not None
+    (highest wins).  Values pass on as given: :class:`DetectorParams` and
+    :class:`SweepSpec` check them and hold the other defaults."""
+    merged: dict[str, object] = {"gates": 100_000, "flux": "", "out": "report.csv"}
+    merged.update(file_values or {})
+    merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    params = replace(
+        DetectorParams.default(), **{key: merged[key] for key in _PARAM_KEYS if key in merged}
+    )
+    flux = merged["flux"]
     try:
-        params = DetectorParams(**{key: float(merged[key]) for key in _PARAM_KEYS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    flux_raw = str(merged["flux"]).strip()
-    if flux_raw:
-        try:
-            grid = tuple(float(x) for x in flux_raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad flux list: {flux_raw!r}") from exc
-    else:
-        grid = DEFAULT_FLUX_GRID
+        grid = tuple(float(x) for x in flux.split(",")) if flux.strip() else DEFAULT_FLUX_GRID
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError(f"bad flux list: {flux!r}") from exc
     spec = SweepSpec(
         flux_grid=grid,
-        n_gates_per_point=int(merged["gates"]),
-        scenario=str(merged["scenario"]),
-        detector=str(merged["detector"]),
-        seed=int(merged["seed"]),
+        n_gates_per_point=merged["gates"],
+        **{key: merged[key] for key in ("scenario", "detector", "seed") if key in merged},
     )
     return spec, params, merged

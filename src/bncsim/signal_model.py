@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import IntEnum
 
@@ -62,6 +63,18 @@ RECEIVER_PHASES = (PhaseSymbol.ZERO, PhaseSymbol.HALF_PI)
 WEAK_TABLE_MAX = 2**21 + 1
 
 
+def check_real(value: object, name: str) -> float:
+    """``value`` as a Python float: any real number, numpy's included, but
+    not a bool, which would pass for 0 or 1.  An int past the float range
+    counts as infinite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Operating point of one gated APD pair.
@@ -90,11 +103,13 @@ class DetectorParams:
     t_diff: float
 
     def __post_init__(self) -> None:
+        # stored as floats, so an int writes the digest of the equal float;
         # `nan <= 0` is false, so the range checks alone would let nan pass
         for f in fields(self):
-            v = getattr(self, f.name)
+            v = check_real(getattr(self, f.name), f.name)
             if not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
+            object.__setattr__(self, f.name, v)
         if not 0.0 <= self.qe <= 1.0:
             raise ConfigError(f"qe must be in [0, 1], got {self.qe}")
         for name in ("dcp_apd1", "dcp_apd2"):

@@ -97,6 +97,13 @@ class TestLinkBudget:
         # the receiver attenuation halves the flux relative to the resender
         assert budget.mu_apd == pytest.approx(100.0 / 10 ** 0.3)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["p_ave_w", "rep_rate_hz", "att_bob_db", "mu_eve_alice"])
+    def test_budget_rejects_non_finite(self, name, value):
+        values = {"p_ave_w": 1e-6, "rep_rate_hz": 2e6, "att_bob_db": 3.0, "mu_eve_alice": 100.0}
+        with pytest.raises(ValueError, match="budget values must be finite"):
+            LinkBudget(**{**values, name: value})
+
 
 class TestClickProbabilities:
     def test_zero_flux(self):

@@ -37,6 +37,7 @@ from bncsim.harness import (
     LANDMARK_FLUX_GRID,
     REPORT_COLUMNS,
     SweepSpec,
+    config_lines,
     emit_report,
     load_report_rows,
     parse_config_file,
@@ -968,9 +969,48 @@ class TestConfigFiles:
 
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("qe = fast\n")
-        with pytest.raises(ConfigError):
-            resolve_config(parse_config_file(cfg))
+        cfg.write_text("seed = 3\nqe = fast\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:2: bad value for 'qe': 'fast'"
+
+    @pytest.mark.parametrize(
+        "overrides,same_as",
+        [
+            pytest.param({"scenario": Scenario.HONEST}, {"scenario": "honest"}, id="scenario-member"),
+            pytest.param(
+                {"scenario": Scenario.BLINDING_ONLY, "detector": DetectorKind.SELF_DIFFERENCING},
+                {"scenario": "blinding_only", "detector": "self_differencing"},
+                id="detector-member",
+            ),
+            pytest.param({"qe": 1}, {"qe": 1.0}, id="qe-int"),
+            *(
+                pytest.param({key: value}, None, id=f"{key}-{value!r}")
+                for key, values in (
+                    ("seed", (True, 2.5, "3", "abc")),
+                    ("gates", (True, 12345.9, "20000", "abc")),
+                )
+                for value in values
+            ),
+            *(
+                pytest.param({"qe": value}, None, id=f"qe-{label}")
+                for label, value in (("True", True), ("str", "0.2"), ("10**400", 10**400))
+            ),
+        ],
+    )
+    def test_override_types(self, overrides, same_as):
+        """An override reaches the type that checks it as given: an enum
+        member stands for its value and an int parameter for the equal
+        float; a bool, a fractional or text count, or a bool, text or
+        overflowing parameter is a ConfigError, never truncated or cast."""
+        if same_as is None:
+            with pytest.raises(ConfigError):
+                resolve_config(None, overrides)
+            return
+        spec, params, _ = resolve_config(None, overrides)
+        expected_spec, expected_params, _ = resolve_config(None, same_as)
+        assert spec == expected_spec
+        assert config_lines(spec, params) == config_lines(expected_spec, expected_params)
 
     def test_landmark_config_resolves(self):
         spec, params, merged = resolve_config(parse_config_file(CONFIGS / "landmarks.cfg"))
@@ -1116,11 +1156,15 @@ class TestCli:
             # past the linear regime: the budget is checked before the warning
             ["--mu", "10", "--p-ave", "1e-6", "--rep-rate", "2e6", "--mu-eve-alice", "1e9"],
             ["--mu", "10", "--p-ave", "-1", "--rep-rate", "2e6", "--mu-eve-alice", "100"],
+            ["--mu", "1", "--qe", "nan"],
+            ["--mu", "1", "--p-ave", "inf", "--rep-rate", "2e6", "--mu-eve-alice", "100"],
+            ["--mu", "1", "--p-ave", "1e-6", "--rep-rate", "2e6", "--mu-eve-alice", "inf"],
         ],
         ids=[
             "mu-negative", "mu-nan", "mu-inf", "budget-amplifies", "rep-rate-0",
             "att-bob-negative", "p-ave-alone", "att-bob-alone",
             "warned-budget-amplifies", "warned-p-ave-negative",
+            "qe-nan", "p-ave-inf", "mu-eve-alice-inf",
         ],
     )
     def test_oracle_bad_input_exits_2_without_output(self, argv, capsys):
@@ -1369,7 +1413,7 @@ class TestCli:
         cfg.write_text(line + "\n")
         assert main(["table1", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "gates" in captured.err
+        assert captured.out == "" and "gates" in captured.err and "--gates" not in captured.err
 
     @pytest.mark.parametrize("line", ["qe = 2", "seed = -1"])
     def test_table1_bad_config_exits_2_without_rows(self, line, tmp_path, capsys, monkeypatch):
