@@ -24,6 +24,7 @@ from .errors import ConfigError, MissingFluxPoint
 from .harness import (
     emit_report,
     load_report_rows,
+    manifest_path,
     parse_config_file,
     resolve_config,
     run_sweep,
@@ -78,11 +79,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     spec, params, merged = resolve_config(file_values, overrides)
     out = Path(merged["out"])
-    if not out.parent.is_dir() or out.is_dir() or Path(f"{out}.manifest").is_dir():
+    if not out.parent.is_dir() or out.is_dir() or manifest_path(out).is_dir():
         raise ConfigError(f"cannot write {out} and its manifest: no such directory, or a directory")
     report = run_sweep(spec, params)
     path = emit_report(report, out)
-    print(f"wrote {path} and {path}.manifest")
+    print(f"wrote {path} and {manifest_path(path)}")
     header = f"{'flux':>10} {'qber':>10} {'cm_success':>10} {'casec_cm':>10} {'weak_ratio':>10}"
     print(header)
     for row in report.rows:

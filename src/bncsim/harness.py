@@ -2,8 +2,8 @@
 
 A sweep runs one scenario over a flux grid and emits a delimited table
 with one row per flux point, Monte Carlo columns next to the analytic
-oracle columns, plus a manifest recording the seed, a digest of the
-resolved configuration and a digest of the table.  Identical seed and
+oracle columns, plus a manifest recording the resolved configuration
+exactly, its digest and a digest of the table.  Identical seed and
 configuration give byte-identical files.
 """
 
@@ -524,23 +524,18 @@ def report_to_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _param_values(params: DetectorParams) -> dict[str, float]:
-    """The parameters by field name, as ``dataclasses.asdict`` gives them
-    without its deep copy of each field."""
-    return {key: getattr(params, key) for key in _PARAM_KEYS}
-
-
 def config_lines(spec: SweepSpec, params: DetectorParams) -> list[str]:
-    """Canonical key=value rendering of the resolved configuration."""
+    """The resolved configuration as sorted key=value lines, each float
+    in its shortest round-trip form: a config file that re-runs the sweep."""
     values = {
-        **_param_values(params),
+        **{key: getattr(params, key) for key in _PARAM_KEYS},
         "scenario": spec.scenario.value,
         "detector": spec.detector.value,
         "gates": spec.n_gates_per_point,
-        "flux": ",".join(_fmt(x) for x in spec.flux_grid),
+        "flux": ",".join(map(str, spec.flux_grid)),
         "seed": spec.seed,
     }
-    return [f"{k}={_fmt(v)}" for k, v in sorted(values.items())]
+    return [f"{k}={v}" for k, v in sorted(values.items())]
 
 
 def _replace_file(path: Path, text: str) -> None:
@@ -554,40 +549,36 @@ def _replace_file(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _manifest_path(path: Path) -> Path:
-    return Path(str(path) + ".manifest")
+def manifest_path(path: str | Path) -> Path:
+    """The manifest written beside the report at ``path``."""
+    return Path(f"{path}.manifest")
 
 
 def emit_report(report: RunReport, path: str | Path) -> Path:
     """Write the data table and its manifest; returns the data path.
 
-    The manifest records the table's SHA-256, so the two are checked as
-    one unit when the table is read back, and each point's
-    :func:`~bncsim.attack.shard_size`, in flux order.  Each file replaces
-    any earlier one atomically.
+    The manifest holds the :func:`config_lines`, a config file that
+    re-runs the sweep, then their SHA-256, the table's SHA-256, checked
+    when the table is read back, the package versions and each point's
+    :func:`~bncsim.attack.shard_size`.  Each file replaces any earlier
+    one atomically.
     """
     path = Path(path)
     spec, params = report.spec, report.params
     shards = [shard_size(mu, params, spec.scenario, spec.detector) for mu in spec.flux_grid]
     table = report_to_csv(report)
     _replace_file(path, table)
-    digest = hashlib.sha256(
-        "\n".join(config_lines(report.spec, report.params)).encode()
-    ).hexdigest()
+    config = config_lines(spec, params)
     manifest = [
-        f"seed={report.spec.seed}",
-        f"config_sha256={digest}",
+        *config,
+        "config_sha256=" + hashlib.sha256("\n".join(config).encode()).hexdigest(),
         f"table_sha256={hashlib.sha256(table.encode()).hexdigest()}",
         f"package=bncsim-{__version__}",
         f"python={platform.python_version()}",
         f"numpy={np.__version__}",
-        f"scenario={report.spec.scenario.value}",
-        f"detector={report.spec.detector.value}",
-        f"gates={report.spec.n_gates_per_point}",
         "shard_gates=" + ",".join(str(shard) for shard in shards),
-        "flux=" + ",".join(_fmt(x) for x in report.spec.flux_grid),
     ]
-    _replace_file(_manifest_path(path), "\n".join(manifest) + "\n")
+    _replace_file(manifest_path(path), "\n".join(manifest) + "\n")
     return path
 
 
@@ -602,7 +593,7 @@ def load_report_rows(path: str | Path) -> list[dict[str, float | str]]:
     """
     path = Path(path)
     data = path.read_bytes()
-    manifest = _manifest_path(path)
+    manifest = manifest_path(path)
     if manifest.exists():
         text = _decode(manifest.read_bytes(), manifest)
         entries = dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
@@ -743,8 +734,10 @@ _SWEEP_KEYS = {
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read a flat key=value file; '#' starts a comment.  Each value is cast
-    by its key's type; ``flux`` stays the text :func:`resolve_config` parses."""
+    by its key's type; ``flux`` stays the text :func:`resolve_config` parses.
+    A key given twice is a :class:`ConfigError`."""
     values: dict[str, object] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(_decode(Path(path).read_bytes(), path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -755,6 +748,9 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         caster = _PARAM_KEYS.get(key) or _SWEEP_KEYS.get(key)
         if caster is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first on line {first})")
         try:
             values[key] = caster(value)
         except ValueError as exc:

@@ -36,6 +36,7 @@ from bncsim.harness import (
     DEFAULT_FLUX_GRID,
     LANDMARK_FLUX_GRID,
     REPORT_COLUMNS,
+    RunReport,
     SweepSpec,
     config_lines,
     emit_report,
@@ -51,6 +52,9 @@ from bncsim.signal_model import DetectorParams
 from reference import sd_point_dense, sd_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: The manifest keys that record a run's provenance; the other lines are
+#: its configuration.
+PROVENANCE_KEYS = ("config_sha256", "table_sha256", "package", "python", "numpy", "shard_gates")
 
 
 def small_spec(**kwargs):
@@ -240,6 +244,38 @@ class TestDeterminism:
         assert f"shard_gates={','.join(map(str, sizes))}" in manifest
         assert sizes[0] > sizes[1] > SHARD_GATES and sizes[1] < sizes[3] == SHARD_GATES_MAX
 
+    def test_manifest_lists_the_configuration_once_exactly(self, tmp_path):
+        """The manifest opens with the config lines, then their digest;
+        every other line is provenance, and the lines read back to the
+        same spec and parameters, floats and all."""
+        spec, params, _ = resolve_config(
+            None, {"qe": 0.1234567890123, "flux": "0.1,1.00000000001", "seed": 2**64 - 1}
+        )
+        emit_report(run_sweep(spec, params), tmp_path / "r.csv")
+        config = config_lines(spec, params)
+        manifest = (tmp_path / "r.csv.manifest").read_text().splitlines()
+        assert manifest[: len(config)] == config
+        digest = hashlib.sha256("\n".join(config).encode()).hexdigest()
+        assert manifest[len(config)] == f"config_sha256={digest}"
+        assert [line.split("=")[0] for line in manifest[len(config) :]] == list(PROVENANCE_KEYS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(config))
+        assert resolve_config(parse_config_file(cfg))[:2] == (spec, params)
+
+    @pytest.mark.parametrize(
+        "change", [{"qe": 0.10000000001}, {"flux": "0.1,1.00000000001"}], ids=["qe", "flux"]
+    )
+    def test_config_digest_sees_past_ten_digits(self, change, tmp_path):
+        """Settings that differ only past the table's 10 significant
+        digits write different configuration digests."""
+        digests = set()
+        for i, overrides in enumerate(({}, change)):
+            spec, params, _ = resolve_config(None, {"qe": 0.1, "flux": "0.1,1", **overrides})
+            emit_report(RunReport(spec, params), tmp_path / f"{i}.csv")
+            manifest = (tmp_path / f"{i}.csv.manifest").read_text().splitlines()
+            digests.update(line for line in manifest if line.startswith("config_sha256="))
+        assert len(digests) == 2
+
     def test_seed_changes_data(self, params):
         r1 = run_sweep(small_spec(seed=1), params)
         r2 = run_sweep(small_spec(seed=2), params)
@@ -296,6 +332,65 @@ class TestReportFiles:
         path.write_text(path.read_text().replace("\n0.1,", "\n0.2,"))
         assert load_report_rows(path)[0]["flux"] == 0.2
 
+    def test_older_manifest_format_still_checked(self, params, tmp_path):
+        """A manifest in the earlier format, which restated five settings
+        with the flux rounded to 10 digits, still loads its table and
+        still checks the table's digest."""
+        grid = (0.1, 1.23456789012)
+        path = emit_report(run_sweep(small_spec(flux_grid=grid), params), tmp_path / "r.csv")
+        (tmp_path / "r.csv.manifest").write_text(
+            "seed=5\n"
+            f"config_sha256={'0' * 64}\n"
+            f"table_sha256={hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            "package=bncsim-0.1.0\npython=3.11.0\nnumpy=1.26.0\n"
+            "scenario=attack_cm\ndetector=balanced_bnc\ngates=10000\n"
+            "shard_gates=1000000,1000000\n"
+            "flux=0.1,1.23456789\n"
+        )
+        assert [row["flux"] for row in load_report_rows(path)] == [0.1, 1.23456789]
+        path.write_text(path.read_text().replace("\n0.1,", "\n0.2,"))
+        with pytest.raises(ConfigError, match="table_sha256"):
+            load_report_rows(path)
+
+    @pytest.mark.parametrize(
+        "config,overrides",
+        [
+            pytest.param(None, {"gates": 10_000, "seed": 3}, id="default-grid"),
+            pytest.param(CONFIGS / "landmarks.cfg", {"gates": 20_000}, id="landmarks"),
+            pytest.param(
+                None,
+                {
+                    "detector": "self_differencing",
+                    "scenario": "blinding_only",
+                    "qe": 0.1234567890123,
+                    "t_diff": 0.01234567890123,
+                    "flux": "0.1234567890123,12.34567890123",
+                    "gates": 10_000,
+                },
+                id="self-differencing-13-digits",
+            ),
+        ],
+    )
+    def test_manifest_reruns_its_report(self, config, overrides, tmp_path, capsys):
+        """The manifest without its provenance lines is a config file that
+        re-runs the sweep to the same table and manifest, byte for byte."""
+        file_values = parse_config_file(config) if config else None
+        spec, params, _ = resolve_config(file_values, overrides)
+        path = emit_report(run_sweep(spec, params), tmp_path / "r.csv")
+        manifest = (tmp_path / "r.csv.manifest").read_text()
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text(
+            "".join(
+                f"{line}\n"
+                for line in manifest.splitlines()
+                if line.split("=")[0] not in PROVENANCE_KEYS
+            )
+        )
+        again = tmp_path / "again.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == path.read_bytes()
+        assert (tmp_path / "again.csv.manifest").read_text() == manifest
+
     def test_existing_report_replaced_whole(self, params, tmp_path, monkeypatch):
         import bncsim.harness as harness
 
@@ -304,7 +399,7 @@ class TestReportFiles:
         short = run_sweep(small_spec(flux_grid=(1.0,), seed=6), params)
         emit_report(short, path)
         assert path.read_text() == report_to_csv(short)
-        assert "flux=1\n" in (tmp_path / "r.csv.manifest").read_text()
+        assert "flux=1.0\n" in (tmp_path / "r.csv.manifest").read_text()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.manifest"]
 
         # a write that fails part-way leaves the old file and no temp file
@@ -637,7 +732,7 @@ class TestSelfDifferencingShards:
             m = seq.count(0)
             pairs = Counter(zip(seq, seq[1:]))
             counts = (pairs[0, 0], pairs[0, 1], pairs[1, 0], pairs[1, 1])
-            law[m, seq[:1] == (1,), seq[-1:] == (1,), *counts] += q**m * (1.0 - q) ** (length - m)
+            law[(m, seq[:1] == (1,), seq[-1:] == (1,), *counts)] += q**m * (1.0 - q) ** (length - m)
         n = 200_000
         runs = harness._run_law(np.full(n, length), q, np.random.default_rng(length))
         drawn = Counter()
@@ -686,8 +781,8 @@ class TestSelfDifferencingShards:
         for n in sizes:
             for i in range(draws):
                 seed_seq = np.random.SeedSequence([shard or 0, n, i])
-                drawn[n, *sd_outcomes(harness._run_sd_point(mu, n, hr, seed_seq))[:4]] += 1
-                dense[n, *sd_point_dense(n, *args)[:4]] += 1
+                drawn[(n, *sd_outcomes(harness._run_sd_point(mu, n, hr, seed_seq))[:4])] += 1
+                dense[(n, *sd_point_dense(n, *args)[:4])] += 1
         assert_same_law(drawn, dense)
 
     @pytest.mark.parametrize("mu", [5.0, 20.0])
@@ -973,6 +1068,13 @@ class TestConfigFiles:
         with pytest.raises(ConfigError) as exc:
             parse_config_file(cfg)
         assert str(exc.value) == f"{cfg}:2: bad value for 'qe': 'fast'"
+
+    def test_duplicate_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qe = 0.5\ngates = 10000\nqe = 0.1\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:3: duplicate key 'qe' (first on line 1)"
 
     @pytest.mark.parametrize(
         "overrides,same_as",
