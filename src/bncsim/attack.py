@@ -22,7 +22,8 @@ each one-weak cell's count by side, and counts one weighted word per
 cell or side plus one word per gate with two weak arms.  The words of
 the cells and sides depend only on the parameters, so their readout
 rows are read once per parameter set; a kernel call reads only its
-gates with two weak arms.  A block costs O(arm laws + classes +
+gates with two weak arms.  Each arm's detected photons are one Poisson
+draw per call, their marginal law.  A block costs O(arm laws + classes +
 weak-weak gates), not O(gates).  Shard results
 merge by plain field-wise addition, making the aggregate independent of
 how shards are grouped over workers.
@@ -156,7 +157,13 @@ def enumerate_cases() -> list[AttackCaseRow]:
 
 @dataclass
 class GateTally:
-    """Aggregate counters of one run (or one shard); merge with ``+``."""
+    """Aggregate counters of one run (or one shard); merge with ``+``.
+
+    ``pe1`` and ``pe2`` follow their marginal law, Poisson(gates x the
+    arm's mean), each drawn apart from the gates' states: their joint law
+    with ``fired``, ``weak`` and ``strong`` (more photons, more railed
+    avalanches) is not kept, and no report reads them.
+    """
 
     gates: int = 0
     pe1: int = 0  # detected signal photons per arm
@@ -357,10 +364,8 @@ SHARD_WORK = 2**16
 
 #: Most gates per shard.  numpy's ``hypergeometric`` and
 #: ``multivariate_hypergeometric``, which draw a self-differencing shard's
-#: skeleton, need every population below 1e9.  At 2**29 gates a photon
-#: histogram's total (counts times signal counts below 2**22, the largest
-#: P(k) table plus its window) stays below 2**51, inside int64, and the
-#: float64 weighted ``bincount`` of :func:`count_events` stays exact.
+#: skeleton, need every population below 1e9.  At 2**29 gates the float64
+#: weighted ``bincount`` of :func:`count_events` stays exact.
 SHARD_GATES_MAX = 2**29
 
 #: numpy's largest Poisson mean: ``Generator.poisson`` raises above it.
@@ -401,21 +406,21 @@ class ArmLaw(NamedTuple):
     EMPTY when K = 0, WEAK when its Gamma(K) avalanche stays below the
     rail (probability P[K] of
     :func:`~bncsim.signal_model.weak_probabilities`) and RAILED otherwise.
-    The law is tabulated over a window of signal counts, lam +- (12
-    sqrt(lam) + 24), and normalised over it; the Poisson mass outside is
-    below 1e-30.  A window at or past the end of the P(k) table, where
-    every avalanche rails and no gate is empty, is not tabulated: ``k`` is
-    empty and ``state`` is (0, 0, 1).  The arrays are read-only, since laws
-    are cached and shared.
+    The law is tabulated over a window of carrier counts, from the first
+    signal count of lam +- (12 sqrt(lam) + 24) to one past the last, and
+    normalised over it; the Poisson mass outside is below 1e-30.  A
+    window at or past the end of the P(k) table, where every avalanche
+    rails and no gate is empty, is not tabulated: ``k`` is empty and
+    ``state`` is (0, 0, 1).  The arrays are read-only, since laws are
+    cached and shared.
     """
 
     lam: float  # the law's mean
     dcp: float  # and dark probability
     state: np.ndarray  # P(EMPTY), P(WEAK), P(RAILED)
-    k: np.ndarray  # the window's signal counts
-    weak: np.ndarray  # P(d, k, WEAK), row d = 0, 1, over the window
-    railed: np.ndarray  # P(k, RAILED) over the window, both d pooled
-    dk: np.ndarray  # P(d, k), row d = 0, 1, over the window, any state
+    k: np.ndarray  # the window's carrier counts K
+    weak: np.ndarray  # P(K, WEAK) over the window
+    pmf: np.ndarray  # P(K) over the window, any state
 
 
 def _window(lam: float) -> tuple[int, int]:
@@ -435,10 +440,6 @@ def _poisson_window(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return k, poisson
 
 
-#: The dark ignitions d of an arm's (d, k) rows.
-_DARK = np.arange(2)[:, None]
-
-
 @functools.lru_cache(maxsize=256)
 def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
     """The :class:`ArmLaw` of an arm at mean ``lam`` and dark probability ``dcp``."""
@@ -446,20 +447,22 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
     p = weak_probabilities(params)
     if lo >= p.size - 1:
         rails = np.array([0.0, 0.0, 1.0])
-        no_window = np.zeros((2, 0))
-        law = ArmLaw(lam, dcp, rails, np.zeros(0, np.int64), no_window, np.zeros(0), no_window)
+        law = ArmLaw(lam, dcp, rails, np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
     else:
         k, poisson = _poisson_window(lam)
-        dk = np.multiply.outer((1.0 - dcp, dcp), poisson)
-        # read P at min(K, len - 1) for K = k + d
-        p_dk = p.take(k + _DARK, mode="clip")
-        weak = dk * p_dk
+        # P(K) = (1 - dcp) P(k = K) + dcp P(k = K - 1)
+        pmf = np.append((1.0 - dcp) * poisson, 0.0)
+        pmf[1:] += dcp * poisson
+        window = np.arange(lo, k[-1] + 2)
+        # read P at min(K, len - 1); P[0] = 1, so K = 0 is never railed
+        p_window = p.take(window, mode="clip")
+        weak = pmf * p_window
+        railed = pmf * (1.0 - p_window)
         if lo == 0:
-            weak[0, 0] = 0.0  # no carrier: empty, not weak
-        railed = (dk * (1.0 - p_dk)).sum(0)
-        state = np.array([dk[0, 0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
+            weak[0] = 0.0  # no carrier: empty, not weak
+        state = np.array([pmf[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
         total = state.sum()
-        law = ArmLaw(lam, dcp, state / total, k, weak / total, railed / total, dk / total)
+        law = ArmLaw(lam, dcp, state / total, window, weak / total, pmf / total)
     for table in law[2:]:
         table.flags.writeable = False
     return law
@@ -469,32 +472,29 @@ def arm_law(lam: float, dcp: float, params: DetectorParams) -> ArmLaw:
 def side_law(
     lam: float, dcp: float, params: DetectorParams, thresholds: tuple[float, ...]
 ) -> np.ndarray:
-    """P(bin, d, k) of a weak arm of :func:`arm_law`, flattened: the
-    sorted, distinct ``thresholds`` cut the weak amplitudes into bins,
-    bin 0 below the first, bin i at or above threshold i and below the
-    next (the last bin reaching the rail).
+    """P(bin | weak) of a weak arm of :func:`arm_law`: the sorted,
+    distinct ``thresholds`` cut the weak amplitudes into bins, bin 0
+    below the first, bin i at or above threshold i and below the next
+    (the last bin reaching the rail).
 
-    A weak arm of K = d + k carriers falls below t with probability
-    P_t[K] / P[K] (:func:`~bncsim.signal_model.below_probabilities`), so
-    the mass below each threshold is P(d, k) P_t[K], with no ratio, and
-    each bin the difference between its two ends.  The mass below a
-    threshold is capped by the weak entry, which also zeroes the empty
-    avalanche (K = 0), and by the mass below the next threshold, so that
-    rounding keeps every bin non-negative.  The entries are normalised
-    over the weak arms; the array is read-only, since bin laws are
-    cached and shared.
+    A weak arm of K carriers falls below t with probability P_t[K] / P[K]
+    (:func:`~bncsim.signal_model.below_probabilities`), so the mass below
+    each threshold is the sum over K of P(K) P_t[K], with no ratio, and
+    each bin the difference between its two ends.  Each term is capped by
+    the weak entry, which also zeroes the empty avalanche (K = 0), and by
+    the term below the next threshold, so that rounding keeps every bin
+    non-negative.  The bins are normalised over the weak arms; the array
+    is read-only, since bin laws are cached and shared.
     """
     law = arm_law(lam, dcp, params)
-    carriers = law.k + _DARK
-    bins = np.empty((len(thresholds) + 1, *law.weak.shape))
+    bins = np.empty(len(thresholds) + 1)
     upper = law.weak
     for i in range(len(thresholds), 0, -1):
-        below_t = below_probabilities(params, thresholds[i - 1]).take(carriers, mode="clip")
-        lower = np.minimum(law.dk * below_t, upper)
-        np.subtract(upper, lower, out=bins[i])
+        below_t = below_probabilities(params, thresholds[i - 1]).take(law.k, mode="clip")
+        lower = np.minimum(law.pmf * below_t, upper)
+        bins[i] = (upper - lower).sum()
         upper = lower
-    bins[0] = upper
-    bins = bins.ravel()
+    bins[0] = upper.sum()
     bins /= bins.sum()
     bins.flags.writeable = False
     return bins
@@ -519,26 +519,25 @@ def bin_levels(thresholds: tuple[float, ...], params: DetectorParams) -> list[fl
     return [(lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:])]
 
 
-def _signal_photons(law: ArmLaw, pmf: np.ndarray, n: int, rng: np.random.Generator) -> int:
-    """Detected signal photons of ``n`` gates whose signal count k follows
-    ``pmf`` (up to a factor) over ``law.k``: one histogram multinomial.
+def _signal_photons(lam: float, n: int, rng: np.random.Generator) -> int:
+    """Detected signal photons of ``n`` gates of one arm at mean ``lam``.
 
-    Without a window every gate is railed and k ~ Poisson(lam), so the
-    total is Poisson(n*lam), drawn in equal chunks no larger than
-    :data:`POISSON_LAM_MAX` and summed as Python ints.  The chunks are
-    drawn :data:`POISSON_BATCH` at a time, the variates of one draw of
-    them all.
+    With no state conditioned, the gates' signal counts are i.i.d.
+    Poisson(lam), so the total is one Poisson(n*lam) draw.  A total past
+    :data:`POISSON_LAM_MAX` is drawn in equal chunks no larger than it and
+    summed as Python ints, :data:`POISSON_BATCH` chunks at a time, the
+    variates of one draw of them all.
     """
-    if not n:
+    total = n * lam
+    if not total:
         return 0
-    if not law.k.size:
-        chunks = int(n * law.lam // POISSON_LAM_MAX) + 1
-        lam = n * law.lam / chunks
-        return sum(
-            sum(rng.poisson(lam, min(POISSON_BATCH, chunks - start)).tolist())
-            for start in range(0, chunks, POISSON_BATCH)
-        )
-    return int(rng.multinomial(n, pmf / pmf.sum()) @ law.k)
+    if total <= POISSON_LAM_MAX:
+        return int(rng.poisson(total))
+    chunks = int(total // POISSON_LAM_MAX) + 1
+    return sum(
+        sum(rng.poisson(total / chunks, min(POISSON_BATCH, chunks - start)).tolist())
+        for start in range(0, chunks, POISSON_BATCH)
+    )
 
 
 def _weak_amplitudes(
@@ -565,11 +564,11 @@ def _weak_amplitudes(
 
 @functools.lru_cache(maxsize=256)
 def weak_cdf(lam: float, dcp: float, params: DetectorParams) -> np.ndarray:
-    """CDF of a weak arm's cell over the flattened ``weak`` table of
+    """CDF of a weak arm's carrier count over the ``weak`` table of
     :func:`arm_law`, scaled to end at 1 as ``Generator.choice`` scales
     its ``p``'s; read-only, since CDFs are cached and shared."""
     law = arm_law(lam, dcp, params)
-    cdf = (law.weak.ravel() / law.state[WEAK]).cumsum()
+    cdf = (law.weak / law.state[WEAK]).cumsum()
     cdf /= cdf[-1]
     cdf.flags.writeable = False
     return cdf
@@ -577,23 +576,21 @@ def weak_cdf(lam: float, dcp: float, params: DetectorParams) -> np.ndarray:
 
 def _weak_gates(
     law: ArmLaw, m: int, params: DetectorParams, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Detected signal photons and amplitudes of ``m`` weak arms.
+) -> np.ndarray:
+    """Amplitudes of ``m`` weak arms.
 
-    Each arm draws its (d, k) from the weak law, independently of the
-    others, by inverting :func:`weak_cdf` at a uniform, numpy's algorithm
-    for ``rng.choice`` with the weak law as ``p`` (same variates, same
+    Each arm draws its K from the weak law, independently of the others,
+    by inverting :func:`weak_cdf` at a uniform, numpy's algorithm for
+    ``rng.choice`` with the weak law as ``p`` (same variates, same
     cells), then a Gamma(K) amplitude truncated below the rail
     (:func:`_weak_amplitudes` at u ~ U(0, P[K])).
     """
     if not m:
-        return 0, np.zeros(0)
+        return np.zeros(0)
     cell = weak_cdf(law.lam, law.dcp, params).searchsorted(rng.random(m), side="right")
-    d, i = np.divmod(cell, law.k.size)
-    k = law.k[i]
-    carriers = k + d
+    carriers = law.k[cell]
     u = weak_probabilities(params)[carriers] * rng.random(m)
-    return int(k.sum()), _weak_amplitudes(carriers, u, params, rng)
+    return _weak_amplitudes(carriers, u, params, rng)
 
 
 def _weak_sides(
@@ -602,15 +599,12 @@ def _weak_sides(
     n: int,
     params: DetectorParams,
     rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Detected signal photons of ``n`` weak arms of ``law`` and the arms'
-    counts in each bin of ``thresholds``: one multinomial over the arms'
-    :func:`side_law`."""
+) -> np.ndarray:
+    """Counts of ``n`` weak arms of ``law`` in each bin of ``thresholds``:
+    one multinomial over the arms' :func:`side_law`."""
     if not n:
-        return 0, np.zeros(len(thresholds) + 1, np.int64)
-    law_bins = side_law(law.lam, law.dcp, params, thresholds)
-    counts = rng.multinomial(n, law_bins).reshape(len(thresholds) + 1, 2, -1)
-    return int(counts.sum((0, 1)) @ law.k), counts.sum((1, 2))
+        return np.zeros(len(thresholds) + 1, np.int64)
+    return rng.multinomial(n, side_law(law.lam, law.dcp, params, thresholds))
 
 
 class PairReadout(NamedTuple):
@@ -695,64 +689,59 @@ def detect_pair(
     RAILED, see :class:`ArmLaw`) follows its :func:`arm_law`, so one
     multinomial over the (arm 1 state, arm 2 state) cells gives every
     gate's pair of states.  The two-APD readout needs only whether each
-    arm fired: two states per arm, four cells, and it clicks on an arm
-    that fired alone.  Each arm's detected signal photons come from one
-    histogram multinomial over its fired (two-APD) or railed (balanced)
-    gates.
+    arm fired: two states per arm, four cells, P(EMPTY) = (1 - dcp)
+    exp(-lam) in closed form, with no arm law, and it clicks on an arm
+    that fired alone.  Each arm's detected signal photons are one
+    Poisson(n*lam) draw (:func:`_signal_photons`), their marginal law,
+    drawn apart from the cells.
 
     A gate's balanced monitor word is fixed by its cell unless an arm is
     weak.  Beside an EMPTY or RAILED arm it depends only on which side of
     one threshold the weak amplitude falls, so such a cell draws its
-    weak arms' photons and side counts in one multinomial
-    (:func:`_weak_sides`).  Only the gates of the WEAK-WEAK cell draw a
-    (d, k) and an amplitude per arm (:func:`_weak_gates`).  The words of
-    the cells without a weak arm and of the sides of the cells with one
-    are read once per parameter set (:func:`_pair_readout`); a call
-    reads only its WEAK-WEAK gates through
-    :func:`~bncsim.balanced.comparator_arrays` and
-    :func:`~bncsim.balanced.event_codes`, which also check every word
+    weak arms' side counts in one multinomial (:func:`_weak_sides`).
+    Only the gates of the WEAK-WEAK cell draw a carrier count and an
+    amplitude per arm (:func:`_weak_gates`).  The words of the cells
+    without a weak arm and of the sides of the cells with one are read
+    once per parameter set (:func:`_pair_readout`); a call reads only its
+    WEAK-WEAK gates through :func:`~bncsim.balanced.comparator_arrays`
+    and :func:`~bncsim.balanced.event_codes`, which also check every word
     for reachability, and only when it has any.  :func:`count_events`
     counts the fixed words, weighted by their cell and side counts, and
     the call's own, one gate each.  The case-C and sifting counters are
     left to the caller.
     """
-    laws = arm_law(lam1, params.dcp_apd1, params), arm_law(lam2, params.dcp_apd2, params)
     balanced = detector is DetectorKind.BALANCED_BNC
-    states = [law.state for law in laws]
-    if not balanced:
+    if balanced:
+        laws = arm_law(lam1, params.dcp_apd1, params), arm_law(lam2, params.dcp_apd2, params)
+        states = [law.state for law in laws]
+    else:
         # the two-APD readout needs only EMPTY against fired (WEAK or RAILED)
-        states = [np.array([s[EMPTY], 1.0 - s[EMPTY]]) for s in states]
+        empty = (1.0 - params.dcp_apd1) * math.exp(-lam1), (1.0 - params.dcp_apd2) * math.exp(-lam2)
+        states = [np.array([e, 1.0 - e]) for e in empty]
     cells = rng.multinomial(n, np.multiply.outer(*states).ravel()).reshape(len(states[0]), -1)
     grid = cells.tolist()
     by_arm = [sum(row) for row in grid], [sum(column) for column in zip(*grid)]
-    tally = GateTally(gates=n, doubles=sum(sum(row[1:]) for row in grid[1:]))
+    tally = GateTally(
+        gates=n,
+        pe1=_signal_photons(lam1, n, rng),
+        pe2=_signal_photons(lam2, n, rng),
+        doubles=sum(sum(row[1:]) for row in grid[1:]),
+    )
     tally.fired1, tally.fired2 = (n - count[EMPTY] for count in by_arm)
     if not balanced:
-        tally.pe1, tally.pe2 = (
-            _signal_photons(law, law.weak.sum(0) + law.railed, count[1], rng)
-            for law, count in zip(laws, by_arm)
-        )
         tally.click1 = tally.fired1 - tally.doubles
         tally.click2 = tally.fired2 - tally.doubles
         return tally
 
     readout = _pair_readout(params)
-    pe = [_signal_photons(law, law.railed, count[RAILED], rng) for law, count in zip(laws, by_arm)]
     # the gates of the readout's fixed rows: the cells without a weak arm,
     # then the sides of each cell with one
     counts = [[grid[s1][s2] for s1, s2 in readout.cells]]
     for arm, other, cut in readout.sides:
         n_cell = grid[WEAK][other] if arm == 0 else grid[other][WEAK]
-        photons, side_counts = _weak_sides(laws[arm], cut, n_cell, params, rng)
-        pe[arm] += photons
-        counts.append(side_counts)
+        counts.append(_weak_sides(laws[arm], cut, n_cell, params, rng))
     weak_weak = grid[WEAK][WEAK]
-    amps = []
-    for arm, law in enumerate(laws):
-        photons, amp = _weak_gates(law, weak_weak, params, rng)
-        pe[arm] += photons
-        amps.append(amp)
-    tally.pe1, tally.pe2 = pe
+    amps = [_weak_gates(law, weak_weak, params, rng) for law in laws]
     weights = np.concatenate([*counts, np.ones(weak_weak, np.int64)])
     codes, raw_both, cancelled = readout.codes, readout.raw_both, readout.cancelled
     if weak_weak:

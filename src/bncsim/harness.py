@@ -74,7 +74,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if not self.flux_grid:
-            object.__setattr__(self, "flux_grid", ())
+            raise ConfigError("flux grid must hold at least one flux")
         # + 0.0 turns -0.0 into 0.0, so equal fluxes share one seed
         grid = tuple(check_flux(x, "flux") + 0.0 for x in self.flux_grid)
         object.__setattr__(self, "flux_grid", grid)
@@ -448,10 +448,11 @@ def _run_sd_point(
     (:func:`_sd_skeleton`), not its gates.  A weak gate whose neighbours
     are both non-weak reads only by the bin of its amplitude among the
     cuts of those neighbours, so each type of lone weak gate draws its
-    photons and bin counts in one multinomial
-    (:func:`~bncsim.attack._weak_sides`); only the head, the tail and the
-    runs of two or more weak gates draw amplitudes
-    (:func:`~bncsim.attack._weak_gates`).  One :func:`sd_event_codes`
+    bin counts in one multinomial (:func:`~bncsim.attack._weak_sides`);
+    only the head, the tail and the runs of two or more weak gates draw
+    amplitudes (:func:`~bncsim.attack._weak_gates`).  The shard's
+    detected signal photons are one Poisson draw
+    (:func:`~bncsim.attack._signal_photons`).  One :func:`sd_event_codes`
     call per shard codes the weighted walks of :func:`_sd_walks`.  Each
     shard starts the delay register from the previous shard's last gate
     level, so the event stream is the one a single block would give.  The
@@ -459,7 +460,8 @@ def _run_sd_point(
     count like the balanced monitor's: rises as ``click1``, delayed falls
     as ``click2``.
     """
-    law = arm_law(mu * params.qe, params.dcp_apd1, params)
+    lam = mu * params.qe
+    law = arm_law(lam, params.dcp_apd1, params)
     p_empty, p_weak, p_railed = law.state.tolist()
     # when every gate is weak, no gate is EMPTY or RAILED at any q
     q = p_empty / (p_empty + p_railed) if p_empty + p_railed > 0.0 else 0.0
@@ -469,15 +471,13 @@ def _run_sd_point(
     def block(n: int, rng: np.random.Generator) -> GateTally:
         nonlocal register
         sk = _sd_skeleton(n, p_weak, q, rng)
-        photons, amps = _weak_gates(law, sk.explicit, params, rng)
-        lone_bins = []
-        for count, cuts in zip(sk.lone.tolist(), readout.cuts):
-            lone_photons, bins = _weak_sides(law, cuts, count, params, rng)
-            photons += lone_photons
-            lone_bins.append(bins)
-        photons += _signal_photons(law, law.railed, sk.railed, rng)
+        amps = _weak_gates(law, sk.explicit, params, rng)
+        lone_bins = [
+            _weak_sides(law, cuts, count, params, rng)
+            for count, cuts in zip(sk.lone.tolist(), readout.cuts)
+        ]
         stream, weights, register = _sd_walks(sk, amps, lone_bins, readout, register)
-        tally = GateTally(gates=n, pe1=photons, fired1=n - sk.empty)
+        tally = GateTally(gates=n, pe1=_signal_photons(lam, n, rng), fired1=n - sk.empty)
         return count_events(tally, sd_event_codes(stream, params), weights)
 
     shard = shard_size(mu, params, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
@@ -495,8 +495,7 @@ def point_seed(seed: int, mu: float) -> np.random.SeedSequence:
 
 def run_sweep(spec: SweepSpec, params: DetectorParams) -> RunReport:
     """Run the sweep; deterministic for a given (spec, params)."""
-    if spec.flux_grid:
-        check_poisson_mean(spec.flux_grid[-1], params)
+    check_poisson_mean(spec.flux_grid[-1], params)
     # the monitor only reads the gates: attack_no_cm runs as attack_cm,
     # and _row_from_tally masks the monitor columns
     scenario = Scenario.ATTACK_CM if spec.scenario is Scenario.ATTACK_NO_CM else spec.scenario

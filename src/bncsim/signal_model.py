@@ -134,6 +134,11 @@ class DetectorParams:
                 f"t_strong / gain_mean = {ratio:.6g} is too large: its weak-avalanche "
                 f"table would exceed {WEAK_TABLE_MAX} entries"
             )
+        # every cached law is keyed by the parameters: hash the fields once
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def default(cls) -> "DetectorParams":

@@ -1097,10 +1097,10 @@ def test_class_split_follows_class_weights(params, monkeypatch):
     tally = simulate_block(config, params, rng)
     assert len(calls) == 1 and not split_draws(rng, calls)
     assert tally == GateTally(
-        gates=100_000, pe1=149_349, pe2=150_417, fired1=77_390, fired2=77_677,
-        click1=19_491, click2=19_858, doubles=60_119, blind=55_401, weak=6_907,
-        strong=148_160, weak_coinc=28, casec_gates=100_000, casec_click1=19_491,
-        casec_click2=19_858, casec_blind=55_401, sifted=0, errors=0,
+        gates=100_000, pe1=150_576, pe2=150_151, fired1=77_390, fired2=77_677,
+        click1=19_499, click2=19_888, doubles=60_119, blind=55_390, weak=6_907,
+        strong=148_160, weak_coinc=20, casec_gates=100_000, casec_click1=19_499,
+        casec_click2=19_888, casec_blind=55_390, sifted=0, errors=0,
     )
 
 
@@ -1108,24 +1108,24 @@ def test_class_split_follows_class_weights(params, monkeypatch):
     "mu,expected",
     [
         (10.0, dict(
-            pe1=501_801, pe2=499_373, fired1=355_758, fired2=354_649, click1=281_815,
-            click2=280_618, doubles=77_429, blind=66_770, weak=49_578, strong=660_829,
-            weak_coinc=73, casec_gates=500_375, casec_click1=124_500, casec_click2=123_858,
-            casec_blind=66_764, sifted=281_906, errors=62_044,
+            pe1=501_118, pe2=499_717, fired1=355_193, fired2=354_129, click1=281_255,
+            click2=280_030, doubles=77_310, blind=66_841, weak=49_615, strong=659_707,
+            weak_coinc=105, casec_gates=500_375, casec_click1=123_944, casec_click2=123_728,
+            casec_blind=66_832, sifted=280_718, errors=62_102,
         )),
         (30.0, dict(
-            pe1=1_500_363, pe2=1_498_159, fired1=626_725, fired2=625_525, click1=336_019,
-            click2=334_758, doubles=301_938, blind=277_900, weak=43_034, strong=1_209_216,
-            weak_coinc=102, casec_gates=500_375, casec_click1=98_585, casec_click2=98_190,
-            casec_blind=277_890, sifted=335_423, errors=49_080,
+            pe1=1_502_501, pe2=1_498_500, fired1=626_567, fired2=625_873, click1=335_639,
+            click2=334_728, doubles=302_153, blind=278_343, weak=42_852, strong=1_209_588,
+            weak_coinc=105, casec_gates=500_375, casec_click1=98_202, casec_click2=98_177,
+            casec_blind=278_335, sifted=335_446, errors=48_967,
         )),
     ],
 )
 def test_weak_weak_blocks_keep_their_stream(mu, expected, params):
     """1M-gate balanced ``attack_cm`` blocks at mu = 10 and 30, whose
     kernel calls read hundreds of WEAK-WEAK gates, give the tallies of the
-    engine that read every fixed row in every call and drew the weak
-    cells with ``rng.choice``."""
+    engine that draws each arm's photons as one Poisson draw per call and
+    its weak cells over the carrier count K."""
     config = AttackConfig(1_000_000, mu, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
     tally = simulate_block(config, params, np.random.default_rng(37))
     assert tally == GateTally(gates=1_000_000, **expected)
@@ -1135,35 +1135,34 @@ def test_weak_weak_blocks_keep_their_stream(mu, expected, params):
     "mu,high_rail,expected",
     [
         (0.1, False, dict(
-            pe1=9_798, fired1=9_782, click1=9_598, click2=9_599, blind=82, weak=953, strong=8_829,
+            pe1=9_909, fired1=9_782, click1=9_598, click2=9_599, blind=81, weak=953, strong=8_829,
         )),
         (1.0, False, dict(
-            pe1=99_950, fired1=95_090, click1=86_048, click2=86_043, blind=7_472, weak=8_946,
+            pe1=100_242, fired1=95_090, click1=86_057, click2=86_017, blind=7_470, weak=8_946,
             strong=86_144,
         )),
         (10.0, False, dict(
-            pe1=1_001_066, fired1=632_585, click1=252_218, click2=252_081, blind=355_926,
+            pe1=1_000_209, fired1=632_585, click1=252_211, click2=252_111, blind=355_895,
             weak=37_488, strong=595_097,
         )),
         (30.0, False, dict(
-            pe1=2_997_200, fired1=949_950, click1=61_090, click2=61_054, blind=873_748,
+            pe1=2_998_578, fired1=949_950, click1=61_000, click2=60_942, blind=873_838,
             weak=15_963, strong=933_987,
         )),
         (500.0, False, dict(
-            pe1=49_992_173, fired1=1_000_000, click1=1, click2=0, blind=999_999, weak=0,
+            pe1=50_001_012, fired1=1_000_000, click1=1, click2=0, blind=999_999, weak=0,
             strong=1_000_000,
         )),
         (10.0, True, dict(
-            pe1=1_001_100, fired1=633_008, click1=225_229, click2=225_201, blind=17_081,
+            pe1=1_001_508, fired1=633_008, click1=225_400, click2=225_265, blind=17_085,
             weak=538_962, strong=94_046,
         )),
     ],
 )
 def test_self_differencing_points_keep_their_stream(mu, high_rail, expected, params):
     """1M-gate self-differencing points give the tallies of the engine
-    whose ``sd_event_codes`` took the delay register's start value, whose
-    ``count_events`` defaulted its weights and whose readouts each stated
-    their own side cuts."""
+    that draws a shard's photons as one Poisson draw and its weak gates
+    over the carrier count K."""
     p = replace(params, **HIGH_RAIL) if high_rail else params
     tally = _run_sd_point(mu, 1_000_000, p, np.random.SeedSequence(41))
     assert tally == GateTally(gates=1_000_000, **expected)
@@ -1217,6 +1216,77 @@ def test_cell_probabilities_match_per_gate_law(mu, delta, params):
         direct_arm_law(lam2, dark_heavy.dcp_apd2, dark_heavy),
     )
     np.testing.assert_allclose(pvals, direct.ravel(), rtol=1e-9, atol=1e-300)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 50.0])
+def test_two_apd_cells_use_the_closed_form_empty_law(lam, params):
+    """The two-APD kernel draws its 4 cells from P(EMPTY) = (1 - dcp)
+    exp(-lam) per arm, which equals the arm law's P(EMPTY) within 1e-12,
+    on the default dark probabilities and a dark-heavy APD 2."""
+    for p in (params, replace(params, dcp_apd2=0.3)):
+        rng = RecordingRng(np.random.default_rng(0))
+        detect_pair(lam, 2.0 * lam, 1000, DetectorKind.BASELINE_TWO_APD, p, rng)
+        name, (n, pvals), _ = rng.draws[0]
+        assert name == "multinomial" and n == 1000
+        empty = [
+            attack.arm_law(lam, p.dcp_apd1, p).state[attack.EMPTY],
+            attack.arm_law(2.0 * lam, p.dcp_apd2, p).state[attack.EMPTY],
+        ]
+        law = np.outer(*[[e, 1.0 - e] for e in empty]).ravel()
+        np.testing.assert_allclose(pvals, law, rtol=0.0, atol=1e-12)
+
+
+def test_two_apd_runs_build_no_arm_law(params):
+    """``run_fixed``, and so ``bncsim table1``, and a two-APD sweep block
+    read no :func:`arm_law` and no P(k) table: their caches see no call."""
+    fresh = replace(params, dcp_apd1=3e-5)
+    caches = (attack.arm_law, weak_probabilities)
+    before = [cache.cache_info() for cache in caches]
+    for phase in (PhaseSymbol.ZERO, PhaseSymbol.HALF_PI):
+        run_fixed(phase, PhaseSymbol.ZERO, 30.0, 100_000, fresh, seed_seq(41))
+    config = AttackConfig(100_000, 1.0, Scenario.HONEST, DetectorKind.BASELINE_TWO_APD)
+    run_attack(config, fresh, seed_seq(42))
+    after = [cache.cache_info() for cache in caches]
+    assert [(a.hits, a.misses) for a in after] == [(b.hits, b.misses) for b in before]
+
+
+def poisson_moment_z(totals, mean):
+    """z of the sample mean and sample variance of Poisson(``mean``)
+    ``totals`` against ``mean``; the sample variance of m draws has a
+    standard deviation of mean sqrt(2 / (m - 1) + 1 / (mean m))."""
+    m = totals.size
+    z_mean = (totals.mean() - mean) / math.sqrt(mean / m)
+    z_var = (totals.var(ddof=1) - mean) / (mean * math.sqrt(2.0 / (m - 1) + 1.0 / (mean * m)))
+    return z_mean, z_var
+
+
+@pytest.mark.parametrize("detector", [DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC])
+def test_pair_photons_follow_their_marginal_law(detector, params):
+    """Over many blocks each arm's ``pe`` has the mean and variance of
+    Poisson(n lam) within 5 sigma, on each pair readout, at a high-rail
+    point where weak arms are common and at the default point."""
+    blocks, n = 1_500, 2_000
+    for p, lam1, lam2 in ((replace(params, **HIGH_RAIL), 1.5, 0.4), (params, 3.0, 3.0)):
+        rng = np.random.default_rng(43)
+        tallies = [detect_pair(lam1, lam2, n, detector, p, rng) for _ in range(blocks)]
+        pe = np.array([[t.pe1, t.pe2] for t in tallies], float)
+        for totals, lam in zip(pe.T, (lam1, lam2)):
+            z = poisson_moment_z(totals, n * lam)
+            assert max(map(abs, z)) < 5.0, (lam, z)
+
+
+def test_self_differencing_photons_follow_their_marginal_law(params, fixed_shards):
+    """Over many points each point's ``pe1`` has the mean and variance of
+    Poisson(n mu qe) within 5 sigma, one shard a point and five."""
+    high_rail = replace(params, **HIGH_RAIL)
+    n, points = 2_007, 600
+    for mu, shard in ((15.0, n), (5.0, 450)):
+        fixed_shards(shard)
+        totals = np.array(
+            [_run_sd_point(mu, n, high_rail, seed_seq(1000 + i)).pe1 for i in range(points)], float
+        )
+        z = poisson_moment_z(totals, n * mu * high_rail.qe)
+        assert max(map(abs, z)) < 5.0, (mu, z)
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -1356,26 +1426,26 @@ def test_one_weak_cell_splits_by_side_law(other, params):
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 def test_bin_law_matches_gammainc(lam, params):
     """Each bin of two thresholds holds the weak arms' gammainc share
-    between its ends, and the (d, k) marginal is the weak law's."""
+    between its ends, summed over K = d + k; the bins are one number each
+    and sum to 1."""
     high_rail = replace(params, dcp_apd1=0.3, **HIGH_RAIL)
     dcp = high_rail.dcp_apd1
-    bins = attack.side_law(lam, dcp, high_rail, (1.0, 2.0)).reshape(3, -1)
+    bins = attack.side_law(lam, dcp, high_rail, (1.0, 2.0))
     ends = [0.0, side_share(lam, dcp, high_rail, 1.0), side_share(lam, dcp, high_rail, 2.0), 1.0]
-    assert bins.sum(1) == pytest.approx(np.diff(ends), rel=1e-9)
-    law = attack.arm_law(lam, dcp, high_rail)
-    assert bins.sum(0) == pytest.approx(law.weak.ravel() / law.state[1], rel=1e-9, abs=1e-300)
+    assert bins.shape == (3,) and not bins.flags.writeable
+    assert bins == pytest.approx(np.diff(ends), rel=1e-9)
+    assert bins.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_one_threshold_bin_law_keeps_its_floats(params):
-    """One threshold gives the two sides P(d, k) P_t[K], capped by the
-    weak entry, and the rest of the weak entry, bit for bit: the balanced
-    one-weak cells draw from the same floats as before bins had more
-    than one cut."""
+    """One threshold gives the two sides the sums over K of P(K) P_t[K],
+    capped by the weak entry, and of the rest of the weak entry, bit for
+    bit."""
     for lam, threshold in ((0.1, params.t_diff), (3.0, params.t_strong - params.t_diff)):
         law = attack.arm_law(lam, params.dcp_apd1, params)
-        below_t = below_probabilities(params, threshold).take(law.k + np.arange(2)[:, None], mode="clip")
-        below = np.minimum(law.dk * below_t, law.weak)
-        sides = np.stack([below, law.weak - below]).ravel()
+        below_t = below_probabilities(params, threshold).take(law.k, mode="clip")
+        below = np.minimum(law.pmf * below_t, law.weak)
+        sides = np.array([below.sum(), (law.weak - below).sum()])
         sides /= sides.sum()
         assert np.array_equal(attack.side_law(lam, params.dcp_apd1, params, (threshold,)), sides)
         levels = attack.bin_levels((threshold,), params)
@@ -1432,32 +1502,35 @@ def test_arm_law_tables_are_cached_and_read_only(params):
 
 
 def reference_arm_law(lam, dcp, params):
-    """(state, k, weak, railed, dk) of an arm law built term by term: k ln
-    lam by a masked multiply, the log factorials by ``math.lgamma`` one
-    entry at a time, the empty avalanche cut by ``np.where`` and the
-    (d, k) rows joined by ``np.stack``."""
+    """(state, K, weak, P(K)) of an arm law built term by term: k ln lam by
+    a masked multiply, the log factorials by ``math.lgamma`` one entry at
+    a time, P(K) as the no-dark and dark rows shifted by ``np.concatenate``
+    and the empty avalanche cut by ``np.where``."""
     spread = 12.0 * math.sqrt(lam) + 24.0
     lo, hi = max(0, math.floor(lam - spread)), math.ceil(lam + spread)
     p = weak_probabilities(params)
     if lo >= p.size - 1:
-        return np.array([0.0, 0.0, 1.0]), np.zeros(0, np.int64), *[np.zeros(s) for s in ((2, 0), 0, (2, 0))]
+        return np.array([0.0, 0.0, 1.0]), np.zeros(0, np.int64), np.zeros(0), np.zeros(0)
     k = np.arange(lo, hi + 1)
     log_lam = math.log(lam) if lam > 0.0 else -math.inf
     log_power = np.multiply(k, log_lam, where=k > 0, out=np.zeros(k.shape))
     poisson = np.exp(log_power - lam - np.array([math.lgamma(v + 1.0) for v in k.tolist()]))
-    p_k, p_dark = p.take(k, mode="clip"), p.take(k + 1, mode="clip")
-    no_dark, dark = (1.0 - dcp) * poisson, dcp * poisson
-    weak = np.stack([np.where(k > 0, no_dark * p_k, 0.0), dark * p_dark])
-    railed = no_dark * (1.0 - p_k) + dark * (1.0 - p_dark)
-    state = np.array([no_dark[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
+    carriers = np.arange(lo, hi + 2)
+    no_dark = np.concatenate([(1.0 - dcp) * poisson, [0.0]])
+    p_carriers = no_dark + np.concatenate([[0.0], dcp * poisson])
+    p_k = p.take(carriers, mode="clip")
+    weak = np.where(carriers > 0, p_carriers * p_k, 0.0)
+    railed = p_carriers * (1.0 - p_k)
+    state = np.array([p_carriers[0] if lo == 0 else 0.0, weak.sum(), railed.sum()])
     total = state.sum()
-    return state / total, k, weak / total, railed / total, np.stack([no_dark, dark]) / total
+    return state / total, carriers, weak / total, p_carriers / total
 
 
 @pytest.mark.parametrize("point", ["default", "high_rail", "fine_gain"])
 def test_arm_law_keeps_its_floats(point, params):
-    """Every table of :func:`arm_law` equals the term-by-term build, bit
-    for bit, from empty arms to windows past the P(k) table."""
+    """Every table of :func:`arm_law` equals the term-by-term build over
+    the carrier count K, bit for bit, from empty arms to windows past the
+    P(k) table."""
     tuned = {
         "default": params,
         "high_rail": replace(params, **HIGH_RAIL),
@@ -1466,25 +1539,23 @@ def test_arm_law_keeps_its_floats(point, params):
     for lam in (0.0, 1e-3, 0.05, 0.5, 1.0, 2.5, 7.0, 30.0, 99.5, 1e3, 1e4, 1e5):
         for dcp in (0.0, 2e-5, 0.1, 0.5, 1.0):
             law = attack.arm_law(lam, dcp, tuned)
-            tables = (law.state, law.k, law.weak, law.railed, law.dk)
+            tables = (law.state, law.k, law.weak, law.pmf)
             for got, want in zip(tables, reference_arm_law(lam, dcp, tuned)):
                 assert got.shape == want.shape and np.array_equal(got, want), (lam, dcp)
 
 
 def reference_weak_gates(law, m, params, rng):
-    """:func:`attack._weak_gates` with its cells drawn by ``rng.choice``."""
-    cell = rng.choice(law.weak.size, m, p=law.weak.ravel() / law.state[attack.WEAK])
-    d, i = np.divmod(cell, law.k.size)
-    k = law.k[i]
-    u = weak_probabilities(params)[k + d] * rng.random(m)
-    return int(k.sum()), attack._weak_amplitudes(k + d, u, params, rng)
+    """:func:`attack._weak_gates` with its carrier counts drawn by ``rng.choice``."""
+    carriers = law.k[rng.choice(law.weak.size, m, p=law.weak / law.state[attack.WEAK])]
+    u = weak_probabilities(params)[carriers] * rng.random(m)
+    return attack._weak_amplitudes(carriers, u, params, rng)
 
 
 @pytest.mark.parametrize("lam", [0.05, 1.5, 15.0])
 def test_weak_cells_are_the_choice_draws(lam, params):
-    """Inverting :func:`attack.weak_cdf` at ``rng.random`` draws the cells
-    ``rng.choice`` draws from the weak law, from the same variates, so a
-    weak arm's photons and amplitudes are unchanged."""
+    """Inverting :func:`attack.weak_cdf` at ``rng.random`` draws the
+    carrier counts ``rng.choice`` draws from the weak law over K, from the
+    same variates, so a weak arm's amplitudes are unchanged."""
     for tuned in (params, replace(params, dcp_apd1=0.3, **HIGH_RAIL)):
         law = attack.arm_law(lam, tuned.dcp_apd1, tuned)
         cdf = attack.weak_cdf(lam, tuned.dcp_apd1, tuned)
@@ -1492,12 +1563,11 @@ def test_weak_cells_are_the_choice_draws(lam, params):
         for m in (1, 7, 5_000):
             ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
             cells = cdf.searchsorted(ours.random(m), side="right")
-            p = law.weak.ravel() / law.state[attack.WEAK]
+            p = law.weak / law.state[attack.WEAK]
             assert np.array_equal(cells, theirs.choice(law.weak.size, m, p=p))
             assert ours.bit_generator.state == theirs.bit_generator.state
-            photons, amps = attack._weak_gates(law, m, tuned, ours)
-            ref_photons, ref_amps = reference_weak_gates(law, m, tuned, theirs)
-            assert photons == ref_photons and np.array_equal(amps, ref_amps)
+            amps = attack._weak_gates(law, m, tuned, ours)
+            assert np.array_equal(amps, reference_weak_gates(law, m, tuned, theirs))
 
 
 def test_fixed_and_weak_weak_words_are_checked(params, monkeypatch):
@@ -1555,22 +1625,20 @@ def test_huge_flux_photon_totals_do_not_wrap(params):
 
 
 def test_chunked_photon_total_memory_stays_bounded(params):
-    """Past the P(k) table an arm's total is drawn in Poisson chunks, a
-    batch at a time: the traced peak of 2**20 chunks is that of 2**16,
-    and the total is that of one draw of all the chunks on a twin
-    generator."""
+    """An arm's total past numpy's largest Poisson mean is drawn in
+    Poisson chunks, a batch at a time: the traced peak of 2**20 chunks is
+    that of 2**16, and the total is that of one draw of all the chunks on
+    a twin generator."""
     import tracemalloc
 
     lam = attack.POISSON_LAM_MAX
-    law = attack.arm_law(lam, 0.0, params)
-    assert not law.k.size
     peaks = []
     for n in (2**16, 2**20):
         chunks = int(n * lam // attack.POISSON_LAM_MAX) + 1
         twin = np.random.default_rng(n).poisson(n * lam / chunks, chunks)
         tracemalloc.start()
         try:
-            total = attack._signal_photons(law, law.railed, n, np.random.default_rng(n))
+            total = attack._signal_photons(lam, n, np.random.default_rng(n))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

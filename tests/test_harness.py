@@ -81,6 +81,14 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(flux_grid=(1.0, 0.5))
 
+    def test_empty_grid_rejected(self):
+        # an empty grid would write `flux=`, which reads back as the default grid
+        for empty in ((), [], None):
+            with pytest.raises(ConfigError, match="at least one flux"):
+                small_spec(flux_grid=empty)
+        spec, _, _ = resolve_config(None, {"gates": 10_000})
+        assert spec.flux_grid == DEFAULT_FLUX_GRID
+
     def test_minimum_gates(self):
         with pytest.raises(ConfigError):
             small_spec(n_gates_per_point=9_999)
@@ -615,7 +623,7 @@ class TestSelfDifferencingShards:
 
         def spy_weak(*args):
             result = original_weak(*args)
-            shards[-1].append(result[1])
+            shards[-1].append(result)
             return result
 
         def spy_coder(stream, *args):

@@ -13,7 +13,6 @@ from scipy import special, stats
 
 from bncsim.attack import (
     EMPTY,
-    RAILED,
     WEAK,
     AttackConfig,
     DetectorKind,
@@ -79,6 +78,21 @@ def test_params_validation():
     # finite thresholds whose ratio overflows need no table to be rejected
     with pytest.raises(ConfigError, match="t_strong / gain_mean"):
         replace(good, t_strong=1e300, gain_mean=1e-10)
+
+
+def test_equal_params_hash_equal_and_share_cache_entries():
+    """Equal parameter sets hash equal, one made by ``replace`` and one
+    from ints included, and hit one entry of a parameter-keyed cache."""
+    params = DetectorParams.default()
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    twins = [replace(params), DetectorParams(**values), DetectorParams(**dict(values, gain_mean=1))]
+    assert all(t == params and hash(t) == hash(params) for t in twins)
+    assert hash(params) == hash(tuple(values.values()))
+    law = arm_law(0.3125, 0.25, params)
+    before = arm_law.cache_info()
+    assert all(arm_law(0.3125, 0.25, t) is law for t in twins)
+    after = arm_law.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(twins), 0)
 
 
 READOUTS = (DetectorKind.BASELINE_TWO_APD, DetectorKind.BALANCED_BNC)
@@ -182,35 +196,33 @@ def carrier_mixture(lam, dcp, params):
 class TestAvalancheAmplitude:
     """The railed law min(gain_mean * Gamma(K), t_strong) of K carriers:
     :func:`_weak_amplitudes` at fixed K, and over the K of an arm law the
-    weak gates' amplitudes (:func:`_weak_gates`), the railed gates'
-    photons (:func:`_signal_photons`) and the gate kernel's census.
+    weak gates' amplitudes (:func:`_weak_gates`), an arm's photons
+    (:func:`_signal_photons`) and the gate kernel's census.
 
     The oracles are ``scipy.stats`` gamma and Poisson distributions,
     independent of the sampler's Poisson-tail table.
     """
 
     def test_silent_gate(self, params, rng):
-        # no weak and no railed gate: no photons, no amplitudes, no variates
+        # no gate, or no signal: no photons, no amplitudes, no variates
         law = arm_law(2.0, params.dcp_apd1, params)
         before = rng.bit_generator.state
-        photons, amps = _weak_gates(law, 0, params, rng)
-        assert photons == 0 and amps.size == 0
-        assert _signal_photons(law, law.railed, 0, rng) == 0
+        assert _weak_gates(law, 0, params, rng).size == 0
+        assert _signal_photons(2.0, 0, rng) == 0 and _signal_photons(0.0, 1000, rng) == 0
         assert rng.bit_generator.state == before
 
     def test_dark_only_gate_fires(self, params, rng):
         law = arm_law(0.0, 1.0, params)
         assert law.state[EMPTY] == 0.0
         state = rng.choice(3, 1000, p=law.state)
-        photons, amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
-        railed = int((state == RAILED).sum())
-        assert photons == 0 and _signal_photons(law, law.railed, railed, rng) == 0
+        amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
+        assert _signal_photons(law.lam, 1000, rng) == 0
         assert (amps > 0.0).all()
 
     def test_never_above_rail(self, params, rng):
         law = arm_law(2.0, params.dcp_apd1, params)
         state = rng.choice(3, 100_000, p=law.state)
-        _, amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
+        amps = _weak_gates(law, int((state == WEAK).sum()), params, rng)
         assert (amps < params.t_strong).all()
         # the readouts' empty and railed levels: 0 and the rail itself
         assert side_cuts(params)[0] == (0.0, params.t_strong)
@@ -321,15 +333,15 @@ class TestAvalancheAmplitude:
 
     @pytest.mark.parametrize("t_strong", [math.log(10.0 / 9.0), 3.0])
     def test_weak_levels_follow_the_mixture(self, params, t_strong):
-        """Weak gates' levels and photons against the Gamma/Poisson mixture
-        of the arm's (d, k): the level's law by a KS test, its mean and
-        the photons' within 5 sigma."""
+        """Weak gates' levels against the Gamma/Poisson mixture of the
+        arm's (d, k): the level's law by a KS test, its mean within 5
+        sigma."""
         railed = replace(params, t_strong=t_strong)
         lam, dcp, n = 2.0, 0.3, 200_000
-        k, carriers, weight, below = carrier_mixture(lam, dcp, railed)
+        _, carriers, weight, below = carrier_mixture(lam, dcp, railed)
         weak = weight * below / (weight @ below)
         law = arm_law(lam, dcp, railed)
-        photons, levels = _weak_gates(law, n, railed, np.random.default_rng(8))
+        levels = _weak_gates(law, n, railed, np.random.default_rng(8))
 
         def cdf(x):
             # the (d, k) of weight below 1e-9 do not move the CDF
@@ -342,17 +354,20 @@ class TestAvalancheAmplitude:
         below_next = stats.gamma(a=carriers + 1, scale=railed.gain_mean).cdf(t_strong)
         mean = weak @ (carriers * railed.gain_mean * below_next / below)
         assert abs(levels.mean() - mean) <= 5.0 * levels.std() / math.sqrt(n)
-        k_mean, k_var = weak @ k, weak @ k**2 - (weak @ k) ** 2
-        assert abs(photons - n * k_mean) <= 5.0 * math.sqrt(n * k_var)
 
-    def test_railed_photons_follow_the_mixture(self, params):
-        lam, dcp, n = 2.0, 0.3, 200_000
-        k, _, weight, below = carrier_mixture(lam, dcp, params)
-        rails = weight * (1.0 - below) / (weight @ (1.0 - below))
-        law = arm_law(lam, dcp, params)
-        photons = _signal_photons(law, law.railed, n, np.random.default_rng(9))
-        k_mean, k_var = rails @ k, rails @ k**2 - (rails @ k) ** 2
-        assert abs(photons - n * k_mean) <= 5.0 * math.sqrt(n * k_var)
+    def test_photons_follow_the_marginal_law(self, params):
+        """An arm's photons over n gates are Poisson(n lam), whatever the
+        gates' states: over many draws their mean and variance match
+        n lam within 5 sigma."""
+        lam, n, draws = 2.0, 200_000, 4_000
+        rng = np.random.default_rng(9)
+        photons = np.array([_signal_photons(lam, n, rng) for _ in range(draws)], float)
+        mean = n * lam
+        assert abs(photons.mean() - mean) <= 5.0 * math.sqrt(mean / draws)
+        # the sample variance of Poisson(m) draws has a standard deviation
+        # of m sqrt(2 / (draws - 1) + 1 / (m draws)): fourth moment m + 3 m**2
+        spread = mean * math.sqrt(2.0 / (draws - 1) + 1.0 / (mean * draws))
+        assert abs(photons.var(ddof=1) - mean) <= 5.0 * spread
 
 
 class TestDarkFire:
