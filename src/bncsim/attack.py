@@ -348,18 +348,10 @@ def sift_counts(sift, bit, click1, click2) -> tuple[int, int]:
     return int(kept1.sum() + kept2.sum()), int(np.where(bit, kept1, kept2).sum())
 
 
-#: Fewest gates per shard of :func:`_run_sharded`.  A point of at most
-#: this many gates runs as one shard on shard 0's seed.
-SHARD_GATES = 1_000_000
-
 #: Expected per-gate entries (:func:`gate_work`) of one shard.  A shard's
-#: memory and time grow with them, not with its gates.  At the high-rail
-#: point (t_strong = 3, t_diff = 1, other parameters default), where weak
-#: avalanches are common, a gate holds up to 0.19 weak-weak gates in
-#: ``attack_cm`` (at mu = 37), 0.39 in ``blinding_only`` and 0.62 weak
-#: gates on the self-differencing APD (at mu = 18): 190k to 620k entries
-#: in a ``SHARD_GATES`` shard.  2**16 stays below all of them, so no
-#: shard holds more entries than a 1M-gate shard there.
+#: memory and time grow with them, not with its gates, so this bounds
+#: every shard's per-gate arrays, and a point's memory, whatever the
+#: operating point and however many gates it runs.
 SHARD_WORK = 2**16
 
 #: Most gates per shard.  numpy's ``hypergeometric`` and
@@ -832,15 +824,14 @@ def shard_size(
     mu: float, params: DetectorParams, scenario: Optional[Scenario], detector: DetectorKind
 ) -> int:
     """Gates per shard of a point: :data:`SHARD_WORK` over its
-    :func:`gate_work`, within :data:`SHARD_GATES` and
-    :data:`SHARD_GATES_MAX`.
+    :func:`gate_work`, at most :data:`SHARD_GATES_MAX`.  A point without
+    per-gate work takes the cap.
 
     It reads only (flux, parameters, scenario, detector), so a point's
     result still depends only on (seed, flux, configuration).
     """
     work = gate_work(mu, params, scenario, detector)
-    size = SHARD_WORK / work if work * SHARD_GATES_MAX > SHARD_WORK else SHARD_GATES_MAX
-    return min(max(int(size), SHARD_GATES), SHARD_GATES_MAX)
+    return int(SHARD_WORK / work) if work * SHARD_GATES_MAX > SHARD_WORK else SHARD_GATES_MAX
 
 
 def _run_sharded(

@@ -48,10 +48,11 @@ def least_peak():
 @pytest.fixture
 def fixed_shards(monkeypatch):
     """Pin every point's :func:`~bncsim.attack.shard_size` to ``n`` gates,
-    by setting the rule's floor and cap both to ``n``."""
+    by setting the rule's work and cap both to ``n``: a gate adds at most
+    one entry (:func:`~bncsim.attack.gate_work` <= 1), so the cap binds."""
 
     def fix(n):
-        monkeypatch.setattr(attack, "SHARD_GATES", n)
+        monkeypatch.setattr(attack, "SHARD_WORK", n)
         monkeypatch.setattr(attack, "SHARD_GATES_MAX", n)
 
     return fix

@@ -15,7 +15,6 @@ from bncsim.attack import (
     CASE_C_GATES,
     CASE_C_MU,
     ARM_WEIGHTS,
-    SHARD_GATES,
     SHARD_GATES_MAX,
     SHARD_WORK,
     AttackConfig,
@@ -42,7 +41,6 @@ from bncsim.signal_model import (
     RECEIVER_PHASES,
     DetectorParams,
     PhaseSymbol,
-    WEAK_TABLE_MAX,
     below_probabilities,
     weak_probabilities,
 )
@@ -499,7 +497,7 @@ class TestRunFixed:
         n = 2_000_000
         pinned = (PhaseSymbol.ZERO, PhaseSymbol.ZERO, 500.0)
         stats = _run_sharded(
-            n, SHARD_GATES, seed_seq(8), fixed_shard(*pinned, params, DetectorKind.BALANCED_BNC)
+            n, 1_000_000, seed_seq(8), fixed_shard(*pinned, params, DetectorKind.BALANCED_BNC)
         )
         expected = n * params.dcp_apd2 * 0.9  # strong dark avalanches
         assert abs(stats.blind - expected) < 5 * math.sqrt(expected)
@@ -526,22 +524,22 @@ class TestRunFixed:
 
     def test_allocation_bounded_by_one_shard(self, params, least_peak):
         """A case-C run of CASE_C_GATES, one shard of the two-APD pair,
-        allocates about what a SHARD_GATES run does, and less than a float
-        per gate of it: the pair draws no per-gate array."""
+        allocates about what a 1M-gate run does, and less than a float per
+        gate of it: the pair draws no per-gate array."""
         split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO, CASE_C_MU)
 
         def peak(n_gates):
             return least_peak(lambda: run_fixed(*split, n_gates, params, seed_seq(14)))
 
-        assert CASE_C_GATES >= 4 * SHARD_GATES
+        assert CASE_C_GATES >= 4_000_000
         many = peak(CASE_C_GATES)
-        assert many < 1.25 * peak(SHARD_GATES)
-        assert many < 8 * SHARD_GATES
+        assert many < 1.25 * peak(1_000_000)
+        assert many < 8_000_000
 
 
 class TestShardSize:
     """The shard rule: :data:`SHARD_WORK` expected per-gate entries per
-    shard, within :data:`SHARD_GATES` and :data:`SHARD_GATES_MAX`."""
+    shard, at most :data:`SHARD_GATES_MAX` gates."""
 
     FLUX = (0.0, 0.1, 1.0, 10.0, 18.0, 37.0, 100.0, 500.0, 1e4, 1e12)
     SETTINGS = (
@@ -552,47 +550,30 @@ class TestShardSize:
         (DetectorKind.BASELINE_TWO_APD, Scenario.ATTACK_NO_CM),
     )
 
-    def test_within_floor_and_cap(self, params):
-        """Where neither bound binds a shard expects SHARD_WORK entries, to
-        within one gate's; the floor keeps heavier points at SHARD_GATES,
-        and points without weak gates, or without per-gate arrays, take
-        the cap."""
+    def test_work_rule_within_cap(self, params):
+        """No shard expects more than SHARD_WORK entries; below the cap a
+        shard expects them to within one gate's, and points without weak
+        gates, or without per-gate arrays, take the cap."""
         dark_free = replace(params, dcp_apd1=0.0, dcp_apd2=0.0)
-        for p in (params, replace(params, **HIGH_RAIL), dark_free):
+        for p in (params, replace(params, **HIGH_RAIL), replace(params, **WEAK_HEAVY), dark_free):
             for detector, scenario in self.SETTINGS:
                 for mu in self.FLUX:
                     size = attack.shard_size(mu, p, scenario, detector)
                     work = attack.gate_work(mu, p, scenario, detector)
-                    assert SHARD_GATES <= size <= SHARD_GATES_MAX
+                    assert 0 < size <= SHARD_GATES_MAX
+                    assert size * work <= SHARD_WORK
                     if work == 0.0:
                         assert size == SHARD_GATES_MAX
-                    elif SHARD_GATES < size < SHARD_GATES_MAX:
-                        assert SHARD_WORK - work < size * work <= SHARD_WORK
-                    elif size == SHARD_GATES:
-                        assert size * work >= SHARD_WORK - work
-                    else:
-                        assert size * work <= SHARD_WORK
+                    elif size < SHARD_GATES_MAX:
+                        assert SHARD_WORK - work < size * work
         balanced, two_apd = DetectorKind.BALANCED_BNC, DetectorKind.BASELINE_TWO_APD
         assert attack.gate_work(0.0, dark_free, Scenario.ATTACK_CM, balanced) == 0.0
         assert attack.shard_size(1.0, params, None, two_apd) == SHARD_GATES_MAX
 
-    def test_shard_work_below_a_high_rail_shard(self, params):
-        """No shard expects more entries than a SHARD_GATES shard of the
-        high-rail point at its heaviest flux, on any receiver or scenario
-        with per-gate arrays, so no point's memory grows with its gates."""
-        high_rail = replace(params, **HIGH_RAIL)
-        grid = np.geomspace(1.0, 1000.0, 61)
-        for detector, scenario in self.SETTINGS[:4]:
-            heaviest = max(attack.gate_work(mu, high_rail, scenario, detector) for mu in grid)
-            assert SHARD_WORK <= SHARD_GATES * heaviest, (detector, scenario)
-
     def test_cap_keeps_every_draw_exact(self):
-        """numpy's hypergeometric draws need populations below 1e9; a
-        photon histogram's total, the cap times signal counts below 2**22,
-        must fit int64; the weighted event counts must be exact in float64."""
-        # an arm law's window ends 2 * (12 sqrt(lam) + 24) past the P(k) table
-        assert WEAK_TABLE_MAX + 2 * (12.0 * math.sqrt(2.0 * WEAK_TABLE_MAX) + 24.0) < 2**22
-        assert SHARD_GATES_MAX < 10**9 and SHARD_GATES_MAX * 2**22 < 2**63
+        """numpy's hypergeometric draws need populations below 1e9, and the
+        weighted event counts of a float64 ``bincount`` must be exact."""
+        assert SHARD_GATES_MAX < 10**9
         assert SHARD_GATES_MAX < 2**53
 
     @pytest.mark.parametrize(
@@ -614,18 +595,23 @@ class TestShardSize:
         assert 0.0 < row.apd1_rate < params.f_gate
 
     def test_point_of_at_most_shard_gates_is_one_shard(self, params):
-        """Up to SHARD_GATES gates a point is one block on the first child
-        of its seed, whatever its shard size; so is a table-1 case-C row
-        (CASE_C_GATES on the two-APD pair, whose shards take the cap)."""
+        """A point of at most its own shard size is one block on the first
+        child of its seed: 1M gates where the shard is far larger, a whole
+        shard where weak-weak gates are common, and a few gates; so is a
+        table-1 case-C row (CASE_C_GATES on the two-APD pair, whose shards
+        take the cap)."""
         child = seed_seq(3).spawn(1)[0]
         high_rail = replace(params, **HIGH_RAIL)
-        points = ((params, 0.1, SHARD_GATES), (high_rail, 30.0, SHARD_GATES), (params, 10.0, 999))
+        shard = attack.shard_size(30.0, high_rail, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
+        assert shard < 1_000_000
+        points = ((params, 0.1, 1_000_000), (high_rail, 30.0, shard), (params, 10.0, 999))
         for p, mu, n in points:
+            assert n <= attack.shard_size(mu, p, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
             cfg = AttackConfig(n_pulses=n, resend_mu=mu)
             rng = np.random.Generator(np.random.PCG64(child))
             assert run_attack(cfg, p, seed_seq(3)) == simulate_block(cfg, p, rng)
         mu, n = CASE_C_MU, CASE_C_GATES
-        assert SHARD_GATES < n < attack.shard_size(mu, params, None, DetectorKind.BASELINE_TWO_APD)
+        assert n < attack.shard_size(mu, params, None, DetectorKind.BASELINE_TWO_APD)
         split = (PhaseSymbol.HALF_PI, PhaseSymbol.ZERO)
         rng = np.random.Generator(np.random.PCG64(child))
         one_block = fixed_shard(*split, mu, params)(n, rng)
@@ -633,15 +619,14 @@ class TestShardSize:
 
     def test_high_rail_point_memory_bounded_by_one_shard(self, params, monkeypatch, least_peak):
         """A many-shard point where weak-weak gates are common allocates at
-        most a quarter more than one shard.  The rule's constants are
-        scaled down a hundredfold, which keeps the SHARD_GATES floor
-        binding at the high-rail mu = 30 point (0.19 weak-weak gates per
-        gate), so twenty shards stand in for a 1e8-gate point."""
-        monkeypatch.setattr(attack, "SHARD_GATES", SHARD_GATES // 100)
-        monkeypatch.setattr(attack, "SHARD_WORK", SHARD_WORK // 100)
+        most a quarter more than one shard.  SHARD_WORK is scaled down
+        32-fold, which makes the high-rail mu = 30 point (0.19 weak-weak
+        gates per gate) an 11k-gate shard, so twenty shards stand in for a
+        1e8-gate point."""
+        monkeypatch.setattr(attack, "SHARD_WORK", SHARD_WORK // 32)
         high_rail = replace(params, **HIGH_RAIL)
         shard = attack.shard_size(30.0, high_rail, Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC)
-        assert shard == SHARD_GATES // 100
+        assert 10_000 < shard < 12_000
 
         def peak(gates):
             cfg = AttackConfig(n_pulses=gates, resend_mu=30.0)
@@ -650,6 +635,25 @@ class TestShardSize:
         one = peak(shard)
         assert one > 100_000  # the shard's weak-weak rows, not numpy's temporaries
         assert peak(20 * shard) <= 1.25 * one
+
+    @pytest.mark.parametrize(
+        "detector,mu",
+        [(DetectorKind.SELF_DIFFERENCING, 300.0), (DetectorKind.BALANCED_BNC, 600.0)],
+    )
+    def test_memory_bounded_whatever_the_parameters(self, params, least_peak, detector, mu):
+        """Where nearly every gate is weak, a point of 16 times SHARD_WORK
+        over its gate work allocates at most a quarter more than a point of
+        that many gates: SHARD_WORK bounds every shard, at any parameters."""
+        weak_heavy = replace(params, **WEAK_HEAVY)
+        scenario = Scenario.BLINDING_ONLY
+        gates = int(SHARD_WORK / attack.gate_work(mu, weak_heavy, scenario, detector))
+        assert gates < 70_000
+
+        def peak(n):
+            spec = SweepSpec((mu,), n, scenario, detector, seed=5)
+            return least_peak(lambda: run_sweep(spec, weak_heavy))
+
+        assert peak(16 * gates) <= 1.25 * peak(gates)
 
 
 class TestCaseRowOracle:
@@ -1154,15 +1158,16 @@ def test_weak_weak_blocks_keep_their_stream(mu, expected, params):
             strong=1_000_000,
         )),
         (10.0, True, dict(
-            pe1=1_001_508, fired1=633_008, click1=225_400, click2=225_265, blind=17_085,
-            weak=538_962, strong=94_046,
+            pe1=998_631, fired1=632_278, click1=224_845, click2=225_157, blind=17_013,
+            weak=538_761, strong=93_517,
         )),
     ],
 )
 def test_self_differencing_points_keep_their_stream(mu, high_rail, expected, params):
     """1M-gate self-differencing points give the tallies of the engine
     that draws a shard's photons as one Poisson draw and its weak gates
-    over the carrier count K."""
+    over the carrier count K.  The high-rail point runs in nine shards,
+    each expecting SHARD_WORK weak gates."""
     p = replace(params, **HIGH_RAIL) if high_rail else params
     tally = _run_sd_point(mu, 1_000_000, p, np.random.SeedSequence(41))
     assert tally == GateTally(gates=1_000_000, **expected)
@@ -1328,6 +1333,9 @@ def test_pair_counters_match_dense_reference(high_rail, mu, delta, params):
 #: two thresholds of the one-weak cells: t_diff = 1 beside an empty arm,
 #: t_strong - t_diff = 2 beside a railed one.
 HIGH_RAIL = dict(t_strong=3.0, t_diff=1.0)
+#: A rail 300 carriers' gain above the threshold: past mu = 100 nearly
+#: every gate holds weak avalanches, on either receiver.
+WEAK_HEAVY = dict(gain_mean=0.01, **HIGH_RAIL)
 
 
 def test_weak_amplitudes_independent_of_other_arm(params, monkeypatch):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bncsim import attack, cli, harness
-from bncsim.attack import SHARD_GATES, DetectorKind, Scenario
+from bncsim.attack import DetectorKind, Scenario
 from bncsim.harness import SweepSpec, parse_config_file, resolve_config, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,8 +140,8 @@ def test_benchmark_settings_are_accepted():
 def test_sd_event_codes_called_once_per_shard(params, monkeypatch):
     """One call per shard of the point's shard size: the rare weak gates
     of mu = 0.1 make the whole point one shard, the common ones of the
-    default mu = 10 point two, and those of the high-rail mu = 10 point
-    keep the SHARD_GATES floor."""
+    default mu = 10 point two, and those of the high-rail mu = 10 point,
+    half the gates, 21."""
     calls = []
     original = harness.sd_event_codes
 
@@ -151,10 +151,10 @@ def test_sd_event_codes_called_once_per_shard(params, monkeypatch):
 
     monkeypatch.setattr(harness, "sd_event_codes", spy)
     high_rail = replace(params, t_strong=3.0, t_diff=1.0)
-    for mu, p, shards in ((0.1, params, 1), (10.0, params, 2), (10.0, high_rail, 3)):
+    for mu, p, shards in ((0.1, params, 1), (10.0, params, 2), (10.0, high_rail, 21)):
         spec = SweepSpec(
             flux_grid=(mu,),
-            n_gates_per_point=SHARD_GATES * 5 // 2,
+            n_gates_per_point=2_500_000,
             scenario=Scenario.BLINDING_ONLY,
             detector=DetectorKind.SELF_DIFFERENCING,
         )

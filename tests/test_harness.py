@@ -20,7 +20,6 @@ import bncsim.attack as attack
 from bncsim.attack import (
     ARM_WEIGHTS,
     POISSON_LAM_MAX,
-    SHARD_GATES,
     SHARD_GATES_MAX,
     DetectorKind,
     GateTally,
@@ -166,7 +165,7 @@ class TestSweepSpec:
         for detector in (DetectorKind.BALANCED_BNC, DetectorKind.SELF_DIFFERENCING):
             spec = small_spec(
                 flux_grid=(1e12,),
-                n_gates_per_point=SHARD_GATES,
+                n_gates_per_point=1_000_000,
                 detector=detector,
                 scenario=Scenario.BLINDING_ONLY,
             )
@@ -181,14 +180,14 @@ class TestSweepSpec:
         classes = protocol_classes(Scenario.ATTACK_CM)
         lit1 = float(classes.weight[classes.delta != 2].sum())
         p_fired = lit1 + (1.0 - lit1) * params.dcp_apd1
-        assert SHARD_GATES * float(classes.weight.min()) * 1e15 > POISSON_LAM_MAX
+        assert 1_000_000 * float(classes.weight.min()) * 1e15 > POISSON_LAM_MAX
         for detector, scenario in (
             (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM),
             (DetectorKind.BASELINE_TWO_APD, Scenario.ATTACK_NO_CM),
         ):
             spec = small_spec(
                 flux_grid=(1e12, 1e16),
-                n_gates_per_point=SHARD_GATES,
+                n_gates_per_point=1_000_000,
                 scenario=scenario,
                 detector=detector,
             )
@@ -219,9 +218,8 @@ class TestDeterminism:
 
     def test_point_independent_of_grid(self, params, monkeypatch):
         """A point's row, shards included, is the same on any grid.  The
-        rule's constants are scaled down so that the points' shard sizes
-        differ and some point spans several shards."""
-        monkeypatch.setattr(attack, "SHARD_GATES", 5_000)
+        rule's work is scaled down so that the points' shard sizes differ
+        and some point spans several shards."""
         for detector, scenario, work in (
             (DetectorKind.BALANCED_BNC, Scenario.ATTACK_CM, 2.0),
             (DetectorKind.SELF_DIFFERENCING, Scenario.BLINDING_ONLY, 200.0),
@@ -250,7 +248,7 @@ class TestDeterminism:
         setting = Scenario.ATTACK_CM, DetectorKind.BALANCED_BNC
         sizes = [shard_size(mu, params, *setting) for mu in grid]
         assert f"shard_gates={','.join(map(str, sizes))}" in manifest
-        assert sizes[0] > sizes[1] > SHARD_GATES and sizes[1] < sizes[3] == SHARD_GATES_MAX
+        assert sizes[0] > sizes[1] > 1_000_000 and sizes[1] < sizes[3] == SHARD_GATES_MAX
 
     def test_manifest_lists_the_configuration_once_exactly(self, tmp_path):
         """The manifest opens with the config lines, then their digest;
@@ -634,8 +632,8 @@ class TestSelfDifferencingShards:
         monkeypatch.setattr(harness, "_sd_skeleton", spy_skeleton)
         monkeypatch.setattr(harness, "_weak_gates", spy_weak)
         monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
-        fixed_shards(SHARD_GATES)
-        gates = SHARD_GATES * 5 // 2
+        fixed_shards(1_000_000)
+        gates = 2_500_000
         tally = harness._run_sd_point(500.0, gates, params, np.random.SeedSequence(5))
         assert [lead for lead, _ in streams] == [0.0, params.t_strong, params.t_strong]
         assert (tally.click1, tally.click2, tally.blind) == (1, 0, gates - 1)
@@ -821,7 +819,7 @@ class TestSelfDifferencingShards:
         are no signal photons."""
         import bncsim.harness as harness
 
-        n = SHARD_GATES + 10_000
+        n = 1_010_000
         dark_free = replace(params, dcp_apd1=0.0)
         quiet = harness._run_sd_point(0.0, n, dark_free, np.random.SeedSequence(7))
         assert quiet == GateTally(gates=n)
@@ -868,10 +866,10 @@ class TestSelfDifferencingShards:
         monkeypatch.setattr(harness, "_sd_skeleton", spy_skeleton)
         monkeypatch.setattr(harness, "_weak_gates", spy_weak)
         monkeypatch.setattr(harness, "sd_event_codes", spy_coder)
-        harness._run_sd_point(mu, SHARD_GATES, params, np.random.SeedSequence(8))
+        harness._run_sd_point(mu, 1_000_000, params, np.random.SeedSequence(8))
         assert len(skeletons) == len(weak) == len(sizes) == 1
         (sk,) = skeletons
-        weak_gates = SHARD_GATES - sk.empty - sk.railed
+        weak_gates = 1_000_000 - sk.empty - sk.railed
         assert weak == [sk.explicit] and 0 < sk.explicit < weak_gates / 10
         assert sizes[0] <= 2 * sk.explicit + 4 + harness._sd_readout(params).fixed.size
         assert sizes[0] <= 3 * weak_gates + 5
@@ -880,13 +878,12 @@ class TestSelfDifferencingShards:
         """A point of three shards allocates at most a quarter more than
         one.  At the high-rail mu = 10 point half the gates are weak, so a
         shard's arrays are megabytes, far above numpy's constant-size
-        temporaries.  The rule's constants are scaled down tenfold, which
-        keeps the SHARD_GATES floor binding there."""
-        monkeypatch.setattr(attack, "SHARD_GATES", SHARD_GATES // 10)
-        monkeypatch.setattr(attack, "SHARD_WORK", attack.SHARD_WORK // 10)
+        temporaries.  SHARD_WORK is halved, which makes that point a
+        60k-gate shard."""
+        monkeypatch.setattr(attack, "SHARD_WORK", attack.SHARD_WORK // 2)
         high_rail = replace(params, **SD_HIGH_RAIL)
         shard = shard_size(10.0, high_rail, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
-        assert shard == SHARD_GATES // 10
+        assert 55_000 < shard < 65_000
 
         def peak(gates):
             return least_peak(lambda: run_sweep(sd_spec(10.0, gates), high_rail))
@@ -897,15 +894,17 @@ class TestSelfDifferencingShards:
 
     @pytest.mark.parametrize("rail,mu", [({}, 0.1), (SD_HIGH_RAIL, 10.0)])
     def test_point_of_at_most_shard_gates_is_one_shard(self, params, fixed_shards, rail, mu):
-        """Up to SHARD_GATES gates a point is one shard on the first child
-        of its seed, at a point whose shard is far larger and at one where
-        the floor binds."""
+        """A point of at most its own shard size is one shard on the first
+        child of its seed: 1M gates where the shard is far larger, and
+        exactly one shard where half the gates are weak."""
         import bncsim.harness as harness
 
         p = replace(params, **rail)
-        by_rule = harness._run_sd_point(mu, SHARD_GATES, p, np.random.SeedSequence(4))
-        fixed_shards(SHARD_GATES)
-        assert by_rule == harness._run_sd_point(mu, SHARD_GATES, p, np.random.SeedSequence(4))
+        shard = shard_size(mu, p, Scenario.BLINDING_ONLY, DetectorKind.SELF_DIFFERENCING)
+        n = min(shard, 1_000_000)
+        by_rule = harness._run_sd_point(mu, n, p, np.random.SeedSequence(4))
+        fixed_shards(SHARD_GATES_MAX)
+        assert by_rule == harness._run_sd_point(mu, n, p, np.random.SeedSequence(4))
 
     @pytest.mark.parametrize("mu", [0.1, 500.0])
     def test_point_allocates_less_than_a_float_per_gate(self, params, mu):
@@ -914,11 +913,11 @@ class TestSelfDifferencingShards:
 
         tracemalloc.start()
         try:
-            harness._run_sd_point(mu, SHARD_GATES, params, np.random.SeedSequence(6))
+            harness._run_sd_point(mu, 1_000_000, params, np.random.SeedSequence(6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * SHARD_GATES
+        assert peak < 8_000_000
 
 
 @pytest.mark.parametrize(
