@@ -63,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="evaluate the closed-form oracles")
     p_oracle.add_argument("--mu", type=float, required=True, help="photons/pulse")
-    p_oracle.add_argument("--qe", type=float, default=0.1)
-    p_oracle.add_argument("--f-gate", type=float, default=2e6)
+    detector = DetectorParams.default()
+    p_oracle.add_argument("--qe", type=float, default=detector.qe)
+    p_oracle.add_argument("--f-gate", type=float, default=detector.f_gate)
     p_oracle.add_argument("--p-ave", type=float, help="average source power (W)")
     p_oracle.add_argument("--rep-rate", type=float, help="pulse repetition rate (Hz)")
     p_oracle.add_argument("--att-bob", type=float, help="receiver attenuation (dB), default 0")
@@ -96,13 +97,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
-    gates, name = args.gates, "--gates"
-    if gates is None:
-        gates, name = file_values.get("gates"), "gates"
-    if gates is not None and gates < 1:
-        raise ConfigError(f"{name} must be at least 1, got {gates}")
-    # table 1 reads only the detector, the seed and the gates per row, so
-    # it checks no other sweep key
+    if args.gates is not None and args.gates < 1:
+        raise ConfigError(f"--gates must be at least 1, got {args.gates}")
+    # table 1 reads only the detector and the seed from a file, so it
+    # checks no sweep key; a file's gates are per flux point, and only
+    # --gates sets the gates per row
     read = {f.name for f in fields(DetectorParams)} | {"seed"}
     table_values = {key: value for key, value in file_values.items() if key in read}
     spec, params, _ = resolve_config(table_values, {"seed": args.seed})
@@ -117,7 +116,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             row,
             params,
             np.random.SeedSequence(spec.seed, spawn_key=(1, i)),
-            gates=gates,
+            gates=args.gates,
         )
         all_ok &= result.matched
         print(

@@ -73,10 +73,14 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.flux_grid:
-            raise ConfigError("flux grid must hold at least one flux")
+        try:
+            fluxes = iter(self.flux_grid)
+        except TypeError:
+            fluxes = iter(())
         # + 0.0 turns -0.0 into 0.0, so equal fluxes share one seed
-        grid = tuple(check_flux(x, "flux") + 0.0 for x in self.flux_grid)
+        grid = tuple(check_flux(x, "flux") + 0.0 for x in fluxes)
+        if not grid:
+            raise ConfigError(f"flux grid must list at least one flux, got {self.flux_grid!r}")
         object.__setattr__(self, "flux_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("flux grid must be strictly increasing")
@@ -213,38 +217,35 @@ def _row_from_tally(
     )
 
 
-def _run_law(
-    lengths: np.ndarray, q: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw runs of ``lengths`` i.i.d. gates, each EMPTY with probability
-    ``q`` and RAILED otherwise, without drawing their gates.
+def _run_law(length: int, q: float, rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """Draw a run of ``length`` i.i.d. gates, each EMPTY with probability
+    ``q`` and RAILED otherwise, without drawing its gates.
 
-    Returns each run's EMPTY count m ~ Binomial(L, q), its number r of
-    runs of EMPTY gates, and whether it starts and whether it ends
-    RAILED; an empty run has m = r = 0 and neither end RAILED.  Given m,
-    the arrangements are equally likely, so r has the runs law (Mood,
-    "The distribution theory of runs", *Ann. Math. Statist.* 11, 1940):
-    r - 1 ~ Hypergeometric(m - 1, s + 1, s) for the s = L - m RAILED
-    gates, drawn only where m >= 2 and s >= 1 (else r is min(m, 1)).  The
-    RAILED gates then form r - 1 + a + b runs, where a and b say whether
-    the run starts and ends RAILED, in C(s - 1, r - 2 + a + b) ways each;
-    (a, b) takes one uniform over those weights, scaled to integers that
-    vanish where a case cannot occur.
+    Returns its EMPTY count m ~ Binomial(L, q), its number r of runs of
+    EMPTY gates, and whether it starts and whether it ends RAILED (0 or
+    1); an empty run has m = r = 0 and neither end RAILED.  Given m, the
+    arrangements are equally likely, so r has the runs law (Mood, "The
+    distribution theory of runs", *Ann. Math. Statist.* 11, 1940): r - 1
+    ~ Hypergeometric(m - 1, s + 1, s) for the s = L - m RAILED gates,
+    drawn only where m >= 2 and s >= 1 (else r is min(m, 1)).  The RAILED
+    gates then form r - 1 + a + b runs, where a and b say whether the run
+    starts and ends RAILED, in C(s - 1, r - 2 + a + b) ways each; (a, b)
+    takes one uniform over those weights, scaled to integers that vanish
+    where a case cannot occur, and compared with them as float64.
     """
-    m = rng.binomial(lengths, q)
-    s = lengths - m
-    r = np.minimum(m, 1)
-    mixed = np.flatnonzero((m >= 2) & (s >= 1))
-    if mixed.size:
-        r[mixed] += rng.hypergeometric(m[mixed] - 1, s[mixed] + 1, s[mixed])
+    m = rng.binomial(length, q)
+    s = length - m
+    r = min(m, 1)
+    if m >= 2 and s >= 1:
+        r += rng.hypergeometric(m - 1, s + 1, s)
     # C(s - 1, r - 2 + a + b) times r (r - 1) / C(s - 1, r - 2)
     both = (s - r + 1) * (s - r)
     one = r * (s - r + 1)
     none = r * (r - 1)
-    x = rng.random(lengths.size) * (both + 2 * one + none)
-    first = x < both + one
-    last = (x < both) | ((x >= both + one) & (x < both + 2 * one))
-    return m, r, first, last
+    x = rng.random() * float(both + 2 * one + none)
+    first = x < float(both + one)
+    last = x < float(both) or float(both + one) <= x < float(both + 2 * one)
+    return m, r, int(first), int(last)
 
 
 def _pair_totals(length: int, m: int, r: int, first: int, last: int) -> list[list[int]]:
@@ -321,9 +322,7 @@ def _sd_skeleton(n: int, p_weak: float, q: float, rng: np.random.Generator) -> S
     hypergeometric draws need each population below 1e9, which bounds
     the shard size.
     """
-    nonweak, runs, starts_weak, ends_weak = (
-        int(x[0]) for x in _run_law(np.array([n]), 1.0 - p_weak, rng)
-    )
+    nonweak, runs, starts_weak, ends_weak = _run_law(n, 1.0 - p_weak, rng)
     weak = n - nonweak
     weak_runs = runs - 1 + starts_weak + ends_weak
     head, tail = starts_weak, ends_weak * (nonweak > 0)
@@ -337,7 +336,7 @@ def _sd_skeleton(n: int, p_weak: float, q: float, rng: np.random.Generator) -> S
             head, sizes = int(sizes[0]), sizes[1:]
         if tail and joins[-1] == weak - 2:
             tail, sizes = int(sizes[-1]), sizes[:-1]
-    empty, empty_runs, first, last = (int(x[0]) for x in _run_law(np.array([nonweak]), q, rng))
+    empty, empty_runs, first, last = _run_law(nonweak, q, rng)
     contracted = np.ravel(_pair_totals(nonweak, empty, empty_runs, first, last))
     internal = max(runs - 1, 0)
     broken = lone = np.zeros(4, np.int64)

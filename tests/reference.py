@@ -6,7 +6,8 @@ their gates.  This module restates the same rules one gate at a time, in
 plain Python, and draws both kinds of point gate by gate, with numpy
 arrays, from the circuit description rather than from those tables (it
 imports nothing from ``bncsim``), so tests can use it as an independent
-oracle.
+oracle.  :func:`run_law` keeps the run law in its array form, many runs
+at once, which the engine's one-run draw must match draw for draw.
 """
 
 from __future__ import annotations
@@ -120,6 +121,39 @@ def sd_point_dense(n, lam, dcp, gain_mean, t_strong, t_diff, rng):
         int(raw.sum()),
         int(k.sum()),
     )
+
+
+def run_law(lengths, q, rng):
+    """Draw runs of ``lengths`` i.i.d. gates, each EMPTY with probability
+    ``q`` and RAILED otherwise, without drawing their gates, vectorized
+    over the array ``lengths``.  ``rng`` is a numpy ``Generator``.
+
+    Returns each run's EMPTY count m ~ Binomial(L, q), its number r of
+    runs of EMPTY gates, and whether it starts and whether it ends
+    RAILED; an empty run has m = r = 0 and neither end RAILED.  Given m,
+    the arrangements are equally likely, so r has the runs law (Mood,
+    "The distribution theory of runs", *Ann. Math. Statist.* 11, 1940):
+    r - 1 ~ Hypergeometric(m - 1, s + 1, s) for the s = L - m RAILED
+    gates, drawn only where m >= 2 and s >= 1 (else r is min(m, 1)).  The
+    RAILED gates then form r - 1 + a + b runs, where a and b say whether
+    the run starts and ends RAILED, in C(s - 1, r - 2 + a + b) ways each;
+    (a, b) takes one uniform over those weights, scaled to integers that
+    vanish where a case cannot occur.
+    """
+    m = rng.binomial(lengths, q)
+    s = lengths - m
+    r = np.minimum(m, 1)
+    mixed = np.flatnonzero((m >= 2) & (s >= 1))
+    if mixed.size:
+        r[mixed] += rng.hypergeometric(m[mixed] - 1, s[mixed] + 1, s[mixed])
+    # C(s - 1, r - 2 + a + b) times r (r - 1) / C(s - 1, r - 2)
+    both = (s - r + 1) * (s - r)
+    one = r * (s - r + 1)
+    none = r * (r - 1)
+    x = rng.random(lengths.size) * (both + 2 * one + none)
+    first = x < both + one
+    last = (x < both) | ((x >= both + one) & (x < both + 2 * one))
+    return m, r, first, last
 
 
 def balanced_point_dense(n, lam1, lam2, dcp1, dcp2, gain_mean, t_strong, t_diff, rng):

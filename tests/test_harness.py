@@ -48,7 +48,7 @@ from bncsim.harness import (
 )
 from bncsim.selfdiff import SdGateEvent
 from bncsim.signal_model import DetectorParams
-from reference import sd_point_dense, sd_stream
+from reference import run_law, sd_point_dense, sd_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: The manifest keys that record a run's provenance; the other lines are
@@ -82,7 +82,7 @@ class TestSweepSpec:
 
     def test_empty_grid_rejected(self):
         # an empty grid would write `flux=`, which reads back as the default grid
-        for empty in ((), [], None):
+        for empty in ((), [], None, np.array([])):
             with pytest.raises(ConfigError, match="at least one flux"):
                 small_spec(flux_grid=empty)
         spec, _, _ = resolve_config(None, {"gates": 10_000})
@@ -122,9 +122,17 @@ class TestSweepSpec:
             small_spec(flux_grid=bad)
 
     def test_numpy_real_fluxes_become_floats(self):
-        spec = small_spec(flux_grid=(np.float32(0.5), np.int64(2), 3))
-        assert spec.flux_grid == (0.5, 2.0, 3.0)
-        assert all(type(x) is float for x in spec.flux_grid)
+        for grid in ((np.float32(0.5), np.int64(2), 3), np.array([0.5, 2.0, 3.0])):
+            spec = small_spec(flux_grid=grid)
+            assert spec.flux_grid == (0.5, 2.0, 3.0)
+            assert all(type(x) is float for x in spec.flux_grid)
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "numpy-float", "0-d-array"]
+    )
+    def test_bare_number_grid_rejected(self, bad):
+        with pytest.raises(ConfigError, match="at least one flux"):
+            small_spec(flux_grid=bad)
 
     def test_scenario_and_detector_names_become_members(self, params):
         # honest on the self-differencing receiver is refused by name too
@@ -723,8 +731,9 @@ class TestSelfDifferencingShards:
     @pytest.mark.parametrize("length", range(9))
     @pytest.mark.parametrize("q", [0.0, 0.2, 0.63, 1.0])
     def test_run_law_matches_enumeration(self, length, q):
-        """Each run's (EMPTY count, first, last, EE, ER, RE, RR) follows
-        the law of ``length`` i.i.d. gates, enumerated over every
+        """Each run's (EMPTY count, first, last, EE, ER, RE, RR), drawn by
+        :func:`reference.run_law` (the engine's run law, vectorized),
+        follows the law of ``length`` i.i.d. gates, enumerated over every
         sequence: within 5 sigma in each outcome, and nothing outside the
         support.  The pair counts of a drawn run are its
         :func:`_pair_totals`.  Length 0 is two adjacent weak gates, q = 0
@@ -740,7 +749,7 @@ class TestSelfDifferencingShards:
             counts = (pairs[0, 0], pairs[0, 1], pairs[1, 0], pairs[1, 1])
             law[(m, seq[:1] == (1,), seq[-1:] == (1,), *counts)] += q**m * (1.0 - q) ** (length - m)
         n = 200_000
-        runs = harness._run_law(np.full(n, length), q, np.random.default_rng(length))
+        runs = run_law(np.full(n, length), q, np.random.default_rng(length))
         drawn = Counter()
         for (m, r, first, last), count in Counter(zip(*(a.tolist() for a in runs))).items():
             (ee, er), (re, rr) = harness._pair_totals(length, m, r, first, last)
@@ -748,6 +757,27 @@ class TestSelfDifferencingShards:
         assert set(drawn) <= {key for key, p in law.items() if p > 0.0}
         for key, p in law.items():
             assert abs(drawn[key] - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), key
+
+    @pytest.mark.parametrize(
+        "length,q",
+        [*itertools.product(range(9), [0.0, 0.2, 0.63, 1.0])]
+        + [*itertools.product([10**6, 2**29], [1e-9, 0.5, 0.999, 1.0 - 1e-9])],
+    )
+    def test_run_law_is_reference_on_one_run(self, length, q):
+        """The engine's one-run :func:`_run_law` is :func:`reference.run_law`
+        on a one-element array, draw for draw: the same (m, r, first,
+        last) as Python ints, and the generator left in the same state,
+        over 200 seeds, on the enumeration grid and on shard-sized runs
+        up to the largest shard, 2**29 gates."""
+        import bncsim.harness as harness
+
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = harness._run_law(length, q, ours)
+            expected = tuple(int(x[0]) for x in run_law(np.array([length]), q, theirs))
+            assert all(type(x) is int for x in drawn)
+            assert drawn == expected, seed
+            assert ours.random() == theirs.random(), seed
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_skeleton_matches_enumeration(self, n):
@@ -1484,34 +1514,30 @@ class TestCli:
         assert "error:" in captured.err and "--gates" in captured.err
 
     def test_table1_ignores_sweep_keys(self, tmp_path, capsys):
-        # table 1 reads only the detector keys, the seed and the gates from a
-        # config file; any other sweep key, valid or not for a sweep,
-        # changes nothing
+        # table 1 reads only the detector keys and the seed from a config
+        # file; any other sweep key, valid or not for a sweep, changes
+        # nothing, the gates per flux point included: only --gates sets
+        # the gates per row
         assert main(["table1", "--seed", "4"]) == 0
         plain = capsys.readouterr().out
-        for line in ("flux = 1,0.5", "detector = self_differencing", "scenario = honest"):
+        lines = ("flux = 1,0.5", "detector = self_differencing", "scenario = honest")
+        for line in (*lines, "gates = 5000", "gates = 0", "gates = -5"):
             cfg = tmp_path / "sweep_keys.cfg"
             cfg.write_text(f"{line}\nseed = 4\n")
             assert main(["table1", "--config", str(cfg)]) == 0, line
             assert capsys.readouterr().out == plain, line
+        # too few gates for some rows' bands, so the exit status may be 1
+        main(["table1", "--config", str(cfg), "--gates", "5000"])
+        with_file = capsys.readouterr().out
+        main(["table1", "--seed", "4", "--gates", "5000"])
+        assert with_file == capsys.readouterr().out != plain
 
-    def test_table1_reads_config_gates(self, tmp_path, capsys):
-        # a config file's gates set the gates per row, and --gates wins
-        def table(*argv):
-            main(["table1", "--seed", "4", *argv])
-            return capsys.readouterr().out
-
-        cfg = tmp_path / "gates.cfg"
-        cfg.write_text("gates = 5000\n")
-        from_file = table("--config", str(cfg))
-        assert from_file == table("--gates", "5000")
-        assert from_file != table("--gates", "6000")
-        assert table("--config", str(cfg), "--gates", "6000") == table("--gates", "6000")
-
-    @pytest.mark.parametrize("line", ["gates = 0", "gates = -5", "gates = many"])
+    @pytest.mark.parametrize("line", ["gates = many"])
     def test_table1_bad_config_gates_exits_2_without_rows(
         self, line, tmp_path, capsys, monkeypatch
     ):
+        # table 1 ignores a file's gates, but a line that does not parse
+        # is still an error, named by its key and not by --gates
         import bncsim.cli as cli
 
         def no_rows(*args, **kwargs):
