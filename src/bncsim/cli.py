@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +23,8 @@ from .errors import ConfigError, MissingFluxPoint
 from .harness import (
     emit_report,
     load_report_rows,
-    manifest_path,
     parse_config_file,
+    report_paths,
     resolve_config,
     run_sweep,
     verify_landmarks,
@@ -79,12 +78,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     file_values = parse_config_file(args.config) if args.config else None
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     spec, params, merged = resolve_config(file_values, overrides)
-    out = Path(merged["out"])
-    if not out.parent.is_dir() or out.is_dir() or manifest_path(out).is_dir():
-        raise ConfigError(f"cannot write {out} and its manifest: no such directory, or a directory")
+    out, manifest = report_paths(merged["out"])
     report = run_sweep(spec, params)
-    path = emit_report(report, out)
-    print(f"wrote {path} and {manifest_path(path)}")
+    emit_report(report, out)
+    print(f"wrote {out} and {manifest}")
     header = f"{'flux':>10} {'qber':>10} {'cm_success':>10} {'casec_cm':>10} {'weak_ratio':>10}"
     print(header)
     for row in report.rows:

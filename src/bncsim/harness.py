@@ -354,8 +354,10 @@ class SdReadout(NamedTuple):
 
     levels: np.ndarray  # railed level of an EMPTY and a RAILED gate
     cuts: tuple[tuple[float, ...], ...]  # bin thresholds of a lone weak gate, by pair type
-    fixed: np.ndarray  # the pair walks x y, then each bin's lone walk x bin y, by type
-    source: np.ndarray  # each fixed entry's count: 0 none, then the pairs, then the bins
+    leads: np.ndarray  # x of each fixed walk: the pair walks x y, then the bins' x bin y, by type
+    bodies: np.ndarray  # the lone walks' bins, each at its midpoint
+    exits: np.ndarray  # y of each fixed walk
+    sizes: np.ndarray  # body size of each fixed walk: 0 for a pair, 1 for a bin
 
 
 @functools.lru_cache(maxsize=8)
@@ -372,18 +374,13 @@ def _sd_readout(params: DetectorParams) -> SdReadout:
     levels = np.array(levels)
     types = list(itertools.product((0, 1), (0, 1)))
     cuts = tuple(tuple(sorted({cut[x], cut[y]})) for x, y in types)
-    entries = []
-    for count, (x, y) in enumerate(types, start=1):
-        entries += [(levels[x], 0), (levels[y], count)]
-    count = len(types)
-    for (x, y), c in zip(types, cuts):
-        for mid in bin_levels(c, params):
-            count += 1
-            entries += [(levels[x], 0), (mid, count), (levels[y], count)]
-    fixed, source = (np.array(column) for column in zip(*entries))
-    for table in (levels, fixed, source):
+    mids = [bin_levels(c, params) for c in cuts]
+    walks = [(*t, 0) for t in types] + [(*t, 1) for t, m in zip(types, mids) for _ in m]
+    x, y, sizes = np.array(walks).T
+    readout = SdReadout(levels, cuts, levels[x], np.concatenate(mids), levels[y], sizes)
+    for table in (levels, *readout[2:]):
         table.flags.writeable = False
-    return SdReadout(levels, cuts, fixed, source)
+    return readout
 
 
 def _sd_walks(
@@ -397,43 +394,39 @@ def _sd_walks(
     entries counting the gates they stand for, and the shard's last level.
 
     A gate's word depends on its own level and its predecessor's, so the
-    stream is a set of walks, each led by its first gate's predecessor at
-    weight 0.  The explicit ``amps``, in the order head, ``runs``, tail,
-    walk from the register through the head to the first non-weak level,
-    from x through each longer run to y, and from the last non-weak level
-    through the tail.  Each adjacent non-weak pair of type (x, y) is a
-    walk x y weighted by its count, and each bin of the lone weak gates
-    of type (x, y) a walk x bin y weighted by the bin's count in
-    ``lone_bins``.  A shard thus costs at most 2 entries per explicit
-    amplitude, plus a constant.
+    stream is a set of walks, each a lead at weight 0 (its first gate's
+    predecessor), a body and an exit.  The explicit ``amps``, in the order
+    head, ``runs``, tail, walk from the register through the head to the
+    first non-weak level, from x through each longer run to y, and from
+    the last non-weak level through the tail to an EMPTY level at weight
+    0, as the head does when no gate is non-weak: a 0 level never fires
+    the raw comparator, so its word is always reachable.  Each adjacent
+    non-weak pair of type (x, y) is a fixed walk x y weighted by its
+    count, and each bin of the lone weak gates of type (x, y) a fixed
+    walk x bin y weighted by the bin's count in ``lone_bins``.  A shard
+    thus costs at most 2 entries per explicit amplitude, plus 4 and the
+    fixed walks' entries.
     """
     levels = readout.levels
     nonweak = sk.empty + sk.railed > 0
     x, y = np.divmod(sk.run_types, 2)
-    tail = [sk.tail] if sk.tail else []
-    sizes = np.concatenate(([sk.head], sk.runs, tail)).astype(np.int64)
-    lead = np.concatenate(([register], levels[x], levels[[sk.last] * len(tail)]))
-    exits = np.concatenate(([levels[sk.first]] if nonweak else [], levels[y]))
-    # every walk but the tail's ends on a non-weak gate, the head's when there is one
-    closed = np.ones(sizes.size, bool)
-    closed[0] = nonweak
-    closed[sizes.size - len(tail) :] = False
-    stop = np.cumsum(1 + sizes + closed)
-    start = stop - 1 - sizes - closed
+    bins = np.concatenate(lone_bins)
+    sizes = np.concatenate(([sk.head], sk.runs, [sk.tail], readout.sizes))
+    leads = np.concatenate(([register], levels[x], levels[[sk.last]], readout.leads))
+    # with no non-weak gate, sk.first is 0 and the head exits on an EMPTY level
+    exits = np.concatenate((levels[[sk.first]], levels[y], [0.0], readout.exits))
+    stop = np.cumsum(2 + sizes)
+    start = stop - 2 - sizes
     stream = np.empty(stop[-1])
-    weights = np.ones(stop[-1], np.int64)
-    is_amp = np.ones(stop[-1], bool)
-    is_amp[start] = is_amp[stop[closed] - 1] = False
-    stream[start], weights[start] = lead, 0
-    stream[stop[closed] - 1] = exits
-    stream[is_amp] = amps
-    counts = np.concatenate(([0], sk.pairs, *lone_bins))
+    weights = np.zeros(stop[-1], np.int64)
+    body = np.ones(stop[-1], bool)
+    body[start] = body[stop - 1] = False
+    stream[start], stream[stop - 1] = leads, exits
+    weights[stop - 1] = np.concatenate(([nonweak], np.ones_like(sk.runs), [0], sk.pairs, bins))
+    stream[body] = np.concatenate((amps, readout.bodies))
+    weights[body] = np.concatenate((np.ones(amps.size, np.int64), bins))
     last = amps[-1] if sk.tail or not nonweak else levels[sk.last]
-    return (
-        np.concatenate([stream, readout.fixed]),
-        np.concatenate([weights, counts[readout.source]]),
-        float(last),
-    )
+    return stream, weights, float(last)
 
 
 def _run_sd_point(
@@ -471,10 +464,8 @@ def _run_sd_point(
         nonlocal register
         sk = _sd_skeleton(n, p_weak, q, rng)
         amps = _weak_gates(law, sk.explicit, params, rng)
-        lone_bins = [
-            _weak_sides(law, cuts, count, params, rng)
-            for count, cuts in zip(sk.lone.tolist(), readout.cuts)
-        ]
+        lone = zip(sk.lone.tolist(), readout.cuts)
+        lone_bins = [_weak_sides(law, cuts, count, params, rng) for count, cuts in lone]
         stream, weights, register = _sd_walks(sk, amps, lone_bins, readout, register)
         tally = GateTally(gates=n, pe1=_signal_photons(lam, n, rng), fired1=n - sk.empty)
         return count_events(tally, sd_event_codes(stream, params), weights)
@@ -552,6 +543,16 @@ def manifest_path(path: str | Path) -> Path:
     return Path(f"{path}.manifest")
 
 
+def report_paths(path: str | Path) -> tuple[Path, Path]:
+    """The report at ``path`` and its manifest.  Writing replaces each, so
+    one that exists and is not a regular file is a :class:`ConfigError`."""
+    paths = Path(path), manifest_path(path)
+    if not paths[0].parent.is_dir() or any(p.exists() and not p.is_file() for p in paths):
+        rule = "each must be a regular file or a new name in an existing directory"
+        raise ConfigError(f"cannot write {path} and its manifest: {rule}")
+    return paths
+
+
 def emit_report(report: RunReport, path: str | Path) -> Path:
     """Write the data table and its manifest; returns the data path.
 
@@ -559,9 +560,9 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
     re-runs the sweep, then their SHA-256, the table's SHA-256, checked
     when the table is read back, the package versions and each point's
     :func:`~bncsim.attack.shard_size`.  Each file replaces any earlier
-    one atomically.
+    one atomically.  Paths :func:`report_paths` refuses write nothing.
     """
-    path = Path(path)
+    path, manifest_file = report_paths(path)
     spec, params = report.spec, report.params
     shards = [shard_size(mu, params, spec.scenario, spec.detector) for mu in spec.flux_grid]
     table = report_to_csv(report)
@@ -576,7 +577,7 @@ def emit_report(report: RunReport, path: str | Path) -> Path:
         f"numpy={np.__version__}",
         "shard_gates=" + ",".join(str(shard) for shard in shards),
     ]
-    _replace_file(manifest_path(path), "\n".join(manifest) + "\n")
+    _replace_file(manifest_file, "\n".join(manifest) + "\n")
     return path
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -431,6 +432,12 @@ class TestReportFiles:
         bad.write_text("flux,qber\n1,0.25\n")
         with pytest.raises(ConfigError):
             load_report_rows(bad)
+        # a row one cell short, with no manifest whose digest would fire first
+        short = tmp_path / "short.csv"
+        header, row = ",".join(REPORT_COLUMNS), ",".join(["1"] * (len(REPORT_COLUMNS) - 1))
+        short.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ConfigError, match="malformed report line"):
+            load_report_rows(short)
 
 
 #: Gates per point of the landmark fixtures: the landmark sweep's own
@@ -692,7 +699,8 @@ class TestSelfDifferencingShards:
         stream, weights, carried = harness._sd_walks(
             sk, dense[explicit], lone_bins, readout, register
         )
-        assert stream.size <= 2 * len(explicit) + 4 + readout.fixed.size
+        # 4 for the head's and tail's leads and exits, 38 for the fixed walks
+        assert stream.size <= 2 * len(explicit) + 42
         counts = np.bincount(harness.sd_event_codes(stream, params), weights, len(GateEvent))
         # the dense stream led by the register, whose own code is dropped
         led = harness.sd_event_codes(np.concatenate(([register], dense)), params)[1:]
@@ -901,7 +909,7 @@ class TestSelfDifferencingShards:
         (sk,) = skeletons
         weak_gates = 1_000_000 - sk.empty - sk.railed
         assert weak == [sk.explicit] and 0 < sk.explicit < weak_gates / 10
-        assert sizes[0] <= 2 * sk.explicit + 4 + harness._sd_readout(params).fixed.size
+        assert sizes[0] <= 2 * sk.explicit + 42
         assert sizes[0] <= 3 * weak_gates + 5
 
     def test_memory_bounded_by_one_shard(self, params, monkeypatch, least_peak):
@@ -1345,6 +1353,29 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists() and not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("fifo_at", ["report.csv", "report.csv.manifest"])
+    def test_out_path_not_a_regular_file_exits_2(
+        self, fifo_at, params, tmp_path, capsys, monkeypatch
+    ):
+        """A report or manifest path that exists and is not a regular file
+        (here a FIFO) is refused before any gate, by the sweep command and
+        by emit_report: it stays what it was, and nothing is written."""
+        report = run_sweep(small_spec(), params)
+
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was drawn")
+
+        monkeypatch.setattr(attack, "_run_sharded", no_gates)
+        fifo = tmp_path / fifo_at
+        os.mkfifo(fifo)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--flux", "0.1,500", "--gates", "10000", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="regular file"):
+            emit_report(report, out)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == [fifo_at]
+
     def test_module_entry_point(self):
         # python -m bncsim runs the CLI from a source checkout, no install needed
         src = Path(bncsim.__file__).resolve().parent.parent
@@ -1387,7 +1418,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rows: 16, case C rows: 8" in out
 
-    @pytest.mark.parametrize("flux", ["0.1,nan", "0.1,inf", "0.1,1e20"])
+    @pytest.mark.parametrize("flux", ["0.1,nan", "0.1,inf", "0.1,1e20", "0.1,abc", "0.1,,1", ","])
     def test_bad_flux_exits_2_without_report(self, flux, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         argv = ["sweep", "--flux", flux, "--gates", "10000", "--out", str(out)]

@@ -71,6 +71,10 @@ def test_params_validation():
         replace(good, dcp_apd1=-0.1)
     with pytest.raises(ValueError):
         replace(good, t_diff=good.t_strong)  # must be strictly below
+    for name in ("f_gate", "gain_mean"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                replace(good, **{name: bad})
     for field in fields(DetectorParams):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="must be finite"):
